@@ -2,9 +2,9 @@
 extensions, plus baselines, a stochastic Armijo line search, a benchmark
 harness, and oracle-based verification of the estimator and rate claims."""
 
-from .data import (BatchSchedule, Dataset, ParseError, SparseVector,
-                   dump_libsvm, load_libsvm, make_schedule, make_synthetic,
-                   parse_libsvm, split_train_test)
+from .data import (BatchSchedule, Dataset, ParseError, dump_libsvm,
+                   load_libsvm, make_schedule, make_synthetic, parse_libsvm,
+                   split_train_test)
 from .estimators import (GradTable, SnapState, estimator_mean_bruteforce,
                          make_table, saag1_direction, saag2_direction,
                          sgd_direction, svrg_direction, take_snapshot)
@@ -12,8 +12,9 @@ from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
                       read_csv, record_epoch)
 from .line_search import SBASParams, sbas
 from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                        batch_grad, batch_smooth_value, component_grad,
-                        full_grad, objective_value, prox)
+                        batch_grad, batch_smooth_value, full_grad,
+                        loss, margins, objective_value, prox, scatter,
+                        slope)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .data import ParseError, load_libsvm, make_schedule, make_synthetic, split_train_test
-from .estimators import take_snapshot
+from .estimators import ENUMERATION_CAP, take_snapshot
 from .harness import emit_csv, finalize_suboptimality
 from .line_search import SBASParams
 from .objective import LOSSES, ObjectiveSpec, Regularizer
@@ -27,7 +27,6 @@ from .verify import (RateParams, RegimeError, bias_identity_gap,
 
 DEFAULT_BATCH_GRID = (32, 64, 128)
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-5, 1e-7)
-ENUM_CAP = 64
 
 
 class UsageError(ValueError):
@@ -347,8 +346,8 @@ def cmd_verify(config, inject_scale_bug=False, out=None):
     ok &= _check(results, "prox-oracle", worst_prox <= 1e-8,
                  f"max gap {worst_prox:.3e} (tol 1e-8)")
 
-    if data.n > ENUM_CAP:
-        print(f"SKIP  enumeration suites: n = {data.n} exceeds cap {ENUM_CAP}")
+    if data.n > ENUMERATION_CAP:
+        print(f"SKIP  enumeration suites: n = {data.n} exceeds cap {ENUMERATION_CAP}")
     else:
         # the expectation identities assume equal batch sizes, so only batch
         # sizes dividing n are enumerated

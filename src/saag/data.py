@@ -1,7 +1,7 @@
 """Sparse LibSVM-style datasets, train/test splits, and mini-batch schedules."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -11,84 +11,90 @@ class ParseError(ValueError):
 
 
 @dataclass(eq=False)
-class SparseVector:
-    """One sparse feature row: 1-based indices (strictly increasing) and values.
+class Dataset:
+    """Sparse rows in CSR layout with +/-1 labels.
 
-    Zero values are never stored; ``indices`` and ``values`` always have the
-    same length.
+    Row i holds the columns ``indices[indptr[i]:indptr[i+1]]`` (0-based,
+    strictly increasing) and their ``values``; zero values are never stored.
+    ``d`` is the feature dimension; split children inherit it from the
+    parent so shapes stay consistent. ``row_ids`` names the row of every
+    stored value.
     """
 
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    labels: np.ndarray
+    d: int
+    row_ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indices.shape != self.values.shape or self.indices.ndim != 1:
+        self.labels = np.asarray(self.labels, dtype=np.float64)
+        n = self.labels.size
+        if n == 0:
+            raise ValueError("empty dataset")
+        if self.indptr.shape != (n + 1,):
+            raise ValueError("indptr must hold one offset per row plus one")
+        if self.indices.ndim != 1 or self.indices.shape != self.values.shape:
             raise ValueError("indices and values must be 1-d arrays of equal length")
+        counts = np.diff(self.indptr)
+        if (self.indptr[0] != 0 or self.indptr[-1] != self.indices.size
+                or np.any(counts < 0)):
+            raise ValueError("indptr must rise from 0 to the number of stored values")
+        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+            raise ValueError("labels must be +1 or -1")
+        self.row_ids = np.repeat(np.arange(n), counts)
         if self.indices.size:
-            if self.indices[0] < 1:
-                raise ValueError("feature indices are 1-based and must be >= 1")
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("feature indices must be strictly increasing")
+            if self.indices.min() < 0 or self.indices.max() >= self.d:
+                raise ValueError("feature index outside [0, d)")
+            same_row = self.row_ids[1:] == self.row_ids[:-1]
+            if np.any(same_row & (np.diff(self.indices) <= 0)):
+                raise ValueError("feature indices must be strictly increasing within a row")
         if np.any(self.values == 0.0):
             raise ValueError("zero values must not be stored")
 
     @property
-    def nnz(self):
-        return self.indices.size
-
-    def dot(self, w):
-        """Inner product with a dense weight vector of length >= max index."""
-        if self.indices.size == 0:
-            return 0.0
-        return float(w[self.indices - 1] @ self.values)
-
-    def squared_norm(self):
-        return float(self.values @ self.values)
-
-
-@dataclass(eq=False)
-class Dataset:
-    """Immutable collection of sparse rows with +/-1 labels.
-
-    ``d`` is the feature dimension (max 1-based index); split children inherit
-    it from the parent so shapes stay consistent.
-    """
-
-    rows: list
-    labels: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if len(self.rows) == 0:
-            raise ValueError("empty dataset")
-        if len(self.rows) != self.labels.size:
-            raise ValueError("row/label count mismatch")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
-            raise ValueError("labels must be +1 or -1")
-        for row in self.rows:
-            if row.nnz and row.indices[-1] > self.d:
-                raise ValueError("row index exceeds dataset dimension d")
-
-    @property
     def n(self):
-        return len(self.rows)
+        return self.labels.size
+
+    def gather(self, rows=None):
+        """Stored values of ``rows`` (every row when None), in row order.
+
+        Returns (position in ``rows`` of each value's row, column, value).
+        """
+        if rows is None:
+            return self.row_ids, self.indices, self.values
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size == 1:
+            # one row is one contiguous slice
+            part = slice(self.indptr[rows[0]], self.indptr[rows[0] + 1])
+            cols = self.indices[part]
+            return np.zeros(cols.size, dtype=np.int64), cols, self.values[part]
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        local = np.repeat(np.arange(rows.size), counts)
+        # output slot j of row k reads position starts[k] + j - (slots before row k)
+        shift = starts - (np.cumsum(counts) - counts)
+        pos = np.arange(local.size) + np.repeat(shift, counts)
+        return local, self.indices[pos], self.values[pos]
 
     def subset(self, idx):
-        """New dataset from a sequence of row positions; shares row storage."""
+        """New dataset from a sequence of row positions."""
         idx = np.asarray(idx, dtype=np.int64)
-        return Dataset([self.rows[i] for i in idx], self.labels[idx], self.d)
+        _, cols, vals = self.gather(idx)
+        counts = self.indptr[idx + 1] - self.indptr[idx]
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        return Dataset(indptr, cols, vals, self.labels[idx], self.d)
 
     def dense(self):
         """Dense (n, d) matrix copy; intended for desk-scale problems only."""
         if self.n * self.d > 50_000_000:
             raise ValueError("dataset too large to densify (n*d > 5e7)")
         x = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.rows):
-            if row.nnz:
-                x[i, row.indices - 1] = row.values
+        x[self.row_ids, self.indices] = self.values
         return x
 
 
@@ -102,7 +108,9 @@ def parse_libsvm(text):
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows = []
+    indptr = [0]
+    indices = []
+    values = []
     labels = []
     d = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -113,8 +121,6 @@ def parse_libsvm(text):
             raw_label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
-        indices = []
-        values = []
         prev = 0
         for token in tokens[1:]:
             idx_s, sep, val_s = token.partition(":")
@@ -130,24 +136,25 @@ def parse_libsvm(text):
             if idx <= prev:
                 raise ParseError(f"line {lineno}: non-increasing index {idx}")
             prev = idx
-            d = max(d, idx)
             if val != 0.0:
-                indices.append(idx)
+                indices.append(idx - 1)
                 values.append(val)
-        rows.append(SparseVector(np.array(indices, dtype=np.int64),
-                                 np.array(values, dtype=np.float64)))
+        d = max(d, prev)
+        indptr.append(len(indices))
         labels.append(1.0 if raw_label > 0 else -1.0)
-    if not rows:
+    if not labels:
         raise ParseError("empty dataset: no non-empty lines")
-    return Dataset(rows, np.array(labels), d)
+    return Dataset(indptr, indices, values, labels, d)
 
 
 def dump_libsvm(ds):
     """Serialize a Dataset back to LibSVM text (exact float round trip)."""
     lines = []
-    for row, y in zip(ds.rows, ds.labels):
+    for i, y in enumerate(ds.labels):
+        part = slice(ds.indptr[i], ds.indptr[i + 1])
         label = "+1" if y > 0 else "-1"
-        feats = " ".join(f"{i}:{float(v)!r}" for i, v in zip(row.indices, row.values))
+        feats = " ".join(f"{j + 1}:{float(v)!r}"
+                         for j, v in zip(ds.indices[part], ds.values[part]))
         lines.append(f"{label} {feats}".rstrip())
     return "\n".join(lines) + "\n"
 
@@ -237,9 +244,6 @@ def make_synthetic(n, d, seed=0, flip=0.0, margin=0.0):
     if n_flip:
         labels = labels.copy()
         labels[rng.choice(n, size=n_flip, replace=False)] *= -1.0
-    cols = np.arange(1, d + 1, dtype=np.int64)
-    rows = []
-    for i in range(n):
-        keep = x[i] != 0.0
-        rows.append(SparseVector(cols[keep], x[i][keep]))
-    return Dataset(rows, labels, d)
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    return Dataset(indptr, cols, x[rows, cols], labels, d)

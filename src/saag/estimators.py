@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import batch_grad, full_grad, row_slope, slope_sum
+from .objective import batch_grad, full_grad, margins, scatter, slope, slope_sum
 
 ENUMERATION_CAP = 64
 
@@ -23,13 +23,12 @@ class SnapState:
 
     point: np.ndarray
     grad: np.ndarray
-    epoch_tag: int = 0
 
 
-def take_snapshot(spec, w, epoch_tag=0):
+def take_snapshot(spec, w):
     """Freeze a snap point and compute its full gradient (n evaluations)."""
     w = np.asarray(w, dtype=np.float64)
-    return SnapState(w.copy(), full_grad(spec, w), epoch_tag)
+    return SnapState(w.copy(), full_grad(spec, w))
 
 
 @dataclass(eq=False)
@@ -54,41 +53,30 @@ def make_table(spec):
 
 def table_aggregate_recomputed(table, spec):
     """Dense sum implied by the stored slots; debug check for drift."""
-    acc = np.zeros(spec.data.d)
-    for i in range(spec.data.n):
-        if table.known[i] and table.slopes[i] != 0.0:
-            row = spec.data.rows[i]
-            acc[row.indices - 1] += table.slopes[i] * row.values
-    return acc
+    return scatter(spec.data, np.where(table.known, table.slopes, 0.0))
 
 
-def saag1_direction(table, spec, w, batch, stale_denom=None):
+def saag1_direction(table, spec, w, batch):
     """Incremental-table direction; refreshes the batch slots in place.
 
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
-    gradients enter at weight 1/stale_denom (default n, so the stale remainder
-    is averaged over the whole dataset and the direction collapses to the full
-    gradient at |B| = n). Work is O(|B| * nnz) per call.
+    gradients enter at weight 1/n, so the stale remainder is averaged over
+    the whole dataset and the direction collapses to the full gradient at
+    |B| = n. Work is O(|B| * nnz) per call.
     """
-    n = spec.data.n
-    denom = n if stale_denom is None else stale_denom
+    data = spec.data
+    n = data.n
     k = len(batch)
-    fresh = np.zeros(spec.data.d)
-    rows = spec.data.rows
-    for i in batch:
-        c = row_slope(spec, w, i)
-        row = rows[i]
-        old = table.slopes[i] if table.known[i] else 0.0
-        if c != old and row.nnz:
-            table.aggregate[row.indices - 1] += (c - old) * row.values
-        table.slopes[i] = c
-        table.known[i] = True
-        if c != 0.0 and row.nnz:
-            fresh[row.indices - 1] += c * row.values
+    c = slope(spec.loss, margins(data, w, batch), data.labels[batch])
+    # unknown slots hold slope 0, so the change is c - stored in every slot
+    table.aggregate += scatter(data, c - table.slopes[batch], batch)
+    table.slopes[batch] = c
+    table.known[batch] = True
+    fresh = scatter(data, c, batch)
     if k == n:
         # out-of-batch set is empty; the stale term is exactly zero
         return fresh / k + spec.reg.lambda2 * w
-    return fresh / k + (table.aggregate - fresh) / denom + spec.reg.lambda2 * w
+    return fresh / k + (table.aggregate - fresh) / n + spec.reg.lambda2 * w
 
 
 def saag2_direction(spec, w, batch, snap, snap_denom=None):

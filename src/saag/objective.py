@@ -2,17 +2,15 @@
 
 The smooth part f of the composite objective F = f + g is the mean loss plus
 the l2 term (lambda2/2)||w||^2; the non-smooth part g is lambda1*||w||_1 and
-is handled exclusively by the proximal operator. Component gradients are
-collinear with the data row, so the data-dependent part of every gradient is
-a single slope times x_i.
+is handled exclusively by the proximal operator. A linear model meets its
+data only through the margins z = X_B w and the slopes c with
+grad loss_i = c_i x_i, so every loss has one vectorized implementation over
+margins and every gradient is a scatter X_B^T c.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .data import SparseVector
 
 LOSSES = ("logistic", "squared_hinge", "least_squares")
 
@@ -46,99 +44,80 @@ class ObjectiveSpec:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
 
 
-def _sigmoid(t):
-    # overflow-safe scalar logistic function
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
-
-
-def row_loss(spec, w, i):
-    """Loss term of data point i at w (no regularization)."""
-    row = spec.data.rows[i]
-    y = spec.data.labels[i]
-    z = row.dot(w)
-    if spec.loss == "logistic":
-        return float(np.logaddexp(0.0, -y * z))
-    if spec.loss == "squared_hinge":
-        return max(0.0, 1.0 - y * z) ** 2
+def loss(kind, z, y):
+    """Per-point losses at margins ``z`` with labels ``y`` (no regularization)."""
+    if kind == "logistic":
+        return np.logaddexp(0.0, -y * z)
+    if kind == "squared_hinge":
+        return np.maximum(0.0, 1.0 - y * z) ** 2
     return 0.5 * (z - y) ** 2
 
 
-def row_slope(spec, w, i):
-    """Slope c_i such that the gradient of loss term i is c_i * x_i."""
-    row = spec.data.rows[i]
-    y = spec.data.labels[i]
-    z = row.dot(w)
-    if spec.loss == "logistic":
-        return -y * _sigmoid(-y * z)
-    if spec.loss == "squared_hinge":
-        return -2.0 * y * max(0.0, 1.0 - y * z)
+def slope(kind, z, y):
+    """Per-point slopes c at margins ``z``: the gradient of loss i is c_i x_i."""
+    if kind == "logistic":
+        # -y * sigmoid(-y z); logaddexp keeps exp from overflowing
+        return -y * np.exp(-np.logaddexp(0.0, y * z))
+    if kind == "squared_hinge":
+        return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
     return z - y
 
 
-def slope_sum(spec, w, batch):
-    """Dense sum of c_i * x_i over a batch, accumulated in batch order."""
-    acc = np.zeros(spec.data.d)
-    rows = spec.data.rows
-    for i in batch:
-        c = row_slope(spec, w, i)
-        if c != 0.0:
-            row = rows[i]
-            acc[row.indices - 1] += c * row.values
-    return acc
+def margins(data, w, rows=None):
+    """Margins X_B w of the rows of a batch (every row when None)."""
+    local, cols, vals = data.gather(rows)
+    return np.bincount(local, weights=vals * w[cols],
+                       minlength=data.n if rows is None else len(rows))
 
 
-def component_grad(spec, w, i):
-    """Data-dependent gradient of loss term i as a SparseVector.
-
-    The dense lambda2*w contribution is added by callers at the level of the
-    assembled direction, never per component.
-    """
-    if not 0 <= i < spec.data.n:
-        raise IndexError(f"component index {i} out of range [0, {spec.data.n})")
-    row = spec.data.rows[i]
-    c = row_slope(spec, w, i)
-    if c == 0.0:
-        return SparseVector(np.empty(0, dtype=np.int64), np.empty(0))
-    return SparseVector(row.indices.copy(), c * row.values)
+def scatter(data, c, rows=None):
+    """Dense X_B^T c: the batch's rows weighted by ``c`` and summed."""
+    local, cols, vals = data.gather(rows)
+    return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
-def batch_grad(spec, w, batch):
-    """Mean gradient of the smooth part over a batch:
+def _batch_labels(data, rows):
+    return data.labels if rows is None else data.labels[rows]
+
+
+def slope_sum(spec, w, rows=None):
+    """Dense sum of c_i * x_i over a batch (every row when None)."""
+    data = spec.data
+    c = slope(spec.loss, margins(data, w, rows), _batch_labels(data, rows))
+    return scatter(data, c, rows)
+
+
+def batch_grad(spec, w, rows=None):
+    """Mean gradient of the smooth part over a batch (every row when None):
     (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w.
     """
-    k = len(batch)
+    k = spec.data.n if rows is None else len(rows)
     if k == 0:
         raise ValueError("empty batch")
-    return slope_sum(spec, w, batch) / k + spec.reg.lambda2 * w
+    return slope_sum(spec, w, rows) / k + spec.reg.lambda2 * w
 
 
 def full_grad(spec, w):
     """Gradient of the smooth part over the whole dataset."""
-    return batch_grad(spec, w, np.arange(spec.data.n))
+    return batch_grad(spec, w)
 
 
-def batch_smooth_value(spec, w, batch):
+def batch_smooth_value(spec, w, rows=None):
     """Mini-batch smooth objective: mean loss over the batch plus the l2 term.
 
     This is the quantity the stochastic line search compares; the l1 term is
     excluded because the proximal step handles it after the gradient step.
     """
-    k = len(batch)
-    if k == 0:
+    if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
-    total = 0.0
-    for i in batch:
-        total += row_loss(spec, w, i)
-    return total / k + 0.5 * spec.reg.lambda2 * float(w @ w)
+    data = spec.data
+    losses = loss(spec.loss, margins(data, w, rows), _batch_labels(data, rows))
+    return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w @ w)
 
 
 def objective_value(spec, w):
     """Full composite objective F(w) = mean loss + l2 term + l1 term."""
-    return (batch_smooth_value(spec, w, range(spec.data.n))
-            + spec.reg.lambda1 * float(np.abs(w).sum()))
+    return batch_smooth_value(spec, w) + spec.reg.lambda1 * float(np.abs(w).sum())
 
 
 def prox(z, eta, reg):
@@ -163,6 +142,5 @@ def accuracy(w, test):
     """
     if test.n == 0:
         raise ValueError("empty test set")
-    scores = np.array([row.dot(w) for row in test.rows])
-    pred = np.where(scores >= 0.0, 1.0, -1.0)
+    pred = np.where(margins(test, w) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == test.labels))

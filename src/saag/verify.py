@@ -15,7 +15,7 @@ import numpy as np
 from .estimators import (ENUMERATION_CAP, estimator_mean_bruteforce,
                          saag2_direction)
 from .objective import (batch_grad, batch_smooth_value, full_grad,
-                        objective_value, prox, row_loss, row_slope)
+                        objective_value, prox)
 
 
 class RegimeError(ValueError):
@@ -54,7 +54,9 @@ def estimate_constants(spec):
     least squares: L = max ||x_i||^2 + lambda2
     mu = lambda2 in all cases.
     """
-    max_sq = max(row.squared_norm() for row in spec.data.rows)
+    data = spec.data
+    max_sq = float(np.bincount(data.row_ids, weights=data.values ** 2,
+                               minlength=data.n).max())
     lam2 = spec.reg.lambda2
     if spec.loss == "logistic":
         lipschitz = max_sq / 4.0 + lam2
@@ -296,20 +298,15 @@ def quadratic_bound_check(spec, constants, n_pairs=1000, seed=0, scale=1.0):
     """
     rng = np.random.default_rng(seed)
     d = spec.data.d
-    lam2 = spec.reg.lambda2
     big_l = constants.L
     worst = -np.inf
     for _ in range(n_pairs):
         x = scale * rng.standard_normal(d)
         y = scale * rng.standard_normal(d)
-        i = int(rng.integers(spec.data.n))
-        fx = row_loss(spec, x, i) + 0.5 * lam2 * float(x @ x)
-        fy = row_loss(spec, y, i) + 0.5 * lam2 * float(y @ y)
-        row = spec.data.rows[i]
-        gx = np.zeros(d)
-        if row.nnz:
-            gx[row.indices - 1] = row_slope(spec, x, i) * row.values
-        gx += lam2 * x
+        row = [int(rng.integers(spec.data.n))]
+        fx = batch_smooth_value(spec, x, row)
+        fy = batch_smooth_value(spec, y, row)
+        gx = batch_grad(spec, x, row)
         bound = fx + float(gx @ (y - x)) + 0.5 * big_l * float((y - x) @ (y - x))
         worst = max(worst, fy - bound)
     return worst

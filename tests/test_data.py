@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
-from saag.data import (Dataset, ParseError, SparseVector,
-                       dump_libsvm, make_schedule, make_synthetic,
-                       parse_libsvm, split_train_test)
+from saag.data import (Dataset, ParseError, dump_libsvm, make_schedule,
+                       make_synthetic, parse_libsvm, split_train_test)
+
+
+def row(ds, i):
+    part = slice(ds.indptr[i], ds.indptr[i + 1])
+    return list(ds.indices[part]), list(ds.values[part])
+
+
+def same_data(a, b):
+    return (a.d == b.d and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.values, b.values)
+            and np.array_equal(a.labels, b.labels))
 
 
 def test_parse_basic():
@@ -11,8 +22,9 @@ def test_parse_basic():
     assert ds.n == 2
     assert ds.d == 3
     assert list(ds.labels) == [1.0, -1.0]
-    assert list(ds.rows[0].indices) == [1, 3]
-    assert list(ds.rows[0].values) == [1.0, -2.5]
+    # LibSVM indices are 1-based, stored columns 0-based
+    assert row(ds, 0) == ([0, 2], [1.0, -2.5])
+    assert row(ds, 1) == ([1], [0.5])
 
 
 def test_parse_label_mapping():
@@ -24,7 +36,7 @@ def test_parse_label_mapping():
 def test_parse_skips_empty_lines_and_drops_zeros():
     ds = parse_libsvm("\n+1 1:1.0 2:0.0 3:2.0\n\n-1 1:4.0\n")
     assert ds.n == 2
-    assert list(ds.rows[0].indices) == [1, 3]
+    assert row(ds, 0)[0] == [0, 2]
     assert ds.d == 3
 
 
@@ -58,32 +70,41 @@ def test_roundtrip_exact():
             lines.append(label + "".join(f" {i}:{float(v)!r}" for i, v in zip(idx, vals)))
         ds = parse_libsvm("\n".join(lines))
         ds2 = parse_libsvm(dump_libsvm(ds))
-        assert ds2.n == ds.n and ds2.d == ds.d
-        assert np.array_equal(ds2.labels, ds.labels)
-        for r1, r2 in zip(ds.rows, ds2.rows):
-            assert np.array_equal(r1.indices, r2.indices)
-            assert np.array_equal(r1.values, r2.values)
+        assert ds2.n == ds.n and same_data(ds, ds2)
 
 
-def test_sparse_vector_invariants():
-    with pytest.raises(ValueError):
-        SparseVector(np.array([1, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([2, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseVector(np.array([1]), np.array([0.0]))
+def test_csr_row_invariants():
+    def one_row(indices, values):
+        return Dataset([0, len(indices)], indices, values, [1.0], d=3)
+
+    one_row([0, 2], [1.0, 2.0])
+    with pytest.raises(ValueError, match="increasing"):
+        one_row([1, 1], [1.0, 2.0])  # repeated index
+    with pytest.raises(ValueError, match="increasing"):
+        one_row([2, 1], [1.0, 2.0])  # decreasing index
+    with pytest.raises(ValueError, match="outside"):
+        one_row([-1], [1.0])  # negative index
+    with pytest.raises(ValueError, match="zero"):
+        one_row([1], [0.0])  # stored zero
+    # indices restart at every row boundary
+    Dataset([0, 2, 3], [1, 2, 0], [1.0, 1.0, 1.0], [1.0, -1.0], d=3)
+    with pytest.raises(ValueError, match="increasing"):
+        Dataset([0, 3], [1, 2, 0], [1.0, 1.0, 1.0], [1.0], d=3)
 
 
 def test_dataset_invariants():
-    row = SparseVector(np.array([2]), np.array([1.0]))
     with pytest.raises(ValueError):
-        Dataset([row], np.array([1.0]), d=1)  # index exceeds d
+        Dataset([0, 1], [1], [1.0], [1.0], d=1)  # index exceeds d
     with pytest.raises(ValueError):
-        Dataset([row], np.array([2.0]), d=2)  # bad label
+        Dataset([0, 1], [1], [1.0], [2.0], d=2)  # bad label
     with pytest.raises(ValueError):
-        Dataset([], np.array([]), d=2)
+        Dataset([0], [], [], [], d=2)  # no rows
+    with pytest.raises(ValueError):
+        Dataset([0, 1], [1], [1.0], [1.0, -1.0], d=2)  # indptr/label mismatch
+    with pytest.raises(ValueError):
+        Dataset([0, 2], [1], [1.0], [1.0], d=2)  # indptr past the values
+    with pytest.raises(ValueError):
+        Dataset([0, 1], [0, 1], [1.0], [1.0], d=2)  # indices/values mismatch
 
 
 def test_split_cardinality_and_union():
@@ -91,10 +112,11 @@ def test_split_cardinality_and_union():
     train, test = split_train_test(ds, 0.8, seed=7)
     assert train.n == 8 and test.n == 2
     assert train.d == ds.d and test.d == ds.d
-    # union is a permutation of the input rows (match on object identity)
-    ids = {id(r) for r in ds.rows}
-    split_ids = [id(r) for r in train.rows + test.rows]
-    assert len(split_ids) == 10 and set(split_ids) == ids
+    # union is a permutation of the input rows, labels included
+    def rows_of(part):
+        return sorted(map(tuple, np.column_stack([part.dense(), part.labels])))
+
+    assert sorted(rows_of(train) + rows_of(test)) == rows_of(ds)
 
 
 def test_split_tiny_and_determinism():
@@ -104,8 +126,7 @@ def test_split_tiny_and_determinism():
     ds10 = make_synthetic(10, 3, seed=2)
     t1, s1 = split_train_test(ds10, 0.8, seed=5)
     t2, s2 = split_train_test(ds10, 0.8, seed=5)
-    assert [id(r) for r in t1.rows] == [id(r) for r in t2.rows]
-    assert [id(r) for r in s1.rows] == [id(r) for r in s2.rows]
+    assert same_data(t1, t2) and same_data(s1, s2)
 
 
 def test_split_errors():

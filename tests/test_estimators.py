@@ -8,8 +8,7 @@ from saag.estimators import (estimator_mean_bruteforce, make_table,
                              saag1_direction, saag2_direction, sgd_direction,
                              svrg_direction, table_aggregate_recomputed,
                              take_snapshot)
-from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
-                            component_grad, full_grad)
+from saag.objective import ObjectiveSpec, Regularizer, batch_grad, full_grad
 
 
 def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
@@ -18,11 +17,10 @@ def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
 
 
 def dense_component(spec, w, i):
-    g = component_grad(spec, w, i)
-    out = np.zeros(spec.data.d)
-    if g.nnz:
-        out[g.indices - 1] = g.values
-    return out
+    # logistic loss term i: gradient -y sigma(-y x.w) x
+    assert spec.loss == "logistic"
+    x, y = spec.data.dense()[i], spec.data.labels[i]
+    return -y / (1.0 + np.exp(y * (x @ w))) * x
 
 
 def test_saag1_first_call_uses_only_the_batch():

@@ -5,6 +5,7 @@ from saag.data import make_synthetic, split_train_test
 from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
                           finalize_suboptimality, read_csv)
 from saag.objective import ObjectiveSpec, Regularizer
+from saag import solvers
 from saag.solvers import RunConfig, run
 
 
@@ -106,21 +107,26 @@ def test_fevals_tracked_but_not_emitted(tmp_path):
     assert "fevals" not in (tmp_path / "f.csv").read_text()
 
 
-def test_metric_evaluation_does_not_enter_wall_clock():
-    ds = make_synthetic(300, 12, seed=2)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2), ds)
+def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
+    # a fake clock that only epochs (1 tick each) and metric evaluation
+    # (1000 ticks each) move; the work clock must see the epoch ticks alone
+    now = [0.0]
 
-    def final_wall(stride):
-        cfg = RunConfig(solver="saag3", objective=spec, epochs=12,
-                        batch_size=4, seed=0)
-        _, tr = run(cfg, test=ds, metric_stride=stride)
-        return tr.points[-1].wall_seconds
+    def advance(fn, ticks):
+        def wrapped(*args, **kwargs):
+            now[0] += ticks
+            return fn(*args, **kwargs)
+        return wrapped
 
-    # interleave the variants so both see the same warm-up and load, then
-    # compare medians: metrics every epoch vs only at the end
-    every, only_end = [], []
-    for _ in range(5):
-        every.append(final_wall(1))
-        only_end.append(final_wall(10 ** 6))
-    e, o = np.median(every), np.median(only_end)
-    assert abs(e - o) <= 0.2 * max(e, o)
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(solvers, "run_epoch", advance(solvers.run_epoch, 1.0))
+    monkeypatch.setattr(solvers, "record_epoch",
+                        advance(solvers.record_epoch, 1000.0))
+    train, test = split_train_test(make_synthetic(20, 4, seed=1), 0.8, seed=0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+    cfg = RunConfig(solver="saag3", objective=spec, epochs=7, batch_size=4)
+    for stride in (1, 3, 10 ** 6):
+        _, trace = run(cfg, test=test, metric_stride=stride)
+        assert [p.wall_seconds for p in trace.points] == \
+            [float(p.epoch) for p in trace.points]
+        assert trace.points[-1].wall_seconds == 7.0

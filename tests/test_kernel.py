@@ -1,0 +1,137 @@
+"""Property tests of the CSR loss kernel against plain dense numpy."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from saag.data import Dataset
+from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
+                            batch_grad, batch_smooth_value, loss, margins,
+                            objective_value, scatter, slope)
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def dense_loss(kind, t):
+    """Loss at agreement t = y * z, by formulas independent of the kernel."""
+    if kind == "logistic":
+        return np.maximum(0.0, -t) + np.log1p(np.exp(-np.abs(t)))
+    if kind == "squared_hinge":
+        return np.where(t < 1.0, (1.0 - t) ** 2, 0.0)
+    return 0.5 * (t - 1.0) ** 2     # (z - y)^2 / 2 with y = +-1
+
+
+def dense_slope(kind, z, y):
+    if kind == "logistic":
+        # -y sigma(-t) for t = y z, split on the sign of t
+        t = y * z
+        e = np.exp(-np.abs(t))
+        return -y * np.where(t > 0.0, e, 1.0) / (1.0 + e)
+    if kind == "squared_hinge":
+        return np.where(y * z < 1.0, -2.0 * y * (1.0 - y * z), 0.0)
+    return z - y
+
+
+@st.composite
+def problems(draw):
+    """A dense matrix with empty rows and unused columns allowed, its CSR
+    dataset, weights up to |margin| ~ 1e4, and a batch: one row, every row,
+    None (every row) or an unsorted subset."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 6))
+    keep = draw(arrays(bool, (n, d)))
+    vals = draw(arrays(np.float64, (n, d), elements=st.floats(-3.0, 3.0)))
+    x = np.where(keep, vals, 0.0)
+    y = draw(arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    w = scale * draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+    rows = draw(st.one_of(
+        st.integers(0, n - 1).map(lambda i: np.array([i])),
+        st.just(np.arange(n)),
+        st.just(None),
+        st.permutations(range(n)).flatmap(
+            lambda p: st.integers(1, n).map(lambda k: np.array(p[:k])))))
+    r, c = np.nonzero(x)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(x, axis=1))])
+    data = Dataset(indptr, c, x[r, c], y, d)
+    return x, y, w, rows, data
+
+
+def close(a, b, scale):
+    return np.allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+
+
+@SETTINGS
+@given(problems())
+def test_csr_primitives_match_dense(problem):
+    x, y, w, rows, data = problem
+    xb = x if rows is None else x[rows]
+    assert np.array_equal(data.dense(), x)
+    assert np.array_equal(data.subset(np.arange(data.n)).dense(), x)
+    if rows is not None:
+        assert np.array_equal(data.subset(rows).dense(), xb)
+    z = margins(data, w, rows)
+    assert z.shape == (xb.shape[0],)
+    assert close(z, xb @ w, np.abs(xb) @ np.abs(w) + 1.0)
+    c = np.linspace(-2.0, 2.0, xb.shape[0])
+    assert close(scatter(data, c, rows), xb.T @ c, np.abs(xb.T) @ np.abs(c) + 1.0)
+
+
+@SETTINGS
+@given(problems(), st.sampled_from(LOSSES))
+def test_loss_and_slope_match_dense(problem, kind):
+    x, y, w, rows, data = problem
+    yb = y if rows is None else y[rows]
+    z = (x if rows is None else x[rows]) @ w
+    got_loss = loss(kind, z, yb)
+    got_slope = slope(kind, z, yb)
+    assert np.all(np.isfinite(got_loss)) and np.all(np.isfinite(got_slope))
+    assert np.allclose(got_loss, dense_loss(kind, yb * z), rtol=1e-12, atol=1e-300)
+    assert np.allclose(got_slope, dense_slope(kind, z, yb), rtol=1e-12, atol=1e-300)
+
+
+@SETTINGS
+@given(problems(), st.sampled_from(LOSSES))
+def test_batch_value_and_gradient_match_dense(problem, kind):
+    x, y, w, rows, data = problem
+    lam2 = 1e-2
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2, lambda1=0.5), data)
+    xb, yb = (x, y) if rows is None else (x[rows], y[rows])
+    z = xb @ w
+    value = np.mean(dense_loss(kind, yb * z)) + 0.5 * lam2 * (w @ w)
+    grad = xb.T @ dense_slope(kind, z, yb) / len(yb) + lam2 * w
+    # margins carry rounding ~1e-16 |x||w|, which the loss scales by |slope|
+    slack = (np.abs(dense_slope(kind, z, yb)) + 1.0) @ (np.abs(xb) @ np.abs(w) + 1.0)
+    assert abs(batch_smooth_value(spec, w, rows) - value) <= 1e-12 * (abs(value) + slack)
+    assert np.allclose(batch_grad(spec, w, rows), grad, rtol=1e-9,
+                       atol=1e-12 * (np.abs(grad).max() + slack))
+    full = np.mean(dense_loss(kind, y * (x @ w))) + 0.5 * lam2 * (w @ w)
+    assert np.isclose(objective_value(spec, w), full + 0.5 * np.abs(w).sum(),
+                      rtol=1e-12, atol=1e-12 * (full + 1.0))
+
+
+@SETTINGS
+@given(problems())
+def test_accuracy_matches_dense(problem):
+    x, y, w, rows, data = problem
+    z = x @ w
+    # a margin that is not exactly 0 must be clear of it, or rounding may
+    # flip the predicted sign
+    scale = np.abs(x) @ np.abs(w)
+    assume(np.all((scale == 0.0) | (np.abs(z) > 1e-9 * scale)))
+    assert accuracy(w, data) == np.mean(np.where(z >= 0.0, 1.0, -1.0) == y)
+
+
+def test_empty_row_and_unused_column():
+    # row 1 is empty and column 2 is never used
+    data = Dataset([0, 2, 2, 3], [0, 1, 1], [1.0, -2.0, 3.0], [1.0, -1.0, 1.0], d=3)
+    w = np.array([1.0, 2.0, 5.0])
+    assert np.array_equal(margins(data, w), [-3.0, 0.0, 6.0])
+    assert np.array_equal(margins(data, w, [1]), [0.0])
+    assert np.array_equal(scatter(data, np.array([7.0]), [1]), np.zeros(3))
+    assert np.array_equal(scatter(data, np.array([1.0, 1.0, 1.0])), [1.0, 1.0, 0.0])
+    spec = ObjectiveSpec("logistic", Regularizer(), data)
+    # an empty row has margin 0: loss ln 2, gradient 0
+    assert batch_smooth_value(spec, w, [1]) == np.log(2.0)
+    assert np.array_equal(batch_grad(spec, w, [1]), np.zeros(3))

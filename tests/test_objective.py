@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from saag.data import Dataset, SparseVector, make_synthetic
+from saag.data import Dataset, make_synthetic
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                            batch_grad, batch_smooth_value, component_grad,
-                            full_grad, objective_value, prox)
+                            batch_grad, batch_smooth_value, full_grad,
+                            objective_value, prox)
 
 
 def tiny(loss, lam2=0.0, lam1=0.0, n=5, d=4, seed=0):
@@ -21,26 +21,26 @@ def test_objective_values_at_zero():
 
 
 def test_component_grad_closed_forms():
+    # a component gradient is the gradient of a one-row batch
     spec = tiny("logistic")
     w = np.zeros(4)
+    x = spec.data.dense()
     for i in range(spec.data.n):
-        g = component_grad(spec, w, i)
-        row = spec.data.rows[i]
+        g = batch_grad(spec, w, [i])
         # sigma(0) = 1/2, so the slope is -y/2
-        assert np.allclose(g.values, -0.5 * spec.data.labels[i] * row.values)
+        assert np.allclose(g, -0.5 * spec.data.labels[i] * x[i])
 
     # squared hinge is flat once the margin reaches 1
-    row = SparseVector(np.array([1]), np.array([1.0]))
-    ds = Dataset([row], np.array([1.0]), d=1)
+    ds = Dataset([0, 1], [0], [1.0], [1.0], d=1)
     spec = ObjectiveSpec("squared_hinge", Regularizer(), ds)
-    assert component_grad(spec, np.array([2.0]), 0).nnz == 0
+    assert np.array_equal(batch_grad(spec, np.array([2.0]), [0]), [0.0])
 
     spec = ObjectiveSpec("least_squares", Regularizer(), ds)
-    g = component_grad(spec, np.array([0.0]), 0)
-    assert np.allclose(g.values, [-1.0])
+    g = batch_grad(spec, np.array([0.0]), [0])
+    assert np.allclose(g, [-1.0])
 
     with pytest.raises(IndexError):
-        component_grad(spec, np.array([0.0]), 1)
+        batch_grad(spec, np.array([0.0]), [1])
 
 
 def test_batch_grad_cases():
@@ -50,10 +50,9 @@ def test_batch_grad_cases():
     allidx = np.arange(spec.data.n)
     assert np.array_equal(batch_grad(spec, w, allidx), full_grad(spec, w))
     g1 = batch_grad(spec, w, np.array([2]))
-    comp = component_grad(spec, w, 2)
-    dense = np.zeros(4)
-    dense[comp.indices - 1] = comp.values
-    assert np.allclose(g1, dense + 0.05 * w, atol=1e-15)
+    x, y = spec.data.dense()[2], spec.data.labels[2]
+    comp = -y / (1.0 + np.exp(y * (x @ w))) * x   # -y sigma(-y x.w) x
+    assert np.allclose(g1, comp + 0.05 * w, atol=1e-15)
     with pytest.raises(ValueError):
         batch_grad(spec, w, np.array([], dtype=int))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saag.solvers as solvers_mod
-from saag.data import make_schedule, make_synthetic
+from saag.data import make_schedule, make_synthetic, split_train_test
 from saag.line_search import SBASParams
 from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, objective_value)
@@ -98,9 +98,8 @@ def test_snap_anchor_rules():
 def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     # a single already-fit point with no l2 term gives a zero direction, so
     # the proximal update reduces to soft-thresholding the iterate
-    from saag.data import Dataset, SparseVector
-    ds = Dataset([SparseVector(np.array([1, 2]), np.array([1.0, 1.0]))],
-                 np.array([1.0]), d=2)
+    from saag.data import Dataset
+    ds = Dataset([0, 2], [0, 1], [1.0, 1.0], [1.0], d=2)
     spec = ObjectiveSpec("least_squares", Regularizer(lambda1=0.2), ds)
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
@@ -210,9 +209,8 @@ def test_invalid_configs_rejected():
 
 def test_reference_optimum_one_point_least_squares():
     # single point x = 1, y = 1, no regularization: w* = 1, F* = 0
-    from saag.data import Dataset, SparseVector
-    ds = Dataset([SparseVector(np.array([1]), np.array([1.0]))],
-                 np.array([1.0]), d=1)
+    from saag.data import Dataset
+    ds = Dataset([0, 1], [0], [1.0], [1.0], d=1)
     spec = ObjectiveSpec("least_squares", Regularizer(), ds)
     ref = reference_optimum(spec, budget=50)
     assert abs(ref.w[0] - 1.0) <= 1e-8
@@ -222,10 +220,8 @@ def test_reference_optimum_one_point_least_squares():
 
 def test_reference_optimum_symmetric_logistic():
     # +x and -x with matching labels force w* = 0, F* = ln 2
-    from saag.data import Dataset, SparseVector
-    rows = [SparseVector(np.array([1, 2]), np.array([1.0, 2.0])),
-            SparseVector(np.array([1, 2]), np.array([-1.0, -2.0]))]
-    ds = Dataset(rows, np.array([1.0, 1.0]), d=2)
+    from saag.data import Dataset
+    ds = Dataset([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, -1.0, -2.0], [1.0, 1.0], d=2)
     spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), ds)
     ref = reference_optimum(spec, budget=50)
     assert np.linalg.norm(ref.w) <= 1e-6
@@ -258,6 +254,40 @@ def test_reference_flags_nonconvergence():
     spec = toy_spec(n=12, d=3, lam2=0.0, seed=7)
     ref = reference_optimum(spec, budget=5)
     assert not ref.converged
+
+
+@pytest.mark.parametrize("seed", [4, 11])
+def test_reference_polish_stops_at_rounding_fixed_point(seed):
+    # on these problems a 1/L step from a momentum restart point raises F by
+    # rounding alone; the polish must stop there, not repeat the same step
+    # until its iteration cap
+    train, _ = split_train_test(make_synthetic(1000, 50, seed=seed, flip=0.05),
+                                0.8, seed=0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-5), train)
+    ref = reference_optimum(spec, budget=500)
+    assert ref.converged
+    assert ref.iterations < 2000
+
+
+def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
+    # below DENSE_PASS_FILL the full passes run in CSR without densifying;
+    # the dense BLAS passes must reach the same optimum
+    from saag.data import Dataset
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((200, 300)) * (rng.random((200, 300)) < 0.02)
+    y = np.where(x @ rng.standard_normal(300) >= 0.0, 1.0, -1.0)
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    ds = Dataset(indptr, cols, x[rows, cols], y, 300)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=1e-3), ds)
+    with monkeypatch.context() as m:
+        m.setattr(Dataset, "dense", lambda self: pytest.fail("densified"))
+        sparse = reference_optimum(spec, budget=300)
+    monkeypatch.setattr(solvers_mod, "DENSE_PASS_FILL", 0.0)
+    dense = reference_optimum(spec, budget=300)
+    assert sparse.converged and dense.converged
+    assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
+    np.testing.assert_allclose(sparse.w, dense.w, atol=1e-6)
 
 
 def test_reference_optimum_budget_validation():

@@ -33,9 +33,8 @@ def test_alpha_b_decreasing_in_b():
 
 
 def test_estimate_constants_closed_forms():
-    from saag.data import Dataset, SparseVector
-    ds = Dataset([SparseVector(np.array([1]), np.array([2.0]))],
-                 np.array([1.0]), d=2)
+    from saag.data import Dataset
+    ds = Dataset([0, 1], [0], [2.0], [1.0], d=2)
     c = estimate_constants(ObjectiveSpec("logistic", Regularizer(), ds))
     assert c.L == 1.0 and c.mu == 0.0
     c = estimate_constants(ObjectiveSpec("logistic", Regularizer(lambda2=1e-5), ds))
