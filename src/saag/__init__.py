@@ -10,11 +10,11 @@ from .estimators import (GradTable, SnapState, estimator_mean_bruteforce,
                          sgd_direction, svrg_direction, take_snapshot)
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
                       read_csv, record_epoch)
-from .line_search import SBASParams, sbas
+from .line_search import SBASParams, backtrack, sbas
 from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                        batch_grad, batch_smooth_value, full_grad,
-                        loss, margins, objective_value, prox, scatter,
-                        slope)
+                        batch_grad, batch_ray, batch_smooth_value, full_grad,
+                        loss, margin_ray, margins, objective_value, prox,
+                        scatter, slope)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)

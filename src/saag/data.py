@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,12 +22,17 @@ class Dataset:
     stored value.
     """
 
+    # largest n * d that ``dense`` will allocate
+    DENSE_LIMIT: ClassVar[int] = 50_000_000
+
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     labels: np.ndarray
     d: int
     row_ids: np.ndarray = field(init=False, repr=False)
+    # (rows, gather(rows)) of the last read-only row array gathered
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -64,10 +70,21 @@ class Dataset:
         """Stored values of ``rows`` (every row when None), in row order.
 
         Returns (position in ``rows`` of each value's row, column, value).
+        A read-only ``rows`` array is treated as immutable: gathering the
+        same array object again returns the remembered result, so the
+        batches of ``make_schedule`` are gathered once per inner step.
         """
         if rows is None:
             return self.row_ids, self.indices, self.values
-        rows = np.asarray(rows, dtype=np.int64)
+        last = self._last
+        if last is not None and last[0] is rows:
+            return last[1]
+        gathered = self._gather(np.asarray(rows, dtype=np.int64))
+        if isinstance(rows, np.ndarray) and not rows.flags.writeable:
+            self._last = (rows, gathered)
+        return gathered
+
+    def _gather(self, rows):
         if rows.size == 1:
             # one row is one contiguous slice
             part = slice(self.indptr[rows[0]], self.indptr[rows[0] + 1])
@@ -84,15 +101,16 @@ class Dataset:
     def subset(self, idx):
         """New dataset from a sequence of row positions."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, cols, vals = self.gather(idx)
+        _, cols, vals = self._gather(idx)
         counts = self.indptr[idx + 1] - self.indptr[idx]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return Dataset(indptr, cols, vals, self.labels[idx], self.d)
 
     def dense(self):
         """Dense (n, d) matrix copy; intended for desk-scale problems only."""
-        if self.n * self.d > 50_000_000:
-            raise ValueError("dataset too large to densify (n*d > 5e7)")
+        if self.n * self.d > self.DENSE_LIMIT:
+            raise ValueError(
+                f"dataset too large to densify (n*d > {self.DENSE_LIMIT})")
         x = np.zeros((self.n, self.d))
         x[self.row_ids, self.indices] = self.values
         return x
@@ -202,6 +220,7 @@ def make_schedule(n, b, seed, epoch=0):
     Each epoch gets a fresh uniform shuffle, chunked into m = ceil(n/b)
     batches; all batches have size b except possibly the last. Indices within
     a batch are sorted (set semantics, deterministic summation order).
+    Batches are read-only, so ``Dataset.gather`` may reuse their gathers.
     """
     if b < 1 or b > n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
@@ -211,6 +230,8 @@ def make_schedule(n, b, seed, epoch=0):
     perm = rng.permutation(n)
     m = -(-n // b)
     batches = [np.sort(perm[k * b:(k + 1) * b]) for k in range(m)]
+    for batch in batches:
+        batch.flags.writeable = False
     return BatchSchedule(batches, b, m, seed, epoch)
 
 

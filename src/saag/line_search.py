@@ -24,30 +24,31 @@ class SBASParams:
             raise ValueError("max_backtracks must be >= 1")
 
 
-def sbas(params, f_batch, w, direction):
-    """Backtracking-Armijo search along -direction using only the batch
-    objective ``f_batch``.
+def backtrack(params, phi, dd):
+    """Backtracking-Armijo search along a ray.
 
+    ``phi(eta)`` is the objective at w - eta * d and ``dd`` is ||d||^2.
     Tries eta = eta0 * shrink^j for j = 0..max_backtracks-1 and returns the
     first (largest) step satisfying the Armijo condition
 
-        f_batch(w - eta * d) <= f_batch(w) - alpha * eta * ||d||^2.
+        phi(eta) <= phi(0) - alpha * eta * ||d||^2.
 
     If no trial satisfies it, the last tried step is returned anyway when it
-    strictly reduced f_batch; otherwise 0.0 signals the caller to skip the
-    update. At most max_backtracks + 1 evaluations of f_batch are spent.
+    strictly reduced phi; otherwise 0.0 signals the caller to skip the
+    update. At most max_backtracks + 1 evaluations of phi are spent, each
+    counted.
 
     Returns (eta, n_evals).
     """
-    base = f_batch(w)
+    base = phi(0.0)
     evals = 1
-    gain = params.alpha * float(direction @ direction)
+    gain = params.alpha * dd
     eta = params.eta0
     trial_val = None
     trial_eta = 0.0
     for _ in range(params.max_backtracks):
         trial_eta = eta
-        trial_val = f_batch(w - eta * direction)
+        trial_val = phi(eta)
         evals += 1
         if trial_val <= base - eta * gain:
             return eta, evals
@@ -55,3 +56,13 @@ def sbas(params, f_batch, w, direction):
     if trial_val < base:
         return trial_eta, evals
     return 0.0, evals
+
+
+def sbas(params, f_batch, w, direction):
+    """Backtracking-Armijo search along -direction using only the batch
+    objective ``f_batch``; the contract is that of ``backtrack``.
+
+    Returns (eta, n_evals).
+    """
+    return backtrack(params, lambda eta: f_batch(w - eta * direction),
+                     float(direction @ direction))

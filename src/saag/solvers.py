@@ -19,8 +19,8 @@ from .estimators import (GradTable, SnapState, make_table, saag1_direction,
                          saag2_direction, sgd_direction, svrg_direction,
                          take_snapshot)
 from .harness import Trace, record_epoch
-from .line_search import SBASParams, sbas
-from .objective import (batch_smooth_value, loss, margins, prox, scatter,
+from .line_search import SBASParams, backtrack
+from .objective import (batch_ray, loss, margin_ray, margins, prox, scatter,
                         slope)
 from .verify import estimate_constants
 
@@ -130,8 +130,8 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     elif kind == "sgd":
         eta = sbas_params.eta0 / math.sqrt(c.inner)
     else:
-        eta, evals = sbas(sbas_params, lambda v: batch_smooth_value(spec, v, batch),
-                          state.w, d)
+        eta, evals = backtrack(sbas_params, batch_ray(spec, state.w, batch, d),
+                               float(d @ d))
         c.fevals += evals
     if eta > 0.0:
         z = state.w - eta * d
@@ -231,16 +231,18 @@ def reference_optimum(spec, budget=500):
     proximal-gradient sweep at fixed step 1/L, tracking the best objective
     ever seen. The result is flagged unconverged when the objective still
     moved by more than 1e-12 (relative) over the last ten polish iterations.
-    Full passes use the CSR kernel when fewer than 5% of the entries are
-    stored, and a dense copy of the training set (n*d <= 5e7) otherwise,
-    where BLAS beats the sparse kernel.
+    Full passes use a dense copy of the training set, where BLAS beats the
+    sparse kernel, when at least 5% of the entries are stored and the copy
+    fits (n*d <= Dataset.DENSE_LIMIT); otherwise they use the CSR kernel.
+    Each Armijo trial of phase 1 costs O(n) in margin space.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     data = spec.data
     y = data.labels
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
-    if data.indices.size < DENSE_PASS_FILL * data.n * data.d:
+    size = data.n * data.d
+    if data.indices.size < DENSE_PASS_FILL * size or size > data.DENSE_LIMIT:
         def xw(w):
             return margins(data, w)
 
@@ -255,22 +257,22 @@ def reference_optimum(spec, budget=500):
         def xtc(c):
             return x.T @ c
 
-    def smooth_value(w):
-        return float(np.mean(loss(spec.loss, xw(w), y))) + 0.5 * lam2 * float(w @ w)
-
-    def smooth_grad(w):
-        return xtc(slope(spec.loss, xw(w), y)) / data.n + lam2 * w
+    def smooth_grad(w, z):
+        return xtc(slope(spec.loss, z, y)) / data.n + lam2 * w
 
     def total_value(w):
-        return smooth_value(w) + lam1 * float(np.abs(w).sum())
+        return (float(np.mean(loss(spec.loss, xw(w), y))) + 0.5 * lam2 * float(w @ w)
+                + lam1 * float(np.abs(w).sum()))
 
     w = np.zeros(data.d)
     params = SBASParams(alpha=0.1, shrink=0.5, eta0=1.0, max_backtracks=30)
     best_w = w.copy()
     best_f = total_value(w)
     for _ in range(budget):
-        g = smooth_grad(w)
-        eta, _ = sbas(params, smooth_value, w, g)
+        zw = xw(w)
+        g = smooth_grad(w, zw)
+        eta, _ = backtrack(params, margin_ray(spec.loss, lam2, y, zw, xw(g), w, g),
+                           float(g @ g))
         if eta == 0.0:
             break
         z = w - eta * g
@@ -290,7 +292,7 @@ def reference_optimum(spec, budget=500):
     restarted = True        # v = w and t = 1, as after a momentum restart
     for it in range(polish):
         iterations = budget + it + 1
-        g = smooth_grad(v)
+        g = smooth_grad(v, xw(v))
         z = v - step * g
         w_new = prox(z, step, spec.reg) if lam1 > 0 else z
         f_new = total_value(w_new)

@@ -92,6 +92,25 @@ def test_dataset_file_loading(tmp_path):
     assert len(rows) == 3
 
 
+def test_run_above_dense_limit_writes_csv(tmp_path, monkeypatch):
+    # the reference optimum of a training set too large to densify takes
+    # CSR passes, so the command still finishes and writes its CSV
+    from saag.data import Dataset
+
+    def f_star(out):
+        note = next(ln for ln in read_csv(out)[1] if ln.startswith("note: f_star"))
+        return float(note.split()[3])
+
+    args = ["run", "--synthetic", "n=50,d=6", "--solvers", "saag4",
+            "--b", "8", "--epochs", "2", "--l2", "1e-2"]
+    dense_out, csr_out = tmp_path / "dense.csv", tmp_path / "csr.csv"
+    assert main(args + ["--out", str(dense_out)]) == 0
+    monkeypatch.setattr(Dataset, "DENSE_LIMIT", 100)    # train n*d = 240
+    assert main(args + ["--out", str(csr_out)]) == 0
+    assert len(read_csv(csr_out)[0]) == 3
+    assert abs(f_star(csr_out) - f_star(dense_out)) <= 1e-10 * f_star(dense_out)
+
+
 def test_config_echo_reproduces_run(tmp_path):
     out1 = tmp_path / "a.csv"
     args = ["run", "--synthetic", "n=40,d=4", "--solvers", "saag3,saag4",

@@ -168,6 +168,40 @@ def test_schedule_examples_and_determinism():
     assert any(not np.array_equal(x, y) for x, y in zip(a.batches, c.batches))
 
 
+def test_schedule_batches_are_read_only():
+    for batch in make_schedule(10, 3, seed=1).batches:
+        assert not batch.flags.writeable
+        with pytest.raises(ValueError):
+            batch[0] = 0
+
+
+def test_gather_remembers_read_only_rows_only():
+    ds = make_synthetic(6, 3, seed=0)
+    rows = np.array([0, 2])
+    first = [a.copy() for a in ds.gather(rows)]
+    rows[1] = 3    # a writable array may change between calls
+    assert all(np.array_equal(a, b) for a, b in
+               zip(ds.gather(rows), ds.subset([0, 3]).gather(np.arange(2))))
+    assert not np.array_equal(first[2], ds.gather(rows)[2])
+    batch = make_schedule(6, 2, seed=0).batches[0]
+    gathered = ds.gather(batch)
+    assert ds.gather(batch) is gathered
+    # an equal but distinct array is gathered afresh, to equal values
+    again = ds.gather(batch.copy())
+    assert again is not gathered
+    assert all(np.array_equal(a, b) for a, b in zip(again, gathered))
+
+
+def test_split_keeps_no_gathered_copy_in_the_parent():
+    ds = make_synthetic(20, 4, seed=0)
+    split_train_test(ds, 0.5, seed=1)
+    assert ds._last is None
+    every = np.arange(ds.n)
+    every.flags.writeable = False
+    ds.subset(every)
+    assert ds._last is None
+
+
 def test_schedule_errors():
     with pytest.raises(ValueError):
         make_schedule(5, 0, seed=0)

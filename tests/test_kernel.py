@@ -1,14 +1,15 @@
 """Property tests of the CSR loss kernel against plain dense numpy."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from saag.data import Dataset
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                            batch_grad, batch_smooth_value, loss, margins,
-                            objective_value, scatter, slope)
+                            batch_grad, batch_ray, batch_smooth_value, loss,
+                            margins, objective_value, scatter, slope)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -112,6 +113,29 @@ def test_batch_value_and_gradient_match_dense(problem, kind):
 
 
 @SETTINGS
+@given(problems(), st.sampled_from(LOSSES),
+       st.sampled_from([1.0, 0.5 ** 7, 0.5 ** 29, 3.0]), st.data())
+def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
+    x, y, w, rows, data = problem
+    scale = draw.draw(st.sampled_from([1.0, 1e3]))
+    d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
+    lam2 = 1e-2
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2), data)
+    phi = batch_ray(spec, w, rows, d)
+    # the search's reference value at eta = 0 is the same float
+    assert phi(0.0) == batch_smooth_value(spec, w, rows)
+    v = w - eta * d
+    want = batch_smooth_value(spec, v, rows)
+    # the two sides round the margins and the l2 term differently, by about
+    # 1e-16 of |x|(|w| + eta |d|) and of |w|^2 + 2 eta |w.d| + eta^2 |d|^2
+    xb, yb = (x, y) if rows is None else (x[rows], y[rows])
+    reach = np.abs(xb) @ (np.abs(w) + eta * np.abs(d)) + 1.0
+    slack = ((np.abs(slope(kind, xb @ v, yb)) + 1.0) @ reach
+             + lam2 * (w @ w + 2.0 * eta * abs(w @ d) + eta * eta * (d @ d)))
+    assert abs(phi(eta) - want) <= 1e-12 * (abs(want) + slack)
+
+
+@SETTINGS
 @given(problems())
 def test_accuracy_matches_dense(problem):
     x, y, w, rows, data = problem
@@ -135,3 +159,6 @@ def test_empty_row_and_unused_column():
     # an empty row has margin 0: loss ln 2, gradient 0
     assert batch_smooth_value(spec, w, [1]) == np.log(2.0)
     assert np.array_equal(batch_grad(spec, w, [1]), np.zeros(3))
+    assert batch_ray(spec, w, [1], np.ones(3))(0.5) == np.log(2.0)
+    with pytest.raises(ValueError):
+        batch_ray(spec, w, [], np.ones(3))

@@ -11,6 +11,8 @@ from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
 from saag.solvers import (SOLVERS, RunConfig, init_state,
                           reference_optimum, run, run_epoch)
 
+SBAS_SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd")
+
 EXPECTED_GRADS_PER_EPOCH = {
     "saag1": 1, "saag3": 1,
     "saag2": 3, "saag4": 3, "svrg": 3, "vrsgd": 3,
@@ -174,14 +176,59 @@ def test_fixed_eta_bypasses_line_search():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_nonfinite_direction_aborts_with_partial_trace():
+@pytest.mark.parametrize("kind", SOLVERS)
+def test_nonfinite_direction_aborts_with_partial_trace(kind):
+    # a fixed step of 1e8 on least squares overflows within a few dozen
+    # steps, in the middle of an epoch at b = 4
     spec = toy_spec(n=8, d=3, loss="least_squares", lam2=0.0)
-    cfg = RunConfig(solver="sgd", objective=spec, epochs=200, batch_size=8,
+    cfg = RunConfig(solver=kind, objective=spec, epochs=200, batch_size=4,
                     seed=0, fixed_eta=1e8)
     _, trace = run(cfg)
-    assert trace.failure is not None
-    assert "non-finite" in trace.failure
-    assert 1 <= len(trace.points) < 201
+    assert trace.failure.startswith(f"{kind}: non-finite direction")
+    assert 2 <= len(trace.points) < 201
+    assert [p.epoch for p in trace.points] == list(range(len(trace.points)))
+
+
+@pytest.mark.parametrize("kind", SBAS_SOLVERS)
+def test_sentinel_streak_leaves_w_unchanged(kind):
+    # with lambda2 > 0 every trial of eta0 = 1e6 shrunk 3 times raises the
+    # batch objective, so each search spends max_backtracks + 1 evaluations
+    # and returns the 0.0 sentinel
+    spec = toy_spec(n=16, d=5, lam2=1e-2)
+    w0 = np.array([0.5, -0.25, 1.0, 0.125, -2.0])   # dyadic: sums stay exact
+    params = SBASParams(eta0=1e6, max_backtracks=3)
+    cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=4,
+                    sbas=params, seed=0, w0=w0)
+    state = init_state(cfg)
+    schedule = make_schedule(16, 16 if kind == "gd" else 4, 0)
+    run_epoch(kind, state, spec, schedule, params)
+    assert np.array_equal(state.w, w0)
+    assert np.array_equal(state.iterate_sum, schedule.m * w0)
+    assert state.epoch == 1
+    assert state.counters.inner == schedule.m
+    assert state.counters.fevals == (params.max_backtracks + 1) * schedule.m
+    assert state.counters.grads == EXPECTED_GRADS_PER_EPOCH[kind] * 16
+
+
+@pytest.mark.parametrize("kind", SBAS_SOLVERS)
+def test_margin_space_search_keeps_traces(kind, monkeypatch):
+    # the margin-space search must take the same Armijo decisions as
+    # sbas(params, lambda v: batch_smooth_value(spec, v, batch), w, d)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-4),
+                         make_synthetic(60, 8, seed=5, flip=0.1))
+    # eta0 = 50 makes every solver backtrack, so the decisions are tested
+    cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
+                    sbas=SBASParams(eta0=50.0), seed=2)
+    w_fast, fast = run(cfg)
+    monkeypatch.setattr(
+        solvers_mod, "batch_ray",
+        lambda spec_, w, rows, d: lambda eta: batch_smooth_value(spec_, w - eta * d, rows))
+    w_plain, plain = run(cfg)
+    assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]
+    assert [p.objective for p in fast.points] == [p.objective for p in plain.points]
+    assert np.array_equal(w_fast, w_plain)
+    steps = 4 * (1 if kind == "gd" else 10)
+    assert fast.points[-1].fevals > 2 * steps     # the searches backtracked
 
 
 def test_inner_step_eta_zero_leaves_w_unchanged():
@@ -288,6 +335,20 @@ def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
     np.testing.assert_allclose(sparse.w, dense.w, atol=1e-6)
+
+
+def test_reference_optimum_above_dense_limit_uses_csr(monkeypatch):
+    # a dense training set whose copy would not fit takes the CSR passes
+    # instead of failing in Dataset.dense
+    from saag.data import Dataset
+    spec = toy_spec(n=40, d=6, lam2=1e-3, lam1=1e-3, seed=2)
+    dense = reference_optimum(spec, budget=200)
+    monkeypatch.setattr(Dataset, "DENSE_LIMIT", spec.data.n * spec.data.d - 1)
+    with pytest.raises(ValueError, match="too large to densify"):
+        spec.data.dense()
+    sparse = reference_optimum(spec, budget=200)
+    assert sparse.converged and dense.converged
+    assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
 
 
 def test_reference_optimum_budget_validation():
