@@ -11,16 +11,15 @@ from .estimators import (GradTable, SnapState, estimator_mean_bruteforce,
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
                       read_csv, record_epoch)
 from .line_search import SBASParams, backtrack, sbas
-from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                        batch_grad, batch_ray, batch_smooth_value, full_grad,
-                        loss, margin_ray, margins, objective_value, prox,
-                        scatter, slope)
+from .objective import (LOSSES, ObjectiveSpec, ProblemConstants, Regularizer,
+                        accuracy, batch_grad, batch_ray, batch_smooth_value,
+                        estimate_constants, full_grad, loss, margin_ray,
+                        margins, objective_value, prox, scatter, slope)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)
-from .verify import (ProblemConstants, RateParams, RateReport, RegimeError,
-                     VarianceBoundReport, alpha_b, best_beta,
-                     bias_identity_gap, estimate_constants, theoretical_rate,
-                     unbiasedness_gap, variance_bound_check)
+from .verify import (RateParams, RateReport, RegimeError, VarianceBoundReport,
+                     alpha_b, best_beta, bias_identity_gap, run_suites,
+                     theoretical_rate, unbiasedness_gap, variance_bound_check)
 
 __version__ = "0.1.0"

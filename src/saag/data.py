@@ -72,14 +72,18 @@ class Dataset:
         Returns (position in ``rows`` of each value's row, column, value).
         A read-only ``rows`` array is treated as immutable: gathering the
         same array object again returns the remembered result, so the
-        batches of ``make_schedule`` are gathered once per inner step.
+        batches of ``make_schedule`` are gathered once per inner step. A
+        batch of every row in order returns the stored arrays, uncopied.
         """
         if rows is None:
             return self.row_ids, self.indices, self.values
         last = self._last
         if last is not None and last[0] is rows:
             return last[1]
-        gathered = self._gather(np.asarray(rows, dtype=np.int64))
+        rows_i = np.asarray(rows, dtype=np.int64)
+        if rows_i.size == self.n and np.array_equal(rows_i, np.arange(self.n)):
+            return self.row_ids, self.indices, self.values
+        gathered = self._gather(rows_i)
         if isinstance(rows, np.ndarray) and not rows.flags.writeable:
             self._last = (rows, gathered)
         return gathered
@@ -206,11 +210,6 @@ class BatchSchedule:
     batches: list
     b: int
     m: int
-    seed: int
-    epoch: int = 0
-
-    def __iter__(self):
-        return iter(self.batches)
 
 
 def make_schedule(n, b, seed, epoch=0):
@@ -232,7 +231,7 @@ def make_schedule(n, b, seed, epoch=0):
     batches = [np.sort(perm[k * b:(k + 1) * b]) for k in range(m)]
     for batch in batches:
         batch.flags.writeable = False
-    return BatchSchedule(batches, b, m, seed, epoch)
+    return BatchSchedule(batches, b, m)
 
 
 def make_synthetic(n, d, seed=0, flip=0.0, margin=0.0):

@@ -20,9 +20,8 @@ from .estimators import (GradTable, SnapState, make_table, saag1_direction,
                          take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (batch_ray, loss, margin_ray, margins, prox, scatter,
-                        slope)
-from .verify import estimate_constants
+from .objective import (batch_ray, estimate_constants, loss, margin_ray,
+                        margins, prox, scatter, slope)
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 

@@ -1,6 +1,7 @@
-"""Computable embodiments of the analysis: problem constants, the variance
-factor alpha(b), empirical variance-bound checks, and the linear-rate
-constants C for the four smoothness / strong-convexity regimes.
+"""Computable embodiments of the analysis: the variance factor alpha(b),
+empirical variance-bound checks, the linear-rate constants C for the four
+smoothness / strong-convexity regimes, and the oracle suites of
+``saag verify`` (``run_suites``).
 
 Expectations are exact enumerations over a schedule's partition batches,
 matching how the solvers actually sample; this distribution choice is
@@ -12,26 +13,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from .data import make_schedule
 from .estimators import (ENUMERATION_CAP, estimator_mean_bruteforce,
-                         saag2_direction)
-from .objective import (batch_grad, batch_smooth_value, full_grad,
-                        objective_value, prox)
+                         saag2_direction, take_snapshot)
+# ProblemConstants and estimate_constants live with the objective (the
+# solvers need L too) and are re-exported here with the rest of the analysis.
+from .objective import (LOSSES, ObjectiveSpec, ProblemConstants, Regularizer,
+                        batch_grad, batch_smooth_value, estimate_constants,
+                        full_grad, objective_value, prox)
+from .solvers import reference_optimum
 
 
 class RegimeError(ValueError):
     """Rate-constant parameters violate a validity condition of the bound."""
-
-
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Smoothness constant L and strong-convexity constant mu (L >= mu >= 0)."""
-
-    L: float
-    mu: float
-
-    def __post_init__(self):
-        if self.L <= 0 or self.mu < 0 or self.L < self.mu:
-            raise ValueError("constants must satisfy L >= mu >= 0 and L > 0")
 
 
 def alpha_b(n, b):
@@ -44,27 +38,6 @@ def alpha_b(n, b):
     if not 1 <= b <= n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
     return Fraction(n - b, b * (n - 1))
-
-
-def estimate_constants(spec):
-    """Curvature constants from the data: L bounds every component Hessian.
-
-    logistic: L = max ||x_i||^2 / 4 + lambda2
-    squared hinge: L = 2 max ||x_i||^2 + lambda2
-    least squares: L = max ||x_i||^2 + lambda2
-    mu = lambda2 in all cases.
-    """
-    data = spec.data
-    max_sq = float(np.bincount(data.row_ids, weights=data.values ** 2,
-                               minlength=data.n).max())
-    lam2 = spec.reg.lambda2
-    if spec.loss == "logistic":
-        lipschitz = max_sq / 4.0 + lam2
-    elif spec.loss == "squared_hinge":
-        lipschitz = 2.0 * max_sq + lam2
-    else:
-        lipschitz = max_sq + lam2
-    return ProblemConstants(L=lipschitz, mu=lam2)
 
 
 @dataclass
@@ -310,3 +283,92 @@ def quadratic_bound_check(spec, constants, n_pairs=1000, seed=0, scale=1.0):
         bound = fx + float(gx @ (y - x)) + 0.5 * big_l * float((y - x) @ (y - x))
         worst = max(worst, fy - bound)
     return worst
+
+
+def run_suites(data, loss, l1, l2, inject_scale_bug=False):
+    """The oracle suites of ``saag verify`` on ``data``, in order; returns
+    [(check, passed, detail)].
+
+    The enumeration-based suites (bias identity, unbiasedness, variance
+    bound) are left out when n exceeds ENUMERATION_CAP.
+    ``inject_scale_bug`` scales the snap term by 1/b instead of 1/n in the
+    bias-identity suite, which must then fail.
+    """
+    rng = np.random.default_rng(7)
+    results = []
+
+    # gradient vs central finite differences, all losses
+    worst_fd = 0.0
+    for kind in LOSSES:
+        spec = ObjectiveSpec(kind, Regularizer(lambda2=l2), data)
+        for _ in range(3):
+            worst_fd = max(worst_fd,
+                           gradient_check(spec, 0.5 * rng.standard_normal(data.d)))
+    results.append(("gradient-fd", worst_fd <= 1e-5,
+                    f"max rel err {worst_fd:.3e} (tol 1e-5)"))
+
+    # prox against scalar brute force
+    worst_prox = 0.0
+    for _ in range(200):
+        reg = Regularizer(lambda1=float(rng.uniform(0.0, 2.0)))
+        worst_prox = max(worst_prox, prox_check(
+            reg, rng.normal(scale=2.0, size=3), float(rng.uniform(0.05, 3.0))))
+    results.append(("prox-oracle", worst_prox <= 1e-8,
+                    f"max gap {worst_prox:.3e} (tol 1e-8)"))
+
+    if data.n <= ENUMERATION_CAP:
+        # the expectation identities assume equal batch sizes, so only batch
+        # sizes dividing n are enumerated
+        divisors = [b for b in (1, 2, max(2, data.n // 3)) if data.n % b == 0]
+        spec = ObjectiveSpec(loss, Regularizer(lambda2=l2), data)
+        bias_gap = 0.0
+        unbias_gap = 0.0
+        for b in sorted(set(divisors)):
+            schedule = make_schedule(data.n, b, seed=0)
+            snap_denom_bug = b if inject_scale_bug else None
+            for _ in range(20):
+                w = rng.standard_normal(data.d)
+                snap = take_snapshot(spec, rng.standard_normal(data.d))
+                bias_gap = max(bias_gap, bias_identity_gap(
+                    spec, w, snap, schedule, snap_denom=snap_denom_bug))
+                unbias_gap = max(unbias_gap, unbiasedness_gap(spec, w, snap, schedule))
+        results.append(("bias-identity", bias_gap <= 1e-10,
+                        f"max gap {bias_gap:.3e} (tol 1e-10)"))
+        results.append(("unbiasedness", unbias_gap <= 1e-10,
+                        f"max gap {unbias_gap:.3e} (tol 1e-10)"))
+
+        worst_margin = np.inf
+        all_hold = True
+        for lam1 in (0.0, max(l1, 1e-3)):
+            spec_v = ObjectiveSpec(loss, Regularizer(lambda2=l2, lambda1=lam1), data)
+            constants = estimate_constants(spec_v)
+            reference = reference_optimum(spec_v, budget=200)
+            b = divisors[-1]
+            schedule = make_schedule(data.n, b, seed=1)
+            for _ in range(50):
+                w = 0.5 * rng.standard_normal(data.d)
+                snap = take_snapshot(spec_v, 0.5 * rng.standard_normal(data.d))
+                report = variance_bound_check(spec_v, w, snap, schedule,
+                                              constants, reference)
+                all_hold &= report.passed
+                worst_margin = min(worst_margin, report.rhs - report.lhs)
+        results.append(("variance-bound", all_hold,
+                        f"min RHS-LHS margin {worst_margin:.3e}"))
+
+    # rate constants: canonical contraction point plus regime handling
+    params = RateParams(beta=10.0, c=1.0, m=100, b=10, n=1000)
+    report = theoretical_rate(1, params)
+    rate_ok = report.contraction and 0.0 < report.C < 1.0
+    try:
+        theoretical_rate(1, RateParams(beta=1.2, c=1.0, m=100, b=10, n=1000))
+        rate_ok = False
+    except RegimeError:
+        pass
+    spec = ObjectiveSpec(loss, Regularizer(lambda2=max(l2, 1e-6)), data)
+    constants = estimate_constants(spec)
+    for theorem in (2, 4):
+        _, rep = best_beta(theorem, c=0.05, m=8, b=3, n=24, constants=constants)
+        rate_ok &= np.isfinite(rep.C)
+    results.append(("rate-constants", rate_ok,
+                    f"theorem 1 C = {report.C:.6f} at beta=10 (contraction)"))
+    return [(check, bool(passed), detail) for check, passed, detail in results]

@@ -221,3 +221,59 @@ def test_run_flushes_partial_results_on_failure(tmp_path, capsys):
     assert code == 1
     assert out.exists()
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_run_equals_a_one_point_batch_sweep(tmp_path):
+    common = ["--synthetic", "n=40,d=4,flip=0.1", "--solvers", "saag3,svrg,gd",
+              "--seeds", "0,1", "--epochs", "3"]
+    run_out, sweep_out = tmp_path / "run.csv", tmp_path / "sweep.csv"
+    assert main(["run", "--b", "8", "--out", str(run_out)] + common) == 0
+    assert main(["sweep", "--axis", "batch", "--values", "8",
+                 "--out", str(sweep_out)] + common) == 0
+
+    def scrub(rows, drop):
+        return [{k: v for k, v in r.items() if k not in drop} for r in rows]
+
+    run_rows, sweep_rows = read_csv(run_out)[0], read_csv(sweep_out)[0]
+    assert {r["batch"] for r in sweep_rows} == {"8"}
+    assert scrub(run_rows, {"wall_seconds"}) == \
+        scrub(sweep_rows, {"wall_seconds", "batch"})
+
+
+def test_lambda_sweep_notes_one_f_star_per_value(tmp_path):
+    out = tmp_path / "lam.csv"
+    assert main(["sweep", "--axis", "lambda", "--values", "1e-2,1e-4",
+                 "--synthetic", "n=30,d=3", "--solvers", "svrg,saag4",
+                 "--b", "4", "--epochs", "2", "--l1", "1e-3",
+                 "--out", str(out)]) == 0
+    rows, metadata = read_csv(out)
+    notes = [ln for ln in metadata if ln.startswith("note: f_star")]
+    assert len(notes) == 2
+    for note, value in zip(notes, ("0.01", "0.0001")):
+        assert f"(lambda = {value}, reference converged: " in note
+        f_star = float(note.split()[3])
+        picked = [r for r in rows if r["lambda"] == value]
+        implied = [r["objective"] - r["suboptimality"] for r in picked]
+        scale = max(r["objective"] for r in picked)
+        assert max(abs(f - f_star) for f in implied) <= 1e-12 * scale
+    assert "note: n_train = 24, n_test = 6, d = 3" in metadata
+
+
+def test_sweep_values_note_keeps_its_text(tmp_path):
+    out = tmp_path / "b.csv"
+    assert main(["sweep", "--axis", "batch", "--values", "256,1,16,16",
+                 "--synthetic", "n=400,d=3", "--solvers", "sgd",
+                 "--epochs", "1", "--out", str(out)]) == 0
+    rows, metadata = read_csv(out)
+    assert "note: sweep axis = batch, values = [1, 16, 256]" in metadata
+    assert {r["batch"] for r in rows} == {"1", "16", "256"}
+    small = tmp_path / "s.csv"
+    assert main(["sweep", "--axis", "batch", "--values", "1,16,256",
+                 "--synthetic", "n=30,d=3", "--solvers", "sgd",
+                 "--epochs", "1", "--out", str(small)]) == 0
+    assert "note: sweep axis = batch, values = [1, 16, 24]" in read_csv(small)[1]
+    lam = tmp_path / "l.csv"
+    assert main(["sweep", "--axis", "lambda", "--values", "1e-2,1e-4",
+                 "--synthetic", "n=30,d=3", "--solvers", "sgd",
+                 "--epochs", "1", "--out", str(lam)]) == 0
+    assert "note: sweep axis = lambda, values = [0.01, 0.0001]" in read_csv(lam)[1]

@@ -141,6 +141,32 @@ def test_run_single_epoch_full_batch_gd_equals_saag4():
     assert np.linalg.norm(w_gd - w_s4) <= 1e-12
 
 
+def _arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
+    train, test = split_train_test(make_synthetic(60, 5, seed=1), 0.8, 0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+    cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
+    w, trace = run(cfg, test=test)
+    copies = [a for a in _arrays(list(vars(train).values()))
+              if np.array_equal(a, train.values)
+              and not np.shares_memory(a, train.values)]
+    assert copies == []
+    # the full batch's stored arrays give the same trace as a gathered copy
+    monkeypatch.setattr(type(train), "gather", lambda self, rows=None: self._gather(
+        np.arange(self.n) if rows is None else np.asarray(rows)))
+    w_copy, trace_copy = run(cfg, test=test)
+    assert np.array_equal(w, w_copy)
+    assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
+        [(p.fevals, p.objective, p.test_accuracy) for p in trace_copy.points]
+
+
 def test_run_is_deterministic():
     spec = toy_spec(n=30, d=5)
     cfg = RunConfig(solver="saag4", objective=spec, epochs=4, batch_size=5, seed=3)

@@ -10,8 +10,12 @@ from saag.solvers import reference_optimum
 from saag.verify import (ProblemConstants, RateParams, RegimeError,
                          alpha_b, best_beta, bias_identity_gap,
                          quadratic_bound_check, estimate_constants,
-                         gradient_check, prox_check, theoretical_rate,
-                         unbiasedness_gap, variance_bound_check)
+                         gradient_check, prox_check, run_suites,
+                         theoretical_rate, unbiasedness_gap,
+                         variance_bound_check)
+
+SUITES = ("gradient-fd", "prox-oracle", "bias-identity", "unbiasedness",
+          "variance-bound", "rate-constants")
 
 
 def test_alpha_b_values():
@@ -216,3 +220,24 @@ def test_rate_params_validation():
         RateParams(beta=2.0, c=1.0, m=0, b=2, n=20)
     with pytest.raises(ValueError):
         ProblemConstants(L=0.5, mu=1.0)
+
+
+def test_run_suites_default_problem_passes_every_check():
+    results = run_suites(make_synthetic(24, 6), "logistic", 0.0, 1e-5)
+    assert tuple(name for name, _, _ in results) == SUITES
+    assert all(passed is True for _, passed, _ in results)
+    assert all(isinstance(detail, str) and detail for _, _, detail in results)
+
+
+def test_run_suites_leaves_out_enumeration_above_cap():
+    results = run_suites(make_synthetic(80, 4), "logistic", 0.0, 1e-5)
+    assert [name for name, _, _ in results] == [
+        "gradient-fd", "prox-oracle", "rate-constants"]
+    assert all(passed for _, passed, _ in results)
+
+
+def test_run_suites_scale_bug_fails_only_the_bias_identity():
+    results = run_suites(make_synthetic(24, 6), "logistic", 0.0, 1e-5,
+                         inject_scale_bug=True)
+    assert tuple(name for name, _, _ in results) == SUITES
+    assert [name for name, passed, _ in results if not passed] == ["bias-identity"]
