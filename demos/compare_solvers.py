@@ -2,8 +2,8 @@
 
 Builds a synthetic logistic problem, runs each solver with the stochastic
 backtracking-Armijo line search, and prints suboptimality / accuracy /
-gradient-budget columns per epoch. Writes the full trace CSV next to this
-script.
+gradient-budget columns per epoch. Writes the full trace CSV to the working
+directory.
 """
 
 import numpy as np

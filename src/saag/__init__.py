@@ -13,8 +13,8 @@ from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
 from .line_search import SBASParams, backtrack, sbas
 from .objective import (LOSSES, ObjectiveSpec, ProblemConstants, Regularizer,
                         accuracy, batch_grad, batch_ray, batch_smooth_value,
-                        estimate_constants, full_grad, loss, margin_ray,
-                        margins, objective_value, prox, scatter, slope)
+                        estimate_constants, full_grad, loss, margins,
+                        objective_value, prox, scatter, slope)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)

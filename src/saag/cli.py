@@ -7,6 +7,7 @@ echo written into the output CSV's ``#`` metadata lines.
 """
 
 import argparse
+import copy
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -94,7 +95,8 @@ _FIELDS = {
     "workers": (int, "parallel run workers"),
     "train_fraction": (float, "share of the rows in the training set"),
     "split_seed": (int, "seed of the train/test split"),
-    "ref_budget": (int, "reference-optimum budget (epoch equivalents)"),
+    "ref_budget": (int, "reference-optimum budget: it stops after "
+                        "max(2000, 20 * budget) iterations"),
 }
 
 
@@ -254,9 +256,15 @@ def cmd_run(config, axis=None, values=None, out=None):
                               seed=seed, fixed_eta=config.fixed_eta))
             for value, b, reg in points
             for kind in config.solvers for seed in config.seeds]
-    traces = _run_all([(job, test) for _, job in runs], config.workers)
+    # gd ignores b, so a batch sweep runs it once per (seed, objective)
+    keys = [(job.solver, job.seed, job.objective,
+             None if job.solver == "gd" else job.batch_size) for _, job in runs]
+    unique = {key: (job, test) for key, (_, job) in zip(keys, runs)}
+    done = dict(zip(unique, _run_all(list(unique.values()), config.workers)))
+    traces = [copy.deepcopy(done[key]) for key in keys]
     groups = {}
     for (value, job), trace in zip(runs, traces):
+        trace.config["b"] = job.batch_size
         if axis is not None:
             trace.extra[axis] = value
         groups.setdefault(job.objective, []).append(trace)

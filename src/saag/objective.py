@@ -115,15 +115,18 @@ def batch_smooth_value(spec, w, rows=None):
     return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w @ w)
 
 
-def margin_ray(kind, lambda2, y, z, u, w, d):
-    """phi(eta) = mean loss at margins z - eta * u plus (lambda2/2)||w - eta d||^2.
-
-    With z = X_B w and u = X_B d this is the batch smooth value at
-    w - eta * d; the l2 term comes from w.w, w.d and d.d, computed here once,
-    so each call costs O(len(z)) and no d-dimensional work.
-    """
-    ww, wd, dd = float(w @ w), float(w @ d), float(d @ d)
-    half = 0.5 * lambda2
+def batch_ray(spec, w, rows, direction):
+    """phi(eta) = batch_smooth_value(spec, w - eta * direction, rows) in O(b)
+    per call: X_B w, X_B d (every row when ``rows`` is None), w.w, w.d and
+    d.d are formed once."""
+    if rows is not None and len(rows) == 0:
+        raise ValueError("empty batch")
+    data, kind = spec.data, spec.loss
+    y = _batch_labels(data, rows)
+    z, u = margins(data, w, rows), margins(data, direction, rows)
+    ww, wd = float(w @ w), float(w @ direction)
+    dd = float(direction @ direction)
+    half = 0.5 * spec.reg.lambda2
 
     def phi(eta):
         losses = loss(kind, z - eta * u, y)
@@ -131,17 +134,6 @@ def margin_ray(kind, lambda2, y, z, u, w, d):
                 + half * (ww - 2.0 * eta * wd + eta * eta * dd))
 
     return phi
-
-
-def batch_ray(spec, w, rows, direction):
-    """phi(eta) = batch_smooth_value(spec, w - eta * direction, rows), from
-    X_B w and X_B d formed once (every row when ``rows`` is None)."""
-    if rows is not None and len(rows) == 0:
-        raise ValueError("empty batch")
-    data = spec.data
-    return margin_ray(spec.loss, spec.reg.lambda2, _batch_labels(data, rows),
-                      margins(data, w, rows), margins(data, direction, rows),
-                      w, direction)
 
 
 def objective_value(spec, w):

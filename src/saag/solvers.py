@@ -11,6 +11,7 @@ starting iterate.
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -20,8 +21,7 @@ from .estimators import (GradTable, SnapState, make_table, saag1_direction,
                          take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (batch_ray, estimate_constants, loss, margin_ray,
-                        margins, prox, scatter, slope)
+from .objective import batch_ray, loss, margins, prox, scatter, slope
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 
@@ -31,6 +31,11 @@ _TABLE_KINDS = ("saag1", "saag3")
 # than as a dense BLAS product (800x800 at 1%: 47 us against 435 us; the two
 # cost the same near 5%).
 DENSE_PASS_FILL = 0.05
+
+# Bound on each loss's second derivative in the margin.
+CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
+POWER_PASSES = 30       # behind the reference optimum's first estimate of L
+MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
 
 
 class NonFiniteDirection(RuntimeError):
@@ -222,102 +227,96 @@ class ReferenceResult:
     iterations: int
 
 
+def _iteration_cap(budget):
+    """Most iterations the reference optimum takes for a ``budget``."""
+    return max(2000, 20 * budget)
+
+
+def _top_eigenvalue(xw, xtc, d):
+    """lambda_max(X^T X) from below, by power iteration from a vector of
+    ones; 0.0 when a pass meets ||X u|| = 0."""
+    u = np.full(d, 1.0 / math.sqrt(d))
+    for _ in range(POWER_PASSES):
+        q = xw(u)
+        top = float(q @ q)      # u^T X^T X u with ||u|| = 1
+        if top == 0.0:
+            break
+        u = xtc(q)
+        u /= math.sqrt(float(u @ u))
+    return top
+
+
 def reference_optimum(spec, budget=500):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
-    Phase 1 runs `budget` full-gradient steps sized by the backtracking-Armijo
-    search (proximal when lambda1 > 0); phase 2 polishes with an accelerated
-    proximal-gradient sweep at fixed step 1/L, tracking the best objective
-    ever seen. The result is flagged unconverged when the objective still
-    moved by more than 1e-12 (relative) over the last ten polish iterations.
-    Full passes use a dense copy of the training set, where BLAS beats the
-    sparse kernel, when at least 5% of the entries are stored and the copy
-    fits (n*d <= Dataset.DENSE_LIMIT); otherwise they use the CSR kernel.
-    Each Armijo trial of phase 1 costs O(n) in margin space.
+    Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue & Candes
+    2015) at the step 1/L of the full mean loss: L starts at CURVATURE *
+    lambda_max(X^T X) / n + lambda2 and doubles until the quadratic upper
+    bound holds, so every accepted iterate lowers F. It stops, converged,
+    once the gradient mapping L||p - v|| <= sqrt(lambda2 * 1e-13 * F), so
+    F(p) - F* <= 5e-14 * F by strong convexity, or at a rounding fixed
+    point; unconverged after max(2000, 20 * budget) iterations. Each
+    iteration takes one pass over X and one over X^T, on a dense copy when
+    at least 5% of the entries are stored and n*d <= Dataset.DENSE_LIMIT
+    (BLAS beats the sparse kernel there), else on the CSR kernel.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     data = spec.data
-    y = data.labels
+    n, y = data.n, data.labels
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
-    size = data.n * data.d
+    size = n * data.d
     if data.indices.size < DENSE_PASS_FILL * size or size > data.DENSE_LIMIT:
-        def xw(w):
-            return margins(data, w)
-
-        def xtc(c):
-            return scatter(data, c)
+        xw, xtc = partial(margins, data), partial(scatter, data)
     else:
         x = data.dense()
+        xw, xtc = x.__matmul__, x.T.__matmul__
 
-        def xw(w):
-            return x @ w
+    def smooth(z, w):
+        return float(np.mean(loss(spec.loss, z, y))) + 0.5 * lam2 * float(w @ w)
 
-        def xtc(c):
-            return x.T @ c
+    def grad(z, w):
+        return xtc(slope(spec.loss, z, y)) / n + lam2 * w
 
-    def smooth_grad(w, z):
-        return xtc(slope(spec.loss, z, y)) / data.n + lam2 * w
+    # when the power iteration meets the null space, the trace bound
+    top = _top_eigenvalue(xw, xtc, data.d) or float(data.values @ data.values)
+    # f is constant when both terms vanish, and any step fits
+    lipschitz = CURVATURE[spec.loss] * top / n + lam2 or 1.0
 
-    def total_value(w):
-        return (float(np.mean(loss(spec.loss, xw(w), y))) + 0.5 * lam2 * float(w @ w)
-                + lam1 * float(np.abs(w).sum()))
-
-    w = np.zeros(data.d)
-    params = SBASParams(alpha=0.1, shrink=0.5, eta0=1.0, max_backtracks=30)
-    best_w = w.copy()
-    best_f = total_value(w)
-    for _ in range(budget):
-        zw = xw(w)
-        g = smooth_grad(w, zw)
-        eta, _ = backtrack(params, margin_ray(spec.loss, lam2, y, zw, xw(g), w, g),
-                           float(g @ g))
-        if eta == 0.0:
+    w, zw = np.zeros(data.d), np.zeros(n)
+    fw = smooth(zw, w)
+    v, zv, t, restarted = w, zw, 1.0, True      # as after a momentum restart
+    for iterations in range(1, _iteration_cap(budget) + 1):
+        # zv is extrapolated unless v = w; as it drifts from X v it can fail
+        fresh = restarted   # the bound test, so form it afresh before L grows
+        g, fv = grad(zv, v), smooth(zv, v)
+        for _ in range(MAX_DOUBLINGS):
+            step = 1.0 / lipschitz
+            p = prox(v - step * g, step, spec.reg)
+            zp = xw(p)
+            fp = smooth(zp, p)
+            move = p - v
+            if fp <= fv + float(g @ move) + 0.5 * lipschitz * float(move @ move):
+                break
+            if fresh:
+                lipschitz *= 2.0
+            else:
+                zv = xw(v)
+                g, fv, fresh = grad(zv, v), smooth(zv, v), True
+        else:               # no L fits: v is a fixed point up to rounding
+            converged = True
             break
-        z = w - eta * g
-        w = prox(z, eta, spec.reg) if lam1 > 0 else z
-        f = total_value(w)
-        if f < best_f:
-            best_f, best_w = f, w.copy()
-
-    lipschitz = max(estimate_constants(spec).L, 1e-12)
-    step = 1.0 / lipschitz
-    polish = max(2000, 20 * budget)
-    v = w.copy()
-    t = 1.0
-    f_prev = total_value(w)
-    window = [f_prev]
-    converged = False
-    restarted = True        # v = w and t = 1, as after a momentum restart
-    for it in range(polish):
-        iterations = budget + it + 1
-        g = smooth_grad(v, xw(v))
-        z = v - step * g
-        w_new = prox(z, step, spec.reg) if lam1 > 0 else z
-        f_new = total_value(w_new)
-        if f_new > f_prev:
-            if restarted:
-                # a 1/L prox-gradient step from w cannot raise F in exact
-                # arithmetic, so w is a fixed point up to rounding
-                converged = True
-                break
-            # objective went up: restart the momentum from the last iterate
-            v = w.copy()
-            t = 1.0
-            restarted = True
-            continue
-        restarted = False
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        v = w_new + ((t - 1.0) / t_new) * (w_new - w)
-        w, t, f_prev = w_new, t_new, f_new
-        if f_new < best_f:
-            best_f, best_w = f_new, w_new.copy()
-        window.append(f_new)
-        if len(window) > 10:
-            window.pop(0)
-            spread = max(window) - min(window)
-            scale = max(abs(window[-1]), 1e-300)
-            if spread <= 1e-12 * scale:
-                converged = True
-                break
-    return ReferenceResult(best_w, best_f, converged, iterations)
+        fp += lam1 * float(np.abs(p).sum())
+        converged = lipschitz ** 2 * float(move @ move) <= lam2 * 1e-13 * fw
+        if fp < fw:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            v, zv = p + beta * (p - w), zp + beta * (zp - zw)
+            w, zw, fw, t, restarted = p, zp, fp, t_new, False
+        elif restarted:     # a step from w cannot raise F but by rounding
+            converged = True
+        else:               # F failed to fall: restart the momentum
+            v, zv, t, restarted = w, zw, 1.0, True
+        if converged:
+            break
+    return ReferenceResult(w, fw, converged, iterations)

@@ -277,3 +277,30 @@ def test_sweep_values_note_keeps_its_text(tmp_path):
                  "--synthetic", "n=30,d=3", "--solvers", "sgd",
                  "--epochs", "1", "--out", str(lam)]) == 0
     assert "note: sweep axis = lambda, values = [0.01, 0.0001]" in read_csv(lam)[1]
+
+
+def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
+    # gd steps on every row whatever b is, so a batch sweep runs it once per
+    # seed and copies the trace to the other batch values
+    import saag.cli as cli
+    calls = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+        calls.append((config.solver, config.batch_size)) or run(config, **kw)))
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--axis", "batch", "--values", "1,8,24",
+                 "--synthetic", "n=30,d=3,flip=0.1", "--solvers", "gd,saag1",
+                 "--seeds", "0,1", "--epochs", "2", "--out", str(out)])
+    assert code == 0
+    assert [kind for kind, _ in calls].count("gd") == 2
+    assert sorted(b for kind, b in calls if kind == "saag1") == [1, 1, 8, 8, 24, 24]
+    rows, _ = read_csv(out)
+    gd = {}
+    for r in rows:
+        if r["solver"] == "gd":
+            gd.setdefault(r["batch"], []).append(
+                {k: v for k, v in r.items() if k != "batch"})
+    assert sorted(gd) == ["1", "24", "8"]
+    assert gd["1"] == gd["8"] == gd["24"]
+    # each copy is its own run in the output: 2 seeds x 3 epochs per value
+    assert len(gd["1"]) == 6

@@ -392,3 +392,89 @@ def test_convergence_on_smooth_toy():
                              batch_size=8, seed=0))
     best = min(p.objective for p in trace.points) - ref.value
     assert best <= 1e-3 * init
+
+
+def test_reference_backtracks_from_a_low_curvature_estimate(monkeypatch):
+    # least squares has curvature exactly lambda_max(X^T X) / n, so a 10x
+    # low power-iteration result makes the first steps too long; the search
+    # on L must double it back, keeping every accepted iterate's F falling
+    spec = toy_spec(n=60, d=8, lam2=1e-3, seed=1, loss="least_squares")
+    exact = reference_optimum(spec)
+    top = solvers_mod._top_eigenvalue
+    monkeypatch.setattr(solvers_mod, "_top_eigenvalue",
+                        lambda *args: top(*args) / 10.0)
+    forced = reference_optimum(spec)
+    assert exact.converged and forced.converged
+    assert abs(forced.value - exact.value) <= 1e-12 * exact.value
+    # a cap of k iterations returns the k-th iterate of the same loop
+    monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
+    values = [reference_optimum(spec, budget=k).value for k in range(1, 41)]
+    assert all(b <= a for a, b in zip(values, values[1:]))
+    assert values[-1] < values[0]
+
+
+def test_reference_optimum_ridge_least_squares_matches_normal_equations():
+    spec = toy_spec(n=80, d=6, lam2=1e-2, seed=2, loss="least_squares")
+    x, y = spec.data.dense(), spec.data.labels
+    n, d = x.shape
+    w = np.linalg.solve(x.T @ x / n + 1e-2 * np.eye(d), x.T @ y / n)
+    ref = reference_optimum(spec)
+    exact = objective_value(spec, w)
+    assert ref.converged
+    assert abs(ref.value - exact) <= 1e-12 * exact
+    np.testing.assert_allclose(ref.w, w, atol=1e-6)
+
+
+def test_reference_small_lambda_separable_finishes_under_cap():
+    # the lambda = 1e-7 point of a default lambda sweep on n=30,d=3: the
+    # extrapolated margins drift from X v and the bound test fails by
+    # rounding alone, so the search on L must be bounded
+    train, _ = split_train_test(make_synthetic(30, 3), 0.8, seed=0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-7), train)
+    ref = reference_optimum(spec)
+    assert ref.converged
+    assert ref.iterations < solvers_mod._iteration_cap(500)
+    assert ref.value <= objective_value(spec, np.zeros(3))
+
+
+def test_reference_optimum_empty_rows_and_zero_columns(monkeypatch):
+    # rows (1, -1, 0, 0), empty and (-2, 2, 0, 0): X times the power
+    # iteration's start vector of ones is 0, columns 2 and 3 are empty, and
+    # the optimum is (a, -a, 0, 0) with a from a scalar Newton solve
+    from saag.data import Dataset
+    ds = Dataset([0, 2, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -2.0, 2.0],
+                 [1.0, -1.0, 1.0], d=4)
+    lam2 = 1e-3
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), ds)
+    tops = []
+    top = solvers_mod._top_eigenvalue
+    monkeypatch.setattr(solvers_mod, "_top_eigenvalue",
+                        lambda *args: tops.append(top(*args)) or tops[-1])
+    ref = reference_optimum(spec)
+    assert tops == [0.0]
+
+    def sig(t):
+        return 0.5 * (1.0 + math.tanh(0.5 * t))
+
+    a = 0.0
+    for _ in range(50):
+        g = (-2.0 * sig(-2.0 * a) + 4.0 * sig(4.0 * a)) / 3.0 + 2.0 * lam2 * a
+        h = (4.0 * sig(2.0 * a) * sig(-2.0 * a)
+             + 16.0 * sig(4.0 * a) * sig(-4.0 * a)) / 3.0 + 2.0 * lam2
+        a -= g / h
+    exact = objective_value(spec, np.array([a, -a, 0.0, 0.0]))
+    assert ref.converged
+    assert abs(ref.value - exact) <= 1e-12 * exact
+    assert ref.w[2] == 0.0 and ref.w[3] == 0.0
+
+
+def test_reference_optimum_of_all_empty_rows():
+    # X = 0: F is ln 2 + lambda2/2 ||w||^2, minimized at w = 0 at once
+    from saag.data import Dataset
+    ds = Dataset([0, 0, 0], [], [], [1.0, -1.0], d=3)
+    for lam2 in (0.0, 1e-3):
+        spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), ds)
+        ref = reference_optimum(spec)
+        assert ref.converged and ref.iterations == 1
+        assert ref.value == math.log(2.0)
+        assert not np.any(ref.w)
