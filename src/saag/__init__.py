@@ -5,9 +5,10 @@ harness, and oracle-based verification of the estimator and rate claims."""
 from .data import (BatchSchedule, Dataset, ParseError, dump_libsvm,
                    load_libsvm, make_schedule, make_synthetic, parse_libsvm,
                    split_train_test)
-from .estimators import (GradTable, SnapState, estimator_mean_bruteforce,
-                         make_table, saag1_direction, saag2_direction,
-                         sgd_direction, svrg_direction, take_snapshot)
+from .estimators import (GradTable, SnapState, direction,
+                         estimator_mean_bruteforce, make_table,
+                         saag1_direction, saag2_direction, svrg_direction,
+                         take_snapshot)
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
                       read_csv, record_epoch)
 from .line_search import SBASParams, backtrack, sbas

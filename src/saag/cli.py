@@ -10,7 +10,6 @@ import argparse
 import copy
 import csv
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -195,6 +194,8 @@ def _run_job(job):
 
 def _run_all(jobs, workers):
     if workers > 1:
+        # imported here, so a command without a pool skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_job, jobs))
     return [_run_job(job) for job in jobs]
@@ -338,7 +339,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the oracle verification suites")
     add_common(p_verify)
     p_verify.add_argument("--inject-scale-bug", action="store_true",
-                          help="debug: use 1/b instead of 1/n in the snap term")
+                          help="debug: run the bias identity on SVRG; it must fail")
     return parser
 
 

@@ -3,8 +3,9 @@
 Four estimators are provided: the SAAG-I/III incremental gradient table, the
 biased SAAG-II/IV snap-point estimator (fresh batch term at 1/b, stale snap
 term at 1/n), the unbiased SVRG/VR-SGD estimator (both terms at 1/b), and the
-plain mini-batch direction. The l2 contribution is always applied analytically
-at the point each term is evaluated at, never from stale storage.
+plain mini-batch gradient of GD/SGD. ``direction`` maps a solver kind to its
+estimator. The l2 contribution is always applied analytically at the point
+each term is evaluated at, never from stale storage.
 """
 
 import copy
@@ -12,23 +13,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import batch_grad, full_grad, margins, scatter, slope, slope_sum
+from .objective import batch_grad, margins, scatter, slope, slope_sum
 
 ENUMERATION_CAP = 64
+
+TABLE_KINDS = ("saag1", "saag3")
 
 
 @dataclass(eq=False)
 class SnapState:
-    """Snap point w~ with its full smooth gradient, recomputed on every move."""
+    """Snap point w~ with its full smooth gradient mu~ and the slope
+    c~_i = slope(x_i . w~) of every point, all from one pass per move."""
 
     point: np.ndarray
     grad: np.ndarray
+    slopes: np.ndarray
 
 
 def take_snapshot(spec, w):
-    """Freeze a snap point and compute its full gradient (n evaluations)."""
+    """Freeze a snap point; its slopes give the full gradient (n evaluations)."""
     w = np.asarray(w, dtype=np.float64)
-    return SnapState(w.copy(), full_grad(spec, w))
+    data = spec.data
+    slopes = slope(spec.loss, margins(data, w), data.labels)
+    grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
+    return SnapState(w.copy(), grad, slopes)
 
 
 @dataclass(eq=False)
@@ -37,23 +45,21 @@ class GradTable:
 
     Gradients of linear-model losses are collinear with the data row, so one
     slope per point suffices; ``aggregate`` maintains the dense sum of all
-    stored slope * x_i incrementally. Slots start at zero with ``known``
-    False, so no hidden full-gradient pass is needed at startup.
+    stored slope * x_i incrementally. Slots start at slope 0, so no hidden
+    full-gradient pass is needed at startup.
     """
 
     slopes: np.ndarray
-    known: np.ndarray
     aggregate: np.ndarray
 
 
 def make_table(spec):
-    return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.n, dtype=bool),
-                     np.zeros(spec.data.d))
+    return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.d))
 
 
 def table_aggregate_recomputed(table, spec):
     """Dense sum implied by the stored slots; debug check for drift."""
-    return scatter(spec.data, np.where(table.known, table.slopes, 0.0))
+    return scatter(spec.data, table.slopes)
 
 
 def saag1_direction(table, spec, w, batch):
@@ -68,10 +74,9 @@ def saag1_direction(table, spec, w, batch):
     n = data.n
     k = len(batch)
     c = slope(spec.loss, margins(data, w, batch), data.labels[batch])
-    # unknown slots hold slope 0, so the change is c - stored in every slot
+    # slots never refreshed hold slope 0, so the change is c - stored in every slot
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
     table.slopes[batch] = c
-    table.known[batch] = True
     fresh = scatter(data, c, batch)
     if k == n:
         # out-of-batch set is empty; the stale term is exactly zero
@@ -79,7 +84,7 @@ def saag1_direction(table, spec, w, batch):
     return fresh / k + (table.aggregate - fresh) / n + spec.reg.lambda2 * w
 
 
-def saag2_direction(spec, w, batch, snap, snap_denom=None):
+def saag2_direction(spec, w, batch, snap):
     """Biased snap-point direction:
     (1/|B|) sum_B grad f_i(w) - (1/n) sum_B grad f_i(w~) + mu~.
 
@@ -87,17 +92,15 @@ def saag2_direction(spec, w, batch, snap, snap_denom=None):
     the mean over a partition of equal batches is
     grad f(w) + ((m-1)/m) grad f(w~). Each component gradient carries its l2
     share at its own evaluation point, so the identity holds exactly for any
-    lambda2. ``snap_denom`` exists only to inject a wrong scaling for
-    mutation checks; leave it None for the real estimator.
+    lambda2. The snap term reads the stored slopes c~_B.
     """
     n = spec.data.n
-    denom = n if snap_denom is None else snap_denom
     k = len(batch)
     lam2 = spec.reg.lambda2
     cur = slope_sum(spec, w, batch)
-    old = slope_sum(spec, snap.point, batch)
-    return (cur / k - old / denom
-            + lam2 * w - (k / denom) * lam2 * snap.point
+    old = scatter(spec.data, snap.slopes[batch], batch)
+    return (cur / k - old / n
+            + lam2 * w - (k / n) * lam2 * snap.point
             + snap.grad)
 
 
@@ -109,35 +112,36 @@ def svrg_direction(spec, w, batch, snap):
     """
     k = len(batch)
     cur = slope_sum(spec, w, batch)
-    old = slope_sum(spec, snap.point, batch)
+    old = scatter(spec.data, snap.slopes[batch], batch)
     return (cur - old) / k + spec.reg.lambda2 * (w - snap.point) + snap.grad
 
 
-def sgd_direction(spec, w, batch):
-    """Plain mini-batch gradient, no control variate."""
-    return batch_grad(spec, w, batch)
+def direction(kind, spec, w, batch, table=None, snap=None):
+    """The direction of solver ``kind`` at w over ``batch``: the table kinds
+    read and refresh ``table``, the snap kinds read ``snap``."""
+    if kind in TABLE_KINDS:
+        return saag1_direction(table, spec, w, batch)
+    if kind in ("saag2", "saag4"):
+        return saag2_direction(spec, w, batch, snap)
+    if kind in ("svrg", "vrsgd"):
+        return svrg_direction(spec, w, batch, snap)
+    if kind in ("gd", "sgd"):
+        return batch_grad(spec, w, batch)
+    raise ValueError(f"unknown estimator kind {kind!r}")
 
 
-def estimator_mean_bruteforce(kind, spec, w, state, schedule, snap_denom=None):
+def estimator_mean_bruteforce(kind, spec, w, state, schedule):
     """Exact mean of an estimator over every batch of a schedule.
 
-    Table state is reset between evaluations so each batch sees the same
-    starting table. Only enumerable problems are accepted (n <= 64).
+    ``state`` is the table of a table kind, else the snap state (None for
+    GD/SGD). Each batch starts from a copy of the table, so every batch sees
+    the same starting table. Only enumerable problems are accepted (n <= 64).
     """
     n = spec.data.n
     if n > ENUMERATION_CAP:
         raise ValueError(f"n = {n} too large to enumerate (cap {ENUMERATION_CAP})")
+    table, snap = (state, None) if kind in TABLE_KINDS else (None, state)
     total = np.zeros(spec.data.d)
     for batch in schedule.batches:
-        if kind in ("saag1", "saag3"):
-            table = copy.deepcopy(state)
-            total += saag1_direction(table, spec, w, batch)
-        elif kind in ("saag2", "saag4"):
-            total += saag2_direction(spec, w, batch, state, snap_denom=snap_denom)
-        elif kind in ("svrg", "vrsgd"):
-            total += svrg_direction(spec, w, batch, state)
-        elif kind == "sgd":
-            total += sgd_direction(spec, w, batch)
-        else:
-            raise ValueError(f"unknown estimator kind {kind!r}")
+        total += direction(kind, spec, w, batch, copy.deepcopy(table), snap)
     return total / schedule.m

@@ -26,10 +26,6 @@ class Regularizer:
         if self.lambda2 < 0 or self.lambda1 < 0:
             raise ValueError("regularization coefficients must be >= 0")
 
-    @property
-    def smooth_only(self):
-        return self.lambda1 == 0.0
-
 
 @dataclass(eq=False)
 class ObjectiveSpec:

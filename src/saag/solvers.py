@@ -16,16 +16,13 @@ from functools import partial
 import numpy as np
 
 from .data import make_schedule
-from .estimators import (GradTable, SnapState, make_table, saag1_direction,
-                         saag2_direction, sgd_direction, svrg_direction,
-                         take_snapshot)
+from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
+                         make_table, take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import batch_ray, loss, margins, prox, scatter, slope
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
-
-_TABLE_KINDS = ("saag1", "saag3")
 
 # Stored share of the n*d entries below which a full pass is cheaper in CSR
 # than as a dense BLAS product (800x800 at 1%: 47 us against 435 us; the two
@@ -95,7 +92,7 @@ def init_state(config):
     else:
         w = np.asarray(config.w0, dtype=np.float64).copy()
     state = EpochState(w=w, iterate_sum=np.zeros(spec.data.d))
-    if config.solver in _TABLE_KINDS:
+    if config.solver in TABLE_KINDS:
         state.table = make_table(spec)
     if config.solver in ("saag4", "vrsgd"):
         state.avg_prev = w.copy()
@@ -109,21 +106,10 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     advances the counters and the iterate sum.
     """
     c = state.counters
-    k = len(batch)
-    if kind in _TABLE_KINDS:
-        d = saag1_direction(state.table, spec, state.w, batch)
-        c.grads += k
-    elif kind in ("saag2", "saag4"):
-        d = saag2_direction(spec, state.w, batch, state.snap)
-        c.grads += 2 * k
-    elif kind in ("svrg", "vrsgd"):
-        d = svrg_direction(spec, state.w, batch, state.snap)
-        c.grads += 2 * k
-    elif kind in ("gd", "sgd"):
-        d = sgd_direction(spec, state.w, batch)
-        c.grads += k
-    else:
-        raise ValueError(f"unknown solver {kind!r}")
+    d = direction(kind, spec, state.w, batch, state.table, state.snap)
+    # a snap kind counts its snap term too: grads is the algorithm's logical
+    # count, although the snap slopes are read from the snapshot's pass
+    c.grads += len(batch) * (1 if state.snap is None else 2)
     if not np.all(np.isfinite(d)):
         raise NonFiniteDirection(
             f"{kind}: non-finite direction at epoch {state.epoch}, "
@@ -171,7 +157,7 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     return state
 
 
-def run(config, test=None, metric_stride=1):
+def run(config, test=None):
     """Run a solver for S epochs and record a trace point per epoch.
 
     The trace gets an epoch-0 baseline before any work. Metric evaluation is
@@ -197,8 +183,7 @@ def run(config, test=None, metric_stride=1):
             trace.failure = str(err)
             break
         state.work_seconds += time.perf_counter() - start
-        if (s + 1) % metric_stride == 0 or s + 1 == config.epochs:
-            record_epoch(trace, state, spec, test)
+        record_epoch(trace, state, spec, test)
     return state.w, trace
 
 

@@ -244,14 +244,15 @@ def prox_check(reg, z, eta, grid=4001):
     return best_err
 
 
-def bias_identity_gap(spec, w, snap, schedule, snap_denom=None):
-    """Norm of mean_B[direction] - grad f(w) - ((m-1)/m) grad f(w~).
+def bias_identity_gap(spec, w, snap, schedule, kind="saag2"):
+    """Norm of mean_B[direction] - grad f(w) - ((m-1)/m) grad f(w~) for the
+    estimator of solver ``kind``.
 
     Exactly zero in expectation for the biased snap estimator on an
-    equal-size partition.
+    equal-size partition; the unbiased one ("svrg") misses it by
+    ((m-1)/m) ||grad f(w~)||.
     """
-    mean = estimator_mean_bruteforce("saag2", spec, w, snap, schedule,
-                                     snap_denom=snap_denom)
+    mean = estimator_mean_bruteforce(kind, spec, w, snap, schedule)
     m = schedule.m
     expected = full_grad(spec, w) + (m - 1) / m * full_grad(spec, snap.point)
     return float(np.linalg.norm(mean - expected))
@@ -291,8 +292,9 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
 
     The enumeration-based suites (bias identity, unbiasedness, variance
     bound) are left out when n exceeds ENUMERATION_CAP.
-    ``inject_scale_bug`` scales the snap term by 1/b instead of 1/n in the
-    bias-identity suite, which must then fail.
+    ``inject_scale_bug`` checks the bias identity on the unbiased SVRG
+    estimator, which on equal batches is the biased one with its snap term
+    scaled by 1/b instead of 1/n; that suite must then fail.
     """
     rng = np.random.default_rng(7)
     results = []
@@ -321,16 +323,16 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         # sizes dividing n are enumerated
         divisors = [b for b in (1, 2, max(2, data.n // 3)) if data.n % b == 0]
         spec = ObjectiveSpec(loss, Regularizer(lambda2=l2), data)
+        estimator = "svrg" if inject_scale_bug else "saag2"
         bias_gap = 0.0
         unbias_gap = 0.0
         for b in sorted(set(divisors)):
             schedule = make_schedule(data.n, b, seed=0)
-            snap_denom_bug = b if inject_scale_bug else None
             for _ in range(20):
                 w = rng.standard_normal(data.d)
                 snap = take_snapshot(spec, rng.standard_normal(data.d))
                 bias_gap = max(bias_gap, bias_identity_gap(
-                    spec, w, snap, schedule, snap_denom=snap_denom_bug))
+                    spec, w, snap, schedule, estimator))
                 unbias_gap = max(unbias_gap, unbiasedness_gap(spec, w, snap, schedule))
         results.append(("bias-identity", bias_gap <= 1e-10,
                         f"max gap {bias_gap:.3e} (tol 1e-10)"))

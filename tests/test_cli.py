@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -61,6 +65,27 @@ def test_run_multi_solver_and_seed_cardinality(tmp_path):
     assert len(rows) == 4 * 3
     combos = {(r["solver"], r["seed"]) for r in rows}
     assert combos == {("saag3", 0), ("saag3", 1), ("svrg", 0), ("svrg", 1)}
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a command with --workers > 1 needs the process pool
+    code = ("import sys, saag.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_run_with_two_workers_writes_the_same_csv(tmp_path):
+    argv = ["run", "--synthetic", "n=40,d=4", "--solvers", "saag1,saag4,svrg",
+            "--seeds", "0,1", "--b", "4", "--epochs", "2"]
+    out, tables = tmp_path / "workers.csv", []
+    for workers in ("1", "2"):
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+        rows, metadata = read_csv(out)
+        for row in rows:
+            del row["wall_seconds"]
+        tables.append((rows, [m for m in metadata if not m.startswith("workers")]))
+    assert tables[0] == tables[1]
 
 
 def test_unknown_solver_is_usage_error(capsys):

@@ -3,12 +3,12 @@ import copy
 import numpy as np
 import pytest
 
-from saag.data import make_schedule, make_synthetic
-from saag.estimators import (estimator_mean_bruteforce, make_table,
-                             saag1_direction, saag2_direction, sgd_direction,
-                             svrg_direction, table_aggregate_recomputed,
-                             take_snapshot)
-from saag.objective import ObjectiveSpec, Regularizer, batch_grad, full_grad
+from saag.data import Dataset, make_schedule, make_synthetic
+from saag.estimators import (direction, estimator_mean_bruteforce, make_table,
+                             saag1_direction, saag2_direction, svrg_direction,
+                             table_aggregate_recomputed, take_snapshot)
+from saag.objective import (ObjectiveSpec, Regularizer, batch_grad, full_grad,
+                            margins, slope)
 
 
 def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
@@ -31,7 +31,7 @@ def test_saag1_first_call_uses_only_the_batch():
     batch = np.array([1, 4])
     d = saag1_direction(table, spec, w, batch)
     assert np.allclose(d, batch_grad(spec, w, batch), atol=1e-15)
-    assert list(np.flatnonzero(table.known)) == [1, 4]
+    assert list(np.flatnonzero(table.slopes)) == [1, 4]
 
 
 def test_saag1_full_batch_is_full_gradient():
@@ -41,7 +41,7 @@ def test_saag1_full_batch_is_full_gradient():
     w = rng.standard_normal(3)
     d = saag1_direction(table, spec, w, np.arange(8))
     assert np.array_equal(d, full_grad(spec, w))
-    assert table.known.all()
+    assert np.all(table.slopes != 0.0)
 
 
 def test_saag1_matches_direct_recomputation():
@@ -148,8 +148,8 @@ def test_sgd_direction_cases():
     spec = spec_for(6, 3, lam2=3e-2)
     rng = np.random.default_rng(9)
     w = rng.standard_normal(3)
-    assert np.array_equal(sgd_direction(spec, w, np.arange(6)), full_grad(spec, w))
-    single = sgd_direction(spec, w, np.array([4]))
+    assert np.array_equal(direction("sgd", spec, w, np.arange(6)), full_grad(spec, w))
+    single = direction("sgd", spec, w, np.array([4]))
     assert np.allclose(single, dense_component(spec, w, 4) + spec.reg.lambda2 * w,
                        atol=1e-15)
     sched = make_schedule(6, 2, seed=2)
@@ -168,7 +168,7 @@ def test_degenerate_equivalence_all_estimators():
     for d in (saag1_direction(table, spec, w, batch),
               saag2_direction(spec, w, batch, snap),
               svrg_direction(spec, w, batch, snap),
-              sgd_direction(spec, w, batch)):
+              direction("sgd", spec, w, batch)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
 
@@ -181,7 +181,6 @@ def test_bruteforce_mean_resets_table_state():
     sched = make_schedule(8, 2, seed=5)
     m1 = estimator_mean_bruteforce("saag1", spec, rng.standard_normal(3), table, sched)
     assert np.array_equal(table.slopes, before.slopes)
-    assert np.array_equal(table.known, before.known)
     assert np.array_equal(table.aggregate, before.aggregate)
 
 
@@ -194,3 +193,37 @@ def test_bruteforce_rejects_large_n():
         small = spec_for(6, 3)
         estimator_mean_bruteforce("nope", small, np.zeros(3), None,
                                   make_schedule(6, 2, seed=0))
+
+
+def sparse_spec(n, d, seed, fill=0.2):
+    # CSR rows of a random matrix with about ``fill`` of its entries stored
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * (rng.random((n, d)) < fill)
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    data = Dataset(indptr, cols, x[rows, cols], labels, d)
+    return ObjectiveSpec("logistic", Regularizer(lambda2=1e-2), data)
+
+
+@pytest.mark.parametrize("layout", ["dense", "sparse"])
+def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout):
+    # the snap term reads c~[B] from the snapshot's full pass; it must be
+    # bit-equal to the slopes of a batch pass at w~
+    n = 64
+    spec = spec_for(n, 6) if layout == "dense" else sparse_spec(n, 30, seed=3)
+    rng = np.random.default_rng(12)
+    snap = take_snapshot(spec, rng.standard_normal(spec.data.d))
+    assert np.array_equal(snap.grad, full_grad(spec, snap.point))
+    for b in (1, 7, 32, n):
+        for epoch in range(3):
+            for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:
+                fresh = slope(spec.loss, margins(spec.data, snap.point, batch),
+                              spec.data.labels[batch])
+                assert np.array_equal(snap.slopes[batch], fresh)
+
+
+def test_direction_rejects_an_unknown_kind():
+    spec = spec_for(6, 3)
+    with pytest.raises(ValueError, match="unknown estimator kind 'nope'"):
+        direction("nope", spec, np.zeros(3), np.array([0, 1]))

@@ -125,8 +125,5 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     train, test = split_train_test(make_synthetic(20, 4, seed=1), 0.8, seed=0)
     spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
     cfg = RunConfig(solver="saag3", objective=spec, epochs=7, batch_size=4)
-    for stride in (1, 3, 10 ** 6):
-        _, trace = run(cfg, test=test, metric_stride=stride)
-        assert [p.wall_seconds for p in trace.points] == \
-            [float(p.epoch) for p in trace.points]
-        assert trace.points[-1].wall_seconds == 7.0
+    _, trace = run(cfg, test=test)
+    assert [p.wall_seconds for p in trace.points] == [float(e) for e in range(8)]

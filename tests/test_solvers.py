@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import saag.estimators as estimators_mod
 import saag.solvers as solvers_mod
 from saag.data import make_schedule, make_synthetic, split_train_test
 from saag.line_search import SBASParams
 from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
-                            batch_smooth_value, objective_value)
+                            batch_smooth_value, full_grad, objective_value,
+                            slope_sum)
 from saag.solvers import (SOLVERS, RunConfig, init_state,
                           reference_optimum, run, run_epoch)
 
@@ -255,6 +257,39 @@ def test_margin_space_search_keeps_traces(kind, monkeypatch):
     assert np.array_equal(w_fast, w_plain)
     steps = 4 * (1 if kind == "gd" else 10)
     assert fast.points[-1].fevals > 2 * steps     # the searches backtracked
+
+
+@pytest.mark.parametrize("kind", ["saag2", "saag4", "svrg", "vrsgd"])
+@pytest.mark.parametrize("lam1", [0.0, 1e-3])
+def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
+    # reading the snap term from the snapshot's slopes must give the traces
+    # of forming it afresh as slope_sum(spec, snap.point, batch) every step
+    train, test = split_train_test(make_synthetic(60, 8, seed=6, flip=0.1), 0.8, 0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), train)
+    cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6, seed=1)
+    w_stored, stored = run(cfg, test=test)
+
+    def saag2_afresh(spec_, w, batch, snap):
+        n, k, lam2 = spec_.data.n, len(batch), spec_.reg.lambda2
+        old = slope_sum(spec_, snap.point, batch)
+        return (slope_sum(spec_, w, batch) / k - old / n
+                + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
+
+    def svrg_afresh(spec_, w, batch, snap):
+        old = slope_sum(spec_, snap.point, batch)
+        return ((slope_sum(spec_, w, batch) - old) / len(batch)
+                + spec_.reg.lambda2 * (w - snap.point) + snap.grad)
+
+    monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
+    monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
+    monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
+        estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None)))
+    w_afresh, afresh = run(cfg, test=test)
+    assert np.array_equal(w_stored, w_afresh)
+    assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
+            for p in stored.points] == \
+        [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
+         for p in afresh.points]
 
 
 def test_inner_step_eta_zero_leaves_w_unchanged():
