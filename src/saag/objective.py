@@ -60,15 +60,27 @@ def slope(kind, z, y):
 
 
 def margins(data, w, rows=None):
-    """Margins X_B w of the rows of a batch (every row when None)."""
-    local, cols, vals = data.gather(rows)
+    """Margins X_B w of the rows of a batch (every row when None).
+
+    On a dense block each margin is one dot product of its row, summed in
+    the same order in a full pass and in any batch, so a full pass
+    restricted to B is bit-equal to the batch's margins (X @ w under BLAS
+    is not).
+    """
+    gathered = data.gather(rows)
+    if isinstance(gathered, np.ndarray):
+        return np.vecdot(gathered, w)
+    local, cols, vals = gathered
     return np.bincount(local, weights=vals * w[cols],
                        minlength=data.n if rows is None else len(rows))
 
 
 def scatter(data, c, rows=None):
     """Dense X_B^T c: the batch's rows weighted by ``c`` and summed."""
-    local, cols, vals = data.gather(rows)
+    gathered = data.gather(rows)
+    if isinstance(gathered, np.ndarray):
+        return c @ gathered
+    local, cols, vals = gathered
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 

@@ -11,7 +11,6 @@ starting iterate.
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -23,11 +22,6 @@ from .line_search import SBASParams, backtrack
 from .objective import batch_ray, loss, margins, prox, scatter, slope
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
-
-# Stored share of the n*d entries below which a full pass is cheaper in CSR
-# than as a dense BLAS product (800x800 at 1%: 47 us against 435 us; the two
-# cost the same near 5%).
-DENSE_PASS_FILL = 0.05
 
 # Bound on each loss's second derivative in the margin.
 CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
@@ -110,7 +104,7 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     c.grads += len(batch) * (1 if state.snap is None else 2)
-    if not np.all(np.isfinite(d)):
+    if not np.isfinite(d).all():
         raise NonFiniteDirection(
             f"{kind}: non-finite direction at epoch {state.epoch}, "
             f"inner step {c.inner}")
@@ -217,16 +211,16 @@ def _iteration_cap(budget):
     return max(2000, 20 * budget)
 
 
-def _top_eigenvalue(xw, xtc, d):
+def _top_eigenvalue(data):
     """lambda_max(X^T X) from below, by power iteration from a vector of
     ones; 0.0 when a pass meets ||X u|| = 0."""
-    u = np.full(d, 1.0 / math.sqrt(d))
+    u = np.full(data.d, 1.0 / math.sqrt(data.d))
     for _ in range(POWER_PASSES):
-        q = xw(u)
+        q = margins(data, u)
         top = float(q @ q)      # u^T X^T X u with ||u|| = 1
         if top == 0.0:
             break
-        u = xtc(q)
+        u = scatter(data, q)
         u /= math.sqrt(float(u @ u))
     return top
 
@@ -241,30 +235,23 @@ def reference_optimum(spec, budget=500):
     once the gradient mapping L||p - v|| <= sqrt(lambda2 * 1e-13 * F), so
     F(p) - F* <= 5e-14 * F by strong convexity, or at a rounding fixed
     point; unconverged after max(2000, 20 * budget) iterations. Each
-    iteration takes one pass over X and one over X^T, on a dense copy when
-    at least 5% of the entries are stored and n*d <= Dataset.DENSE_LIMIT
-    (BLAS beats the sparse kernel there), else on the CSR kernel.
+    iteration takes one pass over X and one over X^T, in the layout the
+    dataset chose (``Dataset.block``).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     data = spec.data
     n, y = data.n, data.labels
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
-    size = n * data.d
-    if data.indices.size < DENSE_PASS_FILL * size or size > data.DENSE_LIMIT:
-        xw, xtc = partial(margins, data), partial(scatter, data)
-    else:
-        x = data.dense()
-        xw, xtc = x.__matmul__, x.T.__matmul__
 
     def smooth(z, w):
         return float(np.mean(loss(spec.loss, z, y))) + 0.5 * lam2 * float(w @ w)
 
     def grad(z, w):
-        return xtc(slope(spec.loss, z, y)) / n + lam2 * w
+        return scatter(data, slope(spec.loss, z, y)) / n + lam2 * w
 
     # when the power iteration meets the null space, the trace bound
-    top = _top_eigenvalue(xw, xtc, data.d) or float(data.values @ data.values)
+    top = _top_eigenvalue(data) or float(data.values @ data.values)
     # f is constant when both terms vanish, and any step fits
     lipschitz = CURVATURE[spec.loss] * top / n + lam2 or 1.0
 
@@ -278,7 +265,7 @@ def reference_optimum(spec, budget=500):
         for _ in range(MAX_DOUBLINGS):
             step = 1.0 / lipschitz
             p = prox(v - step * g, step, spec.reg)
-            zp = xw(p)
+            zp = margins(data, p)
             fp = smooth(zp, p)
             move = p - v
             if fp <= fv + float(g @ move) + 0.5 * lipschitz * float(move @ move):
@@ -286,7 +273,7 @@ def reference_optimum(spec, budget=500):
             if fresh:
                 lipschitz *= 2.0
             else:
-                zv = xw(v)
+                zv = margins(data, v)
                 g, fv, fresh = grad(zv, v), smooth(zv, v), True
         else:               # no L fits: v is a fixed point up to rounding
             converged = True

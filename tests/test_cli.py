@@ -173,6 +173,25 @@ def test_identical_invocations_are_bit_identical_minus_wall(tmp_path):
                                 and np.isnan(v2))
 
 
+def test_reruns_on_two_blas_threads_are_bit_identical_minus_wall(tmp_path):
+    # fresh interpreters, so the thread count reaches BLAS before it loads
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    tables = []
+    for name in ("x.csv", "y.csv"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "saag.cli", "run", "--synthetic",
+                        "n=400,d=50,flip=0.05", "--solvers", "saag4,svrg",
+                        "--b", "32", "--epochs", "3", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        rows, metadata = read_csv(out)
+        for row in rows:
+            del row["wall_seconds"]
+        tables.append((rows, [m for m in metadata if not m.startswith("out")]))
+    assert len(tables[0][0]) == 8
+    assert tables[0] == tables[1]
+
+
 def test_sweep_batch_cardinality(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "batch", "--values", "4,8",

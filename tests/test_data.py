@@ -175,27 +175,60 @@ def test_schedule_batches_are_read_only():
             batch[0] = 0
 
 
-def test_gather_remembers_read_only_rows_only():
-    ds = make_synthetic(6, 3, seed=0)
-    rows = np.array([0, 2])
-    first = [a.copy() for a in ds.gather(rows)]
-    rows[1] = 3    # a writable array may change between calls
-    assert all(np.array_equal(a, b) for a, b in
-               zip(ds.gather(rows), ds.subset([0, 3]).gather(np.arange(2))))
-    assert not np.array_equal(first[2], ds.gather(rows)[2])
-    batch = make_schedule(6, 2, seed=0).batches[0]
-    gathered = ds.gather(batch)
-    assert ds.gather(batch) is gathered
-    # an equal but distinct array is gathered afresh, to equal values
-    again = ds.gather(batch.copy())
-    assert again is not gathered
-    assert all(np.array_equal(a, b) for a, b in zip(again, gathered))
+def test_schedule_batches_are_the_sorted_chunks_of_the_shuffle():
+    # reference: sort each chunk of the epoch's permutation on its own
+    n = 20
+    for b in (1, 3, 7, n):
+        for seed, epoch in ((0, 0), (5, 3)):
+            perm = np.random.default_rng([seed, epoch]).permutation(n)
+            want = [np.sort(perm[k:k + b]) for k in range(0, n, b)]
+            got = make_schedule(n, b, seed, epoch).batches
+            assert len(got) == len(want)
+            for batch, chunk in zip(got, want):
+                assert batch.dtype == chunk.dtype
+                assert np.array_equal(batch, chunk)
+                assert not batch.flags.writeable
+                with pytest.raises(ValueError):
+                    batch[0] = 0
+
+
+def _parts(gathered):
+    """The arrays of a gather: the rows of a dense block, or the CSR triple."""
+    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
+
+
+def test_gather_remembers_read_only_rows_only(monkeypatch):
+    for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
+        monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
+        ds = make_synthetic(6, 3, seed=0)
+        assert (ds.block is None) == (fill > 1.0)
+        rows = np.array([0, 2])
+        first = [a.copy() for a in _parts(ds.gather(rows))]
+        rows[1] = 3    # a writable array may change between calls
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(_parts(ds.gather(rows)),
+                       _parts(ds.subset([0, 3]).gather(np.arange(2)))))
+        assert not np.array_equal(first[-1], _parts(ds.gather(rows))[-1])
+        batch = make_schedule(6, 2, seed=0).batches[0]
+        gathered = ds.gather(batch)
+        assert ds.gather(batch) is gathered
+        # an equal but distinct array is gathered afresh, to equal values
+        again = ds.gather(batch.copy())
+        assert again is not gathered
+        assert all(np.array_equal(a, b) for a, b in zip(_parts(again), _parts(gathered)))
+        # every row in order is the stored layout itself, uncopied
+        every = _parts(ds.gather(np.arange(6)))
+        assert all(a is b for a, b in zip(every, _parts(ds.gather())))
+        assert every[0] is (ds.block if fill == 0.0 else ds.row_ids)
 
 
 def test_split_keeps_no_gathered_copy_in_the_parent():
     ds = make_synthetic(20, 4, seed=0)
-    split_train_test(ds, 0.5, seed=1)
+    train, _ = split_train_test(ds, 0.5, seed=1)
     assert ds._last is None
+    # the dense block is built on the first gather, not on a split
+    assert "block" not in vars(ds)
+    assert train.gather() is train.block is not None
     every = np.arange(ds.n)
     every.flags.writeable = False
     ds.subset(every)

@@ -207,20 +207,28 @@ def sparse_spec(n, d, seed, fill=0.2):
 
 
 @pytest.mark.parametrize("layout", ["dense", "sparse"])
-def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout):
+def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout, monkeypatch):
     # the snap term reads c~[B] from the snapshot's full pass; it must be
-    # bit-equal to the slopes of a batch pass at w~
+    # bit-equal to the slopes of a batch pass at w~. On the dense block
+    # that needs one dot per row: X @ w restricted to B differs from
+    # X[B] @ w in the last bit at some d
     n = 64
-    spec = spec_for(n, 6) if layout == "dense" else sparse_spec(n, 30, seed=3)
+    if layout == "dense":
+        specs = [spec_for(n, d, seed=d) for d in (1, 5, 6, 7, 30, 50)]
+    else:
+        monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 2.0)
+        specs = [sparse_spec(n, 30, seed=3)]
     rng = np.random.default_rng(12)
-    snap = take_snapshot(spec, rng.standard_normal(spec.data.d))
-    assert np.array_equal(snap.grad, full_grad(spec, snap.point))
-    for b in (1, 7, 32, n):
-        for epoch in range(3):
-            for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:
-                fresh = slope(spec.loss, margins(spec.data, snap.point, batch),
-                              spec.data.labels[batch])
-                assert np.array_equal(snap.slopes[batch], fresh)
+    for spec in specs:
+        snap = take_snapshot(spec, rng.standard_normal(spec.data.d))
+        assert (spec.data.block is not None) == (layout == "dense")
+        assert np.array_equal(snap.grad, full_grad(spec, snap.point))
+        for b in (1, 7, 32, n):
+            for epoch in range(3):
+                for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:
+                    fresh = slope(spec.loss, margins(spec.data, snap.point, batch),
+                                  spec.data.labels[batch])
+                    assert np.array_equal(snap.slopes[batch], fresh)
 
 
 def test_direction_rejects_an_unknown_kind():

@@ -1,4 +1,5 @@
-"""Property tests of the CSR loss kernel against plain dense numpy."""
+"""Property tests of the loss kernel, on both data layouts, against plain
+dense numpy."""
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ def dense_slope(kind, z, y):
 
 @st.composite
 def problems(draw):
-    """A dense matrix with empty rows and unused columns allowed, its CSR
-    dataset, weights up to |margin| ~ 1e4, and a batch: one row, every row,
-    None (every row) or an unsorted subset."""
+    """A dense matrix with empty rows and unused columns allowed, its
+    dataset on a dense block or on CSR arrays, weights up to |margin| ~ 1e4,
+    and a batch: one row, every row, None (every row) or an unsorted
+    subset."""
     n = draw(st.integers(1, 7))
     d = draw(st.integers(1, 6))
     keep = draw(arrays(bool, (n, d)))
@@ -56,6 +58,11 @@ def problems(draw):
     r, c = np.nonzero(x)
     indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(x, axis=1))])
     data = Dataset(indptr, c, x[r, c], y, d)
+    # the fill constant fixes the layout when the block is first asked for
+    dense = draw(st.booleans())
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+        assert (data.block is not None) == dense
     return x, y, w, rows, data
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import saag.estimators as estimators_mod
 import saag.solvers as solvers_mod
-from saag.data import make_schedule, make_synthetic, split_train_test
+from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.line_search import SBASParams
 from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, objective_value,
@@ -152,21 +152,25 @@ def _arrays(obj):
 
 
 def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
-    train, test = split_train_test(make_synthetic(60, 5, seed=1), 0.8, 0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
-    cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
-    w, trace = run(cfg, test=test)
-    copies = [a for a in _arrays(list(vars(train).values()))
-              if np.array_equal(a, train.values)
-              and not np.shares_memory(a, train.values)]
-    assert copies == []
-    # the full batch's stored arrays give the same trace as a gathered copy
-    monkeypatch.setattr(type(train), "gather", lambda self, rows=None: self._gather(
-        np.arange(self.n) if rows is None else np.asarray(rows)))
-    w_copy, trace_copy = run(cfg, test=test)
-    assert np.array_equal(w, w_copy)
-    assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
-        [(p.fevals, p.objective, p.test_accuracy) for p in trace_copy.points]
+    for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
+        monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
+        train, test = split_train_test(make_synthetic(60, 5, seed=1), 0.8, 0)
+        spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+        cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
+        w, trace = run(cfg, test=test)
+        stored = [a for a in (train.values, train.block) if a is not None]
+        assert len(stored) == (2 if fill == 0.0 else 1)
+        copies = [a for a in _arrays(list(vars(train).values())) for s in stored
+                  if np.array_equal(a, s) and not np.shares_memory(a, s)]
+        assert copies == []
+        # the full batch's stored arrays give the same trace as a gathered copy
+        with monkeypatch.context() as m:
+            m.setattr(Dataset, "gather", lambda self, rows=None: self._gather(
+                np.arange(self.n) if rows is None else np.asarray(rows)))
+            w_copy, trace_copy = run(cfg, test=test)
+        assert np.array_equal(w, w_copy)
+        assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
+            [(p.fevals, p.objective, p.test_accuracy) for p in trace_copy.points]
 
 
 def test_run_is_deterministic():
@@ -379,20 +383,22 @@ def test_reference_polish_stops_at_rounding_fixed_point(seed):
 
 def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
     # below DENSE_PASS_FILL the full passes run in CSR without densifying;
-    # the dense BLAS passes must reach the same optimum
-    from saag.data import Dataset
+    # the passes on a dense block must reach the same optimum
     rng = np.random.default_rng(3)
     x = rng.standard_normal((200, 300)) * (rng.random((200, 300)) < 0.02)
     y = np.where(x @ rng.standard_normal(300) >= 0.0, 1.0, -1.0)
     rows, cols = np.nonzero(x)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    reg = Regularizer(lambda2=1e-3, lambda1=1e-3)
     ds = Dataset(indptr, cols, x[rows, cols], y, 300)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=1e-3), ds)
     with monkeypatch.context() as m:
         m.setattr(Dataset, "dense", lambda self: pytest.fail("densified"))
-        sparse = reference_optimum(spec, budget=300)
-    monkeypatch.setattr(solvers_mod, "DENSE_PASS_FILL", 0.0)
-    dense = reference_optimum(spec, budget=300)
+        sparse = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
+    assert ds.block is None
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0)
+    ds = Dataset(indptr, cols, x[rows, cols], y, 300)
+    dense = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
+    assert ds.block is not None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
     np.testing.assert_allclose(sparse.w, dense.w, atol=1e-6)
@@ -401,13 +407,15 @@ def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
 def test_reference_optimum_above_dense_limit_uses_csr(monkeypatch):
     # a dense training set whose copy would not fit takes the CSR passes
     # instead of failing in Dataset.dense
-    from saag.data import Dataset
     spec = toy_spec(n=40, d=6, lam2=1e-3, lam1=1e-3, seed=2)
     dense = reference_optimum(spec, budget=200)
+    assert spec.data.block is not None
     monkeypatch.setattr(Dataset, "DENSE_LIMIT", spec.data.n * spec.data.d - 1)
+    spec = toy_spec(n=40, d=6, lam2=1e-3, lam1=1e-3, seed=2)
     with pytest.raises(ValueError, match="too large to densify"):
         spec.data.dense()
     sparse = reference_optimum(spec, budget=200)
+    assert spec.data.block is None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
 
