@@ -89,7 +89,8 @@ _FIELDS = {
     "alpha": (float, "Armijo sufficient-decrease constant"),
     "shrink": (float, "backtracking shrink factor"),
     "max_backtracks": (int, "most backtracks per line-search call"),
-    "fixed_eta": (_opt_float, "bypass the line search with a fixed step"),
+    "fixed_eta": (_opt_float,
+                  "bypass the line search with a fixed step (finite, > 0)"),
     "out": (str, "output CSV path"),
     "workers": (int, "parallel run workers"),
     "train_fraction": (float, "share of the rows in the training set"),
@@ -276,7 +277,8 @@ def cmd_run(config, axis=None, values=None, out=None):
         fstar = finalize_suboptimality(group, reference.value)
         where = f"lambda = {group[0].extra[axis]}, " if axis == "lambda" else ""
         f_star_notes.append(f"note: f_star = {fstar!r} "
-                            f"({where}reference converged: {reference.converged})")
+                            f"({where}reference converged: {reference.converged}, "
+                            f"iterations: {reference.iterations})")
     metadata = echo_config(config) + [f"note: data from {provenance}"]
     if axis is not None:
         metadata.append(f"note: sweep axis = {axis}, values = {values}")

@@ -27,6 +27,7 @@ SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
 POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
+DECAY = 0.9             # of L, tried first after an accepted reference step
 
 
 class NonFiniteDirection(RuntimeError):
@@ -77,6 +78,8 @@ class RunConfig:
             raise ValueError(f"batch size {self.batch_size} out of range [1, {n}]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.fixed_eta is not None and not 0.0 < self.fixed_eta < math.inf:
+            raise ValueError(f"fixed step {self.fixed_eta} must be finite and > 0")
 
 
 def init_state(config):
@@ -229,12 +232,17 @@ def reference_optimum(spec, budget=500):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
     Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue & Candes
-    2015) at the step 1/L of the full mean loss: L starts at CURVATURE *
-    lambda_max(X^T X) / n + lambda2 and doubles until the quadratic upper
-    bound holds, so every accepted iterate lowers F. It stops, converged,
-    once the gradient mapping L||p - v|| <= sqrt(lambda2 * 1e-13 * F), so
-    F(p) - F* <= 5e-14 * F by strong convexity, or at a rounding fixed
-    point; unconverged after max(2000, 20 * budget) iterations. Each
+    2015) at a local step 1/L of the full mean loss (Scheinberg, Goldfarb &
+    Bai 2014): L starts at CURVATURE * lambda_max(X^T X) / n + lambda2,
+    doubles until the quadratic upper bound holds, and after each step that
+    lowers F the next iteration first tries DECAY * L, never below lambda2
+    nor 2^-(MAX_DOUBLINGS // 2) of the first L. It stops, converged, once
+    the gradient mapping L||p - v|| <= sqrt(lambda2 * 1e-13 * F), so
+    F(p) - F* <= 5e-14 * F by strong convexity whatever L the bound held at
+    (exactly so when lambda1 = 0), or at a rounding fixed point; unconverged after max(2000, 20 *
+    budget) iterations. The certificate needs lambda2 > 0: with lambda2 = 0
+    the loop stops converged only where a step no longer moves p or no
+    longer lowers F, and otherwise runs to its cap unconverged. Each
     iteration takes one pass over X and one over X^T, in the layout the
     dataset chose (``Dataset.block``).
     """
@@ -254,6 +262,9 @@ def reference_optimum(spec, budget=500):
     top = _top_eigenvalue(data) or float(data.values @ data.values)
     # f is constant when both terms vanish, and any step fits
     lipschitz = CURVATURE[spec.loss] * top / n + lam2 or 1.0
+    # below lambda2 no step fits but by rounding; the second bound keeps the
+    # global L within MAX_DOUBLINGS of any L the decay reaches when lambda2 = 0
+    floor = max(lam2, lipschitz * 2.0 ** -(MAX_DOUBLINGS // 2))
 
     w, zw = np.zeros(data.d), np.zeros(n)
     fw = smooth(zw, w)
@@ -285,6 +296,7 @@ def reference_optimum(spec, budget=500):
             beta = (t - 1.0) / t_new
             v, zv = p + beta * (p - w), zp + beta * (zp - zw)
             w, zw, fw, t, restarted = p, zp, fp, t_new, False
+            lipschitz = max(DECAY * lipschitz, floor)
         elif restarted:     # a step from w cannot raise F but by rounding
             converged = True
         else:               # F failed to fall: restart the momentum

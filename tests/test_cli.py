@@ -95,6 +95,17 @@ def test_unknown_solver_is_usage_error(capsys):
     assert "sagmark" in err and "saag4" in err
 
 
+@pytest.mark.parametrize("eta", ["-0.1", "0", "nan"])
+def test_bad_fixed_step_is_an_error(tmp_path, capsys, eta):
+    # a step that cannot move w would give runs with F = ln 2 in every row
+    out = tmp_path / "run.csv"
+    code = main(["run", "--synthetic", "n=20,d=3", "--solvers", "gd",
+                 "--epochs", "1", "--fixed-eta", eta, "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_data_source_is_usage_error(capsys):
     assert main(["run", "--solvers", "saag4"]) == 2
     assert "dataset" in capsys.readouterr().err
@@ -294,7 +305,8 @@ def test_lambda_sweep_notes_one_f_star_per_value(tmp_path):
     notes = [ln for ln in metadata if ln.startswith("note: f_star")]
     assert len(notes) == 2
     for note, value in zip(notes, ("0.01", "0.0001")):
-        assert f"(lambda = {value}, reference converged: " in note
+        assert f"(lambda = {value}, reference converged: True, iterations: " in note
+        assert int(note.rsplit(" ", 1)[1].rstrip(")")) >= 1
         f_star = float(note.split()[3])
         picked = [r for r in rows if r["lambda"] == value]
         implied = [r["objective"] - r["suboptimality"] for r in picked]

@@ -317,6 +317,11 @@ def test_invalid_configs_rejected():
         RunConfig(solver="gd", objective=spec, epochs=0, batch_size=4)
     with pytest.raises(ValueError):
         RunConfig(solver="gd", objective=spec, epochs=1, batch_size=9)
+    # a fixed step that is not finite and positive would leave w in place
+    for eta in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="fixed step"):
+            RunConfig(solver="gd", objective=spec, epochs=1, batch_size=4,
+                      fixed_eta=eta)
 
 
 def test_reference_optimum_one_point_least_squares():
@@ -381,27 +386,61 @@ def test_reference_polish_stops_at_rounding_fixed_point(seed):
     assert ref.iterations < 2000
 
 
-def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
-    # below DENSE_PASS_FILL the full passes run in CSR without densifying;
-    # the passes on a dense block must reach the same optimum
+def sparse_logistic_set():
+    # 200 x 300 at 2% fill, labelled by a random hyperplane
     rng = np.random.default_rng(3)
     x = rng.standard_normal((200, 300)) * (rng.random((200, 300)) < 0.02)
     y = np.where(x @ rng.standard_normal(300) >= 0.0, 1.0, -1.0)
     rows, cols = np.nonzero(x)
     indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    return Dataset(indptr, cols, x[rows, cols], y, 300)
+
+
+def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
+    # below DENSE_PASS_FILL the full passes run in CSR without densifying;
+    # the passes on a dense block must reach the same optimum
     reg = Regularizer(lambda2=1e-3, lambda1=1e-3)
-    ds = Dataset(indptr, cols, x[rows, cols], y, 300)
+    ds = sparse_logistic_set()
     with monkeypatch.context() as m:
         m.setattr(Dataset, "dense", lambda self: pytest.fail("densified"))
         sparse = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
     assert ds.block is None
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0)
-    ds = Dataset(indptr, cols, x[rows, cols], y, 300)
+    ds = sparse_logistic_set()
     dense = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
     assert ds.block is not None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
     np.testing.assert_allclose(sparse.w, dense.w, atol=1e-6)
+
+
+def test_reference_decaying_step_matches_the_global_step(monkeypatch):
+    # after each accepted step L first tries DECAY * L; the certificate holds
+    # at any L, so the optimum is the one the global step reaches, sooner
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-5, lambda1=1e-3),
+                         sparse_logistic_set())
+    local = reference_optimum(spec)
+    monkeypatch.setattr(solvers_mod, "DECAY", 1.0)
+    fixed = reference_optimum(spec)
+    assert local.converged and fixed.converged
+    assert abs(local.value - fixed.value) <= 1e-12 * fixed.value
+    assert local.iterations < fixed.iterations
+
+
+def test_reference_decay_stays_within_reach_of_the_doublings(monkeypatch):
+    # with lambda2 = 0 on separable data the curvature vanishes and L decays
+    # to its floor, 2^-(MAX_DOUBLINGS // 2) of the first L, so the doublings
+    # still reach the global bound and end the search only by rounding
+    spec = toy_spec(n=12, d=3, lam2=0.0, seed=7)
+    steps = []
+    prox = solvers_mod.prox
+    monkeypatch.setattr(solvers_mod, "prox",
+                        lambda z, step, reg: steps.append(step) or prox(z, step, reg))
+    ref = reference_optimum(spec, budget=5)
+    first = 0.25 * solvers_mod._top_eigenvalue(spec.data) / spec.data.n
+    assert not ref.converged
+    assert max(steps) * first == pytest.approx(2.0 ** (solvers_mod.MAX_DOUBLINGS // 2),
+                                               rel=1e-12)
 
 
 def test_reference_optimum_above_dense_limit_uses_csr(monkeypatch):
