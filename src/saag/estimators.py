@@ -62,18 +62,21 @@ def table_aggregate_recomputed(table, spec):
     return scatter(spec.data, table.slopes)
 
 
-def saag1_direction(table, spec, w, batch):
+def saag1_direction(table, spec, w, batch, z=None):
     """Incremental-table direction; refreshes the batch slots in place.
 
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
     gradients enter at weight 1/n, so the stale remainder is averaged over
     the whole dataset and the direction collapses to the full gradient at
-    |B| = n. Work is O(|B| * nnz) per call.
+    |B| = n. Work is O(|B| * nnz) per call. ``z`` is the batch's margins
+    X_B w when the caller has them.
     """
     data = spec.data
     n = data.n
     k = len(batch)
-    c = slope(spec.loss, margins(data, w, batch), data.labels[batch])
+    if z is None:
+        z = margins(data, w, batch)
+    c = slope(spec.loss, z, data.labels[batch])
     # slots never refreshed hold slope 0, so the change is c - stored in every slot
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
     table.slopes[batch] = c
@@ -84,7 +87,7 @@ def saag1_direction(table, spec, w, batch):
     return fresh / k + (table.aggregate - fresh) / n + spec.reg.lambda2 * w
 
 
-def saag2_direction(spec, w, batch, snap):
+def saag2_direction(spec, w, batch, snap, z=None):
     """Biased snap-point direction:
     (1/|B|) sum_B grad f_i(w) - (1/n) sum_B grad f_i(w~) + mu~.
 
@@ -92,41 +95,44 @@ def saag2_direction(spec, w, batch, snap):
     the mean over a partition of equal batches is
     grad f(w) + ((m-1)/m) grad f(w~). Each component gradient carries its l2
     share at its own evaluation point, so the identity holds exactly for any
-    lambda2. The snap term reads the stored slopes c~_B.
+    lambda2. The snap term reads the stored slopes c~_B; ``z`` is as in
+    ``saag1_direction``.
     """
     n = spec.data.n
     k = len(batch)
     lam2 = spec.reg.lambda2
-    cur = slope_sum(spec, w, batch)
+    cur = slope_sum(spec, w, batch, z)
     old = scatter(spec.data, snap.slopes[batch], batch)
     return (cur / k - old / n
             + lam2 * w - (k / n) * lam2 * snap.point
             + snap.grad)
 
 
-def svrg_direction(spec, w, batch, snap):
+def svrg_direction(spec, w, batch, snap, z=None):
     """Unbiased control-variate direction:
     (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~.
 
     At w = w~ the correction cancels exactly and the direction equals mu~.
+    ``z`` is as in ``saag1_direction``.
     """
     k = len(batch)
-    cur = slope_sum(spec, w, batch)
+    cur = slope_sum(spec, w, batch, z)
     old = scatter(spec.data, snap.slopes[batch], batch)
     return (cur - old) / k + spec.reg.lambda2 * (w - snap.point) + snap.grad
 
 
-def direction(kind, spec, w, batch, table=None, snap=None):
+def direction(kind, spec, w, batch, table=None, snap=None, z=None):
     """The direction of solver ``kind`` at w over ``batch``: the table kinds
-    read and refresh ``table``, the snap kinds read ``snap``."""
+    read and refresh ``table``, the snap kinds read ``snap``. ``z`` is the
+    batch's margins X_B w when the caller has them."""
     if kind in TABLE_KINDS:
-        return saag1_direction(table, spec, w, batch)
+        return saag1_direction(table, spec, w, batch, z)
     if kind in ("saag2", "saag4"):
-        return saag2_direction(spec, w, batch, snap)
+        return saag2_direction(spec, w, batch, snap, z)
     if kind in ("svrg", "vrsgd"):
-        return svrg_direction(spec, w, batch, snap)
+        return svrg_direction(spec, w, batch, snap, z)
     if kind in ("gd", "sgd"):
-        return batch_grad(spec, w, batch)
+        return batch_grad(spec, w, batch, z)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 

@@ -40,13 +40,20 @@ class ObjectiveSpec:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
 
 
-def loss(kind, z, y):
-    """Per-point losses at margins ``z`` with labels ``y`` (no regularization)."""
+def loss_t(kind, t):
+    """Per-point losses at signed margins t = -y z, labels y = +-1: every
+    loss is a function of t alone."""
     if kind == "logistic":
-        return np.logaddexp(0.0, -y * z)
+        return np.logaddexp(0.0, t)
     if kind == "squared_hinge":
-        return np.maximum(0.0, 1.0 - y * z) ** 2
-    return 0.5 * (z - y) ** 2
+        return np.maximum(0.0, 1.0 + t) ** 2
+    return 0.5 * (t + 1.0) ** 2     # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
+
+
+def loss(kind, z, y):
+    """Per-point losses at margins ``z`` with labels ``y`` = +-1 (no
+    regularization)."""
+    return loss_t(kind, -y * z)
 
 
 def slope(kind, z, y):
@@ -88,21 +95,24 @@ def _batch_labels(data, rows):
     return data.labels if rows is None else data.labels[rows]
 
 
-def slope_sum(spec, w, rows=None):
-    """Dense sum of c_i * x_i over a batch (every row when None)."""
+def slope_sum(spec, w, rows=None, z=None):
+    """Dense sum of c_i * x_i over a batch (every row when None); ``z`` is
+    the batch's margins X_B w when the caller has them."""
     data = spec.data
-    c = slope(spec.loss, margins(data, w, rows), _batch_labels(data, rows))
-    return scatter(data, c, rows)
+    if z is None:
+        z = margins(data, w, rows)
+    return scatter(data, slope(spec.loss, z, _batch_labels(data, rows)), rows)
 
 
-def batch_grad(spec, w, rows=None):
+def batch_grad(spec, w, rows=None, z=None):
     """Mean gradient of the smooth part over a batch (every row when None):
-    (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w.
+    (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is as in
+    ``slope_sum``.
     """
     k = spec.data.n if rows is None else len(rows)
     if k == 0:
         raise ValueError("empty batch")
-    return slope_sum(spec, w, rows) / k + spec.reg.lambda2 * w
+    return slope_sum(spec, w, rows, z) / k + spec.reg.lambda2 * w
 
 
 def full_grad(spec, w):
@@ -123,22 +133,28 @@ def batch_smooth_value(spec, w, rows=None):
     return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w @ w)
 
 
-def batch_ray(spec, w, rows, direction):
+def batch_ray(spec, w, rows, direction, z=None, dd=None):
     """phi(eta) = batch_smooth_value(spec, w - eta * direction, rows) in O(b)
-    per call: X_B w, X_B d (every row when ``rows`` is None), w.w, w.d and
-    d.d are formed once."""
+    per call. X_B w (``z``, formed here when None), X_B d (every row when
+    ``rows`` is None), w.w, w.d and d.d (``dd``, likewise) are formed once,
+    and the margins are signed once: with t = -y X_B w and y X_B d, a trial
+    is loss_t(t + eta y X_B d) and one sum, four array calls for the
+    logistic loss. As y = +-1, every sign flip is exact, so each trial is
+    bit-equal to the loss at the margins X_B w - eta X_B d."""
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
     data, kind = spec.data, spec.loss
     y = _batch_labels(data, rows)
-    z, u = margins(data, w, rows), margins(data, direction, rows)
+    if z is None:
+        z = margins(data, w, rows)
+    t, tu = -y * z, y * margins(data, direction, rows)
     ww, wd = float(w @ w), float(w @ direction)
-    dd = float(direction @ direction)
-    half = 0.5 * spec.reg.lambda2
+    if dd is None:
+        dd = float(direction @ direction)
+    half, b = 0.5 * spec.reg.lambda2, t.size
 
     def phi(eta):
-        losses = loss(kind, z - eta * u, y)
-        return (float(losses.sum()) / losses.size
+        return (float(np.add.reduce(loss_t(kind, t + eta * tu))) / b
                 + half * (ww - 2.0 * eta * wd + eta * eta * dd))
 
     return phi

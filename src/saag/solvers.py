@@ -28,6 +28,7 @@ CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
 POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
 DECAY = 0.9             # of L, tried first after an accepted reference step
+GAP = 1e-13             # of lambda2 * F: bound on a squared reference certificate
 
 
 class NonFiniteDirection(RuntimeError):
@@ -103,7 +104,9 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     advances the counters and the iterate sum.
     """
     c = state.counters
-    d = direction(kind, spec, state.w, batch, state.table, state.snap)
+    # the batch's margins X_B w serve both the direction and the search
+    z = margins(spec.data, state.w, batch)
+    d = direction(kind, spec, state.w, batch, state.table, state.snap, z)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     c.grads += len(batch) * (1 if state.snap is None else 2)
@@ -117,12 +120,13 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     elif kind == "sgd":
         eta = sbas_params.eta0 / math.sqrt(c.inner)
     else:
-        eta, evals = backtrack(sbas_params, batch_ray(spec, state.w, batch, d),
-                               float(d @ d))
+        dd = float(d @ d)
+        phi = batch_ray(spec, state.w, batch, d, z, dd)
+        eta, evals = backtrack(sbas_params, phi, dd)
         c.fevals += evals
     if eta > 0.0:
-        z = state.w - eta * d
-        state.w = prox(z, eta, spec.reg) if spec.reg.lambda1 > 0 else z
+        v = state.w - eta * d
+        state.w = prox(v, eta, spec.reg) if spec.reg.lambda1 > 0 else v
     state.iterate_sum += state.w
     return state
 
@@ -237,14 +241,19 @@ def reference_optimum(spec, budget=500):
     doubles until the quadratic upper bound holds, and after each step that
     lowers F the next iteration first tries DECAY * L, never below lambda2
     nor 2^-(MAX_DOUBLINGS // 2) of the first L. It stops, converged, once
-    the gradient mapping L||p - v|| <= sqrt(lambda2 * 1e-13 * F), so
-    F(p) - F* <= 5e-14 * F by strong convexity whatever L the bound held at
-    (exactly so when lambda1 = 0), or at a rounding fixed point; unconverged after max(2000, 20 *
-    budget) iterations. The certificate needs lambda2 > 0: with lambda2 = 0
-    the loop stops converged only where a step no longer moves p or no
-    longer lowers F, and otherwise runs to its cap unconverged. Each
-    iteration takes one pass over X and one over X^T, in the layout the
-    dataset chose (``Dataset.block``).
+    a subgradient s of F has ||s||^2 <= lambda2 * GAP * F, so
+    F(p) - F* <= ||s||^2 / (2 lambda2) <= 5e-14 * F by strong convexity
+    whatever L the bound held at, or at a rounding fixed point; unconverged
+    after max(2000, 20 * budget) iterations. With lambda1 = 0, s is the
+    gradient mapping L(v - p), the gradient at v, and F(p) <= F(v) where
+    the bound holds. With lambda1 > 0 the gradient mapping is no
+    subgradient; once it passes the test, s = grad f(p) - grad f(v) +
+    L(v - p), which lies in dF(p) by the prox's optimality condition, must
+    pass too, at the cost of one more pass over X^T. The certificate needs
+    lambda2 > 0: with lambda2 = 0 the loop stops converged only where a
+    step no longer moves p or no longer lowers F, and otherwise runs to its
+    cap unconverged. Each iteration takes one pass over X and one over
+    X^T, in the layout the dataset chose (``Dataset.block``).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -253,7 +262,7 @@ def reference_optimum(spec, budget=500):
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
 
     def smooth(z, w):
-        return float(np.mean(loss(spec.loss, z, y))) + 0.5 * lam2 * float(w @ w)
+        return float(loss(spec.loss, z, y).sum()) / n + 0.5 * lam2 * float(w @ w)
 
     def grad(z, w):
         return scatter(data, slope(spec.loss, z, y)) / n + lam2 * w
@@ -290,7 +299,11 @@ def reference_optimum(spec, budget=500):
             converged = True
             break
         fp += lam1 * float(np.abs(p).sum())
-        converged = lipschitz ** 2 * float(move @ move) <= lam2 * 1e-13 * fw
+        bound = lam2 * GAP * fw
+        converged = lipschitz ** 2 * float(move @ move) <= bound
+        if converged and lam1 > 0.0:
+            s = grad(zp, p) - g - lipschitz * move
+            converged = float(s @ s) <= bound
         if fp < fw:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new

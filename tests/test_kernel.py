@@ -142,6 +142,37 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     assert abs(phi(eta) - want) <= 1e-12 * (abs(want) + slack)
 
 
+def margin_loss(kind, z, y):
+    """The losses written over margins z: the signed-margin kernel and the
+    search must match them bit for bit."""
+    if kind == "logistic":
+        return np.logaddexp(0.0, -y * z)
+    if kind == "squared_hinge":
+        return np.maximum(0.0, 1.0 - y * z) ** 2
+    return 0.5 * (z - y) ** 2
+
+
+@SETTINGS
+@given(problems(), st.sampled_from(LOSSES),
+       st.sampled_from([0.0, 1.0, 0.5 ** 7, 0.5 ** 29, 3.0]), st.data())
+def test_batch_ray_trials_are_the_margin_formula_bit_for_bit(problem, kind, eta, draw):
+    # signing the ray's margins once by y = +-1 must not move a trial by a bit
+    x, y, w, rows, data = problem
+    scale = draw.draw(st.sampled_from([1.0, 1e3]))
+    d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
+    lam2 = 1e-2
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2), data)
+    yb = y if rows is None else y[rows]
+    z, u = margins(data, w, rows), margins(data, d, rows)
+    assert np.array_equal(loss(kind, z, yb), margin_loss(kind, z, yb))
+    l2 = 0.5 * lam2 * (float(w @ w) - 2.0 * eta * float(w @ d)
+                       + eta * eta * float(d @ d))
+    want = float(margin_loss(kind, z - eta * u, yb).sum()) / z.size + l2
+    assert batch_ray(spec, w, rows, d)(eta) == want
+    # the inner step hands over X_B w and d.d it already formed
+    assert batch_ray(spec, w, rows, d, z, float(d @ d))(eta) == want
+
+
 @SETTINGS
 @given(problems())
 def test_accuracy_matches_dense(problem):

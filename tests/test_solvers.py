@@ -7,7 +7,7 @@ import saag.estimators as estimators_mod
 import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.line_search import SBASParams
-from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
+from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, objective_value,
                             slope_sum)
 from saag.solvers import (SOLVERS, RunConfig, init_state,
@@ -242,11 +242,19 @@ def test_sentinel_streak_leaves_w_unchanged(kind):
     assert state.counters.grads == EXPECTED_GRADS_PER_EPOCH[kind] * 16
 
 
-@pytest.mark.parametrize("kind", SBAS_SOLVERS)
-def test_margin_space_search_keeps_traces(kind, monkeypatch):
+# every loss with and without l1; the logistic smooth case of a solver is
+# named by the solver alone
+SEARCH_CASES = [
+    pytest.param(kind, loss, lam1, id=kind if (loss, lam1) == ("logistic", 0.0)
+                 else f"{kind}-{loss}-l1={lam1}")
+    for loss in LOSSES for lam1 in (0.0, 1e-3) for kind in SBAS_SOLVERS]
+
+
+@pytest.mark.parametrize("kind,loss,lam1", SEARCH_CASES)
+def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     # the margin-space search must take the same Armijo decisions as
     # sbas(params, lambda v: batch_smooth_value(spec, v, batch), w, d)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-4),
+    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-4, lambda1=lam1),
                          make_synthetic(60, 8, seed=5, flip=0.1))
     # eta0 = 50 makes every solver backtrack, so the decisions are tested
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
@@ -254,7 +262,8 @@ def test_margin_space_search_keeps_traces(kind, monkeypatch):
     w_fast, fast = run(cfg)
     monkeypatch.setattr(
         solvers_mod, "batch_ray",
-        lambda spec_, w, rows, d: lambda eta: batch_smooth_value(spec_, w - eta * d, rows))
+        lambda spec_, w, rows, d, z=None, dd=None:
+            lambda eta: batch_smooth_value(spec_, w - eta * d, rows))
     w_plain, plain = run(cfg)
     assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]
     assert [p.objective for p in fast.points] == [p.objective for p in plain.points]
@@ -273,13 +282,13 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6, seed=1)
     w_stored, stored = run(cfg, test=test)
 
-    def saag2_afresh(spec_, w, batch, snap):
+    def saag2_afresh(spec_, w, batch, snap, z=None):
         n, k, lam2 = spec_.data.n, len(batch), spec_.reg.lambda2
         old = slope_sum(spec_, snap.point, batch)
         return (slope_sum(spec_, w, batch) / k - old / n
                 + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
 
-    def svrg_afresh(spec_, w, batch, snap):
+    def svrg_afresh(spec_, w, batch, snap, z=None):
         old = slope_sum(spec_, snap.point, batch)
         return ((slope_sum(spec_, w, batch) - old) / len(batch)
                 + spec_.reg.lambda2 * (w - snap.point) + snap.grad)
@@ -425,6 +434,19 @@ def test_reference_decaying_step_matches_the_global_step(monkeypatch):
     assert local.converged and fixed.converged
     assert abs(local.value - fixed.value) <= 1e-12 * fixed.value
     assert local.iterations < fixed.iterations
+
+
+def test_reference_l1_certificate_bounds_the_gap(monkeypatch):
+    # with lambda1 > 0 the loop stops on a subgradient of F at p; a lambda2
+    # this large lets it fire well before the rounding exit
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=1e-3),
+                         sparse_logistic_set())
+    certified = reference_optimum(spec)
+    monkeypatch.setattr(solvers_mod, "GAP", 0.0)
+    rounded = reference_optimum(spec)
+    assert certified.converged and rounded.converged
+    assert certified.iterations < rounded.iterations
+    assert abs(certified.value - rounded.value) <= 5e-14 * rounded.value
 
 
 def test_reference_decay_stays_within_reach_of_the_doublings(monkeypatch):
