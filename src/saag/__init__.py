@@ -2,8 +2,8 @@
 extensions, plus baselines, a stochastic Armijo line search, a benchmark
 harness, and oracle-based verification of the estimator and rate claims."""
 
-from .data import (BatchSchedule, Dataset, ParseError, dump_libsvm,
-                   load_libsvm, make_schedule, make_synthetic, parse_libsvm,
+from .data import (BatchSchedule, Dataset, ParseError, load_libsvm,
+                   make_schedule, make_synthetic, parse_libsvm,
                    split_train_test)
 from .estimators import (GradTable, SnapState, direction,
                          estimator_mean_bruteforce, make_table,
@@ -12,15 +12,15 @@ from .estimators import (GradTable, SnapState, direction,
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
                       read_csv, record_epoch)
 from .line_search import SBASParams, backtrack, sbas
-from .objective import (LOSSES, ObjectiveSpec, ProblemConstants, Regularizer,
-                        accuracy, batch_grad, batch_ray, batch_smooth_value,
-                        estimate_constants, full_grad, loss, margins,
-                        objective_value, prox, scatter, slope)
+from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
+                        batch_grad, batch_ray, batch_smooth_value, full_grad,
+                        loss, margins, objective_value, prox, scatter, slope)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)
-from .verify import (RateParams, RateReport, RegimeError, VarianceBoundReport,
-                     alpha_b, best_beta, bias_identity_gap, run_suites,
-                     theoretical_rate, unbiasedness_gap, variance_bound_check)
+from .verify import (ProblemConstants, RateParams, RateReport, RegimeError,
+                     VarianceBoundReport, alpha_b, best_beta, bias_identity_gap,
+                     estimate_constants, run_suites, theoretical_rate,
+                     unbiasedness_gap, variance_bound_check)
 
 __version__ = "0.1.0"

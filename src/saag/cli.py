@@ -240,7 +240,7 @@ def _grid(config, axis, values, n_train):
             for v in values], values
 
 
-def cmd_run(config, axis=None, values=None, out=None):
+def cmd_run(config, axis=None, values=None):
     """Run every (solver x seed) job at each point of a batch-size or lambda
     grid (the configured point when ``axis`` is None), finalize one F* per
     regularizer, write one CSV (with an ``axis`` column for a sweep) and
@@ -251,6 +251,10 @@ def cmd_run(config, axis=None, values=None, out=None):
     if axis is None:
         config = replace(config, b=points[0][1])
     specs = {reg: ObjectiveSpec(config.loss, reg, train) for _, _, reg in points}
+    # each regularizer is a different objective and needs its own F*, which
+    # depends on nothing else, so a bad budget fails before any solver runs
+    references = {spec: reference_optimum(spec, config.ref_budget)
+                  for spec in specs.values()}
     sbas = SBASParams(alpha=config.alpha, shrink=config.shrink, eta0=config.eta0,
                       max_backtracks=config.max_backtracks)
     runs = [(value, RunConfig(solver=kind, objective=specs[reg],
@@ -272,8 +276,7 @@ def cmd_run(config, axis=None, values=None, out=None):
         groups.setdefault(job.objective, []).append(trace)
     f_star_notes = []
     for spec, group in groups.items():
-        # each regularizer is a different objective and needs its own F*
-        reference = reference_optimum(spec, config.ref_budget)
+        reference = references[spec]
         fstar = finalize_suboptimality(group, reference.value)
         where = f"lambda = {group[0].extra[axis]}, " if axis == "lambda" else ""
         f_star_notes.append(f"note: f_star = {fstar!r} "
@@ -284,15 +287,14 @@ def cmd_run(config, axis=None, values=None, out=None):
         metadata.append(f"note: sweep axis = {axis}, values = {values}")
     metadata += [f"note: n_train = {train.n}, n_test = {test.n}, d = {train.d}",
                  *f_star_notes]
-    path = out or config.out
-    emit_csv(traces, path, metadata=metadata,
+    emit_csv(traces, config.out, metadata=metadata,
              extra_fields=() if axis is None else (axis,))
     if axis is None:
-        print(f"wrote {path} ({len(traces)} traces, F* = {fstar:.12e})")
+        print(f"wrote {config.out} ({len(traces)} traces, F* = {fstar:.12e})")
         for line in _summary_lines(traces):
             print(line)
     else:
-        print(f"wrote {path} ({len(traces)} traces over {axis} grid {values})")
+        print(f"wrote {config.out} ({len(traces)} traces over {axis} grid {values})")
     return 1 if any(t.failure for t in traces) else 0
 
 

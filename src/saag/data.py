@@ -195,18 +195,6 @@ def parse_libsvm(text):
     return Dataset(indptr, indices, values, labels, d)
 
 
-def dump_libsvm(ds):
-    """Serialize a Dataset back to LibSVM text (exact float round trip)."""
-    lines = []
-    for i, y in enumerate(ds.labels):
-        part = slice(ds.indptr[i], ds.indptr[i + 1])
-        label = "+1" if y > 0 else "-1"
-        feats = " ".join(f"{j + 1}:{float(v)!r}"
-                         for j, v in zip(ds.indices[part], ds.values[part]))
-        lines.append(f"{label} {feats}".rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def load_libsvm(path):
     with open(path, "rb") as fh:
         return parse_libsvm(fh.read())

@@ -57,11 +57,6 @@ def make_table(spec):
     return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.d))
 
 
-def table_aggregate_recomputed(table, spec):
-    """Dense sum implied by the stored slots; debug check for drift."""
-    return scatter(spec.data, table.slopes)
-
-
 def saag1_direction(table, spec, w, batch, z=None):
     """Incremental-table direction; refreshes the batch slots in place.
 

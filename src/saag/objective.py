@@ -14,6 +14,9 @@ import numpy as np
 
 LOSSES = ("logistic", "squared_hinge", "least_squares")
 
+# Bound on each loss's second derivative in the margin.
+CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
+
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -190,35 +193,3 @@ def accuracy(w, test):
     pred = np.where(margins(test, w) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == test.labels))
 
-
-@dataclass(frozen=True)
-class ProblemConstants:
-    """Smoothness constant L and strong-convexity constant mu (L >= mu >= 0)."""
-
-    L: float
-    mu: float
-
-    def __post_init__(self):
-        if self.L <= 0 or self.mu < 0 or self.L < self.mu:
-            raise ValueError("constants must satisfy L >= mu >= 0 and L > 0")
-
-
-def estimate_constants(spec):
-    """Curvature constants from the data: L bounds every component Hessian.
-
-    logistic: L = max ||x_i||^2 / 4 + lambda2
-    squared hinge: L = 2 max ||x_i||^2 + lambda2
-    least squares: L = max ||x_i||^2 + lambda2
-    mu = lambda2 in all cases.
-    """
-    data = spec.data
-    max_sq = float(np.bincount(data.row_ids, weights=data.values ** 2,
-                               minlength=data.n).max())
-    lam2 = spec.reg.lambda2
-    if spec.loss == "logistic":
-        lipschitz = max_sq / 4.0 + lam2
-    elif spec.loss == "squared_hinge":
-        lipschitz = 2.0 * max_sq + lam2
-    else:
-        lipschitz = max_sq + lam2
-    return ProblemConstants(L=lipschitz, mu=lam2)

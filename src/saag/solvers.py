@@ -19,12 +19,11 @@ from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
                          make_table, take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import batch_ray, loss, margins, prox, scatter, slope
+from .objective import (CURVATURE, batch_ray, loss, margins, prox, scatter,
+                        slope)
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 
-# Bound on each loss's second derivative in the margin.
-CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
 POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
 DECAY = 0.9             # of L, tried first after an accepted reference step

@@ -1,7 +1,7 @@
-"""Computable embodiments of the analysis: the variance factor alpha(b),
-empirical variance-bound checks, the linear-rate constants C for the four
-smoothness / strong-convexity regimes, and the oracle suites of
-``saag verify`` (``run_suites``).
+"""Computable embodiments of the analysis: the curvature constants L and
+mu, the variance factor alpha(b), empirical variance-bound checks, the
+linear-rate constants C for the four smoothness / strong-convexity regimes,
+and the oracle suites of ``saag verify`` (``run_suites``).
 
 Expectations are exact enumerations over a schedule's partition batches,
 matching how the solvers actually sample; this distribution choice is
@@ -16,16 +16,37 @@ import numpy as np
 from .data import make_schedule
 from .estimators import (ENUMERATION_CAP, estimator_mean_bruteforce,
                          saag2_direction, take_snapshot)
-# ProblemConstants and estimate_constants live with the objective (the
-# solvers need L too) and are re-exported here with the rest of the analysis.
-from .objective import (LOSSES, ObjectiveSpec, ProblemConstants, Regularizer,
-                        batch_grad, batch_smooth_value, estimate_constants,
-                        full_grad, objective_value, prox)
+from .objective import (CURVATURE, LOSSES, ObjectiveSpec, Regularizer,
+                        batch_grad, batch_smooth_value, full_grad,
+                        objective_value, prox)
 from .solvers import reference_optimum
 
 
 class RegimeError(ValueError):
     """Rate-constant parameters violate a validity condition of the bound."""
+
+
+@dataclass(frozen=True)
+class ProblemConstants:
+    """Smoothness constant L and strong-convexity constant mu (L >= mu >= 0)."""
+
+    L: float
+    mu: float
+
+    def __post_init__(self):
+        if self.L <= 0 or self.mu < 0 or self.L < self.mu:
+            raise ValueError("constants must satisfy L >= mu >= 0 and L > 0")
+
+
+def estimate_constants(spec):
+    """Curvature constants from the data: L = CURVATURE[loss] *
+    max ||x_i||^2 + lambda2 bounds every component Hessian, and
+    mu = lambda2."""
+    data = spec.data
+    max_sq = float(np.bincount(data.row_ids, weights=data.values ** 2,
+                               minlength=data.n).max())
+    lam2 = spec.reg.lambda2
+    return ProblemConstants(L=CURVATURE[spec.loss] * max_sq + lam2, mu=lam2)
 
 
 def alpha_b(n, b):
@@ -180,14 +201,14 @@ def theoretical_rate(theorem, params, constants=None):
                       contraction=c_exact < 1, note=note)
 
 
-def best_beta(theorem, c, m, b, n, constants=None, grid_size=200):
-    """Search a log grid beta in [1.01, 1e4] for the smallest C.
+def best_beta(theorem, c, m, b, n, constants=None):
+    """Search a 200-point log grid beta in [1.01, 1e4] for the smallest C.
 
     Invalid regimes on the grid are skipped; returns (beta, RateReport) or
     raises RegimeError when no grid point is valid.
     """
     best = None
-    for beta in np.logspace(np.log10(1.01), 4.0, grid_size):
+    for beta in np.logspace(np.log10(1.01), 4.0, 200):
         try:
             report = theoretical_rate(
                 theorem, RateParams(beta=float(beta), c=c, m=m, b=b, n=n), constants)
@@ -203,29 +224,30 @@ def best_beta(theorem, c, m, b, n, constants=None, grid_size=200):
 # ---------------------------------------------------------------------------
 # verification suites (library side of the `verify` command)
 
-def gradient_check(spec, w, h=1e-6, batch=None):
-    """Max relative coordinate error of the analytic batch gradient against
-    central finite differences of the batch smooth objective."""
-    if batch is None:
-        batch = np.arange(spec.data.n)
-    g = batch_grad(spec, w, batch)
+def gradient_check(spec, w):
+    """Max relative coordinate error of the analytic full gradient against
+    central finite differences (step 1e-6) of the smooth objective."""
+    h = 1e-6
+    g = full_grad(spec, w)
     worst = 0.0
     for j in range(w.size):
         e = np.zeros_like(w)
         e[j] = h
-        fd = (batch_smooth_value(spec, w + e, batch)
-              - batch_smooth_value(spec, w - e, batch)) / (2 * h)
+        fd = (batch_smooth_value(spec, w + e)
+              - batch_smooth_value(spec, w - e)) / (2 * h)
         denom = max(abs(g[j]), abs(fd), 1e-8)
         worst = max(worst, abs(g[j] - fd) / denom)
     return worst
 
 
-def prox_check(reg, z, eta, grid=4001):
+def prox_check(reg, z, eta):
     """Gap between the closed-form prox and a scalar brute-force minimizer of
-    (1/(2 eta)) (t - z)^2 + lambda1 |t|, refined over four grid passes.
+    (1/(2 eta)) (t - z)^2 + lambda1 |t|, refined over four passes of a
+    4001-point grid.
 
     The grid search runs in extended precision so the objective stays
     resolvable near its flat bottom."""
+    grid = 4001
     best_err = 0.0
     eta_l = np.longdouble(eta)
     lam1 = np.longdouble(reg.lambda1)
@@ -262,28 +284,6 @@ def unbiasedness_gap(spec, w, snap, schedule):
     """Norm of mean_B[unbiased direction] - grad f(w)."""
     mean = estimator_mean_bruteforce("svrg", spec, w, snap, schedule)
     return float(np.linalg.norm(mean - full_grad(spec, w)))
-
-
-def quadratic_bound_check(spec, constants, n_pairs=1000, seed=0, scale=1.0):
-    """Sampled validation of the quadratic upper bound implied by L:
-    f_i(y) <= f_i(x) + grad f_i(x)^T (y - x) + L/2 ||y - x||^2.
-
-    Returns the worst violation (<= 0 when the bound holds everywhere).
-    """
-    rng = np.random.default_rng(seed)
-    d = spec.data.d
-    big_l = constants.L
-    worst = -np.inf
-    for _ in range(n_pairs):
-        x = scale * rng.standard_normal(d)
-        y = scale * rng.standard_normal(d)
-        row = [int(rng.integers(spec.data.n))]
-        fx = batch_smooth_value(spec, x, row)
-        fy = batch_smooth_value(spec, y, row)
-        gx = batch_grad(spec, x, row)
-        bound = fx + float(gx @ (y - x)) + 0.5 * big_l * float((y - x) @ (y - x))
-        worst = max(worst, fy - bound)
-    return worst
 
 
 def run_suites(data, loss, l1, l2, inject_scale_bug=False):

@@ -106,6 +106,22 @@ def test_bad_fixed_step_is_an_error(tmp_path, capsys, eta):
     assert not out.exists()
 
 
+def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
+                                                     capsys):
+    import saag.cli as cli
+    calls = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+        calls.append(config) or run(config, **kw)))
+    out = tmp_path / "run.csv"
+    code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
+                 "--epochs", "2", "--ref-budget", "0", "--out", str(out)])
+    assert code == 1
+    assert "budget must be >= 1" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_missing_data_source_is_usage_error(capsys):
     assert main(["run", "--solvers", "saag4"]) == 2
     assert "dataset" in capsys.readouterr().err

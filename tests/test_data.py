@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
-from saag.data import (Dataset, ParseError, dump_libsvm, make_schedule,
-                       make_synthetic, parse_libsvm, split_train_test)
+from saag.data import (Dataset, ParseError, make_schedule, make_synthetic,
+                       parse_libsvm, split_train_test)
+
+
+def dump_libsvm(ds):
+    """LibSVM text of a Dataset, with an exact float round trip."""
+    lines = []
+    for i, y in enumerate(ds.labels):
+        part = slice(ds.indptr[i], ds.indptr[i + 1])
+        label = "+1" if y > 0 else "-1"
+        feats = " ".join(f"{j + 1}:{float(v)!r}"
+                         for j, v in zip(ds.indices[part], ds.values[part]))
+        lines.append(f"{label} {feats}".rstrip())
+    return "\n".join(lines) + "\n"
 
 
 def row(ds, i):

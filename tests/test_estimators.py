@@ -6,9 +6,9 @@ import pytest
 from saag.data import Dataset, make_schedule, make_synthetic
 from saag.estimators import (direction, estimator_mean_bruteforce, make_table,
                              saag1_direction, saag2_direction, svrg_direction,
-                             table_aggregate_recomputed, take_snapshot)
+                             take_snapshot)
 from saag.objective import (ObjectiveSpec, Regularizer, batch_grad, full_grad,
-                            margins, slope)
+                            margins, scatter, slope)
 
 
 def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
@@ -79,7 +79,7 @@ def test_table_aggregate_consistency():
         sched = make_schedule(12, 3, seed=9, epoch=epoch)
         for batch in sched.batches:
             saag1_direction(table, spec, rng.standard_normal(4), batch)
-    rebuilt = table_aggregate_recomputed(table, spec)
+    rebuilt = scatter(spec.data, table.slopes)
     rel = np.linalg.norm(table.aggregate - rebuilt) / max(np.linalg.norm(rebuilt), 1e-300)
     assert rel <= 1e-12
 

@@ -382,14 +382,20 @@ def test_reference_flags_nonconvergence():
     assert not ref.converged
 
 
-@pytest.mark.parametrize("seed", [4, 11])
-def test_reference_polish_stops_at_rounding_fixed_point(seed):
-    # on these problems a 1/L step from a momentum restart point raises F by
-    # rounding alone; the polish must stop there, not repeat the same step
-    # until its iteration cap
-    train, _ = split_train_test(make_synthetic(1000, 50, seed=seed, flip=0.05),
-                                0.8, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-5), train)
+@pytest.mark.parametrize("shape, lam2", [
+    ((1000, 50, 4, 0.05, 0.0), 1e-5),
+    ((1000, 50, 11, 0.05, 0.0), 1e-5),
+    ((500, 20, 0, 0.01, 1.0), 1e-4),
+], ids=["4", "11", "margin-1"])
+def test_reference_polish_stops_at_rounding_fixed_point(shape, lam2):
+    # on the first two problems a 1/L step from a momentum restart point
+    # raises F by rounding alone; the polish must stop there, not repeat the
+    # same step until its iteration cap. The last is the README's solver
+    # comparison set, 400 nearly separable training rows.
+    n, d, seed, flip, margin = shape
+    data = make_synthetic(n, d, seed=seed, flip=flip, margin=margin)
+    train, _ = split_train_test(data, 0.8, seed=0)
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), train)
     ref = reference_optimum(spec, budget=500)
     assert ref.converged
     assert ref.iterations < 2000

@@ -5,13 +5,13 @@ import pytest
 
 from saag.data import make_schedule, make_synthetic
 from saag.estimators import take_snapshot
-from saag.objective import ObjectiveSpec, Regularizer
+from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
+                            batch_smooth_value)
 from saag.solvers import reference_optimum
 from saag.verify import (ProblemConstants, RateParams, RegimeError,
                          alpha_b, best_beta, bias_identity_gap,
-                         quadratic_bound_check, estimate_constants,
-                         gradient_check, prox_check, run_suites,
-                         theoretical_rate, unbiasedness_gap,
+                         estimate_constants, gradient_check, prox_check,
+                         run_suites, theoretical_rate, unbiasedness_gap,
                          variance_bound_check)
 
 SUITES = ("gradient-fd", "prox-oracle", "bias-identity", "unbiasedness",
@@ -47,6 +47,25 @@ def test_estimate_constants_closed_forms():
     assert c.L == 8.0
     c = estimate_constants(ObjectiveSpec("least_squares", Regularizer(), ds))
     assert c.L == 4.0
+
+
+def quadratic_bound_check(spec, constants, n_pairs, seed):
+    """Worst sampled violation of the quadratic upper bound implied by L,
+    f_i(y) <= f_i(x) + grad f_i(x)^T (y - x) + L/2 ||y - x||^2 (<= 0 when
+    the bound holds at every sample)."""
+    rng = np.random.default_rng(seed)
+    d = spec.data.d
+    worst = -np.inf
+    for _ in range(n_pairs):
+        x = rng.standard_normal(d)
+        y = rng.standard_normal(d)
+        row = [int(rng.integers(spec.data.n))]
+        fx = batch_smooth_value(spec, x, row)
+        fy = batch_smooth_value(spec, y, row)
+        gx = batch_grad(spec, x, row)
+        bound = fx + float(gx @ (y - x)) + 0.5 * constants.L * float((y - x) @ (y - x))
+        worst = max(worst, fy - bound)
+    return worst
 
 
 @pytest.mark.parametrize("loss", ["logistic", "squared_hinge", "least_squares"])
