@@ -14,7 +14,8 @@ from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
 from .line_search import SBASParams, backtrack, sbas
 from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
                         batch_grad, batch_ray, batch_smooth_value, full_grad,
-                        loss, margins, objective_value, prox, scatter, slope)
+                        loss_t, margins, objective_value, prox, scatter,
+                        slope_t)
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)

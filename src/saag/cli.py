@@ -251,10 +251,8 @@ def cmd_run(config, axis=None, values=None):
     if axis is None:
         config = replace(config, b=points[0][1])
     specs = {reg: ObjectiveSpec(config.loss, reg, train) for _, _, reg in points}
-    # each regularizer is a different objective and needs its own F*, which
-    # depends on nothing else, so a bad budget fails before any solver runs
-    references = {spec: reference_optimum(spec, config.ref_budget)
-                  for spec in specs.values()}
+    # the jobs check their parameters, then each regularizer's own F* (it
+    # depends on nothing else) checks the budget, all before any solver runs
     sbas = SBASParams(alpha=config.alpha, shrink=config.shrink, eta0=config.eta0,
                       max_backtracks=config.max_backtracks)
     runs = [(value, RunConfig(solver=kind, objective=specs[reg],
@@ -262,6 +260,8 @@ def cmd_run(config, axis=None, values=None):
                               seed=seed, fixed_eta=config.fixed_eta))
             for value, b, reg in points
             for kind in config.solvers for seed in config.seeds]
+    references = {spec: reference_optimum(spec, config.ref_budget)
+                  for spec in specs.values()}
     # gd ignores b, so a batch sweep runs it once per (seed, objective)
     keys = [(job.solver, job.seed, job.objective,
              None if job.solver == "gd" else job.batch_size) for _, job in runs]

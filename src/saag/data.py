@@ -20,8 +20,8 @@ class Dataset:
     strictly increasing) and their ``values``; zero values are never stored.
     ``d`` is the feature dimension; split children inherit it from the
     parent so shapes stay consistent. ``row_ids`` names the row of every
-    stored value. The batch primitives read a dense ``block`` instead of the
-    CSR arrays when the data is dense enough (see ``block``).
+    stored value. The batch primitives read the rows signed by their
+    labels, -y_i x_i (see ``block`` and ``signed``); ``values`` stay unsigned.
     """
 
     # largest n * d that ``dense`` will allocate
@@ -74,22 +74,30 @@ class Dataset:
 
     @cached_property
     def block(self):
-        """Read-only dense (n, d) copy the batch primitives read, or None
-        when they read the CSR arrays. Built on first use when at least
+        """Read-only dense (n, d) copy of the signed rows, or None when the
+        batch primitives read the CSR arrays. Built on first use when at least
         DENSE_PASS_FILL of the n*d entries are stored and n*d <= DENSE_LIMIT,
         so a dataset that is only split never densifies."""
         size = self.n * self.d
         if self.indices.size < self.DENSE_PASS_FILL * size or size > self.DENSE_LIMIT:
             return None
         x = self.dense()
+        # the stored entries only, so the zeros stay +0.0
+        x[self.row_ids, self.indices] *= -self.labels[self.row_ids]
         x.flags.writeable = False
         return x
 
+    @cached_property
+    def signed(self):
+        """The stored values signed by their rows' labels, for the CSR passes;
+        built on first use, so a dataset read through its block holds none."""
+        return -self.labels[self.row_ids] * self.values
+
     def gather(self, rows=None):
-        """The rows ``rows`` (every row when None), in row order, in the
-        layout of the dataset: ``block[rows]`` on a dense block, else the
-        stored values as (position in ``rows`` of each value's row, column,
-        value).
+        """The signed rows ``rows`` (every row when None), in row order, in
+        the layout of the dataset: ``block[rows]`` on a dense block, else the
+        ``signed`` values as (position in ``rows`` of each value's row,
+        column, value).
 
         A read-only ``rows`` array is treated as immutable: gathering the
         same array object again returns the remembered result, so the
@@ -108,30 +116,25 @@ class Dataset:
                     self._last = (rows, gathered)
                 return gathered
         block = self.block
-        return (self.row_ids, self.indices, self.values) if block is None else block
+        return (self.row_ids, self.indices, self.signed) if block is None else block
 
     def _gather(self, rows):
         block = self.block
-        return self._csr_rows(rows) if block is None else block[rows]
+        return self._csr_rows(rows, self.signed) if block is None else block[rows]
 
-    def _csr_rows(self, rows):
-        if rows.size == 1:
-            # one row is one contiguous slice
-            part = slice(self.indptr[rows[0]], self.indptr[rows[0] + 1])
-            cols = self.indices[part]
-            return np.zeros(cols.size, dtype=np.int64), cols, self.values[part]
+    def _csr_rows(self, rows, values):
         starts = self.indptr[rows]
         counts = self.indptr[rows + 1] - starts
         local = np.repeat(np.arange(rows.size), counts)
         # output slot j of row k reads position starts[k] + j - (slots before row k)
         shift = starts - (np.cumsum(counts) - counts)
         pos = np.arange(local.size) + np.repeat(shift, counts)
-        return local, self.indices[pos], self.values[pos]
+        return local, self.indices[pos], values[pos]
 
     def subset(self, idx):
         """New dataset from a sequence of row positions."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, cols, vals = self._csr_rows(idx)
+        _, cols, vals = self._csr_rows(idx, self.values)
         counts = self.indptr[idx + 1] - self.indptr[idx]
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return Dataset(indptr, cols, vals, self.labels[idx], self.d)

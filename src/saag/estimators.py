@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import batch_grad, margins, scatter, slope, slope_sum
+from .objective import batch_grad, margins, scatter, slope_sum, slope_t
 
 ENUMERATION_CAP = 64
 
@@ -23,7 +23,7 @@ TABLE_KINDS = ("saag1", "saag3")
 @dataclass(eq=False)
 class SnapState:
     """Snap point w~ with its full smooth gradient mu~ and the slope
-    c~_i = slope(x_i . w~) of every point, all from one pass per move."""
+    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move."""
 
     point: np.ndarray
     grad: np.ndarray
@@ -34,7 +34,7 @@ def take_snapshot(spec, w):
     """Freeze a snap point; its slopes give the full gradient (n evaluations)."""
     w = np.asarray(w, dtype=np.float64)
     data = spec.data
-    slopes = slope(spec.loss, margins(data, w), data.labels)
+    slopes = slope_t(spec.loss, margins(data, w))
     grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
     return SnapState(w.copy(), grad, slopes)
 
@@ -45,8 +45,8 @@ class GradTable:
 
     Gradients of linear-model losses are collinear with the data row, so one
     slope per point suffices; ``aggregate`` maintains the dense sum of all
-    stored slope * x_i incrementally. Slots start at slope 0, so no hidden
-    full-gradient pass is needed at startup.
+    stored slopes times their signed rows incrementally. Slots start at
+    slope 0, so no hidden full-gradient pass is needed at startup.
     """
 
     slopes: np.ndarray
@@ -63,15 +63,15 @@ def saag1_direction(table, spec, w, batch, z=None):
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
     gradients enter at weight 1/n, so the stale remainder is averaged over
     the whole dataset and the direction collapses to the full gradient at
-    |B| = n. Work is O(|B| * nnz) per call. ``z`` is the batch's margins
-    X_B w when the caller has them.
+    |B| = n. Work is O(|B| * nnz) per call. ``z`` is the batch's signed
+    margins when the caller has them.
     """
     data = spec.data
     n = data.n
     k = len(batch)
     if z is None:
         z = margins(data, w, batch)
-    c = slope(spec.loss, z, data.labels[batch])
+    c = slope_t(spec.loss, z)
     # slots never refreshed hold slope 0, so the change is c - stored in every slot
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
     table.slopes[batch] = c
@@ -119,7 +119,7 @@ def svrg_direction(spec, w, batch, snap, z=None):
 def direction(kind, spec, w, batch, table=None, snap=None, z=None):
     """The direction of solver ``kind`` at w over ``batch``: the table kinds
     read and refresh ``table``, the snap kinds read ``snap``. ``z`` is the
-    batch's margins X_B w when the caller has them."""
+    batch's signed margins when the caller has them."""
     if kind in TABLE_KINDS:
         return saag1_direction(table, spec, w, batch, z)
     if kind in ("saag2", "saag4"):

@@ -3,9 +3,10 @@
 The smooth part f of the composite objective F = f + g is the mean loss plus
 the l2 term (lambda2/2)||w||^2; the non-smooth part g is lambda1*||w||_1 and
 is handled exclusively by the proximal operator. A linear model meets its
-data only through the margins z = X_B w and the slopes c with
-grad loss_i = c_i x_i, so every loss has one vectorized implementation over
-margins and every gradient is a scatter X_B^T c.
+data only through the signed margins t = -y X_B w, the margins of the rows
+-y_i x_i that the dataset stores, and the slopes c with
+grad loss_i = c_i (-y_i x_i). So every loss has one vectorized
+implementation over t, and every gradient is a scatter over the signed rows.
 """
 
 from dataclasses import dataclass
@@ -44,8 +45,8 @@ class ObjectiveSpec:
 
 
 def loss_t(kind, t):
-    """Per-point losses at signed margins t = -y z, labels y = +-1: every
-    loss is a function of t alone."""
+    """Per-point losses at signed margins t = -y z, y = +-1: every loss is a
+    function of t alone."""
     if kind == "logistic":
         return np.logaddexp(0.0, t)
     if kind == "squared_hinge":
@@ -53,24 +54,19 @@ def loss_t(kind, t):
     return 0.5 * (t + 1.0) ** 2     # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
 
 
-def loss(kind, z, y):
-    """Per-point losses at margins ``z`` with labels ``y`` = +-1 (no
-    regularization)."""
-    return loss_t(kind, -y * z)
-
-
-def slope(kind, z, y):
-    """Per-point slopes c at margins ``z``: the gradient of loss i is c_i x_i."""
+def slope_t(kind, t):
+    """Per-point slopes c = d loss_t / dt at signed margins t: the gradient
+    of loss i is c_i times its signed row -y_i x_i."""
     if kind == "logistic":
-        # -y * sigmoid(-y z); logaddexp keeps exp from overflowing
-        return -y * np.exp(-np.logaddexp(0.0, y * z))
+        # sigmoid(t); logaddexp keeps exp from overflowing
+        return np.exp(-np.logaddexp(0.0, -t))
     if kind == "squared_hinge":
-        return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
-    return z - y
+        return 2.0 * np.maximum(0.0, 1.0 + t)
+    return t + 1.0
 
 
 def margins(data, w, rows=None):
-    """Margins X_B w of the rows of a batch (every row when None).
+    """Signed margins t = -y X_B w of a batch's rows (every row when None).
 
     On a dense block each margin is one dot product of its row, summed in
     the same order in a full pass and in any batch, so a full pass
@@ -86,7 +82,7 @@ def margins(data, w, rows=None):
 
 
 def scatter(data, c, rows=None):
-    """Dense X_B^T c: the batch's rows weighted by ``c`` and summed."""
+    """Dense sum of c_i (-y_i x_i): the batch's signed rows weighted by ``c``."""
     gathered = data.gather(rows)
     if isinstance(gathered, np.ndarray):
         return c @ gathered
@@ -94,17 +90,13 @@ def scatter(data, c, rows=None):
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
-def _batch_labels(data, rows):
-    return data.labels if rows is None else data.labels[rows]
-
-
 def slope_sum(spec, w, rows=None, z=None):
-    """Dense sum of c_i * x_i over a batch (every row when None); ``z`` is
-    the batch's margins X_B w when the caller has them."""
+    """Dense sum of the gradients of the losses over a batch (every row when
+    None); ``z`` is the batch's signed margins when the caller has them."""
     data = spec.data
     if z is None:
         z = margins(data, w, rows)
-    return scatter(data, slope(spec.loss, z, _batch_labels(data, rows)), rows)
+    return scatter(data, slope_t(spec.loss, z), rows)
 
 
 def batch_grad(spec, w, rows=None, z=None):
@@ -131,33 +123,29 @@ def batch_smooth_value(spec, w, rows=None):
     """
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
-    data = spec.data
-    losses = loss(spec.loss, margins(data, w, rows), _batch_labels(data, rows))
+    losses = loss_t(spec.loss, margins(spec.data, w, rows))
     return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w @ w)
 
 
 def batch_ray(spec, w, rows, direction, z=None, dd=None):
     """phi(eta) = batch_smooth_value(spec, w - eta * direction, rows) in O(b)
-    per call. X_B w (``z``, formed here when None), X_B d (every row when
-    ``rows`` is None), w.w, w.d and d.d (``dd``, likewise) are formed once,
-    and the margins are signed once: with t = -y X_B w and y X_B d, a trial
-    is loss_t(t + eta y X_B d) and one sum, four array calls for the
-    logistic loss. As y = +-1, every sign flip is exact, so each trial is
-    bit-equal to the loss at the margins X_B w - eta X_B d."""
+    per call. The signed margins z of w (formed here when None) and u of d
+    (every row when ``rows`` is None), w.w, w.d and d.d (``dd``, likewise)
+    are formed once, so a trial is loss_t(z - eta u) and one sum, four array
+    calls for the logistic loss."""
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
     data, kind = spec.data, spec.loss
-    y = _batch_labels(data, rows)
     if z is None:
         z = margins(data, w, rows)
-    t, tu = -y * z, y * margins(data, direction, rows)
+    u = margins(data, direction, rows)
     ww, wd = float(w @ w), float(w @ direction)
     if dd is None:
         dd = float(direction @ direction)
-    half, b = 0.5 * spec.reg.lambda2, t.size
+    half, b = 0.5 * spec.reg.lambda2, z.size
 
     def phi(eta):
-        return (float(np.add.reduce(loss_t(kind, t + eta * tu))) / b
+        return (float(np.add.reduce(loss_t(kind, z - eta * u))) / b
                 + half * (ww - 2.0 * eta * wd + eta * eta * dd))
 
     return phi
@@ -186,10 +174,11 @@ def prox(z, eta, reg):
 def accuracy(w, test):
     """Fraction of test points with sign(w . x) equal to the label.
 
-    sign(0) counts as +1.
+    sign(0) counts as +1; w . x = -y t is exact, as y = +-1.
     """
     if test.n == 0:
         raise ValueError("empty test set")
-    pred = np.where(margins(test, w) >= 0.0, 1.0, -1.0)
-    return float(np.mean(pred == test.labels))
+    y = test.labels
+    pred = np.where(-y * margins(test, w) >= 0.0, 1.0, -1.0)
+    return float(np.mean(pred == y))
 

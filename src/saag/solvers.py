@@ -19,8 +19,8 @@ from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
                          make_table, take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (CURVATURE, batch_ray, loss, margins, prox, scatter,
-                        slope)
+from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
+                        prox, scatter)
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 
@@ -103,7 +103,7 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     advances the counters and the iterate sum.
     """
     c = state.counters
-    # the batch's margins X_B w serve both the direction and the search
+    # the batch's signed margins serve both the direction and the search
     z = margins(spec.data, state.w, batch)
     d = direction(kind, spec, state.w, batch, state.table, state.snap, z)
     # a snap kind counts its snap term too: grads is the algorithm's logical
@@ -218,8 +218,8 @@ def _iteration_cap(budget):
 
 
 def _top_eigenvalue(data):
-    """lambda_max(X^T X) from below, by power iteration from a vector of
-    ones; 0.0 when a pass meets ||X u|| = 0."""
+    """lambda_max(X^T X), which the signed rows share, from below, by power
+    iteration from a vector of ones; 0.0 when a pass meets ||X u|| = 0."""
     u = np.full(data.d, 1.0 / math.sqrt(data.d))
     for _ in range(POWER_PASSES):
         q = margins(data, u)
@@ -256,15 +256,11 @@ def reference_optimum(spec, budget=500):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    data = spec.data
-    n, y = data.n, data.labels
+    data, n = spec.data, spec.data.n
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
 
     def smooth(z, w):
-        return float(loss(spec.loss, z, y).sum()) / n + 0.5 * lam2 * float(w @ w)
-
-    def grad(z, w):
-        return scatter(data, slope(spec.loss, z, y)) / n + lam2 * w
+        return float(loss_t(spec.loss, z).sum()) / n + 0.5 * lam2 * float(w @ w)
 
     # when the power iteration meets the null space, the trace bound
     top = _top_eigenvalue(data) or float(data.values @ data.values)
@@ -280,7 +276,7 @@ def reference_optimum(spec, budget=500):
     for iterations in range(1, _iteration_cap(budget) + 1):
         # zv is extrapolated unless v = w; as it drifts from X v it can fail
         fresh = restarted   # the bound test, so form it afresh before L grows
-        g, fv = grad(zv, v), smooth(zv, v)
+        g, fv = batch_grad(spec, v, z=zv), smooth(zv, v)
         for _ in range(MAX_DOUBLINGS):
             step = 1.0 / lipschitz
             p = prox(v - step * g, step, spec.reg)
@@ -293,7 +289,7 @@ def reference_optimum(spec, budget=500):
                 lipschitz *= 2.0
             else:
                 zv = margins(data, v)
-                g, fv, fresh = grad(zv, v), smooth(zv, v), True
+                g, fv, fresh = batch_grad(spec, v, z=zv), smooth(zv, v), True
         else:               # no L fits: v is a fixed point up to rounding
             converged = True
             break
@@ -301,7 +297,7 @@ def reference_optimum(spec, budget=500):
         bound = lam2 * GAP * fw
         converged = lipschitz ** 2 * float(move @ move) <= bound
         if converged and lam1 > 0.0:
-            s = grad(zp, p) - g - lipschitz * move
+            s = batch_grad(spec, p, z=zp) - g - lipschitz * move
             converged = float(s @ s) <= bound
         if fp < fw:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))

@@ -122,6 +122,27 @@ def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--seeds", "-1", "seed must be non-negative"),
+    ("--max-backtracks", "0", "max_backtracks must be >= 1"),
+])
+def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
+                                                      capsys, flag, value, message):
+    import saag.cli as cli
+    calls = []
+    reference = cli.reference_optimum
+    monkeypatch.setattr(cli, "reference_optimum", lambda spec, budget: (
+        calls.append(spec) or reference(spec, budget)))
+    out = tmp_path / "run.csv"
+    code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
+                 "--epochs", "2", flag, value, "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 def test_missing_data_source_is_usage_error(capsys):
     assert main(["run", "--solvers", "saag4"]) == 2
     assert "dataset" in capsys.readouterr().err

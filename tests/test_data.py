@@ -238,9 +238,12 @@ def test_split_keeps_no_gathered_copy_in_the_parent():
     ds = make_synthetic(20, 4, seed=0)
     train, _ = split_train_test(ds, 0.5, seed=1)
     assert ds._last is None
-    # the dense block is built on the first gather, not on a split
-    assert "block" not in vars(ds)
+    # the dense block and the signed values are built on the first gather,
+    # not on a split
+    assert "block" not in vars(ds) and "signed" not in vars(ds)
     assert train.gather() is train.block is not None
+    # a dataset read through its block holds no signed CSR copy
+    assert "signed" not in vars(train)
     every = np.arange(ds.n)
     every.flags.writeable = False
     ds.subset(every)

@@ -1,5 +1,5 @@
 """Property tests of the loss kernel, on both data layouts, against plain
-dense numpy."""
+dense numpy over the unsigned rows and the labels."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from saag.data import Dataset
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                            batch_grad, batch_ray, batch_smooth_value, loss,
-                            margins, objective_value, scatter, slope)
+                            batch_grad, batch_ray, batch_smooth_value, loss_t,
+                            margins, objective_value, scatter, slope_t)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -25,6 +25,8 @@ def dense_loss(kind, t):
 
 
 def dense_slope(kind, z, y):
+    """Slope c along x at margins z = x . w (the loss's gradient is c x), by
+    formulas independent of the kernel."""
     if kind == "logistic":
         # -y sigma(-t) for t = y z, split on the sign of t
         t = y * z
@@ -79,11 +81,16 @@ def test_csr_primitives_match_dense(problem):
     assert np.array_equal(data.subset(np.arange(data.n)).dense(), x)
     if rows is not None:
         assert np.array_equal(data.subset(rows).dense(), xb)
-    z = margins(data, w, rows)
-    assert z.shape == (xb.shape[0],)
-    assert close(z, xb @ w, np.abs(xb) @ np.abs(w) + 1.0)
+    yb = y if rows is None else y[rows]
+    # the primitives read the rows signed by their labels, -y_i x_i
+    t = margins(data, w, rows)
+    assert t.shape == (xb.shape[0],)
+    assert close(t, -yb * (xb @ w), np.abs(xb) @ np.abs(w) + 1.0)
     c = np.linspace(-2.0, 2.0, xb.shape[0])
-    assert close(scatter(data, c, rows), xb.T @ c, np.abs(xb.T) @ np.abs(c) + 1.0)
+    assert close(scatter(data, c, rows), xb.T @ (-yb * c),
+                 np.abs(xb.T) @ np.abs(c) + 1.0)
+    # the stored values stay unsigned, as dense() does above
+    assert np.array_equal(data.values, x[np.nonzero(x)])
 
 
 @SETTINGS
@@ -92,11 +99,13 @@ def test_loss_and_slope_match_dense(problem, kind):
     x, y, w, rows, data = problem
     yb = y if rows is None else y[rows]
     z = (x if rows is None else x[rows]) @ w
-    got_loss = loss(kind, z, yb)
-    got_slope = slope(kind, z, yb)
+    got_loss = loss_t(kind, -yb * z)
+    got_slope = slope_t(kind, -yb * z)
     assert np.all(np.isfinite(got_loss)) and np.all(np.isfinite(got_slope))
     assert np.allclose(got_loss, dense_loss(kind, yb * z), rtol=1e-12, atol=1e-300)
-    assert np.allclose(got_slope, dense_slope(kind, z, yb), rtol=1e-12, atol=1e-300)
+    # the gradient is c (-y x), so c times -y is the slope along x
+    assert np.allclose(-yb * got_slope, dense_slope(kind, z, yb),
+                       rtol=1e-12, atol=1e-300)
 
 
 @SETTINGS
@@ -137,14 +146,14 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     # 1e-16 of |x|(|w| + eta |d|) and of |w|^2 + 2 eta |w.d| + eta^2 |d|^2
     xb, yb = (x, y) if rows is None else (x[rows], y[rows])
     reach = np.abs(xb) @ (np.abs(w) + eta * np.abs(d)) + 1.0
-    slack = ((np.abs(slope(kind, xb @ v, yb)) + 1.0) @ reach
+    slack = ((np.abs(dense_slope(kind, xb @ v, yb)) + 1.0) @ reach
              + lam2 * (w @ w + 2.0 * eta * abs(w @ d) + eta * eta * (d @ d)))
     assert abs(phi(eta) - want) <= 1e-12 * (abs(want) + slack)
 
 
 def margin_loss(kind, z, y):
-    """The losses written over margins z: the signed-margin kernel and the
-    search must match them bit for bit."""
+    """The losses written over unsigned margins z: the signed-margin kernel
+    and the search must match them bit for bit."""
     if kind == "logistic":
         return np.logaddexp(0.0, -y * z)
     if kind == "squared_hinge":
@@ -152,25 +161,51 @@ def margin_loss(kind, z, y):
     return 0.5 * (z - y) ** 2
 
 
+def margin_slope(kind, z, y):
+    """The slopes along the unsigned rows, written over unsigned margins z:
+    the gradient over the signed rows must match them bit for bit."""
+    if kind == "logistic":
+        return -y * np.exp(-np.logaddexp(0.0, y * z))
+    if kind == "squared_hinge":
+        return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
+    return z - y
+
+
+def unsigned(data):
+    """The dataset's rows in its layout, unsigned: with every label -1, the
+    signed rows -y_i x_i are the rows x_i."""
+    twin = Dataset(data.indptr, data.indices, data.values, -np.ones(data.n), data.d)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Dataset, "DENSE_PASS_FILL", 2.0 if data.block is None else 0.0)
+        assert (twin.block is None) == (data.block is None)
+    return twin
+
+
 @SETTINGS
 @given(problems(), st.sampled_from(LOSSES),
        st.sampled_from([0.0, 1.0, 0.5 ** 7, 0.5 ** 29, 3.0]), st.data())
 def test_batch_ray_trials_are_the_margin_formula_bit_for_bit(problem, kind, eta, draw):
-    # signing the ray's margins once by y = +-1 must not move a trial by a bit
+    # signing each row once by y = +-1 must not move a margin, a trial or
+    # a gradient by a bit
     x, y, w, rows, data = problem
     scale = draw.draw(st.sampled_from([1.0, 1e3]))
     d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
     lam2 = 1e-2
     spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2), data)
     yb = y if rows is None else y[rows]
-    z, u = margins(data, w, rows), margins(data, d, rows)
-    assert np.array_equal(loss(kind, z, yb), margin_loss(kind, z, yb))
+    twin = unsigned(data)
+    z, u = margins(twin, w, rows), margins(twin, d, rows)
+    t = margins(data, w, rows)
+    assert np.array_equal(t, -yb * z)
+    assert np.array_equal(loss_t(kind, t), margin_loss(kind, z, yb))
+    assert np.array_equal(scatter(data, slope_t(kind, t), rows),
+                          scatter(twin, margin_slope(kind, z, yb), rows))
     l2 = 0.5 * lam2 * (float(w @ w) - 2.0 * eta * float(w @ d)
                        + eta * eta * float(d @ d))
     want = float(margin_loss(kind, z - eta * u, yb).sum()) / z.size + l2
     assert batch_ray(spec, w, rows, d)(eta) == want
-    # the inner step hands over X_B w and d.d it already formed
-    assert batch_ray(spec, w, rows, d, z, float(d @ d))(eta) == want
+    # the inner step hands over the signed margins and d.d it already formed
+    assert batch_ray(spec, w, rows, d, t, float(d @ d))(eta) == want
 
 
 @SETTINGS
@@ -189,10 +224,11 @@ def test_empty_row_and_unused_column():
     # row 1 is empty and column 2 is never used
     data = Dataset([0, 2, 2, 3], [0, 1, 1], [1.0, -2.0, 3.0], [1.0, -1.0, 1.0], d=3)
     w = np.array([1.0, 2.0, 5.0])
-    assert np.array_equal(margins(data, w), [-3.0, 0.0, 6.0])
+    # the signed margins -y X w of X w = (-3, 0, 6)
+    assert np.array_equal(margins(data, w), [3.0, 0.0, -6.0])
     assert np.array_equal(margins(data, w, [1]), [0.0])
     assert np.array_equal(scatter(data, np.array([7.0]), [1]), np.zeros(3))
-    assert np.array_equal(scatter(data, np.array([1.0, 1.0, 1.0])), [1.0, 1.0, 0.0])
+    assert np.array_equal(scatter(data, np.array([1.0, 1.0, 1.0])), [-1.0, -1.0, 0.0])
     spec = ObjectiveSpec("logistic", Regularizer(), data)
     # an empty row has margin 0: loss ln 2, gradient 0
     assert batch_smooth_value(spec, w, [1]) == np.log(2.0)

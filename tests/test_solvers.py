@@ -158,8 +158,12 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
         cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
         w, trace = run(cfg, test=test)
-        stored = [a for a in (train.values, train.block) if a is not None]
-        assert len(stored) == (2 if fill == 0.0 else 1)
+        # the passes read the signed rows: the block or the signed copy of
+        # the CSR values, never both
+        signed = vars(train).get("signed")
+        assert (train.block is None) == (signed is not None)
+        stored = [a for a in (train.values, train.block, signed) if a is not None]
+        assert len(stored) == 2
         copies = [a for a in _arrays(list(vars(train).values())) for s in stored
                   if np.array_equal(a, s) and not np.shares_memory(a, s)]
         assert copies == []
