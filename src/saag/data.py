@@ -30,6 +30,8 @@ class Dataset:
     # than on a dense block (margins and scatter over 800x800 at 1%: 60 us
     # against 445 us; the two cost about the same at 5-8%).
     DENSE_PASS_FILL: ClassVar[float] = 0.05
+    # most bytes of gathered rows one chunk of ``plan`` holds
+    PLAN_BYTES: ClassVar[int] = 1 << 22
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -37,8 +39,9 @@ class Dataset:
     labels: np.ndarray
     d: int
     row_ids: np.ndarray = field(init=False, repr=False)
-    # (rows, gather(rows)) of the last read-only row array gathered
-    _last: tuple | None = field(default=None, init=False, repr=False)
+    # id(batch) -> (batch, gather(batch)) for the batches of the chunk
+    # ``plan`` has out; holding the batch keeps its id from being reused
+    _plan: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -67,6 +70,8 @@ class Dataset:
                 raise ValueError("feature indices must be strictly increasing within a row")
         if np.any(self.values == 0.0):
             raise ValueError("zero values must not be stored")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
 
     @property
     def n(self):
@@ -99,43 +104,104 @@ class Dataset:
         ``signed`` values as (position in ``rows`` of each value's row,
         column, value).
 
-        A read-only ``rows`` array is treated as immutable: gathering the
-        same array object again returns the remembered result, so the
-        batches of ``make_schedule`` are gathered once per inner step. A
+        A batch of the chunk ``plan`` has out returns its planned view. A
         batch of every row in order returns the block or the stored arrays,
         uncopied.
         """
+        planned = self._plan.get(id(rows))
+        if planned is not None:
+            return planned[1]
         if rows is not None:
-            last = self._last
-            if last is not None and last[0] is rows:
-                return last[1]
-            rows_i = np.asarray(rows, dtype=np.int64)
-            if rows_i.size != self.n or not np.array_equal(rows_i, np.arange(self.n)):
-                gathered = self._gather(rows_i)
-                if isinstance(rows, np.ndarray) and not rows.flags.writeable:
-                    self._last = (rows, gathered)
-                return gathered
+            rows = np.asarray(rows, dtype=np.int64)
+            if rows.size != self.n or not np.array_equal(rows, np.arange(self.n)):
+                return self._gather(rows)
         block = self.block
         return (self.row_ids, self.indices, self.signed) if block is None else block
 
     def _gather(self, rows):
         block = self.block
-        return self._csr_rows(rows, self.signed) if block is None else block[rows]
+        return self._csr_rows(rows, self.signed)[:3] if block is None else block[rows]
+
+    def plan(self, schedule):
+        """Yield the batches of ``schedule`` in chunks, each gathered in one
+        pass: runs of full batches (rows of ``schedule.head``), or the tail
+        batch, whose gathered rows take at most PLAN_BYTES. A chunk is (its
+        batches, their rows as an (m, b) array, their signed rows): an
+        (m, b, d) array on a dense block, else (position of each value's
+        row in its batch, column, value, number of values of each row).
+        While a chunk is out, ``gather`` returns each of its batches' part
+        as a view, equal to a fresh gather. A batch of every row, or one past
+        the bound on its own, is yielded alone and unplanned, with rows and
+        signed rows None: ``gather`` reads it as it comes.
+        """
+        batches, head = schedule.batches, schedule.head
+        if schedule.b == self.n:    # gather gives the stored arrays uncopied
+            yield batches, None, None
+            return
+        runs = [(head, batches[:len(head)])]
+        if len(batches) > len(head):
+            runs.append((batches[-1][None, :], batches[-1:]))
+        try:
+            for rows, run in runs:
+                ends = self._chunk_ends(rows)
+                start = 0
+                while start < len(run):
+                    stop = int(ends[start])
+                    chunk = run[start:max(stop, start + 1)]
+                    self._plan = {}
+                    if stop == start:       # one batch past the bound
+                        yield chunk, None, None
+                    else:
+                        gathered, views = self._gather_chunk(rows[start:stop])
+                        self._plan = {id(batch): (batch, view)
+                                      for batch, view in zip(chunk, views)}
+                        yield chunk, rows[start:stop], gathered
+                    start += len(chunk)
+        finally:
+            self._plan = {}
+
+    def _chunk_ends(self, rows):
+        """For each start k, the end of the longest chunk of the batches
+        rows[k:] whose gathered rows take at most PLAN_BYTES."""
+        if self.block is not None:
+            cost = np.full(len(rows), 8 * rows[0].size * self.d)
+        elif 24 * self.indices.size <= self.PLAN_BYTES:
+            # three 8-byte arrays per stored value: all of them fit
+            return np.full(len(rows), len(rows))
+        else:
+            cost = 24 * np.diff(self.indptr)[rows].sum(axis=1)
+        cum = np.concatenate(([0], np.cumsum(cost)))
+        return np.searchsorted(cum, cum + self.PLAN_BYTES, side="right") - 1
+
+    def _gather_chunk(self, rows):
+        """The signed rows of the (m, b) ``rows`` in the layout of ``plan``,
+        and the view of each batch."""
+        if self.block is not None:
+            xs = self.block[rows]
+            return xs, list(xs)
+        slots, cols, vals, counts = self._csr_rows(rows, self.signed)
+        counts = counts.reshape(rows.shape)
+        offsets = np.cumsum(counts.sum(axis=1)).tolist()
+        views = [(slots[i:j], cols[i:j], vals[i:j])
+                 for i, j in zip([0] + offsets[:-1], offsets)]
+        return (slots, cols, vals, counts), views
 
     def _csr_rows(self, rows, values):
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        local = np.repeat(np.arange(rows.size), counts)
+        """The stored entries of the 1-d or (m, b) ``rows``, in order: (position
+        of each entry's row along the last axis of ``rows``, column, value),
+        and the number of entries of each row."""
+        starts = self.indptr[rows].ravel()
+        counts = self.indptr[rows + 1].ravel() - starts
+        local = np.repeat(np.arange(rows.size) % rows.shape[-1], counts)
         # output slot j of row k reads position starts[k] + j - (slots before row k)
         shift = starts - (np.cumsum(counts) - counts)
         pos = np.arange(local.size) + np.repeat(shift, counts)
-        return local, self.indices[pos], values[pos]
+        return local, self.indices[pos], values[pos], counts
 
     def subset(self, idx):
         """New dataset from a sequence of row positions."""
         idx = np.asarray(idx, dtype=np.int64)
-        _, cols, vals = self._csr_rows(idx, self.values)
-        counts = self.indptr[idx + 1] - self.indptr[idx]
+        _, cols, vals, counts = self._csr_rows(idx, self.values)
         indptr = np.concatenate(([0], np.cumsum(counts)))
         return Dataset(indptr, cols, vals, self.labels[idx], self.d)
 
@@ -154,8 +220,9 @@ def parse_libsvm(text):
 
     Labels <= 0 map to -1 and labels > 0 map to +1. Empty lines are skipped.
     Explicit zero values are dropped. Raises ParseError (with the offending
-    line number) on malformed tokens, non-increasing indices within a line, or
-    a non-positive index; an input with no non-empty lines is also an error.
+    line number) on malformed tokens, a non-finite label or value,
+    non-increasing indices within a line, or a non-positive index; an input
+    with no non-empty lines is also an error.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -172,6 +239,8 @@ def parse_libsvm(text):
             raw_label = float(tokens[0])
         except ValueError:
             raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
+        if not math.isfinite(raw_label):
+            raise ParseError(f"line {lineno}: non-finite label {tokens[0]!r}")
         prev = 0
         for token in tokens[1:]:
             idx_s, sep, val_s = token.partition(":")
@@ -182,6 +251,8 @@ def parse_libsvm(text):
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"line {lineno}: bad feature {token!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(f"line {lineno}: non-finite value {token!r}")
             if idx < 1:
                 raise ParseError(f"line {lineno}: index {idx} must be >= 1")
             if idx <= prev:
@@ -222,11 +293,14 @@ def split_train_test(ds, train_fraction, seed):
 
 @dataclass(eq=False)
 class BatchSchedule:
-    """A random partition of {0..n-1} into m = ceil(n/b) visit-ordered batches."""
+    """A random partition of {0..n-1} into m = ceil(n/b) visit-ordered
+    batches: the n // b full batches, the rows of ``head``, then a shorter
+    tail when b does not divide n."""
 
     batches: list
     b: int
     m: int
+    head: np.ndarray
 
 
 def make_schedule(n, b, seed, epoch=0):
@@ -236,7 +310,7 @@ def make_schedule(n, b, seed, epoch=0):
     Each epoch gets a fresh uniform shuffle, chunked into m = ceil(n/b)
     batches; all batches have size b except possibly the last. Indices within
     a batch are sorted (set semantics, deterministic summation order).
-    Batches are read-only, so ``Dataset.gather`` may reuse their gathers.
+    Batches are read-only, so ``Dataset.plan`` may gather them ahead.
     """
     if b < 1 or b > n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")
@@ -255,7 +329,7 @@ def make_schedule(n, b, seed, epoch=0):
         tail = np.sort(perm[full * b:])
         tail.flags.writeable = False
         batches.append(tail)
-    return BatchSchedule(batches, b, m)
+    return BatchSchedule(batches, b, m, head)
 
 
 def make_synthetic(n, d, seed=0, flip=0.0, margin=0.0):

@@ -9,11 +9,12 @@ each term is evaluated at, never from stale storage.
 """
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objective import batch_grad, margins, scatter, slope_sum, slope_t
+from .objective import (batch_grad, margins, scatter, scatter_batches,
+                        slope_sum, slope_t)
 
 ENUMERATION_CAP = 64
 
@@ -23,11 +24,15 @@ TABLE_KINDS = ("saag1", "saag3")
 @dataclass(eq=False)
 class SnapState:
     """Snap point w~ with its full smooth gradient mu~ and the slope
-    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move."""
+    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move, and
+    the snap terms of the planned chunk (see ``plan_snap_terms``)."""
 
     point: np.ndarray
     grad: np.ndarray
     slopes: np.ndarray
+    # id(batch) -> (batch, scatter(c~[B], B)), holding the batch as
+    # Dataset's plan does
+    terms: dict = field(default_factory=dict, repr=False)
 
 
 def take_snapshot(spec, w):
@@ -37,6 +42,20 @@ def take_snapshot(spec, w):
     slopes = slope_t(spec.loss, margins(data, w))
     grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
     return SnapState(w.copy(), grad, slopes)
+
+
+def plan_snap_terms(spec, snap, batches, rows, gathered):
+    """Form the snap term scatter(c~[B], B) of every batch of a chunk of
+    ``Dataset.plan`` in one pass, for the snap directions to read; an
+    unplanned chunk (``rows`` None) leaves them to form their own."""
+    terms = () if rows is None else scatter_batches(spec.data, snap.slopes,
+                                                    rows, gathered)
+    snap.terms = {id(batch): (batch, term) for batch, term in zip(batches, terms)}
+
+
+def _snap_term(data, snap, batch):
+    planned = snap.terms.get(id(batch))
+    return scatter(data, snap.slopes[batch], batch) if planned is None else planned[1]
 
 
 @dataclass(eq=False)
@@ -97,7 +116,7 @@ def saag2_direction(spec, w, batch, snap, z=None):
     k = len(batch)
     lam2 = spec.reg.lambda2
     cur = slope_sum(spec, w, batch, z)
-    old = scatter(spec.data, snap.slopes[batch], batch)
+    old = _snap_term(spec.data, snap, batch)
     return (cur / k - old / n
             + lam2 * w - (k / n) * lam2 * snap.point
             + snap.grad)
@@ -112,7 +131,7 @@ def svrg_direction(spec, w, batch, snap, z=None):
     """
     k = len(batch)
     cur = slope_sum(spec, w, batch, z)
-    old = scatter(spec.data, snap.slopes[batch], batch)
+    old = _snap_term(spec.data, snap, batch)
     return (cur - old) / k + spec.reg.lambda2 * (w - snap.point) + snap.grad
 
 

@@ -90,6 +90,21 @@ def scatter(data, c, rows=None):
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
+def scatter_batches(data, c, rows, gathered):
+    """scatter(data, c[rows[k]], rows[k]) for each row k of the (m, b) array
+    ``rows``, as an (m, d) array, in one pass over ``gathered``, their
+    signed rows as ``Dataset.plan`` gathers them; bit-equal to the separate
+    scatters."""
+    if isinstance(gathered, np.ndarray):
+        return np.matmul(c[rows][:, None, :], gathered)[:, 0, :]
+    _, cols, vals, counts = gathered
+    m, d = counts.shape[0], data.d
+    # bincount adds each (batch, column) bin's values in batch order
+    bins = np.repeat(np.arange(0, m * d, d), counts.sum(axis=1)) + cols
+    weights = vals * np.repeat(c[rows].ravel(), counts.ravel())
+    return np.bincount(bins, weights=weights, minlength=m * d).reshape(m, d)
+
+
 def slope_sum(spec, w, rows=None, z=None):
     """Dense sum of the gradients of the losses over a batch (every row when
     None); ``z`` is the batch's signed margins when the caller has them."""
@@ -128,11 +143,13 @@ def batch_smooth_value(spec, w, rows=None):
 
 
 def batch_ray(spec, w, rows, direction, z=None, dd=None):
-    """phi(eta) = batch_smooth_value(spec, w - eta * direction, rows) in O(b)
-    per call. The signed margins z of w (formed here when None) and u of d
-    (every row when ``rows`` is None), w.w, w.d and d.d (``dd``, likewise)
-    are formed once, so a trial is loss_t(z - eta u) and one sum, four array
-    calls for the logistic loss."""
+    """phi(etas) iterates batch_smooth_value(spec, w - eta * direction, rows)
+    over the steps of the 1-d array ``etas``, in O(b) per step. The signed
+    margins z of w (formed here when None) and u of d (every row when
+    ``rows`` is None), w.w, w.d and d.d (``dd``, likewise) are formed once,
+    so the steps of one call are one (len(etas), b) block loss_t(z - eta u)
+    summed along its rows, four array calls for the logistic loss, and
+    each value is the float a step on its own gives."""
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
     data, kind = spec.data, spec.loss
@@ -144,9 +161,10 @@ def batch_ray(spec, w, rows, direction, z=None, dd=None):
         dd = float(direction @ direction)
     half, b = 0.5 * spec.reg.lambda2, z.size
 
-    def phi(eta):
-        return (float(np.add.reduce(loss_t(kind, z - eta * u))) / b
-                + half * (ww - 2.0 * eta * wd + eta * eta * dd))
+    def phi(etas):
+        sums = np.add.reduce(loss_t(kind, z - etas[:, None] * u), axis=1)
+        return (s / b + half * (ww - 2.0 * eta * wd + eta * eta * dd)
+                for s, eta in zip(sums.tolist(), etas.tolist()))
 
     return phi
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import make_schedule
 from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
-                         make_table, take_snapshot)
+                         make_table, plan_snap_terms, take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
@@ -109,7 +109,9 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     c.grads += len(batch) * (1 if state.snap is None else 2)
-    if not np.isfinite(d).all():
+    dd = float(d @ d)
+    # a finite d whose d.d overflows (entries past ~1e154) still runs
+    if not math.isfinite(dd) and not np.isfinite(d).all():
         raise NonFiniteDirection(
             f"{kind}: non-finite direction at epoch {state.epoch}, "
             f"inner step {c.inner}")
@@ -119,7 +121,6 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     elif kind == "sgd":
         eta = sbas_params.eta0 / math.sqrt(c.inner)
     else:
-        dd = float(d @ d)
         phi = batch_ray(spec, state.w, batch, d, z, dd)
         eta, evals = backtrack(sbas_params, phi, dd)
         c.fevals += evals
@@ -131,7 +132,9 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
 
 
 def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
-    """One epoch: snap bookkeeping, m inner steps, boundary rule.
+    """One epoch: snap bookkeeping, m inner steps, boundary rule. The
+    batches are gathered, and their snap terms formed, a chunk at a time
+    (``Dataset.plan``).
 
     Snap rules at epoch start: saag2 and svrg anchor at the current iterate
     (the previous epoch's last point); saag4 and vrsgd anchor at the previous
@@ -147,8 +150,11 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
         state.snap = take_snapshot(spec, state.avg_prev)
         state.counters.grads += n
     state.iterate_sum[:] = 0.0
-    for batch in schedule.batches:
-        inner_step(kind, state, spec, batch, sbas_params, fixed_eta)
+    for batches, rows, gathered in spec.data.plan(schedule):
+        if state.snap is not None:
+            plan_snap_terms(spec, state.snap, batches, rows, gathered)
+        for batch in batches:
+            inner_step(kind, state, spec, batch, sbas_params, fixed_eta)
     if kind == "saag3":
         state.w = state.iterate_sum / schedule.m
     elif kind in ("saag4", "vrsgd"):

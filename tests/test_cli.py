@@ -165,6 +165,19 @@ def test_dataset_file_loading(tmp_path):
     assert len(rows) == 3
 
 
+def test_non_finite_dataset_file_is_an_error(tmp_path, capsys):
+    # a NaN or infinite value is refused at its line, before any solver
+    # runs or any CSV is written
+    data = tmp_path / "bad.svm"
+    data.write_text("+1 1:1 2:2\n-1 1:0.5\n+1 2:1\n-1 1:nan 2:1\n"
+                    "+1 1:1 2:inf\n-1 2:3\n")
+    out = tmp_path / "bad.csv"
+    code = main(["run", "--dataset", str(data), "--out", str(out)])
+    assert code == 1
+    assert "line 4: non-finite value '1:nan'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_above_dense_limit_writes_csv(tmp_path, monkeypatch):
     # the reference optimum of a training set too large to densify takes
     # CSR passes, so the command still finishes and writes its CSV

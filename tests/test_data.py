@@ -104,6 +104,19 @@ def test_csr_row_invariants():
         Dataset([0, 3], [1, 2, 0], [1.0, 1.0, 1.0], [1.0], d=3)
 
 
+def test_parse_rejects_non_finite_labels_and_values():
+    for text, line in (("+1 1:1\nnan 1:1", 2), ("+1 1:nan", 1), ("-1 1:1\n+1 2:inf", 2),
+                       ("+1 1:-inf", 1), ("inf 1:1", 1), ("\n\n-1 1:1 2:NaN", 3)):
+        with pytest.raises(ParseError, match=f"line {line}: non-finite"):
+            parse_libsvm(text)
+
+
+def test_dataset_rejects_non_finite_values():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([0, 2], [0, 1], [1.0, bad], [1.0], d=2)
+
+
 def test_dataset_invariants():
     with pytest.raises(ValueError):
         Dataset([0, 1], [1], [1.0], [1.0], d=1)  # index exceeds d
@@ -209,35 +222,51 @@ def _parts(gathered):
     return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
 
 
-def test_gather_remembers_read_only_rows_only(monkeypatch):
+def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
     for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
         monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
         ds = make_synthetic(6, 3, seed=0)
         assert (ds.block is None) == (fill > 1.0)
-        rows = np.array([0, 2])
-        first = [a.copy() for a in _parts(ds.gather(rows))]
-        rows[1] = 3    # a writable array may change between calls
+        schedule = make_schedule(6, 2, seed=0)
+        plan = ds.plan(schedule)
+        batches, rows, gathered = next(plan)
+        assert batches == schedule.batches and rows is not None
+        batch = batches[0]
+        planned = ds.gather(batch)
+        assert ds.gather(batch) is planned
+        assert all(np.shares_memory(a, g)
+                   for a, g in zip(_parts(planned), _parts(gathered)))
+        # a writable array may change between calls: it is never served
+        # from the plan, so never stale
+        rows = np.array(batch)
+        assert rows.flags.writeable
+        rows[1] = 3 if batch[1] != 3 else 4
+        fresh = _parts(ds.gather(rows))
         assert all(np.array_equal(a, b) for a, b in
-                   zip(_parts(ds.gather(rows)),
-                       _parts(ds.subset([0, 3]).gather(np.arange(2)))))
-        assert not np.array_equal(first[-1], _parts(ds.gather(rows))[-1])
-        batch = make_schedule(6, 2, seed=0).batches[0]
-        gathered = ds.gather(batch)
-        assert ds.gather(batch) is gathered
+                   zip(fresh, _parts(ds.subset(rows).gather(np.arange(2)))))
+        assert not any(np.shares_memory(a, g) for a, g in zip(fresh, _parts(gathered)))
         # an equal but distinct array is gathered afresh, to equal values
         again = ds.gather(batch.copy())
-        assert again is not gathered
-        assert all(np.array_equal(a, b) for a, b in zip(_parts(again), _parts(gathered)))
-        # every row in order is the stored layout itself, uncopied
+        assert again is not planned
+        assert not any(np.shares_memory(a, g) for a, g in zip(_parts(again), _parts(gathered)))
+        assert all(np.array_equal(a, b) for a, b in zip(_parts(again), _parts(planned)))
+        # a plan left unfinished holds nothing once closed
+        plan.close()
+        assert ds._plan == {}
+        assert ds.gather(batch) is not planned
+        # every row in order is the stored layout itself, uncopied, and a
+        # schedule of one such batch plans nothing
         every = _parts(ds.gather(np.arange(6)))
         assert all(a is b for a, b in zip(every, _parts(ds.gather())))
         assert every[0] is (ds.block if fill == 0.0 else ds.row_ids)
+        whole = make_schedule(6, 6, seed=0)
+        assert [(b, r, g) for b, r, g in ds.plan(whole)] == [(whole.batches, None, None)]
 
 
 def test_split_keeps_no_gathered_copy_in_the_parent():
     ds = make_synthetic(20, 4, seed=0)
     train, _ = split_train_test(ds, 0.5, seed=1)
-    assert ds._last is None
+    assert ds._plan == {}
     # the dense block and the signed values are built on the first gather,
     # not on a split
     assert "block" not in vars(ds) and "signed" not in vars(ds)
@@ -247,7 +276,7 @@ def test_split_keeps_no_gathered_copy_in_the_parent():
     every = np.arange(ds.n)
     every.flags.writeable = False
     ds.subset(every)
-    assert ds._last is None
+    assert ds._plan == {}
 
 
 def test_schedule_errors():

@@ -2,11 +2,13 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saag.data import Dataset, make_schedule, make_synthetic
 from saag.estimators import (direction, estimator_mean_bruteforce, make_table,
-                             saag1_direction, saag2_direction, svrg_direction,
-                             take_snapshot)
+                             plan_snap_terms, saag1_direction, saag2_direction,
+                             svrg_direction, take_snapshot)
 from saag.objective import (ObjectiveSpec, Regularizer, batch_grad, full_grad,
                             margins, scatter, slope_t)
 
@@ -228,6 +230,49 @@ def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout, monk
                 for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:
                     fresh = slope_t(spec.loss, margins(spec.data, snap.point, batch))
                     assert np.array_equal(snap.slopes[batch], fresh)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from([9, 17, 30]), st.integers(1, 6),
+       st.sampled_from([0.3, 1.0, 0.0]), st.integers(0, 5))
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_planned_snap_terms_are_the_batch_scatters_bit_for_bit(dense, n, d, fill, seed):
+    # the snap terms formed a chunk at a time must be scatter(c~[B], B) and
+    # give the snap directions of an unplanned batch, to the bit, at b in
+    # {1, 16, n - 1 (a short tail), n}, with empty rows and several chunks
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+        spec = sparse_spec(n, d, seed, fill)
+        assert (spec.data.block is not None) == dense
+    rng = np.random.default_rng(seed)
+    snap = take_snapshot(spec, rng.standard_normal(d))
+    w = rng.standard_normal(d)
+    for b in (1, min(16, n), n - 1, n):
+        schedule = make_schedule(n, b, seed)
+        want = {id(batch): (scatter(spec.data, snap.slopes[batch], batch),
+                            saag2_direction(spec, w, batch, snap),
+                            svrg_direction(spec, w, batch, snap))
+                for batch in schedule.batches}
+        for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d):
+            planned = 0
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(Dataset, "PLAN_BYTES", bound)
+                for batches, rows, gathered in spec.data.plan(schedule):
+                    plan_snap_terms(spec, snap, batches, rows, gathered)
+                    assert len(snap.terms) == (0 if rows is None else len(batches))
+                    planned += len(snap.terms)
+                    for batch in batches:
+                        term, saag2, svrg = want[id(batch)]
+                        if rows is not None:
+                            assert np.array_equal(snap.terms[id(batch)][1], term)
+                        assert np.array_equal(saag2_direction(spec, w, batch, snap), saag2)
+                        assert np.array_equal(svrg_direction(spec, w, batch, snap), svrg)
+            # a batch of every row is read uncopied, never planned; any
+            # other batch fits a bound of 24 bytes per entry
+            if b == n:
+                assert planned == 0
+            elif bound >= 24 * d * b:
+                assert planned == schedule.m
 
 
 def test_direction_rejects_an_unknown_kind():

@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from saag.data import Dataset
+from saag.data import Dataset, make_schedule
+from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
                             batch_grad, batch_ray, batch_smooth_value, loss_t,
-                            margins, objective_value, scatter, slope_t)
+                            margins, objective_value, scatter, scatter_batches,
+                            slope_t)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -70,6 +72,32 @@ def problems(draw):
 
 def close(a, b, scale):
     return np.allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+
+
+def layout(data, dense):
+    """``data`` with its passes fixed to the dense block or the CSR arrays."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+        assert (data.block is not None) == dense
+    return data
+
+
+@st.composite
+def matrices(draw, sizes):
+    """A random matrix with ``sizes`` rows, empty rows and unused columns
+    allowed, and labels."""
+    n = draw(st.sampled_from(sizes))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    fill = draw(st.sampled_from([0.5, 1.0, 0.1]))
+    x = np.where(rng.random((n, d)) < fill, rng.uniform(-3.0, 3.0, (n, d)), 0.0)
+    return x, np.where(rng.random(n) < 0.5, -1.0, 1.0), rng
+
+
+def dataset(x, y):
+    r, c = np.nonzero(x)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(x, axis=1))])
+    return Dataset(indptr, c, x[r, c], y, x.shape[1])
 
 
 @SETTINGS
@@ -137,9 +165,9 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
     lam2 = 1e-2
     spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2), data)
-    phi = batch_ray(spec, w, rows, d)
+    base, value = batch_ray(spec, w, rows, d)(np.array([0.0, eta]))
     # the search's reference value at eta = 0 is the same float
-    assert phi(0.0) == batch_smooth_value(spec, w, rows)
+    assert base == batch_smooth_value(spec, w, rows)
     v = w - eta * d
     want = batch_smooth_value(spec, v, rows)
     # the two sides round the margins and the l2 term differently, by about
@@ -148,7 +176,7 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     reach = np.abs(xb) @ (np.abs(w) + eta * np.abs(d)) + 1.0
     slack = ((np.abs(dense_slope(kind, xb @ v, yb)) + 1.0) @ reach
              + lam2 * (w @ w + 2.0 * eta * abs(w @ d) + eta * eta * (d @ d)))
-    assert abs(phi(eta) - want) <= 1e-12 * (abs(want) + slack)
+    assert abs(value - want) <= 1e-12 * (abs(want) + slack)
 
 
 def margin_loss(kind, z, y):
@@ -203,9 +231,59 @@ def test_batch_ray_trials_are_the_margin_formula_bit_for_bit(problem, kind, eta,
     l2 = 0.5 * lam2 * (float(w @ w) - 2.0 * eta * float(w @ d)
                        + eta * eta * float(d @ d))
     want = float(margin_loss(kind, z - eta * u, yb).sum()) / z.size + l2
-    assert batch_ray(spec, w, rows, d)(eta) == want
+    assert list(batch_ray(spec, w, rows, d)(np.array([eta]))) == [want]
     # the inner step hands over the signed margins and d.d it already formed
-    assert batch_ray(spec, w, rows, d, t, float(d @ d))(eta) == want
+    assert list(batch_ray(spec, w, rows, d, t, float(d @ d))(np.array([eta]))) == [want]
+
+
+def sequential_backtrack(params, phi, dd):
+    """The search one trial at a time, phi(eta) a float: the ladder must
+    take its decisions and report its counts."""
+    base = phi(0.0)
+    evals, eta, value = 1, params.eta0, None
+    for _ in range(params.max_backtracks):
+        value, tried = phi(eta), eta
+        evals += 1
+        if value <= base - params.alpha * dd * eta:
+            return eta, evals
+        eta *= params.shrink
+    return (tried, evals) if value < base else (0.0, evals)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(matrices([1, 9, 33, 130, 300]), st.sampled_from([1, 2, 10]),
+       st.sampled_from([1.0, 50.0]), st.sampled_from([1.0, 1e3]), st.data())
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("kind", LOSSES)
+def test_trial_ladder_is_the_sequential_search_bit_for_bit(
+        kind, dense, matrix, tries, eta0, scale, draw):
+    # one block of trials must give each trial's float as the 1-d sum does
+    # (pairwise past 8 terms, in blocks of 128), and the search the decision
+    # and count of one trial at a time
+    x, y, rng = matrix
+    data = layout(dataset(x, y), dense)
+    n, d = x.shape
+    rows = draw.draw(st.sampled_from([None, np.arange(n), np.sort(rng.permutation(n)[:n // 2 + 1])]))
+    w, v = scale * rng.uniform(-1.0, 1.0, d), rng.uniform(-3.0, 3.0, d)
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=1e-2), data)
+    params = SBASParams(shrink=0.3, eta0=eta0, max_backtracks=tries)
+    z, u = margins(data, w, rows), margins(data, v, rows)
+    ww, wv, vv = float(w @ w), float(w @ v), float(v @ v)
+
+    def one(eta):
+        return (float(np.add.reduce(loss_t(kind, z - eta * u))) / z.size
+                + 0.005 * (ww - 2.0 * eta * wv + eta * eta * vv))
+
+    steps = params.steps
+    assert not steps.flags.writeable
+    assert steps.size == tries + 1 and steps[0] == 0.0 and steps[1] == eta0
+    for j in range(2, tries + 1):     # each trial is the one before times shrink
+        assert steps[j] == steps[j - 1] * 0.3
+    phi = batch_ray(spec, w, rows, v)
+    want = [one(eta) for eta in steps.tolist()]
+    assert list(phi(steps)) == want
+    assert list(phi(steps[:2])) + list(phi(steps[2:])) == want
+    assert backtrack(params, phi, vv) == sequential_backtrack(params, one, vv)
 
 
 @SETTINGS
@@ -233,6 +311,66 @@ def test_empty_row_and_unused_column():
     # an empty row has margin 0: loss ln 2, gradient 0
     assert batch_smooth_value(spec, w, [1]) == np.log(2.0)
     assert np.array_equal(batch_grad(spec, w, [1]), np.zeros(3))
-    assert batch_ray(spec, w, [1], np.ones(3))(0.5) == np.log(2.0)
+    assert list(batch_ray(spec, w, [1], np.ones(3))(np.array([0.5]))) == [np.log(2.0)]
     with pytest.raises(ValueError):
         batch_ray(spec, w, [], np.ones(3))
+
+
+def chunk_bytes(gathered):
+    """Bytes of a planned chunk's signed rows: the (m, b, d) block, or the
+    CSR slots, columns and values."""
+    if isinstance(gathered, np.ndarray):
+        return gathered.nbytes
+    return sum(a.nbytes for a in gathered[:3])
+
+
+def parts(gathered):
+    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(matrices([9, 17, 40]), st.integers(0, 3))
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
+    # a planned batch must read as the rows of a fresh gather, and the
+    # batched snap terms as the separate scatters, to the bit, at b in
+    # {1, 16, n - 1 (a short tail), n} and chunk bounds from the default
+    # down to one batch's rows and below
+    x, y, rng = matrix
+    data = layout(dataset(x, y), dense)
+    n, d = x.shape
+    c, w = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, d)
+    for b in (1, min(16, n), n - 1, n):
+        schedule = make_schedule(n, b, seed, epoch=1)
+        fresh = [data._gather(batch) for batch in schedule.batches]
+        terms = [scatter(data, c[batch], batch) for batch in schedule.batches]
+        for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d * b, 24, 0):
+            seen = []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(Dataset, "PLAN_BYTES", bound)
+                for batches, rows, gathered in data.plan(schedule):
+                    k = len(seen)
+                    seen += batches
+                    if rows is None:
+                        # unplanned: alone, and read afresh or, at b = n, uncopied
+                        assert len(batches) == 1 or b == n
+                        assert data._plan == {}
+                        continue
+                    assert chunk_bytes(gathered) <= bound
+                    assert [np.array_equal(r, batch) for r, batch in zip(rows, batches)] == \
+                        [True] * len(batches)
+                    planned = scatter_batches(data, c, rows, gathered)
+                    for i, batch in enumerate(batches):
+                        got = data.gather(batch)
+                        # a view of the chunk (an empty part shares no memory)
+                        assert all(a.size == 0 or np.shares_memory(a, g) for a, g in
+                                   zip(parts(got), parts(gathered)))
+                        assert all(a.dtype == f.dtype and np.array_equal(a, f) for a, f in
+                                   zip(parts(got), parts(fresh[k + i])))
+                        assert np.array_equal(planned[i], terms[k + i])
+                        assert np.array_equal(scatter(data, c[batch], batch), terms[k + i])
+                        assert np.array_equal(margins(data, w, batch),
+                                              margins(data, w, np.array(batch)))
+            assert data._plan == {}
+            assert len(seen) == schedule.m
+            assert all(s is t for s, t in zip(seen, schedule.batches))

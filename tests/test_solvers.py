@@ -10,7 +10,7 @@ from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, objective_value,
                             slope_sum)
-from saag.solvers import (SOLVERS, RunConfig, init_state,
+from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
                           reference_optimum, run, run_epoch)
 
 SBAS_SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd")
@@ -143,6 +143,29 @@ def test_run_single_epoch_full_batch_gd_equals_saag4():
     assert np.linalg.norm(w_gd - w_s4) <= 1e-12
 
 
+def record_plans(monkeypatch):
+    """Wrap ``Dataset.plan`` to keep the signed rows of every chunk it
+    yields (None for an unplanned one)."""
+    chunks = []
+    plan = Dataset.plan
+
+    def recorded(self, schedule):
+        for chunk in plan(self, schedule):
+            chunks.append(chunk[2])
+            yield chunk
+
+    monkeypatch.setattr(Dataset, "plan", recorded)
+    return chunks
+
+
+def chunk_bytes(gathered):
+    """Bytes of a chunk's signed rows: the (m, b, d) block, or the CSR
+    slots, columns and values."""
+    if isinstance(gathered, np.ndarray):
+        return gathered.nbytes
+    return sum(a.nbytes for a in gathered[:3])
+
+
 def _arrays(obj):
     if isinstance(obj, np.ndarray):
         yield obj
@@ -157,7 +180,11 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         train, test = split_train_test(make_synthetic(60, 5, seed=1), 0.8, 0)
         spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
         cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
-        w, trace = run(cfg, test=test)
+        with monkeypatch.context() as m:
+            chunks = record_plans(m)
+            w, trace = run(cfg, test=test)
+        # gd's one batch is every row, read uncopied: no chunk is gathered
+        assert chunks == [None] * 3
         # the passes read the signed rows: the block or the signed copy of
         # the CSR values, never both
         signed = vars(train).get("signed")
@@ -267,7 +294,7 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     monkeypatch.setattr(
         solvers_mod, "batch_ray",
         lambda spec_, w, rows, d, z=None, dd=None:
-            lambda eta: batch_smooth_value(spec_, w - eta * d, rows))
+            lambda etas: (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas))
     w_plain, plain = run(cfg)
     assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]
     assert [p.objective for p in fast.points] == [p.objective for p in plain.points]
@@ -279,12 +306,19 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
 @pytest.mark.parametrize("kind", ["saag2", "saag4", "svrg", "vrsgd"])
 @pytest.mark.parametrize("lam1", [0.0, 1e-3])
 def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
-    # reading the snap term from the snapshot's slopes must give the traces
-    # of forming it afresh as slope_sum(spec, snap.point, batch) every step
+    # reading the snap term from the snapshot's slopes, a chunk of batches
+    # at a time, must give the traces of forming it afresh as
+    # slope_sum(spec, snap.point, batch) every step
     train, test = split_train_test(make_synthetic(60, 8, seed=6, flip=0.1), 0.8, 0)
     spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), train)
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6, seed=1)
-    w_stored, stored = run(cfg, test=test)
+    # 8 batches of 6 rows of 8 values: chunks of 3, 3 and 2 batches
+    bound = 3 * 6 * 8 * 8
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", bound)
+    with monkeypatch.context() as m:
+        chunks = record_plans(m)
+        w_stored, stored = run(cfg, test=test)
+    assert [chunk_bytes(g) for g in chunks] == [bound, bound, 2 * bound // 3] * 4
 
     def saag2_afresh(spec_, w, batch, snap, z=None):
         n, k, lam2 = spec_.data.n, len(batch), spec_.reg.lambda2
@@ -301,12 +335,53 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
         estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None)))
+    # the afresh snapshot keeps no slopes to plan snap terms from
+    monkeypatch.setattr(solvers_mod, "plan_snap_terms", lambda *args: None)
     w_afresh, afresh = run(cfg, test=test)
     assert np.array_equal(w_stored, w_afresh)
     assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
             for p in stored.points] == \
         [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
          for p in afresh.points]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["saag1", "svrg", "sgd"])
+def test_finite_direction_whose_square_overflows_still_steps(kind, monkeypatch):
+    # d.d overflows to inf for entries near 1e200, yet every entry of d is
+    # finite, so the fixed steps run
+    spec = toy_spec(n=8, d=3)
+    huge = np.array([1e200, -2e200, 3e199])
+    assert float(huge @ huge) == math.inf
+    monkeypatch.setattr(solvers_mod, "direction", lambda *args: huge)
+    cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=4,
+                    fixed_eta=1e-300)
+    w, trace = run(cfg)
+    assert trace.failure is None
+    assert len(trace.points) == 3
+    assert np.array_equal(w, -4 * 1e-300 * huge)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fixed_eta", [None, 0.1])
+def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
+    # one NaN or infinite entry stops the step, searched or fixed, with the
+    # run's message, also beside entries whose square overflows
+    spec = toy_spec(n=8, d=3)
+    for d in (np.array([0.5, bad, -1.0]), np.array([1e200, 0.0, bad])):
+        monkeypatch.setattr(solvers_mod, "direction", lambda *args, d=d: d)
+        cfg = RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=4,
+                        fixed_eta=fixed_eta)
+        state = init_state(cfg)
+        state.snap = estimators_mod.take_snapshot(spec, state.w)
+        with pytest.raises(NonFiniteDirection) as err:
+            solvers_mod.inner_step("svrg", state, spec, np.array([0, 1, 2, 3]),
+                                   cfg.sbas, fixed_eta)
+        assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
+        assert state.counters.inner == 0
+        _, trace = run(cfg)
+        assert trace.failure == "svrg: non-finite direction at epoch 0, inner step 0"
 
 
 def test_inner_step_eta_zero_leaves_w_unchanged():
