@@ -123,20 +123,17 @@ class Dataset:
         return self._csr_rows(rows, self.signed)[:3] if block is None else block[rows]
 
     def plan(self, schedule):
-        """Yield the batches of ``schedule`` in chunks, each gathered in one
-        pass: runs of full batches (rows of ``schedule.head``), or the tail
-        batch, whose gathered rows take at most PLAN_BYTES. A chunk is (its
-        batches, their rows as an (m, b) array, their signed rows): an
-        (m, b, d) array on a dense block, else (position of each value's
-        row in its batch, column, value, number of values of each row).
-        While a chunk is out, ``gather`` returns each of its batches' part
-        as a view, equal to a fresh gather. A batch of every row, or one past
-        the bound on its own, is yielded alone and unplanned, with rows and
-        signed rows None: ``gather`` reads it as it comes.
+        """Yield the batches of ``schedule`` in order, gathered ahead a
+        chunk at a time: runs of full batches (rows of ``schedule.head``),
+        or the tail batch, whose gathered rows take at most PLAN_BYTES, each
+        gathered in one pass. While a batch of a chunk is out, ``gather``
+        returns its part of the chunk as a view, equal to a fresh gather. A
+        batch of every row, or one past the bound on its own, is unplanned:
+        ``gather`` reads it as it comes.
         """
         batches, head = schedule.batches, schedule.head
         if schedule.b == self.n:    # gather gives the stored arrays uncopied
-            yield batches, None, None
+            yield from batches
             return
         runs = [(head, batches[:len(head)])]
         if len(batches) > len(head):
@@ -149,13 +146,11 @@ class Dataset:
                     stop = int(ends[start])
                     chunk = run[start:max(stop, start + 1)]
                     self._plan = {}
-                    if stop == start:       # one batch past the bound
-                        yield chunk, None, None
-                    else:
-                        gathered, views = self._gather_chunk(rows[start:stop])
+                    if stop > start:    # else one batch past the bound
+                        views = self._gather_chunk(rows[start:stop])
                         self._plan = {id(batch): (batch, view)
                                       for batch, view in zip(chunk, views)}
-                        yield chunk, rows[start:stop], gathered
+                    yield from chunk
                     start += len(chunk)
         finally:
             self._plan = {}
@@ -174,17 +169,14 @@ class Dataset:
         return np.searchsorted(cum, cum + self.PLAN_BYTES, side="right") - 1
 
     def _gather_chunk(self, rows):
-        """The signed rows of the (m, b) ``rows`` in the layout of ``plan``,
-        and the view of each batch."""
+        """The signed rows of each batch of the (m, b) ``rows``, as views of
+        one gather."""
         if self.block is not None:
-            xs = self.block[rows]
-            return xs, list(xs)
+            return list(self.block[rows])
         slots, cols, vals, counts = self._csr_rows(rows, self.signed)
-        counts = counts.reshape(rows.shape)
-        offsets = np.cumsum(counts.sum(axis=1)).tolist()
-        views = [(slots[i:j], cols[i:j], vals[i:j])
-                 for i, j in zip([0] + offsets[:-1], offsets)]
-        return (slots, cols, vals, counts), views
+        offsets = np.cumsum(counts.reshape(rows.shape).sum(axis=1)).tolist()
+        return [(slots[i:j], cols[i:j], vals[i:j])
+                for i, j in zip([0] + offsets[:-1], offsets)]
 
     def _csr_rows(self, rows, values):
         """The stored entries of the 1-d or (m, b) ``rows``, in order: (position

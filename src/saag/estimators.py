@@ -9,12 +9,11 @@ each term is evaluated at, never from stale storage.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import (batch_grad, margins, scatter, scatter_batches,
-                        slope_sum, slope_t)
+from .objective import batch_grad, margins, scatter, slope_t
 
 ENUMERATION_CAP = 64
 
@@ -24,15 +23,11 @@ TABLE_KINDS = ("saag1", "saag3")
 @dataclass(eq=False)
 class SnapState:
     """Snap point w~ with its full smooth gradient mu~ and the slope
-    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move, and
-    the snap terms of the planned chunk (see ``plan_snap_terms``)."""
+    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move."""
 
     point: np.ndarray
     grad: np.ndarray
     slopes: np.ndarray
-    # id(batch) -> (batch, scatter(c~[B], B)), holding the batch as
-    # Dataset's plan does
-    terms: dict = field(default_factory=dict, repr=False)
 
 
 def take_snapshot(spec, w):
@@ -42,20 +37,6 @@ def take_snapshot(spec, w):
     slopes = slope_t(spec.loss, margins(data, w))
     grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
     return SnapState(w.copy(), grad, slopes)
-
-
-def plan_snap_terms(spec, snap, batches, rows, gathered):
-    """Form the snap term scatter(c~[B], B) of every batch of a chunk of
-    ``Dataset.plan`` in one pass, for the snap directions to read; an
-    unplanned chunk (``rows`` None) leaves them to form their own."""
-    terms = () if rows is None else scatter_batches(spec.data, snap.slopes,
-                                                    rows, gathered)
-    snap.terms = {id(batch): (batch, term) for batch, term in zip(batches, terms)}
-
-
-def _snap_term(data, snap, batch):
-    planned = snap.terms.get(id(batch))
-    return scatter(data, snap.slopes[batch], batch) if planned is None else planned[1]
 
 
 @dataclass(eq=False)
@@ -109,30 +90,34 @@ def saag2_direction(spec, w, batch, snap, z=None):
     the mean over a partition of equal batches is
     grad f(w) + ((m-1)/m) grad f(w~). Each component gradient carries its l2
     share at its own evaluation point, so the identity holds exactly for any
-    lambda2. The snap term reads the stored slopes c~_B; ``z`` is as in
-    ``saag1_direction``.
+    lambda2. For a linear model both sums run over the batch's signed rows,
+    so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B
+    read from the snapshot's slopes; ``z`` is as in ``saag1_direction``.
     """
     n = spec.data.n
     k = len(batch)
     lam2 = spec.reg.lambda2
-    cur = slope_sum(spec, w, batch, z)
-    old = _snap_term(spec.data, snap, batch)
-    return (cur / k - old / n
+    if z is None:
+        z = margins(spec.data, w, batch)
+    c = slope_t(spec.loss, z) / k - snap.slopes[batch] / n
+    return (scatter(spec.data, c, batch)
             + lam2 * w - (k / n) * lam2 * snap.point
             + snap.grad)
 
 
 def svrg_direction(spec, w, batch, snap, z=None):
     """Unbiased control-variate direction:
-    (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~.
+    (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~, one scatter of
+    (c_i - c~_i)/|B| over B.
 
-    At w = w~ the correction cancels exactly and the direction equals mu~.
+    At w = w~ the slopes cancel exactly and the direction equals mu~.
     ``z`` is as in ``saag1_direction``.
     """
-    k = len(batch)
-    cur = slope_sum(spec, w, batch, z)
-    old = _snap_term(spec.data, snap, batch)
-    return (cur - old) / k + spec.reg.lambda2 * (w - snap.point) + snap.grad
+    if z is None:
+        z = margins(spec.data, w, batch)
+    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / len(batch)
+    return (scatter(spec.data, c, batch)
+            + spec.reg.lambda2 * (w - snap.point) + snap.grad)
 
 
 def direction(kind, spec, w, batch, table=None, snap=None, z=None):

@@ -90,39 +90,17 @@ def scatter(data, c, rows=None):
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
-def scatter_batches(data, c, rows, gathered):
-    """scatter(data, c[rows[k]], rows[k]) for each row k of the (m, b) array
-    ``rows``, as an (m, d) array, in one pass over ``gathered``, their
-    signed rows as ``Dataset.plan`` gathers them; bit-equal to the separate
-    scatters."""
-    if isinstance(gathered, np.ndarray):
-        return np.matmul(c[rows][:, None, :], gathered)[:, 0, :]
-    _, cols, vals, counts = gathered
-    m, d = counts.shape[0], data.d
-    # bincount adds each (batch, column) bin's values in batch order
-    bins = np.repeat(np.arange(0, m * d, d), counts.sum(axis=1)) + cols
-    weights = vals * np.repeat(c[rows].ravel(), counts.ravel())
-    return np.bincount(bins, weights=weights, minlength=m * d).reshape(m, d)
-
-
-def slope_sum(spec, w, rows=None, z=None):
-    """Dense sum of the gradients of the losses over a batch (every row when
-    None); ``z`` is the batch's signed margins when the caller has them."""
-    data = spec.data
-    if z is None:
-        z = margins(data, w, rows)
-    return scatter(data, slope_t(spec.loss, z), rows)
-
-
 def batch_grad(spec, w, rows=None, z=None):
     """Mean gradient of the smooth part over a batch (every row when None):
-    (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is as in
-    ``slope_sum``.
+    (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is the batch's
+    signed margins when the caller has them.
     """
     k = spec.data.n if rows is None else len(rows)
     if k == 0:
         raise ValueError("empty batch")
-    return slope_sum(spec, w, rows, z) / k + spec.reg.lambda2 * w
+    if z is None:
+        z = margins(spec.data, w, rows)
+    return scatter(spec.data, slope_t(spec.loss, z), rows) / k + spec.reg.lambda2 * w
 
 
 def full_grad(spec, w):

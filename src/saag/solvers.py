@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import make_schedule
 from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
-                         make_table, plan_snap_terms, take_snapshot)
+                         make_table, take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
@@ -133,8 +133,7 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
 
 def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     """One epoch: snap bookkeeping, m inner steps, boundary rule. The
-    batches are gathered, and their snap terms formed, a chunk at a time
-    (``Dataset.plan``).
+    batches are gathered a chunk at a time (``Dataset.plan``).
 
     Snap rules at epoch start: saag2 and svrg anchor at the current iterate
     (the previous epoch's last point); saag4 and vrsgd anchor at the previous
@@ -150,11 +149,8 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
         state.snap = take_snapshot(spec, state.avg_prev)
         state.counters.grads += n
     state.iterate_sum[:] = 0.0
-    for batches, rows, gathered in spec.data.plan(schedule):
-        if state.snap is not None:
-            plan_snap_terms(spec, state.snap, batches, rows, gathered)
-        for batch in batches:
-            inner_step(kind, state, spec, batch, sbas_params, fixed_eta)
+    for batch in spec.data.plan(schedule):
+        inner_step(kind, state, spec, batch, sbas_params, fixed_eta)
     if kind == "saag3":
         state.w = state.iterate_sum / schedule.m
     elif kind in ("saag4", "vrsgd"):

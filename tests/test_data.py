@@ -222,6 +222,16 @@ def _parts(gathered):
     return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
 
 
+def _chunk(view):
+    """The arrays a planned view is part of: its chunk's gathered rows."""
+    roots = []
+    for a in _parts(view):
+        while a.base is not None:
+            a = a.base
+        roots.append(a)
+    return roots
+
+
 def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
     for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
         monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
@@ -229,13 +239,16 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         assert (ds.block is None) == (fill > 1.0)
         schedule = make_schedule(6, 2, seed=0)
         plan = ds.plan(schedule)
-        batches, rows, gathered = next(plan)
-        assert batches == schedule.batches and rows is not None
-        batch = batches[0]
+        batch = next(plan)
+        assert batch is schedule.batches[0]
+        # the whole schedule is one chunk
+        assert [id(b) for b, _ in ds._plan.values()] == list(map(id, schedule.batches))
         planned = ds.gather(batch)
         assert ds.gather(batch) is planned
-        assert all(np.shares_memory(a, g)
-                   for a, g in zip(_parts(planned), _parts(gathered)))
+        gathered = _chunk(planned)
+        assert all(np.shares_memory(a, g) for a, g in zip(_parts(planned), gathered))
+        assert all(a is g for _, view in ds._plan.values()
+                   for a, g in zip(_chunk(view), gathered))
         # a writable array may change between calls: it is never served
         # from the plan, so never stale
         rows = np.array(batch)
@@ -244,11 +257,11 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         fresh = _parts(ds.gather(rows))
         assert all(np.array_equal(a, b) for a, b in
                    zip(fresh, _parts(ds.subset(rows).gather(np.arange(2)))))
-        assert not any(np.shares_memory(a, g) for a, g in zip(fresh, _parts(gathered)))
+        assert not any(np.shares_memory(a, g) for a, g in zip(fresh, gathered))
         # an equal but distinct array is gathered afresh, to equal values
         again = ds.gather(batch.copy())
         assert again is not planned
-        assert not any(np.shares_memory(a, g) for a, g in zip(_parts(again), _parts(gathered)))
+        assert not any(np.shares_memory(a, g) for a, g in zip(_parts(again), gathered))
         assert all(np.array_equal(a, b) for a, b in zip(_parts(again), _parts(planned)))
         # a plan left unfinished holds nothing once closed
         plan.close()
@@ -260,7 +273,11 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         assert all(a is b for a, b in zip(every, _parts(ds.gather())))
         assert every[0] is (ds.block if fill == 0.0 else ds.row_ids)
         whole = make_schedule(6, 6, seed=0)
-        assert [(b, r, g) for b, r, g in ds.plan(whole)] == [(whole.batches, None, None)]
+        seen = []
+        for batch in ds.plan(whole):
+            assert ds._plan == {}
+            seen.append(batch)
+        assert len(seen) == 1 and seen[0] is whole.batches[0]
 
 
 def test_split_keeps_no_gathered_copy_in_the_parent():

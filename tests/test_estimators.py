@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from saag.data import Dataset, make_schedule, make_synthetic
 from saag.estimators import (direction, estimator_mean_bruteforce, make_table,
-                             plan_snap_terms, saag1_direction, saag2_direction,
-                             svrg_direction, take_snapshot)
-from saag.objective import (ObjectiveSpec, Regularizer, batch_grad, full_grad,
-                            margins, scatter, slope_t)
+                             saag1_direction, saag2_direction, svrg_direction,
+                             take_snapshot)
+from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
+                            full_grad, margins, scatter, slope_t)
 
 
 def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
@@ -234,45 +234,47 @@ def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout, monk
 
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(st.sampled_from([9, 17, 30]), st.integers(1, 6),
-       st.sampled_from([0.3, 1.0, 0.0]), st.integers(0, 5))
+       st.sampled_from([0.3, 1.0, 0.0]), st.integers(0, 5),
+       st.sampled_from(LOSSES), st.sampled_from([1.0, 1e2, 2e3]))
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
-def test_planned_snap_terms_are_the_batch_scatters_bit_for_bit(dense, n, d, fill, seed):
-    # the snap terms formed a chunk at a time must be scatter(c~[B], B) and
-    # give the snap directions of an unplanned batch, to the bit, at b in
-    # {1, 16, n - 1 (a short tail), n}, with empty rows and several chunks
+def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, seed,
+                                                            kind, scale):
+    # the snap directions scatter one slope vector over B: c/k - c~_B/n
+    # (saag2) or (c - c~_B)/k (svrg). They must equal the separate scatters
+    # of c and c~_B to 1e-12 of the summed terms' magnitude, at b in
+    # {1, 16, n - 1 (a short tail), n}, with empty rows, several chunk
+    # bounds and margins up to |t| ~ 1e4
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
-        spec = sparse_spec(n, d, seed, fill)
-        assert (spec.data.block is not None) == dense
+        data = sparse_spec(n, d, seed, fill).data
+        assert (data.block is not None) == dense
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=1e-2), data)
+    lam2 = spec.reg.lambda2
     rng = np.random.default_rng(seed)
-    snap = take_snapshot(spec, rng.standard_normal(d))
-    w = rng.standard_normal(d)
+    snap = take_snapshot(spec, scale * rng.uniform(-1.0, 1.0, d))
+    w = scale * rng.uniform(-1.0, 1.0, d)
+    x = np.abs(data.dense())
+    rest = lam2 * (np.abs(w) + np.abs(snap.point)) + np.abs(snap.grad)
     for b in (1, min(16, n), n - 1, n):
         schedule = make_schedule(n, b, seed)
-        want = {id(batch): (scatter(spec.data, snap.slopes[batch], batch),
-                            saag2_direction(spec, w, batch, snap),
-                            svrg_direction(spec, w, batch, snap))
-                for batch in schedule.batches}
+        want = {}
+        for batch in schedule.batches:
+            k = len(batch)
+            c, old_c = slope_t(kind, margins(data, w, batch)), snap.slopes[batch]
+            cur, old = scatter(data, c, batch), scatter(data, old_c, batch)
+            want[id(batch)] = (
+                cur / k - old / n + lam2 * w - (k / n) * lam2 * snap.point + snap.grad,
+                (cur - old) / k + lam2 * (w - snap.point) + snap.grad,
+                (np.abs(c) + np.abs(old_c)) @ x[batch] / k + rest)
         for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d):
-            planned = 0
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
-                for batches, rows, gathered in spec.data.plan(schedule):
-                    plan_snap_terms(spec, snap, batches, rows, gathered)
-                    assert len(snap.terms) == (0 if rows is None else len(batches))
-                    planned += len(snap.terms)
-                    for batch in batches:
-                        term, saag2, svrg = want[id(batch)]
-                        if rows is not None:
-                            assert np.array_equal(snap.terms[id(batch)][1], term)
-                        assert np.array_equal(saag2_direction(spec, w, batch, snap), saag2)
-                        assert np.array_equal(svrg_direction(spec, w, batch, snap), svrg)
-            # a batch of every row is read uncopied, never planned; any
-            # other batch fits a bound of 24 bytes per entry
-            if b == n:
-                assert planned == 0
-            elif bound >= 24 * d * b:
-                assert planned == schedule.m
+                for batch in data.plan(schedule):
+                    saag2, svrg, size = want[id(batch)]
+                    assert np.all(np.abs(saag2_direction(spec, w, batch, snap) - saag2)
+                                  <= 1e-12 * size)
+                    assert np.all(np.abs(svrg_direction(spec, w, batch, snap) - svrg)
+                                  <= 1e-12 * size)
 
 
 def test_direction_rejects_an_unknown_kind():

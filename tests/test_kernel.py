@@ -11,8 +11,7 @@ from saag.data import Dataset, make_schedule
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
                             batch_grad, batch_ray, batch_smooth_value, loss_t,
-                            margins, objective_value, scatter, scatter_batches,
-                            slope_t)
+                            margins, objective_value, scatter, slope_t)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -317,25 +316,34 @@ def test_empty_row_and_unused_column():
 
 
 def chunk_bytes(gathered):
-    """Bytes of a planned chunk's signed rows: the (m, b, d) block, or the
-    CSR slots, columns and values."""
-    if isinstance(gathered, np.ndarray):
-        return gathered.nbytes
-    return sum(a.nbytes for a in gathered[:3])
+    """Bytes of gathered signed rows: a dense block's rows, or the CSR
+    slots, columns and values."""
+    return sum(a.nbytes for a in parts(gathered))
 
 
 def parts(gathered):
     return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
 
 
+def chunk_of(view):
+    """The arrays a planned view is part of: its chunk's (m, b, d) block,
+    or the chunk's CSR slots, columns and values."""
+    roots = []
+    for a in parts(view):
+        while a.base is not None:
+            a = a.base
+        roots.append(a)
+    return roots
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(matrices([9, 17, 40]), st.integers(0, 3))
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
 def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
-    # a planned batch must read as the rows of a fresh gather, and the
-    # batched snap terms as the separate scatters, to the bit, at b in
-    # {1, 16, n - 1 (a short tail), n} and chunk bounds from the default
-    # down to one batch's rows and below
+    # a planned batch must read as the rows of a fresh gather, to the bit,
+    # as a view of one gather of its chunk, at b in {1, 16, n - 1 (a short
+    # tail), n} and chunk bounds from the default down to one batch's rows
+    # and below
     x, y, rng = matrix
     data = layout(dataset(x, y), dense)
     n, d = x.shape
@@ -345,32 +353,40 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
         fresh = [data._gather(batch) for batch in schedule.batches]
         terms = [scatter(data, c[batch], batch) for batch in schedule.batches]
         for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d * b, 24, 0):
-            seen = []
+            seen, chunk = [], None
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
-                for batches, rows, gathered in data.plan(schedule):
+                for batch in data.plan(schedule):
                     k = len(seen)
-                    seen += batches
-                    if rows is None:
-                        # unplanned: alone, and read afresh or, at b = n, uncopied
-                        assert len(batches) == 1 or b == n
+                    seen.append(batch)
+                    if id(batch) not in data._plan:
+                        # unplanned: alone past the bound, and read afresh
+                        # or, at b = n, uncopied
+                        assert b == n or chunk_bytes(fresh[k]) > bound
                         assert data._plan == {}
                         continue
-                    assert chunk_bytes(gathered) <= bound
-                    assert [np.array_equal(r, batch) for r, batch in zip(rows, batches)] == \
-                        [True] * len(batches)
-                    planned = scatter_batches(data, c, rows, gathered)
-                    for i, batch in enumerate(batches):
-                        got = data.gather(batch)
-                        # a view of the chunk (an empty part shares no memory)
-                        assert all(a.size == 0 or np.shares_memory(a, g) for a, g in
-                                   zip(parts(got), parts(gathered)))
-                        assert all(a.dtype == f.dtype and np.array_equal(a, f) for a, f in
-                                   zip(parts(got), parts(fresh[k + i])))
-                        assert np.array_equal(planned[i], terms[k + i])
-                        assert np.array_equal(scatter(data, c[batch], batch), terms[k + i])
-                        assert np.array_equal(margins(data, w, batch),
-                                              margins(data, w, np.array(batch)))
+                    if data._plan is not chunk:
+                        # a new chunk: the next batches of the schedule,
+                        # their views parts of one gather within the bound
+                        chunk = data._plan
+                        planned = [batch for batch, _ in chunk.values()]
+                        assert all(p is s for p, s in
+                                   zip(planned, schedule.batches[k:k + len(chunk)]))
+                        views = [view for _, view in chunk.values()]
+                        roots = chunk_of(views[0])
+                        assert all(all(a is r for a, r in zip(chunk_of(v), roots))
+                                   for v in views)
+                        assert sum(map(chunk_bytes, views)) == chunk_bytes(roots) <= bound
+                    got = data.gather(batch)
+                    assert got is chunk[id(batch)][1]
+                    # a view of the chunk (an empty part shares no memory)
+                    assert all(a.size == 0 or np.shares_memory(a, g) for a, g in
+                               zip(parts(got), chunk_of(got)))
+                    assert all(a.dtype == f.dtype and np.array_equal(a, f) for a, f in
+                               zip(parts(got), parts(fresh[k])))
+                    assert np.array_equal(scatter(data, c[batch], batch), terms[k])
+                    assert np.array_equal(margins(data, w, batch),
+                                          margins(data, w, np.array(batch)))
             assert data._plan == {}
             assert len(seen) == schedule.m
             assert all(s is t for s, t in zip(seen, schedule.batches))

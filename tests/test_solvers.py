@@ -8,8 +8,8 @@ import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
-                            batch_smooth_value, full_grad, objective_value,
-                            slope_sum)
+                            batch_smooth_value, full_grad, margins,
+                            objective_value, scatter, slope_t)
 from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
                           reference_optimum, run, run_epoch)
 
@@ -144,26 +144,31 @@ def test_run_single_epoch_full_batch_gd_equals_saag4():
 
 
 def record_plans(monkeypatch):
-    """Wrap ``Dataset.plan`` to keep the signed rows of every chunk it
-    yields (None for an unplanned one)."""
+    """Wrap ``Dataset.plan`` to keep the bytes of every chunk it gathers,
+    summed over the views of its batches (None for an unplanned batch)."""
     chunks = []
     plan = Dataset.plan
 
     def recorded(self, schedule):
-        for chunk in plan(self, schedule):
-            chunks.append(chunk[2])
-            yield chunk
+        chunk = None
+        for batch in plan(self, schedule):
+            if id(batch) not in self._plan:
+                chunks.append(None)
+            elif self._plan is not chunk:
+                chunk = self._plan
+                chunks.append(sum(chunk_bytes(view) for _, view in chunk.values()))
+            yield batch
 
     monkeypatch.setattr(Dataset, "plan", recorded)
     return chunks
 
 
 def chunk_bytes(gathered):
-    """Bytes of a chunk's signed rows: the (m, b, d) block, or the CSR
+    """Bytes of gathered signed rows: a dense block's rows, or the CSR
     slots, columns and values."""
     if isinstance(gathered, np.ndarray):
         return gathered.nbytes
-    return sum(a.nbytes for a in gathered[:3])
+    return sum(a.nbytes for a in gathered)
 
 
 def _arrays(obj):
@@ -306,9 +311,9 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
 @pytest.mark.parametrize("kind", ["saag2", "saag4", "svrg", "vrsgd"])
 @pytest.mark.parametrize("lam1", [0.0, 1e-3])
 def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
-    # reading the snap term from the snapshot's slopes, a chunk of batches
-    # at a time, must give the traces of forming it afresh as
-    # slope_sum(spec, snap.point, batch) every step
+    # reading c~_B from the snapshot's slopes, with the batches gathered a
+    # chunk at a time, must give the traces of forming it afresh as
+    # slope_t(margins(spec, snap.point, batch)) every step
     train, test = split_train_test(make_synthetic(60, 8, seed=6, flip=0.1), 0.8, 0)
     spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), train)
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6, seed=1)
@@ -318,25 +323,28 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     with monkeypatch.context() as m:
         chunks = record_plans(m)
         w_stored, stored = run(cfg, test=test)
-    assert [chunk_bytes(g) for g in chunks] == [bound, bound, 2 * bound // 3] * 4
+    assert chunks == [bound, bound, 2 * bound // 3] * 4
+
+    def snap_slopes(spec_, snap, batch):
+        return slope_t(spec_.loss, margins(spec_.data, snap.point, batch))
 
     def saag2_afresh(spec_, w, batch, snap, z=None):
         n, k, lam2 = spec_.data.n, len(batch), spec_.reg.lambda2
-        old = slope_sum(spec_, snap.point, batch)
-        return (slope_sum(spec_, w, batch) / k - old / n
+        c = (slope_t(spec_.loss, margins(spec_.data, w, batch)) / k
+             - snap_slopes(spec_, snap, batch) / n)
+        return (scatter(spec_.data, c, batch)
                 + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
 
     def svrg_afresh(spec_, w, batch, snap, z=None):
-        old = slope_sum(spec_, snap.point, batch)
-        return ((slope_sum(spec_, w, batch) - old) / len(batch)
+        c = ((slope_t(spec_.loss, margins(spec_.data, w, batch))
+              - snap_slopes(spec_, snap, batch)) / len(batch))
+        return (scatter(spec_.data, c, batch)
                 + spec_.reg.lambda2 * (w - snap.point) + snap.grad)
 
     monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
         estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None)))
-    # the afresh snapshot keeps no slopes to plan snap terms from
-    monkeypatch.setattr(solvers_mod, "plan_snap_terms", lambda *args: None)
     w_afresh, afresh = run(cfg, test=test)
     assert np.array_equal(w_stored, w_afresh)
     assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
