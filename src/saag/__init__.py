@@ -5,7 +5,7 @@ harness, and oracle-based verification of the estimator and rate claims."""
 from .data import (BatchSchedule, Dataset, ParseError, load_libsvm,
                    make_schedule, make_synthetic, parse_libsvm,
                    split_train_test)
-from .estimators import (GradTable, SnapState, direction,
+from .estimators import (GradTable, SnapState, bind, direction,
                          estimator_mean_bruteforce, make_table,
                          saag1_direction, saag2_direction, svrg_direction,
                          take_snapshot)

@@ -3,9 +3,10 @@
 Four estimators are provided: the SAAG-I/III incremental gradient table, the
 biased SAAG-II/IV snap-point estimator (fresh batch term at 1/b, stale snap
 term at 1/n), the unbiased SVRG/VR-SGD estimator (both terms at 1/b), and the
-plain mini-batch gradient of GD/SGD. ``direction`` maps a solver kind to its
-estimator. The l2 contribution is always applied analytically at the point
-each term is evaluated at, never from stale storage.
+plain mini-batch gradient of GD/SGD. ``bind`` maps a solver kind to its
+estimator, bound to the table or snap state of an epoch; ``direction`` is
+one bound call. The l2 contribution is always applied analytically at the
+point each term is evaluated at, never from stale storage.
 """
 
 import copy
@@ -22,12 +23,14 @@ TABLE_KINDS = ("saag1", "saag3")
 
 @dataclass(eq=False)
 class SnapState:
-    """Snap point w~ with its full smooth gradient mu~ and the slope
-    c~_i = slope_t(t_i(w~)) of every point, all from one pass per move."""
+    """Snap point w~ with its full smooth gradient mu~, the slope
+    c~_i = slope_t(t_i(w~)) of every point and c~/n, the weights of the
+    SAAG-II/IV snap term, all from one pass per move."""
 
     point: np.ndarray
     grad: np.ndarray
     slopes: np.ndarray
+    scaled: np.ndarray
 
 
 def take_snapshot(spec, w):
@@ -36,7 +39,7 @@ def take_snapshot(spec, w):
     data = spec.data
     slopes = slope_t(spec.loss, margins(data, w))
     grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
-    return SnapState(w.copy(), grad, slopes)
+    return SnapState(w.copy(), grad, slopes, slopes / data.n)
 
 
 @dataclass(eq=False)
@@ -67,8 +70,8 @@ def saag1_direction(table, spec, w, batch, z=None):
     margins when the caller has them.
     """
     data = spec.data
-    n = data.n
-    k = len(batch)
+    # float divisors: numpy divides by a Python int on a slower path
+    n, k = float(data.n), float(len(batch))
     if z is None:
         z = margins(data, w, batch)
     c = slope_t(spec.loss, z)
@@ -91,15 +94,14 @@ def saag2_direction(spec, w, batch, snap, z=None):
     grad f(w) + ((m-1)/m) grad f(w~). Each component gradient carries its l2
     share at its own evaluation point, so the identity holds exactly for any
     lambda2. For a linear model both sums run over the batch's signed rows,
-    so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B
-    read from the snapshot's slopes; ``z`` is as in ``saag1_direction``.
+    so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B/n
+    read from the snapshot; ``z`` is as in ``saag1_direction``.
     """
-    n = spec.data.n
-    k = len(batch)
+    n, k = spec.data.n, float(len(batch))    # float k as in saag1_direction
     lam2 = spec.reg.lambda2
     if z is None:
         z = margins(spec.data, w, batch)
-    c = slope_t(spec.loss, z) / k - snap.slopes[batch] / n
+    c = slope_t(spec.loss, z) / k - snap.scaled[batch]
     return (scatter(spec.data, c, batch)
             + lam2 * w - (k / n) * lam2 * snap.point
             + snap.grad)
@@ -115,24 +117,31 @@ def svrg_direction(spec, w, batch, snap, z=None):
     """
     if z is None:
         z = margins(spec.data, w, batch)
-    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / len(batch)
+    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / float(len(batch))
     return (scatter(spec.data, c, batch)
             + spec.reg.lambda2 * (w - snap.point) + snap.grad)
 
 
-def direction(kind, spec, w, batch, table=None, snap=None, z=None):
-    """The direction of solver ``kind`` at w over ``batch``: the table kinds
-    read and refresh ``table``, the snap kinds read ``snap``. ``z`` is the
-    batch's signed margins when the caller has them."""
+def bind(kind, spec, table=None, snap=None):
+    """The estimator of solver ``kind`` as a function of (w, batch, z): the
+    table kinds read and refresh ``table``, the snap kinds read ``snap``,
+    and ``z`` is the batch's signed margins, or None to form them. A solver
+    binds once per epoch, so its steps pay no dispatch."""
     if kind in TABLE_KINDS:
-        return saag1_direction(table, spec, w, batch, z)
+        return lambda w, batch, z: saag1_direction(table, spec, w, batch, z)
     if kind in ("saag2", "saag4"):
-        return saag2_direction(spec, w, batch, snap, z)
+        return lambda w, batch, z: saag2_direction(spec, w, batch, snap, z)
     if kind in ("svrg", "vrsgd"):
-        return svrg_direction(spec, w, batch, snap, z)
+        return lambda w, batch, z: svrg_direction(spec, w, batch, snap, z)
     if kind in ("gd", "sgd"):
-        return batch_grad(spec, w, batch, z)
+        return lambda w, batch, z: batch_grad(spec, w, batch, z)
     raise ValueError(f"unknown estimator kind {kind!r}")
+
+
+def direction(kind, spec, w, batch, table=None, snap=None, z=None):
+    """The direction of solver ``kind`` at w over ``batch``; the arguments
+    are those of ``bind`` and of the function it returns."""
+    return bind(kind, spec, table, snap)(w, batch, z)
 
 
 def estimator_mean_bruteforce(kind, spec, w, state, schedule):

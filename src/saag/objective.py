@@ -85,7 +85,7 @@ def scatter(data, c, rows=None):
     """Dense sum of c_i (-y_i x_i): the batch's signed rows weighted by ``c``."""
     gathered = data.gather(rows)
     if isinstance(gathered, np.ndarray):
-        return c @ gathered
+        return c.dot(gathered)
     local, cols, vals = gathered
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
@@ -100,7 +100,9 @@ def batch_grad(spec, w, rows=None, z=None):
         raise ValueError("empty batch")
     if z is None:
         z = margins(spec.data, w, rows)
-    return scatter(spec.data, slope_t(spec.loss, z), rows) / k + spec.reg.lambda2 * w
+    # a float divisor: numpy divides by a Python int on a slower path
+    return (scatter(spec.data, slope_t(spec.loss, z), rows) / float(k)
+            + spec.reg.lambda2 * w)
 
 
 def full_grad(spec, w):
@@ -117,7 +119,7 @@ def batch_smooth_value(spec, w, rows=None):
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
     losses = loss_t(spec.loss, margins(spec.data, w, rows))
-    return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w @ w)
+    return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w.dot(w))
 
 
 def batch_ray(spec, w, rows, direction, z=None, dd=None):
@@ -134,9 +136,9 @@ def batch_ray(spec, w, rows, direction, z=None, dd=None):
     if z is None:
         z = margins(data, w, rows)
     u = margins(data, direction, rows)
-    ww, wd = float(w @ w), float(w @ direction)
+    ww, wd = float(w.dot(w)), float(w.dot(direction))
     if dd is None:
-        dd = float(direction @ direction)
+        dd = float(direction.dot(direction))
     half, b = 0.5 * spec.reg.lambda2, z.size
 
     def phi(etas):

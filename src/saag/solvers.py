@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import make_schedule
-from .estimators import (TABLE_KINDS, GradTable, SnapState, direction,
-                         make_table, take_snapshot)
+from .estimators import (TABLE_KINDS, GradTable, SnapState, bind, make_table,
+                         take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
@@ -96,8 +96,10 @@ def init_state(config):
     return state
 
 
-def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
-    """One mini-batch step: direction, step size, update, iterate accumulation.
+def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
+    """One mini-batch step of solver ``kind``: the direction
+    ``direct(w, batch, z)`` (its estimator, bound by ``run_epoch``), step
+    size, update, iterate accumulation.
 
     A step size of 0 (the line-search sentinel) leaves w unchanged but still
     advances the counters and the iterate sum.
@@ -105,11 +107,11 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
     c = state.counters
     # the batch's signed margins serve both the direction and the search
     z = margins(spec.data, state.w, batch)
-    d = direction(kind, spec, state.w, batch, state.table, state.snap, z)
+    d = direct(state.w, batch, z)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     c.grads += len(batch) * (1 if state.snap is None else 2)
-    dd = float(d @ d)
+    dd = float(d.dot(d))
     # a finite d whose d.d overflows (entries past ~1e154) still runs
     if not math.isfinite(dd) and not np.isfinite(d).all():
         raise NonFiniteDirection(
@@ -133,7 +135,10 @@ def inner_step(kind, state, spec, batch, sbas_params, fixed_eta=None):
 
 def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     """One epoch: snap bookkeeping, m inner steps, boundary rule. The
-    batches are gathered a chunk at a time (``Dataset.plan``).
+    estimator is bound to the epoch's table or snap state once, and the
+    batches are gathered a chunk at a time (``Dataset.plan``). Overflow is
+    not reported inside the steps: a finite direction whose d.d overflows
+    still steps, and a non-finite one raises ``NonFiniteDirection``.
 
     Snap rules at epoch start: saag2 and svrg anchor at the current iterate
     (the previous epoch's last point); saag4 and vrsgd anchor at the previous
@@ -148,9 +153,11 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     elif kind in ("saag4", "vrsgd"):
         state.snap = take_snapshot(spec, state.avg_prev)
         state.counters.grads += n
+    direct = bind(kind, spec, state.table, state.snap)
     state.iterate_sum[:] = 0.0
-    for batch in spec.data.plan(schedule):
-        inner_step(kind, state, spec, batch, sbas_params, fixed_eta)
+    with np.errstate(over="ignore"):
+        for batch in spec.data.plan(schedule):
+            inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta)
     if kind == "saag3":
         state.w = state.iterate_sum / schedule.m
     elif kind in ("saag4", "vrsgd"):
@@ -225,11 +232,11 @@ def _top_eigenvalue(data):
     u = np.full(data.d, 1.0 / math.sqrt(data.d))
     for _ in range(POWER_PASSES):
         q = margins(data, u)
-        top = float(q @ q)      # u^T X^T X u with ||u|| = 1
+        top = float(q.dot(q))   # u^T X^T X u with ||u|| = 1
         if top == 0.0:
             break
         u = scatter(data, q)
-        u /= math.sqrt(float(u @ u))
+        u /= math.sqrt(float(u.dot(u)))
     return top
 
 
@@ -262,10 +269,10 @@ def reference_optimum(spec, budget=500):
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
 
     def smooth(z, w):
-        return float(loss_t(spec.loss, z).sum()) / n + 0.5 * lam2 * float(w @ w)
+        return float(loss_t(spec.loss, z).sum()) / n + 0.5 * lam2 * float(w.dot(w))
 
     # when the power iteration meets the null space, the trace bound
-    top = _top_eigenvalue(data) or float(data.values @ data.values)
+    top = _top_eigenvalue(data) or float(data.values.dot(data.values))
     # f is constant when both terms vanish, and any step fits
     lipschitz = CURVATURE[spec.loss] * top / n + lam2 or 1.0
     # below lambda2 no step fits but by rounding; the second bound keeps the
@@ -285,7 +292,7 @@ def reference_optimum(spec, budget=500):
             zp = margins(data, p)
             fp = smooth(zp, p)
             move = p - v
-            if fp <= fv + float(g @ move) + 0.5 * lipschitz * float(move @ move):
+            if fp <= fv + float(g.dot(move)) + 0.5 * lipschitz * float(move.dot(move)):
                 break
             if fresh:
                 lipschitz *= 2.0
@@ -297,10 +304,10 @@ def reference_optimum(spec, budget=500):
             break
         fp += lam1 * float(np.abs(p).sum())
         bound = lam2 * GAP * fw
-        converged = lipschitz ** 2 * float(move @ move) <= bound
+        converged = lipschitz ** 2 * float(move.dot(move)) <= bound
         if converged and lam1 > 0.0:
             s = batch_grad(spec, p, z=zp) - g - lipschitz * move
-            converged = float(s @ s) <= bound
+            converged = float(s.dot(s)) <= bound
         if fp < fw:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new

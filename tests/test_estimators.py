@@ -281,3 +281,34 @@ def test_direction_rejects_an_unknown_kind():
     spec = spec_for(6, 3)
     with pytest.raises(ValueError, match="unknown estimator kind 'nope'"):
         direction("nope", spec, np.zeros(3), np.array([0, 1]))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.sampled_from([9, 17, 30]), st.integers(1, 6),
+       st.sampled_from([0.3, 1.0, 0.0]), st.integers(0, 5),
+       st.sampled_from(LOSSES), st.sampled_from([1.0, 1e2]))
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, seed,
+                                                           kind, scale):
+    # SAAG-II/IV read c~_B/n from the snapshot's c~/n; the direction must be
+    # scatter(c/k - c~_B/n) plus the l2 and mu~ terms to the bit, planned or
+    # not, at b in {1, 16, n - 1 (a short tail), n}, with empty rows
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+        data = sparse_spec(n, d, seed, fill).data
+        assert (data.block is not None) == dense
+    spec = ObjectiveSpec(kind, Regularizer(lambda2=1e-2), data)
+    lam2 = spec.reg.lambda2
+    rng = np.random.default_rng(seed)
+    snap = take_snapshot(spec, scale * rng.uniform(-1.0, 1.0, d))
+    assert np.array_equal(snap.scaled, snap.slopes / n)
+    w = scale * rng.uniform(-1.0, 1.0, d)
+    for b in (1, min(16, n), n - 1, n):
+        schedule = make_schedule(n, b, seed)
+        for batch in data.plan(schedule):
+            k = len(batch)
+            c = slope_t(kind, margins(data, w, batch)) / k - snap.slopes[batch] / n
+            want = (scatter(data, c, batch)
+                    + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
+            assert np.array_equal(saag2_direction(spec, w, batch, snap), want)
+            assert np.array_equal(direction("saag4", spec, w, batch, snap=snap), want)

@@ -390,3 +390,52 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
             assert data._plan == {}
             assert len(seen) == schedule.m
             assert all(s is t for s, t in zip(seen, schedule.batches))
+
+
+def gaussian(n, d, seed, scale):
+    """A scaled Gaussian (n, d) matrix, random labels and the generator."""
+    rng = np.random.default_rng(seed)
+    x = scale * rng.standard_normal((n, d))
+    return x, np.where(rng.random(n) < 0.5, -1.0, 1.0), rng
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 16), st.sampled_from([1e-3, 1.0, 1e3]))
+@pytest.mark.parametrize("d", [1, 5, 50])
+@pytest.mark.parametrize("b", [1, 2, 7, 16, 32, 256])
+def test_dense_scatter_is_the_matmul_bit_for_bit(b, d, seed, scale):
+    # the block scatter is c.dot(X_B); it must equal c @ X_B, the form the
+    # traces were first taken with, to the bit, for every batch of a
+    # schedule with a short tail (b > 1), through the plan's views, and in
+    # a full pass
+    n = 2 * b + max(1, b // 3)
+    x, y, rng = gaussian(n, d, seed, scale)
+    data = layout(dataset(x, y), True)
+    c = rng.standard_normal(n) * rng.choice([1e-8, 1.0, 1e8], n)
+    schedule = make_schedule(n, b, seed)
+    assert b == 1 or len(schedule.batches[-1]) < b
+    for batch in data.plan(schedule):
+        assert np.array_equal(scatter(data, c[batch], batch),
+                              c[batch] @ data.block[batch])
+    assert np.array_equal(scatter(data, c), c @ data.block)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 16), st.sampled_from([1e-3, 1.0, 1e3]))
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("d", [1, 5, 50])
+def test_batch_margins_are_the_full_pass_bit_for_bit(d, dense, seed, scale):
+    # a full pass of margins restricted to B must equal the batch's own
+    # margins to the bit (np.vecdot on the block: one dot per row, where
+    # X_B.dot(w) sums in another order), planned or gathered afresh, at
+    # b in {1, 2, 7, 16, 32} with a short tail
+    n = 75
+    x, y, rng = gaussian(n, d, seed, scale)
+    data = layout(dataset(x, y), dense)
+    w = rng.standard_normal(d) * scale
+    full = margins(data, w)
+    for b in (1, 2, 7, 16, 32):
+        schedule = make_schedule(n, b, seed, epoch=1)
+        for batch in data.plan(schedule):
+            assert np.array_equal(margins(data, w, batch), full[batch])
+            assert np.array_equal(margins(data, w, np.array(batch)), full[batch])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import saag.estimators as estimators_mod
 import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
+from saag.estimators import bind
 from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, margins,
@@ -61,8 +63,8 @@ def test_epoch_boundary_equalities(monkeypatch):
     collected = []
     orig = solvers_mod.inner_step
 
-    def spy(kind, state, spec_, batch, sbas_params, fixed_eta=None):
-        out = orig(kind, state, spec_, batch, sbas_params, fixed_eta)
+    def spy(kind, direct, state, spec_, batch, sbas_params, fixed_eta=None):
+        out = orig(kind, direct, state, spec_, batch, sbas_params, fixed_eta)
         collected.append(state.w.copy())
         return out
 
@@ -108,7 +110,8 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
     state.w = np.array([0.7, 0.3])  # w . x = 1 = y, so the residual is zero
-    solvers_mod.inner_step("gd", state, spec, np.array([0]), cfg.sbas)
+    solvers_mod.inner_step("gd", bind("gd", spec), state, spec, np.array([0]),
+                           cfg.sbas)
     # eta = eta0 = 1 on a zero direction; threshold = eta * lambda1 = 0.2
     assert np.allclose(state.w, [0.5, 0.1], atol=1e-15)
 
@@ -119,9 +122,9 @@ def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     orig = solvers_mod.inner_step
     checks = []
 
-    def spy(kind, state, spec_, batch, sbas_params, fixed_eta=None):
+    def spy(kind, direct, state, spec_, batch, sbas_params, fixed_eta=None):
         before = batch_smooth_value(spec_, state.w, batch)
-        out = orig(kind, state, spec_, batch, sbas_params, fixed_eta)
+        out = orig(kind, direct, state, spec_, batch, sbas_params, fixed_eta)
         after = batch_smooth_value(spec_, state.w, batch)
         checks.append(after <= before + 1e-12)
         return out
@@ -344,7 +347,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
-        estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None)))
+        estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None, None)))
     w_afresh, afresh = run(cfg, test=test)
     assert np.array_equal(w_stored, w_afresh)
     assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
@@ -353,18 +356,20 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
          for p in afresh.points]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["saag1", "svrg", "sgd"])
 def test_finite_direction_whose_square_overflows_still_steps(kind, monkeypatch):
     # d.d overflows to inf for entries near 1e200, yet every entry of d is
-    # finite, so the fixed steps run
+    # finite, so the fixed steps run, and silently
     spec = toy_spec(n=8, d=3)
     huge = np.array([1e200, -2e200, 3e199])
-    assert float(huge @ huge) == math.inf
-    monkeypatch.setattr(solvers_mod, "direction", lambda *args: huge)
+    with np.errstate(over="ignore"):
+        assert float(huge.dot(huge)) == math.inf
+    monkeypatch.setattr(solvers_mod, "bind", lambda *args: lambda *step: huge)
     cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=4,
                     fixed_eta=1e-300)
-    w, trace = run(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w, trace = run(cfg)
     assert trace.failure is None
     assert len(trace.points) == 3
     assert np.array_equal(w, -4 * 1e-300 * huge)
@@ -378,14 +383,15 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
     # run's message, also beside entries whose square overflows
     spec = toy_spec(n=8, d=3)
     for d in (np.array([0.5, bad, -1.0]), np.array([1e200, 0.0, bad])):
-        monkeypatch.setattr(solvers_mod, "direction", lambda *args, d=d: d)
+        monkeypatch.setattr(solvers_mod, "bind", lambda *args, d=d: lambda *step: d)
         cfg = RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=4,
                         fixed_eta=fixed_eta)
         state = init_state(cfg)
         state.snap = estimators_mod.take_snapshot(spec, state.w)
+        direct = solvers_mod.bind("svrg", spec, None, state.snap)
         with pytest.raises(NonFiniteDirection) as err:
-            solvers_mod.inner_step("svrg", state, spec, np.array([0, 1, 2, 3]),
-                                   cfg.sbas, fixed_eta)
+            solvers_mod.inner_step("svrg", direct, state, spec,
+                                   np.array([0, 1, 2, 3]), cfg.sbas, fixed_eta)
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
         assert state.counters.inner == 0
         _, trace = run(cfg)
@@ -400,7 +406,8 @@ def test_inner_step_eta_zero_leaves_w_unchanged():
     # alpha ~ 1 with a single backtrack forces the 0.0 sentinel on an
     # ascent-shaped direction; counters still advance
     params = SBASParams(alpha=0.999999, shrink=0.5, eta0=1e6, max_backtracks=1)
-    solvers_mod.inner_step("gd", state, spec, np.arange(8), params)
+    solvers_mod.inner_step("gd", bind("gd", spec), state, spec, np.arange(8),
+                           params)
     assert np.array_equal(state.w, w0)
     assert state.counters.inner == 1
 
