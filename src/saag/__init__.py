@@ -2,7 +2,7 @@
 extensions, plus baselines, a stochastic Armijo line search, a benchmark
 harness, and oracle-based verification of the estimator and rate claims."""
 
-from .data import (BatchSchedule, Dataset, ParseError, load_libsvm,
+from .data import (Batch, BatchSchedule, Dataset, ParseError, load_libsvm,
                    make_schedule, make_synthetic, parse_libsvm,
                    split_train_test)
 from .estimators import (GradTable, SnapState, bind, direction,

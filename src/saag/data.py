@@ -12,6 +12,14 @@ class ParseError(ValueError):
     """Malformed LibSVM text; the message carries the 1-based line number."""
 
 
+class Batch(np.ndarray):
+    """A batch of ``Dataset.plan``: a read-only view of its schedule's row
+    ids that carries its gathered signed rows in ``signed``; a slice, copy
+    or ``np.array`` of it carries none, so it is gathered afresh."""
+
+    signed = None
+
+
 @dataclass(eq=False)
 class Dataset:
     """Sparse rows in CSR layout with +/-1 labels.
@@ -22,6 +30,7 @@ class Dataset:
     parent so shapes stay consistent. ``row_ids`` names the row of every
     stored value. The batch primitives read the rows signed by their
     labels, -y_i x_i (see ``block`` and ``signed``); ``values`` stay unsigned.
+    A ``Batch`` of ``plan`` carries its gathered rows; the dataset keeps none.
     """
 
     # largest n * d that ``dense`` will allocate
@@ -39,9 +48,6 @@ class Dataset:
     labels: np.ndarray
     d: int
     row_ids: np.ndarray = field(init=False, repr=False)
-    # id(batch) -> (batch, gather(batch)) for the batches of the chunk
-    # ``plan`` has out; holding the batch keeps its id from being reused
-    _plan: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
@@ -102,19 +108,14 @@ class Dataset:
         """The signed rows ``rows`` (every row when None), in row order, in
         the layout of the dataset: ``block[rows]`` on a dense block, else the
         ``signed`` values as (position in ``rows`` of each value's row,
-        column, value).
-
-        A batch of the chunk ``plan`` has out returns its planned view. A
-        batch of every row in order returns the block or the stored arrays,
-        uncopied.
+        column, value). A ``Batch`` of ``plan`` returns the rows it carries;
+        every row returns the block or the stored arrays, uncopied.
         """
-        planned = self._plan.get(id(rows))
-        if planned is not None:
-            return planned[1]
+        signed = getattr(rows, "signed", None)
+        if signed is not None:
+            return signed
         if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.size != self.n or not np.array_equal(rows, np.arange(self.n)):
-                return self._gather(rows)
+            return self._gather(np.asarray(rows, dtype=np.int64))
         block = self.block
         return (self.row_ids, self.indices, self.signed) if block is None else block
 
@@ -123,37 +124,33 @@ class Dataset:
         return self._csr_rows(rows, self.signed)[:3] if block is None else block[rows]
 
     def plan(self, schedule):
-        """Yield the batches of ``schedule`` in order, gathered ahead a
-        chunk at a time: runs of full batches (rows of ``schedule.head``),
-        or the tail batch, whose gathered rows take at most PLAN_BYTES, each
-        gathered in one pass. While a batch of a chunk is out, ``gather``
-        returns its part of the chunk as a view, equal to a fresh gather. A
-        batch of every row, or one past the bound on its own, is unplanned:
-        ``gather`` reads it as it comes.
+        """Yield the batches of ``schedule`` in order, each a ``Batch`` that
+        carries its gathered signed rows, equal to a fresh gather. They are
+        gathered ahead a chunk at a time: runs of full batches (rows of
+        ``schedule.head``), or the tail batch, whose gathered rows take at
+        most PLAN_BYTES (a batch past the bound on its own is a chunk of
+        one), each in one pass, so a batch's rows are views of its chunk. A
+        batch of every row carries the block or the stored arrays, uncopied.
         """
-        batches, head = schedule.batches, schedule.head
-        if schedule.b == self.n:    # gather gives the stored arrays uncopied
-            yield from batches
+        if schedule.b == self.n:
+            (batch,) = schedule.head.view(Batch)
+            batch.signed = self.gather()
+            yield batch
             return
-        runs = [(head, batches[:len(head)])]
-        if len(batches) > len(head):
-            runs.append((batches[-1][None, :], batches[-1:]))
-        try:
-            for rows, run in runs:
-                ends = self._chunk_ends(rows)
-                start = 0
-                while start < len(run):
-                    stop = int(ends[start])
-                    chunk = run[start:max(stop, start + 1)]
-                    self._plan = {}
-                    if stop > start:    # else one batch past the bound
-                        views = self._gather_chunk(rows[start:stop])
-                        self._plan = {id(batch): (batch, view)
-                                      for batch, view in zip(chunk, views)}
-                    yield from chunk
-                    start += len(chunk)
-        finally:
-            self._plan = {}
+        runs = [schedule.head]
+        if len(schedule.batches) > len(schedule.head):
+            runs.append(schedule.batches[-1][None, :])
+        for rows in runs:
+            ends = self._chunk_ends(rows)
+            start = 0
+            while start < len(rows):
+                stop = max(int(ends[start]), start + 1)
+                chunk = rows[start:stop]
+                # each row of the Batch view is a Batch, read-only as the schedule
+                for batch, signed in zip(chunk.view(Batch), self._gather_chunk(chunk)):
+                    batch.signed = signed
+                    yield batch
+                start = stop
 
     def _chunk_ends(self, rows):
         """For each start k, the end of the longest chunk of the batches
@@ -302,7 +299,8 @@ def make_schedule(n, b, seed, epoch=0):
     Each epoch gets a fresh uniform shuffle, chunked into m = ceil(n/b)
     batches; all batches have size b except possibly the last. Indices within
     a batch are sorted (set semantics, deterministic summation order).
-    Batches are read-only, so ``Dataset.plan`` may gather them ahead.
+    Batches are read-only: a ``Batch`` of ``Dataset.plan`` is a view of
+    them, and its rows must not drift from the signed rows it carries.
     """
     if b < 1 or b > n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from saag.data import (Dataset, ParseError, make_schedule, make_synthetic,
-                       parse_libsvm, split_train_test)
+from saag.data import (Batch, Dataset, ParseError, make_schedule,
+                       make_synthetic, parse_libsvm, split_train_test)
 
 
 def dump_libsvm(ds):
@@ -238,52 +238,58 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         ds = make_synthetic(6, 3, seed=0)
         assert (ds.block is None) == (fill > 1.0)
         schedule = make_schedule(6, 2, seed=0)
-        plan = ds.plan(schedule)
-        batch = next(plan)
-        assert batch is schedule.batches[0]
-        # the whole schedule is one chunk
-        assert [id(b) for b, _ in ds._plan.values()] == list(map(id, schedule.batches))
+        batches = list(ds.plan(schedule))
+        # the schedule's batches in order, as read-only row ids
+        assert len(batches) == schedule.m
+        for batch, rows in zip(batches, schedule.batches):
+            assert isinstance(batch, Batch) and batch.dtype == np.int64
+            assert np.array_equal(batch, rows)
+            assert not batch.flags.writeable
+            with pytest.raises(ValueError):
+                batch[0] = 0
+            assert len(batch) == len(rows) and list(batch) == list(rows)
+        batch = batches[0]
         planned = ds.gather(batch)
-        assert ds.gather(batch) is planned
+        assert planned is batch.signed
+        # the whole schedule is one chunk: every batch is a view of one gather
         gathered = _chunk(planned)
         assert all(np.shares_memory(a, g) for a, g in zip(_parts(planned), gathered))
-        assert all(a is g for _, view in ds._plan.values()
-                   for a, g in zip(_chunk(view), gathered))
-        # a writable array may change between calls: it is never served
-        # from the plan, so never stale
+        assert all(a is g for other in batches
+                   for a, g in zip(_chunk(other.signed), gathered))
+        # the dataset keeps no per-batch state, only its stored layout
+        layout = {"block"} | ({"signed"} if fill > 1.0 else set())
+        assert set(vars(ds)) == {"indptr", "indices", "values", "labels", "d",
+                                 "row_ids"} | layout
+        # a writable array may change between calls: it is gathered afresh
         rows = np.array(batch)
         assert rows.flags.writeable
         rows[1] = 3 if batch[1] != 3 else 4
         fresh = _parts(ds.gather(rows))
         assert all(np.array_equal(a, b) for a, b in
-                   zip(fresh, _parts(ds.subset(rows).gather(np.arange(2)))))
+                   zip(fresh, _parts(ds.subset(rows).gather())))
         assert not any(np.shares_memory(a, g) for a, g in zip(fresh, gathered))
-        # an equal but distinct array is gathered afresh, to equal values
-        again = ds.gather(batch.copy())
-        assert again is not planned
-        assert not any(np.shares_memory(a, g) for a, g in zip(_parts(again), gathered))
-        assert all(np.array_equal(a, b) for a, b in zip(_parts(again), _parts(planned)))
-        # a plan left unfinished holds nothing once closed
-        plan.close()
-        assert ds._plan == {}
-        assert ds.gather(batch) is not planned
-        # every row in order is the stored layout itself, uncopied, and a
-        # schedule of one such batch plans nothing
-        every = _parts(ds.gather(np.arange(6)))
+        # a slice, copy or np.array of a batch carries no rows: it is
+        # gathered afresh, to bit-equal values
+        for plain in (batch[:], batch.copy(), np.array(batch)):
+            assert getattr(plain, "signed", None) is None
+            again = _parts(ds.gather(plain))
+            assert not any(np.shares_memory(a, g) for a, g in zip(again, gathered))
+            assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(again, _parts(planned)))
+        # a schedule of one batch of every row carries the stored layout,
+        # uncopied
+        whole = make_schedule(6, 6, seed=0)
+        seen = list(ds.plan(whole))
+        assert len(seen) == 1 and np.array_equal(seen[0], whole.batches[0])
+        assert not seen[0].flags.writeable
+        every = _parts(ds.gather(seen[0]))
         assert all(a is b for a, b in zip(every, _parts(ds.gather())))
         assert every[0] is (ds.block if fill == 0.0 else ds.row_ids)
-        whole = make_schedule(6, 6, seed=0)
-        seen = []
-        for batch in ds.plan(whole):
-            assert ds._plan == {}
-            seen.append(batch)
-        assert len(seen) == 1 and seen[0] is whole.batches[0]
 
 
 def test_split_keeps_no_gathered_copy_in_the_parent():
     ds = make_synthetic(20, 4, seed=0)
     train, _ = split_train_test(ds, 0.5, seed=1)
-    assert ds._plan == {}
     # the dense block and the signed values are built on the first gather,
     # not on a split
     assert "block" not in vars(ds) and "signed" not in vars(ds)
@@ -293,7 +299,7 @@ def test_split_keeps_no_gathered_copy_in_the_parent():
     every = np.arange(ds.n)
     every.flags.writeable = False
     ds.subset(every)
-    assert ds._plan == {}
+    assert "block" not in vars(ds) and "signed" not in vars(ds)
 
 
 def test_schedule_errors():

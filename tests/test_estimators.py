@@ -257,20 +257,20 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
     rest = lam2 * (np.abs(w) + np.abs(snap.point)) + np.abs(snap.grad)
     for b in (1, min(16, n), n - 1, n):
         schedule = make_schedule(n, b, seed)
-        want = {}
+        want = []
         for batch in schedule.batches:
             k = len(batch)
             c, old_c = slope_t(kind, margins(data, w, batch)), snap.slopes[batch]
             cur, old = scatter(data, c, batch), scatter(data, old_c, batch)
-            want[id(batch)] = (
+            want.append((
                 cur / k - old / n + lam2 * w - (k / n) * lam2 * snap.point + snap.grad,
                 (cur - old) / k + lam2 * (w - snap.point) + snap.grad,
-                (np.abs(c) + np.abs(old_c)) @ x[batch] / k + rest)
+                (np.abs(c) + np.abs(old_c)) @ x[batch] / k + rest))
         for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d):
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
-                for batch in data.plan(schedule):
-                    saag2, svrg, size = want[id(batch)]
+                for batch, (saag2, svrg, size) in zip(data.plan(schedule), want,
+                                                        strict=True):
                     assert np.all(np.abs(saag2_direction(spec, w, batch, snap) - saag2)
                                   <= 1e-12 * size)
                     assert np.all(np.abs(svrg_direction(spec, w, batch, snap) - svrg)

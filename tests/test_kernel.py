@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from saag.data import Dataset, make_schedule
+from saag.data import Batch, Dataset, make_schedule
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
                             batch_grad, batch_ray, batch_smooth_value, loss_t,
@@ -353,43 +353,39 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
         fresh = [data._gather(batch) for batch in schedule.batches]
         terms = [scatter(data, c[batch], batch) for batch in schedule.batches]
         for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d * b, 24, 0):
-            seen, chunk = [], None
+            seen, chunks = [], []
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
                 for batch in data.plan(schedule):
                     k = len(seen)
                     seen.append(batch)
-                    if id(batch) not in data._plan:
-                        # unplanned: alone past the bound, and read afresh
-                        # or, at b = n, uncopied
-                        assert b == n or chunk_bytes(fresh[k]) > bound
-                        assert data._plan == {}
-                        continue
-                    if data._plan is not chunk:
-                        # a new chunk: the next batches of the schedule,
-                        # their views parts of one gather within the bound
-                        chunk = data._plan
-                        planned = [batch for batch, _ in chunk.values()]
-                        assert all(p is s for p, s in
-                                   zip(planned, schedule.batches[k:k + len(chunk)]))
-                        views = [view for _, view in chunk.values()]
-                        roots = chunk_of(views[0])
-                        assert all(all(a is r for a, r in zip(chunk_of(v), roots))
-                                   for v in views)
-                        assert sum(map(chunk_bytes, views)) == chunk_bytes(roots) <= bound
+                    assert isinstance(batch, Batch) and not batch.flags.writeable
+                    assert np.array_equal(batch, schedule.batches[k])
                     got = data.gather(batch)
-                    assert got is chunk[id(batch)][1]
-                    # a view of the chunk (an empty part shares no memory)
-                    assert all(a.size == 0 or np.shares_memory(a, g) for a, g in
-                               zip(parts(got), chunk_of(got)))
+                    assert got is batch.signed
+                    if b == n:
+                        # every row: the stored layout, uncopied
+                        assert all(a is r for a, r in zip(parts(got), parts(data.gather())))
+                    else:
+                        roots = chunk_of(got)
+                        if not chunks or roots[0] is not chunks[-1][0][0]:
+                            chunks.append((roots, []))     # a new chunk
+                        chunks[-1][1].append(got)
+                        # a view of the chunk (an empty part shares no memory)
+                        assert all(a.size == 0 or np.shares_memory(a, r)
+                                   for a, r in zip(parts(got), roots))
                     assert all(a.dtype == f.dtype and np.array_equal(a, f) for a, f in
                                zip(parts(got), parts(fresh[k])))
                     assert np.array_equal(scatter(data, c[batch], batch), terms[k])
                     assert np.array_equal(margins(data, w, batch),
                                           margins(data, w, np.array(batch)))
-            assert data._plan == {}
             assert len(seen) == schedule.m
-            assert all(s is t for s, t in zip(seen, schedule.batches))
+            # the views of a chunk's batches are its one gather, within the
+            # bound unless it is one batch past the bound on its own
+            for roots, views in chunks:
+                assert all(all(a is r for a, r in zip(chunk_of(v), roots)) for v in views)
+                assert sum(map(chunk_bytes, views)) == chunk_bytes(roots)
+                assert chunk_bytes(roots) <= bound or len(views) == 1
 
 
 def gaussian(n, d, seed, scale):

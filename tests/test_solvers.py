@@ -146,23 +146,18 @@ def test_run_single_epoch_full_batch_gd_equals_saag4():
     assert np.linalg.norm(w_gd - w_s4) <= 1e-12
 
 
-def record_plans(monkeypatch):
-    """Wrap ``Dataset.plan`` to keep the bytes of every chunk it gathers,
-    summed over the views of its batches (None for an unplanned batch)."""
+def record_chunks(monkeypatch):
+    """Wrap ``Dataset._gather_chunk`` to keep the bytes of every chunk it
+    gathers, summed over the views of its batches."""
     chunks = []
-    plan = Dataset.plan
+    gather_chunk = Dataset._gather_chunk
 
-    def recorded(self, schedule):
-        chunk = None
-        for batch in plan(self, schedule):
-            if id(batch) not in self._plan:
-                chunks.append(None)
-            elif self._plan is not chunk:
-                chunk = self._plan
-                chunks.append(sum(chunk_bytes(view) for _, view in chunk.values()))
-            yield batch
+    def recorded(self, rows):
+        views = gather_chunk(self, rows)
+        chunks.append(sum(map(chunk_bytes, views)))
+        return views
 
-    monkeypatch.setattr(Dataset, "plan", recorded)
+    monkeypatch.setattr(Dataset, "_gather_chunk", recorded)
     return chunks
 
 
@@ -189,10 +184,10 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
         cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
         with monkeypatch.context() as m:
-            chunks = record_plans(m)
+            chunks = record_chunks(m)
             w, trace = run(cfg, test=test)
         # gd's one batch is every row, read uncopied: no chunk is gathered
-        assert chunks == [None] * 3
+        assert chunks == []
         # the passes read the signed rows: the block or the signed copy of
         # the CSR values, never both
         signed = vars(train).get("signed")
@@ -210,6 +205,53 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         assert np.array_equal(w, w_copy)
         assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
             [(p.fevals, p.objective, p.test_accuracy) for p in trace_copy.points]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
+    # a planned batch carries its gathered rows: one epoch of any solver
+    # gathers each batch of its schedule once, in its chunk's one gather,
+    # also a batch past the chunk bound on its own, and at b = n nothing
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    n, d = 40, 5
+    data = make_synthetic(n, d, seed=2, flip=0.1)
+    assert (data.block is not None) == dense
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), data)
+    # 3 rows of 5 values fit in a chunk (9 on the block): b = 1 batches
+    # share chunks, b = 16 and n - 1 batches are each past the bound
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", 24 * d * 3)
+    chunked, fresh = [], []
+    gather_chunk, gather = Dataset._gather_chunk, Dataset._gather
+
+    def counted_chunk(self, rows):
+        chunked.extend(rows)
+        return gather_chunk(self, rows)
+
+    def counted(self, rows):
+        fresh.append(rows)
+        return gather(self, rows)
+
+    monkeypatch.setattr(Dataset, "_gather_chunk", counted_chunk)
+    monkeypatch.setattr(Dataset, "_gather", counted)
+    for b in (1, 16, n - 1, n):
+        schedule = make_schedule(n, b, seed=3)
+        for kind in SOLVERS:
+            state = init_state(RunConfig(solver=kind, objective=spec, epochs=1,
+                                         batch_size=b))
+            chunked.clear()
+            fresh.clear()
+            run_epoch(kind, state, spec, schedule, SBASParams(eta0=50.0))
+            assert fresh == []
+            assert len(chunked) == (0 if b == n else schedule.m)
+            assert all(np.array_equal(r, s) for r, s in zip(chunked, schedule.batches))
+    # the one batch of every row carries the stored layout itself
+    (batch,) = data.plan(make_schedule(n, n, seed=3))
+    assert chunked == [] and fresh == []
+    if dense:
+        assert batch.signed is data.block
+    else:
+        assert all(a is s for a, s in
+                   zip(batch.signed, (data.row_ids, data.indices, data.signed)))
 
 
 def test_run_is_deterministic():
@@ -324,7 +366,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     bound = 3 * 6 * 8 * 8
     monkeypatch.setattr(Dataset, "PLAN_BYTES", bound)
     with monkeypatch.context() as m:
-        chunks = record_plans(m)
+        chunks = record_chunks(m)
         w_stored, stored = run(cfg, test=test)
     assert chunks == [bound, bound, 2 * bound // 3] * 4
 
