@@ -262,15 +262,15 @@ def cmd_run(config, axis=None, values=None):
             for kind in config.solvers for seed in config.seeds]
     references = {spec: reference_optimum(spec, config.ref_budget)
                   for spec in specs.values()}
-    # gd ignores b, so a batch sweep runs it once per (seed, objective)
-    keys = [(job.solver, job.seed, job.objective,
-             None if job.solver == "gd" else job.batch_size) for _, job in runs]
+    # equal jobs run once: gd's batch is every row, so a batch sweep runs it
+    # once per (seed, objective)
+    keys = [(job.solver, job.seed, job.objective, job.batch_size)
+            for _, job in runs]
     unique = {key: (job, test) for key, (_, job) in zip(keys, runs)}
     done = dict(zip(unique, _run_all(list(unique.values()), config.workers)))
     traces = [copy.deepcopy(done[key]) for key in keys]
     groups = {}
     for (value, job), trace in zip(runs, traces):
-        trace.config["b"] = job.batch_size
         if axis is not None:
             trace.extra[axis] = value
         groups.setdefault(job.objective, []).append(trace)

@@ -56,8 +56,8 @@ def record_epoch(trace, state, spec, test=None):
     trace.points.append(TracePoint(
         epoch=state.epoch,
         wall_seconds=state.work_seconds,
-        grads_over_n=state.counters.grads / spec.data.n,
-        fevals=state.counters.fevals,
+        grads_over_n=state.grads / spec.data.n,
+        fevals=state.fevals,
         objective=obj,
         suboptimality=float("nan"),
         test_accuracy=acc,

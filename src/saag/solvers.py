@@ -10,7 +10,7 @@ starting iterate.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,30 +34,27 @@ class NonFiniteDirection(RuntimeError):
     """A solver produced a non-finite direction; the run is aborted."""
 
 
-@dataclass
-class Counters:
-    grads: int = 0      # component-gradient evaluations
-    fevals: int = 0     # line-search function evaluations
-    inner: int = 0      # global inner-step count across epochs
-
-
 @dataclass(eq=False)
 class EpochState:
-    """Mutable per-run state owned by a single solver run."""
+    """Mutable state of one solver run: the iterate, the previous epoch's
+    iterate average (zeros before the first epoch), the snap state or
+    gradient table, and the work counters."""
 
     w: np.ndarray
-    iterate_sum: np.ndarray
+    average: np.ndarray
     epoch: int = 0
     snap: SnapState | None = None
     table: GradTable | None = None
-    avg_prev: np.ndarray | None = None
-    counters: Counters = field(default_factory=Counters)
+    grads: int = 0
+    fevals: int = 0
+    inner: int = 0
     work_seconds: float = 0.0
 
 
 @dataclass(eq=False)
 class RunConfig:
-    """Everything one solver run needs; deterministic given the seed."""
+    """Everything one solver run needs; deterministic given the seed.
+    Gradient descent steps on every row, so its ``batch_size`` is set to n."""
 
     solver: str
     objective: object
@@ -66,7 +63,6 @@ class RunConfig:
     sbas: SBASParams = SBASParams()
     seed: int = 0
     fixed_eta: float | None = None
-    w0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -76,6 +72,8 @@ class RunConfig:
         n = self.objective.data.n
         if not 1 <= self.batch_size <= n:
             raise ValueError(f"batch size {self.batch_size} out of range [1, {n}]")
+        if self.solver == "gd":
+            self.batch_size = n
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.fixed_eta is not None and not 0.0 < self.fixed_eta < math.inf:
@@ -84,52 +82,43 @@ class RunConfig:
 
 def init_state(config):
     spec = config.objective
-    if config.w0 is None:
-        w = np.zeros(spec.data.d)
-    else:
-        w = np.asarray(config.w0, dtype=np.float64).copy()
-    state = EpochState(w=w, iterate_sum=np.zeros(spec.data.d))
-    if config.solver in TABLE_KINDS:
-        state.table = make_table(spec)
-    if config.solver in ("saag4", "vrsgd"):
-        state.avg_prev = w.copy()
-    return state
+    table = make_table(spec) if config.solver in TABLE_KINDS else None
+    return EpochState(w=np.zeros(spec.data.d), average=np.zeros(spec.data.d),
+                      table=table)
 
 
 def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     """One mini-batch step of solver ``kind``: the direction
     ``direct(w, batch, z)`` (its estimator, bound by ``run_epoch``), step
-    size, update, iterate accumulation.
+    size and update.
 
     A step size of 0 (the line-search sentinel) leaves w unchanged but still
-    advances the counters and the iterate sum.
+    advances the counters.
     """
-    c = state.counters
     # the batch's signed margins serve both the direction and the search
     z = margins(spec.data, state.w, batch)
     d = direct(state.w, batch, z)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
-    c.grads += len(batch) * (1 if state.snap is None else 2)
+    state.grads += len(batch) * (1 if state.snap is None else 2)
     dd = float(d.dot(d))
     # a finite d whose d.d overflows (entries past ~1e154) still runs
     if not math.isfinite(dd) and not np.isfinite(d).all():
         raise NonFiniteDirection(
             f"{kind}: non-finite direction at epoch {state.epoch}, "
-            f"inner step {c.inner}")
-    c.inner += 1
+            f"inner step {state.inner}")
+    state.inner += 1
     if fixed_eta is not None:
         eta = fixed_eta
     elif kind == "sgd":
-        eta = sbas_params.eta0 / math.sqrt(c.inner)
+        eta = sbas_params.eta0 / math.sqrt(state.inner)
     else:
         phi = batch_ray(spec, state.w, batch, d, z, dd)
         eta, evals = backtrack(sbas_params, phi, dd)
-        c.fevals += evals
+        state.fevals += evals
     if eta > 0.0:
         v = state.w - eta * d
         state.w = prox(v, eta, spec.reg) if spec.reg.lambda1 > 0 else v
-    state.iterate_sum += state.w
     return state
 
 
@@ -140,28 +129,26 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     not reported inside the steps: a finite direction whose d.d overflows
     still steps, and a non-finite one raises ``NonFiniteDirection``.
 
-    Snap rules at epoch start: saag2 and svrg anchor at the current iterate
-    (the previous epoch's last point); saag4 and vrsgd anchor at the previous
-    epoch's iterate average. Boundary rules at epoch end: saag3 restarts from
-    the iterate average, saag4/vrsgd store the average for the next snap and
-    keep the last iterate as the next start.
+    The epoch sums its m iterates, one after each step, and stores their
+    mean in ``state.average``. Snap rules at epoch start: saag2 and svrg
+    anchor at the current iterate (the previous epoch's last point); saag4
+    and vrsgd anchor at ``state.average``, the previous epoch's iterate
+    average. Boundary rule at epoch end: saag3 restarts from the new
+    average; every other kind keeps its last iterate.
     """
-    n = spec.data.n
-    if kind in ("saag2", "svrg"):
-        state.snap = take_snapshot(spec, state.w)
-        state.counters.grads += n
-    elif kind in ("saag4", "vrsgd"):
-        state.snap = take_snapshot(spec, state.avg_prev)
-        state.counters.grads += n
+    if kind in ("saag2", "svrg", "saag4", "vrsgd"):
+        anchor = state.average if kind in ("saag4", "vrsgd") else state.w
+        state.snap = take_snapshot(spec, anchor)
+        state.grads += spec.data.n
     direct = bind(kind, spec, state.table, state.snap)
-    state.iterate_sum[:] = 0.0
+    total = np.zeros_like(state.w)
     with np.errstate(over="ignore"):
         for batch in spec.data.plan(schedule):
             inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta)
+            total += state.w
+    state.average = total / schedule.m
     if kind == "saag3":
-        state.w = state.iterate_sum / schedule.m
-    elif kind in ("saag4", "vrsgd"):
-        state.avg_prev = state.iterate_sum / schedule.m
+        state.w = state.average
     state.epoch += 1
     return state
 
@@ -176,19 +163,17 @@ def run(config, test=None):
     """
     spec = config.objective
     kind = config.solver
-    n = spec.data.n
-    b = n if kind == "gd" else config.batch_size
     state = init_state(config)
     trace = Trace(solver=kind, seed=config.seed, points=[],
                   config=_config_echo(config))
     record_epoch(trace, state, spec, test)
     for s in range(config.epochs):
-        schedule = make_schedule(n, b, config.seed, epoch=s)
+        schedule = make_schedule(spec.data.n, config.batch_size, config.seed,
+                                 epoch=s)
         start = time.perf_counter()
         try:
             run_epoch(kind, state, spec, schedule, config.sbas, config.fixed_eta)
         except NonFiniteDirection as err:
-            state.work_seconds += time.perf_counter() - start
             trace.failure = str(err)
             break
         state.work_seconds += time.perf_counter() - start

@@ -399,6 +399,7 @@ def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
                  "--seeds", "0,1", "--epochs", "2", "--out", str(out)])
     assert code == 0
     assert [kind for kind, _ in calls].count("gd") == 2
+    assert all(b == 24 for kind, b in calls if kind == "gd")
     assert sorted(b for kind, b in calls if kind == "saag1") == [1, 1, 8, 8, 24, 24]
     rows, _ = read_csv(out)
     gd = {}
@@ -410,3 +411,8 @@ def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
     assert gd["1"] == gd["8"] == gd["24"]
     # each copy is its own run in the output: 2 seeds x 3 epochs per value
     assert len(gd["1"]) == 6
+    # a gd run's batch is every training row, whatever --b asks
+    calls.clear()
+    assert main(["run", "--synthetic", "n=30,d=3,flip=0.1", "--solvers", "gd",
+                 "--b", "8", "--epochs", "1", "--out", str(tmp_path / "gd.csv")]) == 0
+    assert calls == [("gd", 24)]

@@ -69,20 +69,24 @@ def test_epoch_boundary_equalities(monkeypatch):
         return out
 
     monkeypatch.setattr(solvers_mod, "inner_step", spy)
-    for kind in ("saag3", "saag4"):
+    for kind in SOLVERS:
         collected.clear()
         cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=5, seed=1)
         state = init_state(cfg)
-        sched = make_schedule(20, 5, 1, epoch=0)
+        sched = make_schedule(20, cfg.batch_size, 1, epoch=0)
         run_epoch(kind, state, spec, sched, cfg.sbas)
-        mean_iterate = np.mean(np.stack(collected), axis=0)
+        total = np.zeros(4)
+        for w in collected:
+            total += w
+        # the average is the sequential sum of the epoch's iterates over m
+        assert len(collected) == sched.m
+        assert np.array_equal(state.average, total / sched.m), kind
         if kind == "saag3":
             # next start = iterate average
-            assert np.linalg.norm(state.w - mean_iterate) <= 1e-15
+            assert np.array_equal(state.w, state.average)
         else:
-            # snap seed = iterate average, start = last iterate
-            assert np.linalg.norm(state.avg_prev - mean_iterate) <= 1e-15
-            assert np.array_equal(state.w, collected[-1])
+            # start = last iterate (the next snap of saag4/vrsgd is the average)
+            assert np.array_equal(state.w, collected[-1]), kind
 
 
 def test_snap_anchor_rules():
@@ -95,7 +99,7 @@ def test_snap_anchor_rules():
         run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=0), cfg.sbas)
         assert np.array_equal(state.snap.point, np.zeros(4)), kind
         start = state.w.copy()
-        avg = None if state.avg_prev is None else state.avg_prev.copy()
+        avg = state.average.copy()
         run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=1), cfg.sbas)
         expected = start if anchor == "start" else avg
         assert np.array_equal(state.snap.point, expected), kind
@@ -311,16 +315,17 @@ def test_sentinel_streak_leaves_w_unchanged(kind):
     w0 = np.array([0.5, -0.25, 1.0, 0.125, -2.0])   # dyadic: sums stay exact
     params = SBASParams(eta0=1e6, max_backtracks=3)
     cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=4,
-                    sbas=params, seed=0, w0=w0)
+                    sbas=params, seed=0)
     state = init_state(cfg)
-    schedule = make_schedule(16, 16 if kind == "gd" else 4, 0)
+    state.w = w0.copy()
+    schedule = make_schedule(16, cfg.batch_size, 0)
     run_epoch(kind, state, spec, schedule, params)
     assert np.array_equal(state.w, w0)
-    assert np.array_equal(state.iterate_sum, schedule.m * w0)
+    assert np.array_equal(state.average, w0)
     assert state.epoch == 1
-    assert state.counters.inner == schedule.m
-    assert state.counters.fevals == (params.max_backtracks + 1) * schedule.m
-    assert state.counters.grads == EXPECTED_GRADS_PER_EPOCH[kind] * 16
+    assert state.inner == schedule.m
+    assert state.fevals == (params.max_backtracks + 1) * schedule.m
+    assert state.grads == EXPECTED_GRADS_PER_EPOCH[kind] * 16
 
 
 # every loss with and without l1; the logistic smooth case of a solver is
@@ -435,7 +440,7 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
             solvers_mod.inner_step("svrg", direct, state, spec,
                                    np.array([0, 1, 2, 3]), cfg.sbas, fixed_eta)
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
-        assert state.counters.inner == 0
+        assert state.inner == 0
         _, trace = run(cfg)
         assert trace.failure == "svrg: non-finite direction at epoch 0, inner step 0"
 
@@ -451,7 +456,7 @@ def test_inner_step_eta_zero_leaves_w_unchanged():
     solvers_mod.inner_step("gd", bind("gd", spec), state, spec, np.arange(8),
                            params)
     assert np.array_equal(state.w, w0)
-    assert state.counters.inner == 1
+    assert state.inner == 1
 
 
 def test_invalid_configs_rejected():
@@ -462,6 +467,9 @@ def test_invalid_configs_rejected():
         RunConfig(solver="gd", objective=spec, epochs=0, batch_size=4)
     with pytest.raises(ValueError):
         RunConfig(solver="gd", objective=spec, epochs=1, batch_size=9)
+    # gd steps on every row, so an in-range batch size becomes n
+    assert RunConfig(solver="gd", objective=spec, epochs=1,
+                     batch_size=4).batch_size == 8
     # a fixed step that is not finite and positive would leave w in place
     for eta in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="fixed step"):
