@@ -10,7 +10,7 @@ import argparse
 import copy
 import csv
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,33 +30,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Full description of one experiment; defaults follow the benchmark
-    protocol (80/20 split, lambda = 1e-5, SBAS alpha 0.1 / shrink 0.5 /
-    eta0 1.0 with 10 backtracks, mini-batch 32)."""
-
-    dataset: str | None = None
-    synthetic: str | None = None
-    solvers: tuple = ("saag3", "saag4", "svrg", "vrsgd")
-    loss: str = "logistic"
-    l1: float = 0.0
-    l2: float = 1e-5
-    b: int = 32
-    epochs: int = 30
-    seeds: tuple = (0,)
-    eta0: float = 1.0
-    alpha: float = 0.1
-    shrink: float = 0.5
-    max_backtracks: int = 10
-    fixed_eta: float | None = None
-    out: str = "trace.csv"
-    workers: int = 1
-    train_fraction: float = 0.8
-    split_seed: int = 0
-    ref_budget: int = 500
-
-
 def _opt_str(text):
     return None if text.lower() == "none" else text
 
@@ -65,39 +38,56 @@ def _opt_float(text):
     return None if text.lower() == "none" else float(text)
 
 
-def _str_list(text):
-    return tuple(s for s in (p.strip() for p in text.split(",")) if s)
+def _list_of(read):
+    """The reader of a non-empty comma list of distinct values."""
+    def read_list(text):
+        items = tuple(read(s.strip()) for s in text.split(",") if s.strip())
+        if not items:
+            raise UsageError(f"empty comma list {text!r}")
+        if len(set(items)) < len(items):
+            raise UsageError(f"repeated value in comma list {text!r}")
+        return items
+    return read_list
 
 
-def _int_list(text):
-    return tuple(int(s) for s in text.split(",") if s.strip())
+def _option(default, read, text):
+    return field(default=default, metadata={"read": read, "help": text})
 
 
-_FIELDS = {
-    # name: (caster of the flag / config-file text, --help text)
-    "dataset": (_opt_str, "LibSVM-format data file"),
-    "synthetic": (_opt_str,
-                  "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]"),
-    "solvers": (_str_list, "comma list from: " + ",".join(SOLVERS)),
-    "loss": (str, "one of: " + ",".join(LOSSES)),
-    "l1": (float, "l1 coefficient (non-smooth part)"),
-    "l2": (float, "l2 coefficient (smooth part)"),
-    "b": (int, "mini-batch size"),
-    "epochs": (int, "number of epochs S"),
-    "seeds": (_int_list, "comma list of run seeds"),
-    "eta0": (float, "initial line-search step"),
-    "alpha": (float, "Armijo sufficient-decrease constant"),
-    "shrink": (float, "backtracking shrink factor"),
-    "max_backtracks": (int, "most backtracks per line-search call"),
-    "fixed_eta": (_opt_float,
-                  "bypass the line search with a fixed step (finite, > 0)"),
-    "out": (str, "output CSV path"),
-    "workers": (int, "parallel run workers"),
-    "train_fraction": (float, "share of the rows in the training set"),
-    "split_seed": (int, "seed of the train/test split"),
-    "ref_budget": (int, "reference-optimum budget: it stops after "
-                        "max(2000, 20 * budget) iterations"),
-}
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Full description of one experiment, and the one table of the command
+    line's options: each field is a flag and a config-file key, with its
+    default, the reader of its text and its help. The defaults follow the
+    benchmark protocol (80/20 split, lambda = 1e-5, ``SBASParams``'
+    defaults, mini-batch 32)."""
+
+    dataset: str | None = _option(None, _opt_str, "LibSVM-format data file")
+    synthetic: str | None = _option(
+        None, _opt_str, "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
+    solvers: tuple = _option(("saag3", "saag4", "svrg", "vrsgd"), _list_of(str),
+                             "comma list from: " + ",".join(SOLVERS))
+    loss: str = _option("logistic", str, "one of: " + ",".join(LOSSES))
+    l1: float = _option(0.0, float, "l1 coefficient (non-smooth part)")
+    l2: float = _option(1e-5, float, "l2 coefficient (smooth part)")
+    b: int = _option(32, int, "mini-batch size")
+    epochs: int = _option(30, int, "number of epochs S")
+    seeds: tuple = _option((0,), _list_of(int), "comma list of run seeds")
+    eta0: float = _option(SBASParams.eta0, float, "initial line-search step")
+    alpha: float = _option(SBASParams.alpha, float,
+                           "Armijo sufficient-decrease constant")
+    shrink: float = _option(SBASParams.shrink, float, "backtracking shrink factor")
+    max_backtracks: int = _option(SBASParams.max_backtracks, int,
+                                  "most backtracks per line-search call")
+    fixed_eta: float | None = _option(
+        None, _opt_float, "bypass the line search with a fixed step (finite, > 0)")
+    out: str = _option("trace.csv", str, "output CSV path")
+    workers: int = _option(1, int, "parallel run workers")
+    train_fraction: float = _option(0.8, float,
+                                    "share of the rows in the training set")
+    split_seed: int = _option(0, int, "seed of the train/test split")
+    ref_budget: int = _option(500, int, "reference-optimum budget: it stops after "
+                                        "max(2000, 20 * budget) iterations")
 
 
 def _format_value(value):
@@ -118,6 +108,7 @@ def echo_config(config):
 def parse_config_text(text):
     """Parse ``key = value`` lines; '#' comments, blank lines and ``note:``
     lines are skipped."""
+    readers = {f.name: f.metadata["read"] for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,9 +118,9 @@ def parse_config_text(text):
         if not sep:
             raise UsageError(f"config line {lineno}: expected key = value")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in readers:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _FIELDS[key][0](value.strip())
+        values[key] = readers[key](value.strip())
     return values
 
 
@@ -163,11 +154,13 @@ def _build_config(args):
     if getattr(args, "config", None):
         with open(args.config) as fh:
             values.update(parse_config_text(fh.read()))
-    for name, (cast, _) in _FIELDS.items():
-        flag = getattr(args, name, None)
+    for f in fields(ExperimentConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = cast(flag)
+            values[f.name] = f.metadata["read"](flag)
     config = ExperimentConfig(**values)
+    if config.workers < 1:
+        raise UsageError("workers must be >= 1")
     for kind in config.solvers:
         if kind not in SOLVERS:
             raise UsageError(
@@ -225,8 +218,6 @@ def _grid(config, axis, values, n_train):
     reg = Regularizer(lambda2=config.l2, lambda1=config.l1)
     if axis is None:
         return [(None, b, reg)], None
-    if axis not in ("batch", "lambda"):
-        raise UsageError("sweep axis must be 'batch' or 'lambda'")
     if values is None:
         values = list(DEFAULT_BATCH_GRID if axis == "batch" else DEFAULT_LAMBDA_GRID)
     if not values:
@@ -330,10 +321,9 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="plain-text key = value config file")
-        for name, (_, text) in _FIELDS.items():
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=text)
-        p.add_argument("--solver", dest="solvers",
-                       help="single solver (same as --solvers)")
+        for f in fields(ExperimentConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           help=f.metadata["help"])
 
     add_common(sub.add_parser("run", help="run solver x seed jobs, emit CSV"))
     p_sweep = sub.add_parser("sweep", help="grid sweep over batch size or lambda")

@@ -21,8 +21,8 @@ class SBASParams:
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must be in (0, 1)")
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be positive")
+        if not 0.0 < self.eta0 < np.inf:
+            raise ValueError("eta0 must be finite and > 0")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be >= 1")
 

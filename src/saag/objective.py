@@ -27,8 +27,8 @@ class Regularizer:
     lambda1: float = 0.0
 
     def __post_init__(self):
-        if self.lambda2 < 0 or self.lambda1 < 0:
-            raise ValueError("regularization coefficients must be >= 0")
+        if not (0.0 <= self.lambda2 < np.inf and 0.0 <= self.lambda1 < np.inf):
+            raise ValueError("regularization coefficients must be finite and >= 0")
 
 
 @dataclass(eq=False)

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from saag.cli import (ExperimentConfig, UsageError, canonical_synthetic,
-                      echo_config, main, parse_config_text,
-                      parse_synthetic_spec)
+from saag.cli import (ExperimentConfig, UsageError, _build_config,
+                      build_parser, canonical_synthetic, echo_config, main,
+                      parse_config_text, parse_synthetic_spec)
 from saag.harness import read_csv
 
 
@@ -126,6 +126,8 @@ def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
     ("--epochs", "0", "epochs must be >= 1"),
     ("--seeds", "-1", "seed must be non-negative"),
     ("--max-backtracks", "0", "max_backtracks must be >= 1"),
+    ("--l1", "nan", "finite"),
+    ("--eta0", "nan", "eta0 must be finite"),
 ])
 def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
                                                       capsys, flag, value, message):
@@ -141,6 +143,56 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     assert message in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--solvers", "", "empty comma list"),
+    ("--seeds", ",", "empty comma list"),
+    ("--solvers", "saag1,saag1", "repeated value"),
+    ("--seeds", "0,0", "repeated value"),
+    ("--workers", "0", "workers must be >= 1"),
+])
+def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                flag, value, message):
+    import saag.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "split_train_test", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "reference_optimum", lambda *a: calls.append(a))
+    out = tmp_path / "run.csv"
+    code = main(["run", "--synthetic", "n=40,d=4", "--epochs", "2",
+                 flag, value, "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_every_option_is_a_flag_with_its_echoed_value():
+    config = ExperimentConfig(
+        dataset="data.svm", synthetic="n=20,d=4,flip=0.1,margin=0.5,seed=3",
+        solvers=("saag1", "gd"), loss="squared_hinge", l1=1e-3, l2=1e-4, b=8,
+        epochs=3, seeds=(2, 5), eta0=2.0, alpha=0.2, shrink=0.7,
+        max_backtracks=4, fixed_eta=0.05, out="x.csv", workers=2,
+        train_fraction=0.5, split_seed=7, ref_budget=9)
+    default = ExperimentConfig()
+    argv = ["run"]
+    for line in echo_config(config):
+        name, value = line.split(" = ", 1)
+        assert getattr(config, name) != getattr(default, name), name
+        argv += ["--" + name.replace("_", "-"), value]
+    assert _build_config(build_parser().parse_args(argv)) == config
+
+
+def test_solver_prefix_runs_one_job(tmp_path, monkeypatch):
+    # argparse takes any unique prefix of a flag: --solver is --solvers
+    import saag.cli as cli
+    calls = []
+    run = cli.run
+    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+        calls.append((config.solver, config.seed)) or run(config, **kw)))
+    assert main(["run", "--solver", "saag4", "--synthetic", "n=30,d=3",
+                 "--epochs", "1", "--out", str(tmp_path / "one.csv")]) == 0
+    assert calls == [("saag4", 0)]
 
 
 def test_missing_data_source_is_usage_error(capsys):

@@ -80,6 +80,7 @@ def test_contract_on_random_problems():
 
 def test_param_validation():
     for bad in (dict(alpha=0.0), dict(alpha=1.0), dict(shrink=0.0),
-                dict(shrink=1.0), dict(eta0=0.0), dict(max_backtracks=0)):
+                dict(shrink=1.0), dict(eta0=0.0), dict(eta0=np.nan), dict(eta0=np.inf),
+                dict(max_backtracks=0)):
         with pytest.raises(ValueError):
             SBASParams(**bad)

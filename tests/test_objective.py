@@ -161,5 +161,7 @@ def test_nonnegative_losses():
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError):
         ObjectiveSpec("hinge", Regularizer(), make_synthetic(3, 2, seed=0))
-    with pytest.raises(ValueError):
-        Regularizer(lambda2=-1.0)
+    for bad in (dict(lambda2=-1.0), dict(lambda2=np.nan), dict(lambda2=np.inf),
+                dict(lambda1=np.nan), dict(lambda1=np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Regularizer(**bad)
