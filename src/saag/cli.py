@@ -225,6 +225,8 @@ def _grid(config, axis, values, n_train):
     if axis == "batch":
         values = sorted({min(int(v), n_train) for v in values})
         return [(v, v, reg) for v in values], values
+    # a repeated value is one point, in first-seen order
+    values = list(dict.fromkeys(values))
     # the grid scales every regularization coefficient that is active
     return [(v, b, Regularizer(lambda2=float(v),
                                lambda1=float(v) if config.l1 > 0 else 0.0))

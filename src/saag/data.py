@@ -14,10 +14,12 @@ class ParseError(ValueError):
 
 class Batch(np.ndarray):
     """A batch of ``Dataset.plan``: a read-only view of its schedule's row
-    ids that carries its gathered signed rows in ``signed``; a slice, copy
-    or ``np.array`` of it carries none, so it is gathered afresh."""
+    ids that carries its gathered signed rows in the slot ``signed``; a
+    slice, copy or ``np.array`` of it carries none (the slot is unset, so
+    read it with ``getattr(rows, "signed", None)``), and it is gathered
+    afresh."""
 
-    signed = None
+    __slots__ = ("signed",)
 
 
 @dataclass(eq=False)

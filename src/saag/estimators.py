@@ -6,7 +6,8 @@ term at 1/n), the unbiased SVRG/VR-SGD estimator (both terms at 1/b), and the
 plain mini-batch gradient of GD/SGD. ``bind`` maps a solver kind to its
 estimator, bound to the table or snap state of an epoch; ``direction`` is
 one bound call. The l2 contribution is always applied analytically at the
-point each term is evaluated at, never from stale storage.
+point each term is evaluated at, never from stale storage. The scalar
+operands (k, n, lambda2) are the spec's 0-d ``scalars``.
 """
 
 import copy
@@ -37,9 +38,10 @@ def take_snapshot(spec, w):
     """Freeze a snap point; its slopes give the full gradient (n evaluations)."""
     w = np.asarray(w, dtype=np.float64)
     data = spec.data
+    _, n, lam2, _ = spec.scalars(data.n)
     slopes = slope_t(spec.loss, margins(data, w))
-    grad = scatter(data, slopes) / data.n + spec.reg.lambda2 * w
-    return SnapState(w.copy(), grad, slopes, slopes / data.n)
+    grad = scatter(data, slopes) / n + lam2 * w
+    return SnapState(w.copy(), grad, slopes, slopes / n)
 
 
 @dataclass(eq=False)
@@ -70,8 +72,8 @@ def saag1_direction(table, spec, w, batch, z=None):
     margins when the caller has them.
     """
     data = spec.data
-    # float divisors: numpy divides by a Python int on a slower path
-    n, k = float(data.n), float(len(batch))
+    size = len(batch)
+    k, n, lam2, _ = spec.scalars(size)
     if z is None:
         z = margins(data, w, batch)
     c = slope_t(spec.loss, z)
@@ -79,10 +81,10 @@ def saag1_direction(table, spec, w, batch, z=None):
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
     table.slopes[batch] = c
     fresh = scatter(data, c, batch)
-    if k == n:
+    if size == data.n:
         # out-of-batch set is empty; the stale term is exactly zero
-        return fresh / k + spec.reg.lambda2 * w
-    return fresh / k + (table.aggregate - fresh) / n + spec.reg.lambda2 * w
+        return fresh / k + lam2 * w
+    return fresh / k + (table.aggregate - fresh) / n + lam2 * w
 
 
 def saag2_direction(spec, w, batch, snap, z=None):
@@ -97,13 +99,12 @@ def saag2_direction(spec, w, batch, snap, z=None):
     so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B/n
     read from the snapshot; ``z`` is as in ``saag1_direction``.
     """
-    n, k = spec.data.n, float(len(batch))    # float k as in saag1_direction
-    lam2 = spec.reg.lambda2
+    k, _, lam2, share = spec.scalars(len(batch))     # share = (k / n) * lam2
     if z is None:
         z = margins(spec.data, w, batch)
     c = slope_t(spec.loss, z) / k - snap.scaled[batch]
     return (scatter(spec.data, c, batch)
-            + lam2 * w - (k / n) * lam2 * snap.point
+            + lam2 * w - share * snap.point
             + snap.grad)
 
 
@@ -115,11 +116,12 @@ def svrg_direction(spec, w, batch, snap, z=None):
     At w = w~ the slopes cancel exactly and the direction equals mu~.
     ``z`` is as in ``saag1_direction``.
     """
+    k, _, lam2, _ = spec.scalars(len(batch))
     if z is None:
         z = margins(spec.data, w, batch)
-    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / float(len(batch))
+    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / k
     return (scatter(spec.data, c, batch)
-            + spec.reg.lambda2 * (w - snap.point) + snap.grad)
+            + lam2 * (w - snap.point) + snap.grad)
 
 
 def bind(kind, spec, table=None, snap=None):

@@ -19,6 +19,17 @@ LOSSES = ("logistic", "squared_hinge", "least_squares")
 CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
 
 
+def operand(x):
+    """``x`` as a 0-d float64 array, the form of the inner step's scalar
+    operands: on 5 entries a ufunc took ~0.83 us with one against ~1.2 us
+    with a Python float, to the same bits. Each is formed once per spec,
+    run or epoch, never per step."""
+    return np.array(x, dtype=np.float64)
+
+
+ZERO = operand(0.0)
+
+
 @dataclass(frozen=True)
 class Regularizer:
     """lambda2 scales the smooth l2 term, lambda1 the non-smooth l1 term."""
@@ -42,13 +53,23 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
+        self._scalars = {}
+
+    def scalars(self, k):
+        """(k, n, lambda2, (k / n) * lambda2) as ``operand``s for a batch of
+        k rows, formed on the first call for each k and kept: at most n
+        entries, and a run reads b, its tail batch's size and n."""
+        if k not in self._scalars:
+            n, lam2 = self.data.n, self.reg.lambda2
+            self._scalars[k] = tuple(map(operand, (k, n, lam2, (k / n) * lam2)))
+        return self._scalars[k]
 
 
 def loss_t(kind, t):
     """Per-point losses at signed margins t = -y z, y = +-1: every loss is a
     function of t alone."""
     if kind == "logistic":
-        return np.logaddexp(0.0, t)
+        return np.logaddexp(ZERO, t)
     if kind == "squared_hinge":
         return np.maximum(0.0, 1.0 + t) ** 2
     return 0.5 * (t + 1.0) ** 2     # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
@@ -59,7 +80,7 @@ def slope_t(kind, t):
     of loss i is c_i times its signed row -y_i x_i."""
     if kind == "logistic":
         # sigmoid(t); logaddexp keeps exp from overflowing
-        return np.exp(-np.logaddexp(0.0, -t))
+        return np.exp(-np.logaddexp(ZERO, -t))
     if kind == "squared_hinge":
         return 2.0 * np.maximum(0.0, 1.0 + t)
     return t + 1.0
@@ -95,14 +116,13 @@ def batch_grad(spec, w, rows=None, z=None):
     (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is the batch's
     signed margins when the caller has them.
     """
-    k = spec.data.n if rows is None else len(rows)
-    if k == 0:
+    size = spec.data.n if rows is None else len(rows)
+    if size == 0:
         raise ValueError("empty batch")
+    k, _, lam2, _ = spec.scalars(size)
     if z is None:
         z = margins(spec.data, w, rows)
-    # a float divisor: numpy divides by a Python int on a slower path
-    return (scatter(spec.data, slope_t(spec.loss, z), rows) / float(k)
-            + spec.reg.lambda2 * w)
+    return scatter(spec.data, slope_t(spec.loss, z), rows) / k + lam2 * w
 
 
 def full_grad(spec, w):

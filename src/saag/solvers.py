@@ -20,9 +20,10 @@ from .estimators import (TABLE_KINDS, GradTable, SnapState, bind, make_table,
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
-                        prox, scatter)
+                        operand, prox, scatter)
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
+AVERAGING_KINDS = ("saag3", "saag4", "vrsgd")     # the readers of the average
 
 POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
@@ -37,8 +38,9 @@ class NonFiniteDirection(RuntimeError):
 @dataclass(eq=False)
 class EpochState:
     """Mutable state of one solver run: the iterate, the previous epoch's
-    iterate average (zeros before the first epoch), the snap state or
-    gradient table, and the work counters."""
+    iterate average, the snap state or gradient table, and the work
+    counters. Only saag3, saag4 and vrsgd read the average, so only they
+    keep it; it is zeros before their first epoch and for every other kind."""
 
     w: np.ndarray
     average: np.ndarray
@@ -90,7 +92,8 @@ def init_state(config):
 def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     """One mini-batch step of solver ``kind``: the direction
     ``direct(w, batch, z)`` (its estimator, bound by ``run_epoch``), step
-    size and update.
+    size and update. ``fixed_eta`` is > 0, a float or, as ``run`` passes
+    it, an ``operand``.
 
     A step size of 0 (the line-search sentinel) leaves w unchanged but still
     advances the counters.
@@ -110,15 +113,18 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     state.inner += 1
     if fixed_eta is not None:
         eta = fixed_eta
-    elif kind == "sgd":
-        eta = sbas_params.eta0 / math.sqrt(state.inner)
     else:
-        phi = batch_ray(spec, state.w, batch, d, z, dd)
-        eta, evals = backtrack(sbas_params, phi, dd)
-        state.fevals += evals
-    if eta > 0.0:
-        v = state.w - eta * d
-        state.w = prox(v, eta, spec.reg) if spec.reg.lambda1 > 0 else v
+        if kind == "sgd":
+            eta = sbas_params.eta0 / math.sqrt(state.inner)
+        else:
+            phi = batch_ray(spec, state.w, batch, d, z, dd)
+            eta, evals = backtrack(sbas_params, phi, dd)
+            state.fevals += evals
+        if not eta > 0.0:       # the sentinel: w stays
+            return state
+    v = state.w - eta * d
+    # prox's scalar work on eta is faster on a float
+    state.w = prox(v, float(eta), spec.reg) if spec.reg.lambda1 > 0 else v
     return state
 
 
@@ -129,8 +135,9 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     not reported inside the steps: a finite direction whose d.d overflows
     still steps, and a non-finite one raises ``NonFiniteDirection``.
 
-    The epoch sums its m iterates, one after each step, and stores their
-    mean in ``state.average``. Snap rules at epoch start: saag2 and svrg
+    An averaging kind (saag3, saag4, vrsgd) sums the epoch's m iterates,
+    one after each step, and stores their mean in ``state.average``; the
+    other kinds leave it as it is. Snap rules at epoch start: saag2 and svrg
     anchor at the current iterate (the previous epoch's last point); saag4
     and vrsgd anchor at ``state.average``, the previous epoch's iterate
     average. Boundary rule at epoch end: saag3 restarts from the new
@@ -141,12 +148,15 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
         state.snap = take_snapshot(spec, anchor)
         state.grads += spec.data.n
     direct = bind(kind, spec, state.table, state.snap)
+    averaging = kind in AVERAGING_KINDS
     total = np.zeros_like(state.w)
     with np.errstate(over="ignore"):
         for batch in spec.data.plan(schedule):
             inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta)
-            total += state.w
-    state.average = total / schedule.m
+            if averaging:
+                total += state.w
+    if averaging:
+        state.average = total / schedule.m
     if kind == "saag3":
         state.w = state.average
     state.epoch += 1
@@ -163,6 +173,7 @@ def run(config, test=None):
     """
     spec = config.objective
     kind = config.solver
+    fixed_eta = None if config.fixed_eta is None else operand(config.fixed_eta)
     state = init_state(config)
     trace = Trace(solver=kind, seed=config.seed, points=[],
                   config=_config_echo(config))
@@ -172,7 +183,7 @@ def run(config, test=None):
                                  epoch=s)
         start = time.perf_counter()
         try:
-            run_epoch(kind, state, spec, schedule, config.sbas, config.fixed_eta)
+            run_epoch(kind, state, spec, schedule, config.sbas, fixed_eta)
         except NonFiniteDirection as err:
             trace.failure = str(err)
             break

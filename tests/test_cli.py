@@ -437,6 +437,26 @@ def test_sweep_values_note_keeps_its_text(tmp_path):
     assert "note: sweep axis = lambda, values = [0.01, 0.0001]" in read_csv(lam)[1]
 
 
+def test_repeated_lambda_values_are_one_point(tmp_path, capsys):
+    # 1e-3 and 0.001 are one value: one trace, one f_star note, first-seen order
+    out = tmp_path / "lam.csv"
+    assert main(["sweep", "--axis", "lambda", "--values", "1e-3,0.001,1e-5,1e-3",
+                 "--synthetic", "n=40,d=4", "--solvers", "saag4",
+                 "--epochs", "2", "--out", str(out)]) == 0
+    rows, metadata = read_csv(out)
+    assert [r["lambda"] for r in rows] == ["0.001"] * 3 + ["1e-05"] * 3
+    assert "note: sweep axis = lambda, values = [0.001, 1e-05]" in metadata
+    assert len([ln for ln in metadata if ln.startswith("note: f_star")]) == 2
+    assert "(2 traces over lambda grid [0.001, 1e-05])" in capsys.readouterr().out
+    one = tmp_path / "one.csv"
+    assert main(["sweep", "--axis", "lambda", "--values", "1e-3,0.001",
+                 "--synthetic", "n=40,d=4", "--solvers", "saag4",
+                 "--epochs", "2", "--out", str(one)]) == 0
+    rows, metadata = read_csv(one)
+    assert len(rows) == 3
+    assert "note: sweep axis = lambda, values = [0.001]" in metadata
+
+
 def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
     # gd steps on every row whatever b is, so a batch sweep runs it once per
     # seed and copies the trace to the other batch values

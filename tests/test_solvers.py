@@ -1,10 +1,12 @@
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import saag.estimators as estimators_mod
+import saag.objective as objective_mod
 import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.estimators import bind
@@ -12,8 +14,9 @@ from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, margins,
                             objective_value, scatter, slope_t)
-from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
-                          reference_optimum, run, run_epoch)
+from saag.solvers import (AVERAGING_KINDS, SOLVERS, NonFiniteDirection,
+                          RunConfig, init_state, reference_optimum, run,
+                          run_epoch)
 
 SBAS_SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd")
 
@@ -73,14 +76,20 @@ def test_epoch_boundary_equalities(monkeypatch):
         collected.clear()
         cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=5, seed=1)
         state = init_state(cfg)
+        before = state.average
         sched = make_schedule(20, cfg.batch_size, 1, epoch=0)
         run_epoch(kind, state, spec, sched, cfg.sbas)
         total = np.zeros(4)
         for w in collected:
             total += w
-        # the average is the sequential sum of the epoch's iterates over m
         assert len(collected) == sched.m
-        assert np.array_equal(state.average, total / sched.m), kind
+        if kind in AVERAGING_KINDS:
+            # the average is the sequential sum of the epoch's iterates over m
+            assert np.array_equal(state.average, total / sched.m), kind
+        else:
+            # no other kind reads the average, so none keeps it
+            assert state.average is before, kind
+            assert np.array_equal(state.average, np.zeros(4)), kind
         if kind == "saag3":
             # next start = iterate average
             assert np.array_equal(state.w, state.average)
@@ -321,7 +330,9 @@ def test_sentinel_streak_leaves_w_unchanged(kind):
     schedule = make_schedule(16, cfg.batch_size, 0)
     run_epoch(kind, state, spec, schedule, params)
     assert np.array_equal(state.w, w0)
-    assert np.array_equal(state.average, w0)
+    if kind in AVERAGING_KINDS:
+        # a 0.0 step still counts in the average
+        assert np.array_equal(state.average, w0)
     assert state.epoch == 1
     assert state.inner == schedule.m
     assert state.fevals == (params.max_backtracks + 1) * schedule.m
@@ -401,6 +412,58 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
             for p in stored.points] == \
         [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
          for p in afresh.points]
+
+
+def run_bits(kind, data, b, lam1, fixed_eta):
+    """A fresh spec's run of ``kind``: the spec, and the bytes of its final
+    w and of every trace point's (objective, grads/n, fevals)."""
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), data)
+    w, trace = run(RunConfig(solver=kind, objective=spec, epochs=3, batch_size=b,
+                             seed=3, fixed_eta=fixed_eta))
+    points = [(p.objective, p.grads_over_n, p.fevals) for p in trace.points]
+    return spec, (w.tobytes(), np.array(points).tobytes())
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("lam1", [0.0, 1e-3])
+@pytest.mark.parametrize("fixed_eta", [None, 0.05], ids=["sbas", "fixed"])
+def test_zero_d_operands_keep_traces(dense, lam1, fixed_eta, monkeypatch):
+    # the step's scalar operands are 0-d arrays; the Python floats they are
+    # made from give the same bits, at b = 1, at b = 7 with a tail of 6 and
+    # at b = n
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    data = make_synthetic(20, 5, seed=7, flip=0.1)
+    assert (data.block is None) != dense
+    for b in (1, 7, 20):
+        for kind in SOLVERS:
+            spec, shipped = run_bits(kind, data, b, lam1, fixed_eta)
+            assert all(isinstance(x, np.ndarray) and x.ndim == 0
+                       for x in spec.scalars(b))
+            with monkeypatch.context() as m:
+                m.setattr(objective_mod, "ZERO", 0.0)
+                m.setattr(objective_mod, "operand", float)
+                m.setattr(solvers_mod, "operand", float)
+                spec, floats = run_bits(kind, data, b, lam1, fixed_eta)
+                assert all(type(x) is float for x in spec.scalars(b))
+            assert shipped == floats, (kind, b)
+
+
+def test_sgd_run_grows_no_module_state():
+    # sgd's step eta0 / sqrt(t) changes every step, so nothing may keep it;
+    # the spec keeps the operands of its one batch size
+    def module_state():
+        return {(module, name): (id(value), len(value)
+                                 if isinstance(value, (dict, list, set, tuple))
+                                 else None)
+                for module in list(sys.modules) if module.split(".")[0] == "saag"
+                for name, value in vars(sys.modules[module]).items()}
+
+    spec = toy_spec(n=200, d=5)
+    before = module_state()
+    _, trace = run(RunConfig(solver="sgd", objective=spec, epochs=1, batch_size=1))
+    assert trace.points[-1].grads_over_n == 1.0     # 200 steps
+    assert module_state() == before
+    assert list(spec._scalars) == [1]
 
 
 @pytest.mark.parametrize("kind", ["saag1", "svrg", "sgd"])
