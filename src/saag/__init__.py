@@ -10,7 +10,7 @@ from .estimators import (GradTable, SnapState, bind, direction,
                          saag1_direction, saag2_direction, svrg_direction,
                          take_snapshot)
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
-                      read_csv, record_epoch)
+                      read_csv, record_epoch, run_jobs)
 from .line_search import SBASParams, backtrack, sbas
 from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
                         batch_grad, batch_ray, batch_smooth_value, full_grad,

@@ -7,7 +7,6 @@ echo written into the output CSV's ``#`` metadata lines.
 """
 
 import argparse
-import copy
 import csv
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -16,10 +15,10 @@ import numpy as np
 
 from .data import ParseError, load_libsvm, make_synthetic, split_train_test
 from .estimators import ENUMERATION_CAP
-from .harness import emit_csv, finalize_suboptimality
+from .harness import emit_csv, run_jobs
 from .line_search import SBASParams
 from .objective import LOSSES, ObjectiveSpec, Regularizer
-from .solvers import SOLVERS, RunConfig, reference_optimum, run
+from .solvers import SOLVERS, RunConfig
 from .verify import run_suites
 
 DEFAULT_BATCH_GRID = (32, 64, 128)
@@ -30,12 +29,8 @@ class UsageError(ValueError):
     pass
 
 
-def _opt_str(text):
-    return None if text.lower() == "none" else text
-
-
-def _opt_float(text):
-    return None if text.lower() == "none" else float(text)
+def _optional(read):
+    return lambda text: None if text.lower() == "none" else read(text)
 
 
 def _list_of(read):
@@ -62,9 +57,9 @@ class ExperimentConfig:
     benchmark protocol (80/20 split, lambda = 1e-5, ``SBASParams``'
     defaults, mini-batch 32)."""
 
-    dataset: str | None = _option(None, _opt_str, "LibSVM-format data file")
+    dataset: str | None = _option(None, _optional(str), "LibSVM-format data file")
     synthetic: str | None = _option(
-        None, _opt_str, "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
+        None, _optional(str), "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
     solvers: tuple = _option(("saag3", "saag4", "svrg", "vrsgd"), _list_of(str),
                              "comma list from: " + ",".join(SOLVERS))
     loss: str = _option("logistic", str, "one of: " + ",".join(LOSSES))
@@ -80,7 +75,7 @@ class ExperimentConfig:
     max_backtracks: int = _option(SBASParams.max_backtracks, int,
                                   "most backtracks per line-search call")
     fixed_eta: float | None = _option(
-        None, _opt_float, "bypass the line search with a fixed step (finite, > 0)")
+        None, _optional(float), "bypass the line search with a fixed step (finite, > 0)")
     out: str = _option("trace.csv", str, "output CSV path")
     workers: int = _option(1, int, "parallel run workers")
     train_fraction: float = _option(0.8, float,
@@ -136,6 +131,8 @@ def parse_synthetic_spec(text):
         key, sep, value = part.partition("=")
         if not sep or key not in ("n", "d", "flip", "margin", "seed"):
             raise UsageError(f"bad synthetic spec component {part!r}")
+        if key in seen:
+            raise UsageError(f"repeated synthetic spec key {key!r}")
         kwargs[key] = float(value) if key in ("flip", "margin") else int(value)
         seen.add(key)
     if "n" not in seen or "d" not in seen:
@@ -181,20 +178,6 @@ def _load_data(config):
     raise UsageError("one of --dataset or --synthetic is required")
 
 
-def _run_job(job):
-    config, test = job
-    return run(config, test=test)[1]
-
-
-def _run_all(jobs, workers):
-    if workers > 1:
-        # imported here, so a command without a pool skips multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_job, jobs))
-    return [_run_job(job) for job in jobs]
-
-
 def _summary_lines(traces):
     lines = ["solver   seed  final_obj      final_subopt   best_subopt    "
              "final_acc  best_acc"]
@@ -223,6 +206,8 @@ def _grid(config, axis, values, n_train):
     if not values:
         raise UsageError("sweep axis values list is empty")
     if axis == "batch":
+        if not all(float(v).is_integer() for v in values):
+            raise UsageError(f"batch sizes must be whole numbers: {values}")
         values = sorted({min(int(v), n_train) for v in values})
         return [(v, v, reg) for v in values], values
     # a repeated value is one point, in first-seen order
@@ -235,17 +220,16 @@ def _grid(config, axis, values, n_train):
 
 def cmd_run(config, axis=None, values=None):
     """Run every (solver x seed) job at each point of a batch-size or lambda
-    grid (the configured point when ``axis`` is None), finalize one F* per
-    regularizer, write one CSV (with an ``axis`` column for a sweep) and
-    print a summary. Returns a process exit code."""
+    grid (the configured point when ``axis`` is None) through ``run_jobs``,
+    one F* per regularizer, write one CSV (with an ``axis`` column for a
+    sweep) and print a summary. Returns a process exit code."""
     data, provenance = _load_data(config)
     train, test = split_train_test(data, config.train_fraction, config.split_seed)
     points, values = _grid(config, axis, values, train.n)
     if axis is None:
         config = replace(config, b=points[0][1])
     specs = {reg: ObjectiveSpec(config.loss, reg, train) for _, _, reg in points}
-    # the jobs check their parameters, then each regularizer's own F* (it
-    # depends on nothing else) checks the budget, all before any solver runs
+    # the jobs check their parameters before run_jobs computes any F*
     sbas = SBASParams(alpha=config.alpha, shrink=config.shrink, eta0=config.eta0,
                       max_backtracks=config.max_backtracks)
     runs = [(value, RunConfig(solver=kind, objective=specs[reg],
@@ -253,28 +237,16 @@ def cmd_run(config, axis=None, values=None):
                               seed=seed, fixed_eta=config.fixed_eta))
             for value, b, reg in points
             for kind in config.solvers for seed in config.seeds]
-    references = {spec: reference_optimum(spec, config.ref_budget)
-                  for spec in specs.values()}
-    # equal jobs run once: gd's batch is every row, so a batch sweep runs it
-    # once per (seed, objective)
-    keys = [(job.solver, job.seed, job.objective, job.batch_size)
-            for _, job in runs]
-    unique = {key: (job, test) for key, (_, job) in zip(keys, runs)}
-    done = dict(zip(unique, _run_all(list(unique.values()), config.workers)))
-    traces = [copy.deepcopy(done[key]) for key in keys]
-    groups = {}
-    for (value, job), trace in zip(runs, traces):
-        if axis is not None:
+    traces, optima = run_jobs([job for _, job in runs], test, config.ref_budget,
+                              config.workers)
+    if axis is not None:
+        for (value, _), trace in zip(runs, traces):
             trace.extra[axis] = value
-        groups.setdefault(job.objective, []).append(trace)
-    f_star_notes = []
-    for spec, group in groups.items():
-        reference = references[spec]
-        fstar = finalize_suboptimality(group, reference.value)
-        where = f"lambda = {group[0].extra[axis]}, " if axis == "lambda" else ""
-        f_star_notes.append(f"note: f_star = {fstar!r} "
-                            f"({where}reference converged: {reference.converged}, "
-                            f"iterations: {reference.iterations})")
+    where = {specs[reg]: f"lambda = {value}, " if axis == "lambda" else ""
+             for value, _, reg in points}
+    f_star_notes = [f"note: f_star = {fstar!r} ({where[spec]}reference converged: "
+                    f"{reference.converged}, iterations: {reference.iterations})"
+                    for spec, (reference, fstar) in optima.items()]
     metadata = echo_config(config) + [f"note: data from {provenance}"]
     if axis is not None:
         metadata.append(f"note: sweep axis = {axis}, values = {values}")
@@ -283,6 +255,7 @@ def cmd_run(config, axis=None, values=None):
     emit_csv(traces, config.out, metadata=metadata,
              extra_fields=() if axis is None else (axis,))
     if axis is None:
+        (_, fstar), = optima.values()
         print(f"wrote {config.out} ({len(traces)} traces, F* = {fstar:.12e})")
         for line in _summary_lines(traces):
             print(line)

@@ -1,4 +1,4 @@
-"""Per-epoch evaluation records and machine-readable trace output.
+"""Per-epoch records, a command's jobs and machine-readable trace output.
 
 Each completed epoch contributes one trace point holding the six criteria the
 benchmark plots are built from: objective, suboptimality, test accuracy, and
@@ -7,6 +7,7 @@ against. Metric evaluation itself is excluded from both the wall clock and
 the gradient counters.
 """
 
+import copy
 import csv
 from dataclasses import dataclass, field
 
@@ -81,6 +82,37 @@ def finalize_suboptimality(traces, reference_value=None):
         for p in t.points:
             p.suboptimality = max(p.objective - best, SUBOPT_FLOOR)
     return best
+
+
+def _run_job(config, test):
+    from .solvers import run    # at call time: solvers imports this module
+    return run(config, test=test)[1]
+
+
+def run_jobs(jobs, test, budget, workers):
+    """Run a command's ``RunConfig`` jobs after every objective's reference
+    optimum, so a bad ``budget`` fails first: each distinct (solver, seed,
+    objective, batch size) once, serially or on ``workers`` processes; gd's
+    batch is every row, so a batch sweep runs it once per (seed, objective).
+    Returns one trace per job, in job order, each its own copy, and
+    ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
+    from .solvers import reference_optimum  # as in _run_job
+    references = {spec: reference_optimum(spec, budget)
+                  for spec in dict.fromkeys(job.objective for job in jobs)}
+    keys = [(job.solver, job.seed, job.objective, job.batch_size) for job in jobs]
+    unique = dict(zip(keys, jobs))
+    if workers > 1:
+        # imported here, so a command without a pool skips multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_job, unique.values(), [test] * len(unique)))
+    else:
+        results = [_run_job(job, test) for job in unique.values()]
+    done = dict(zip(unique, results))
+    traces = [copy.deepcopy(done[key]) for key in keys]
+    return traces, {spec: (ref, finalize_suboptimality(
+        [t for job, t in zip(jobs, traces) if job.objective is spec], ref.value))
+        for spec, ref in references.items()}
 
 
 def _fmt(value):

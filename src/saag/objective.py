@@ -130,15 +130,16 @@ def full_grad(spec, w):
     return batch_grad(spec, w)
 
 
-def batch_smooth_value(spec, w, rows=None):
+def batch_smooth_value(spec, w, rows=None, z=None):
     """Mini-batch smooth objective: mean loss over the batch plus the l2 term.
+    ``z`` is the batch's signed margins when the caller has them.
 
     This is the quantity the stochastic line search compares; the l1 term is
     excluded because the proximal step handles it after the gradient step.
     """
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
-    losses = loss_t(spec.loss, margins(spec.data, w, rows))
+    losses = loss_t(spec.loss, margins(spec.data, w, rows) if z is None else z)
     return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w.dot(w))
 
 

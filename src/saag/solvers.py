@@ -19,8 +19,8 @@ from .estimators import (TABLE_KINDS, GradTable, SnapState, bind, make_table,
                          take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (CURVATURE, batch_grad, batch_ray, loss_t, margins,
-                        operand, prox, scatter)
+from .objective import (CURVATURE, batch_grad, batch_ray, batch_smooth_value,
+                        margins, operand, prox, scatter)
 
 SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
 AVERAGING_KINDS = ("saag3", "saag4", "vrsgd")     # the readers of the average
@@ -264,9 +264,6 @@ def reference_optimum(spec, budget=500):
     data, n = spec.data, spec.data.n
     lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
 
-    def smooth(z, w):
-        return float(loss_t(spec.loss, z).sum()) / n + 0.5 * lam2 * float(w.dot(w))
-
     # when the power iteration meets the null space, the trace bound
     top = _top_eigenvalue(data) or float(data.values.dot(data.values))
     # f is constant when both terms vanish, and any step fits
@@ -276,17 +273,17 @@ def reference_optimum(spec, budget=500):
     floor = max(lam2, lipschitz * 2.0 ** -(MAX_DOUBLINGS // 2))
 
     w, zw = np.zeros(data.d), np.zeros(n)
-    fw = smooth(zw, w)
+    fw = batch_smooth_value(spec, w, z=zw)
     v, zv, t, restarted = w, zw, 1.0, True      # as after a momentum restart
     for iterations in range(1, _iteration_cap(budget) + 1):
         # zv is extrapolated unless v = w; as it drifts from X v it can fail
         fresh = restarted   # the bound test, so form it afresh before L grows
-        g, fv = batch_grad(spec, v, z=zv), smooth(zv, v)
+        g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
         for _ in range(MAX_DOUBLINGS):
             step = 1.0 / lipschitz
             p = prox(v - step * g, step, spec.reg)
             zp = margins(data, p)
-            fp = smooth(zp, p)
+            fp = batch_smooth_value(spec, p, z=zp)
             move = p - v
             if fp <= fv + float(g.dot(move)) + 0.5 * lipschitz * float(move.dot(move)):
                 break
@@ -294,7 +291,8 @@ def reference_optimum(spec, budget=500):
                 lipschitz *= 2.0
             else:
                 zv = margins(data, v)
-                g, fv, fresh = batch_grad(spec, v, z=zv), smooth(zv, v), True
+                g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
+                fresh = True
         else:               # no L fits: v is a fixed point up to rounding
             converged = True
             break

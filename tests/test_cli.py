@@ -108,10 +108,10 @@ def test_bad_fixed_step_is_an_error(tmp_path, capsys, eta):
 
 def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
                                                      capsys):
-    import saag.cli as cli
+    import saag.solvers as solvers
     calls = []
-    run = cli.run
-    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+    run = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
         calls.append(config) or run(config, **kw)))
     out = tmp_path / "run.csv"
     code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
@@ -131,10 +131,10 @@ def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
 ])
 def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
                                                       capsys, flag, value, message):
-    import saag.cli as cli
+    import saag.solvers as solvers
     calls = []
-    reference = cli.reference_optimum
-    monkeypatch.setattr(cli, "reference_optimum", lambda spec, budget: (
+    reference = solvers.reference_optimum
+    monkeypatch.setattr(solvers, "reference_optimum", lambda spec, budget: (
         calls.append(spec) or reference(spec, budget)))
     out = tmp_path / "run.csv"
     code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
@@ -155,9 +155,10 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
 def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                 flag, value, message):
     import saag.cli as cli
+    import saag.solvers as solvers
     calls = []
     monkeypatch.setattr(cli, "split_train_test", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "reference_optimum", lambda *a: calls.append(a))
+    monkeypatch.setattr(solvers, "reference_optimum", lambda *a: calls.append(a))
     out = tmp_path / "run.csv"
     code = main(["run", "--synthetic", "n=40,d=4", "--epochs", "2",
                  flag, value, "--out", str(out)])
@@ -185,10 +186,10 @@ def test_every_option_is_a_flag_with_its_echoed_value():
 
 def test_solver_prefix_runs_one_job(tmp_path, monkeypatch):
     # argparse takes any unique prefix of a flag: --solver is --solvers
-    import saag.cli as cli
+    import saag.solvers as solvers
     calls = []
-    run = cli.run
-    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+    run = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
         calls.append((config.solver, config.seed)) or run(config, **kw)))
     assert main(["run", "--solver", "saag4", "--synthetic", "n=30,d=3",
                  "--epochs", "1", "--out", str(tmp_path / "one.csv")]) == 0
@@ -331,6 +332,36 @@ def test_sweep_lambda_default_grid(tmp_path):
     assert any("sweep axis = lambda" in ln for ln in metadata)
 
 
+@pytest.mark.parametrize("values", ["1.5,7.9", "4,nan", "inf"])
+def test_non_integral_batch_values_are_usage_errors(tmp_path, monkeypatch,
+                                                    capsys, values):
+    import saag.solvers as solvers
+    calls = []
+    monkeypatch.setattr(solvers, "reference_optimum", lambda *a: calls.append(a))
+    out = tmp_path / "b.csv"
+    code = main(["sweep", "--axis", "batch", "--values", values,
+                 "--synthetic", "n=30,d=3", "--solvers", "saag1",
+                 "--epochs", "1", "--out", str(out)])
+    assert code == 2
+    assert "batch sizes must be whole numbers" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_repeated_synthetic_key_is_usage_error(tmp_path, capsys):
+    with pytest.raises(UsageError, match="repeated synthetic spec key 'n'"):
+        parse_synthetic_spec("n=40,n=20,d=3")
+    out = tmp_path / "run.csv"
+    argv = ["run", "--solvers", "saag4", "--epochs", "1", "--out", str(out)]
+    assert main(argv + ["--synthetic", "n=40,n=20,d=3"]) == 2
+    assert "repeated synthetic spec key 'n'" in capsys.readouterr().err
+    config = tmp_path / "c.txt"
+    config.write_text("synthetic = n=40,d=3,seed=1,seed=2\n")
+    assert main(argv + ["--config", str(config)]) == 2
+    assert "repeated synthetic spec key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_values_is_usage_error(capsys):
     code = main(["sweep", "--axis", "batch", "--values", "",
                  "--synthetic", "n=30,d=3"])
@@ -460,10 +491,10 @@ def test_repeated_lambda_values_are_one_point(tmp_path, capsys):
 def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
     # gd steps on every row whatever b is, so a batch sweep runs it once per
     # seed and copies the trace to the other batch values
-    import saag.cli as cli
+    import saag.solvers as solvers
     calls = []
-    run = cli.run
-    monkeypatch.setattr(cli, "run", lambda config, **kw: (
+    run = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
         calls.append((config.solver, config.batch_size)) or run(config, **kw)))
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "batch", "--values", "1,8,24",

@@ -3,10 +3,10 @@ import pytest
 
 from saag.data import make_synthetic, split_train_test
 from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
-                          finalize_suboptimality, read_csv)
+                          finalize_suboptimality, read_csv, run_jobs)
 from saag.objective import ObjectiveSpec, Regularizer
 from saag import solvers
-from saag.solvers import RunConfig, run
+from saag.solvers import RunConfig, reference_optimum, run
 
 
 def run_toy(kind="saag3", epochs=2, seed=0, with_test=False, **kwargs):
@@ -127,3 +127,82 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     cfg = RunConfig(solver="saag3", objective=spec, epochs=7, batch_size=4)
     _, trace = run(cfg, test=test)
     assert [p.wall_seconds for p in trace.points] == [float(e) for e in range(8)]
+
+
+def lambda_grid_jobs():
+    """A two-point lambda grid: gd at b = 2 and 4 (one run) and saag1 at
+    b = 4, seeds 0 and 1, per objective."""
+    train, test = split_train_test(make_synthetic(30, 4, seed=2, flip=0.1),
+                                   0.8, seed=0)
+    specs = [ObjectiveSpec("logistic", Regularizer(lambda2=lam), train)
+             for lam in (1e-2, 1e-4)]
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=2, batch_size=b,
+                      seed=seed)
+            for spec in specs for kind, b in (("gd", 2), ("gd", 4), ("saag1", 4))
+            for seed in (0, 1)]
+    return specs, jobs, test
+
+
+def counted_runs(monkeypatch):
+    calls = []
+    real = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
+        calls.append(config) or real(config, **kw)))
+    return calls
+
+
+def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
+    specs, jobs, test = lambda_grid_jobs()
+    calls = counted_runs(monkeypatch)
+    traces, optima = run_jobs(jobs, test, 50, 1)
+    # gd's batch is every row: its b = 2 and b = 4 jobs are one run
+    assert len(calls) == 8
+    assert sorted((c.solver, c.seed) for c in calls if c.objective is specs[0]) == \
+        [("gd", 0), ("gd", 1), ("saag1", 0), ("saag1", 1)]
+    assert [(t.solver, t.seed) for t in traces] == [(j.solver, j.seed) for j in jobs]
+    assert len({id(t) for t in traces}) == len(jobs)
+    assert len({id(t.extra) for t in traces}) == len(jobs)
+    assert len({id(t.points) for t in traces}) == len(jobs)
+    traces[0].extra["batch"] = 2
+    assert traces[2].extra == {}
+    # the copies of one run are equal, point for point
+    assert traces[0].points == traces[2].points
+    assert list(optima) == specs
+
+
+def test_run_jobs_finalizes_each_objective_against_its_reference():
+    specs, jobs, test = lambda_grid_jobs()
+    traces, optima = run_jobs(jobs, test, 50, 1)
+    for spec in specs:
+        reference, f_star = optima[spec]
+        assert reference.value == reference_optimum(spec, 50).value
+        own = [t for job, t in zip(jobs, traces) if job.objective is spec]
+        assert f_star == min([reference.value] +
+                             [p.objective for t in own for p in t.points])
+        for t in own:
+            for p in t.points:
+                assert p.suboptimality == max(p.objective - f_star, SUBOPT_FLOOR)
+    assert optima[specs[0]][1] != optima[specs[1]][1]
+
+
+def test_run_jobs_bad_budget_fails_before_any_run(monkeypatch):
+    _, jobs, test = lambda_grid_jobs()
+    calls = counted_runs(monkeypatch)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        run_jobs(jobs, test, 0, 1)
+    assert calls == []
+
+
+def test_run_jobs_on_two_workers_equals_serial():
+    _, jobs, test = lambda_grid_jobs()
+    serial, serial_optima = run_jobs(jobs, test, 50, 1)
+    pooled, pooled_optima = run_jobs(jobs, test, 50, 2)
+
+    def scrub(trace):
+        return (trace.solver, trace.seed, trace.config, trace.failure,
+                [(p.epoch, p.grads_over_n, p.fevals, p.objective,
+                  p.suboptimality, p.test_accuracy) for p in trace.points])
+
+    assert [scrub(t) for t in serial] == [scrub(t) for t in pooled]
+    assert [f for _, f in serial_optima.values()] == \
+        [f for _, f in pooled_optima.values()]
