@@ -5,8 +5,7 @@ harness, and oracle-based verification of the estimator and rate claims."""
 from .data import (Batch, BatchSchedule, Dataset, ParseError, load_libsvm,
                    make_schedule, make_synthetic, parse_libsvm,
                    split_train_test)
-from .estimators import (GradTable, SnapState, bind, direction,
-                         estimator_mean_bruteforce, make_table,
+from .estimators import (GradTable, SnapState, bind, make_table,
                          saag1_direction, saag2_direction, svrg_direction,
                          take_snapshot)
 from .harness import (Trace, TracePoint, emit_csv, finalize_suboptimality,
@@ -21,7 +20,7 @@ from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       run, run_epoch)
 from .verify import (ProblemConstants, RateParams, RateReport, RegimeError,
                      VarianceBoundReport, alpha_b, best_beta, bias_identity_gap,
-                     estimate_constants, run_suites, theoretical_rate,
-                     unbiasedness_gap, variance_bound_check)
+                     estimate_constants, estimator_mean_bruteforce, run_suites,
+                     theoretical_rate, unbiasedness_gap, variance_bound_check)
 
 __version__ = "0.1.0"

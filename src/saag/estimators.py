@@ -4,20 +4,17 @@ Four estimators are provided: the SAAG-I/III incremental gradient table, the
 biased SAAG-II/IV snap-point estimator (fresh batch term at 1/b, stale snap
 term at 1/n), the unbiased SVRG/VR-SGD estimator (both terms at 1/b), and the
 plain mini-batch gradient of GD/SGD. ``bind`` maps a solver kind to its
-estimator, bound to the table or snap state of an epoch; ``direction`` is
-one bound call. The l2 contribution is always applied analytically at the
-point each term is evaluated at, never from stale storage. The scalar
-operands (k, n, lambda2) are the spec's 0-d ``scalars``.
+estimator, bound to the table or snap state of an epoch. The l2
+contribution is always applied analytically at the point each term is
+evaluated at, never from stale storage. The scalar operands (k, n,
+lambda2) are the spec's 0-d ``scalars``.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import batch_grad, margins, scatter, slope_t
-
-ENUMERATION_CAP = 64
 
 TABLE_KINDS = ("saag1", "saag3")
 
@@ -139,25 +136,3 @@ def bind(kind, spec, table=None, snap=None):
         return lambda w, batch, z: batch_grad(spec, w, batch, z)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
-
-def direction(kind, spec, w, batch, table=None, snap=None, z=None):
-    """The direction of solver ``kind`` at w over ``batch``; the arguments
-    are those of ``bind`` and of the function it returns."""
-    return bind(kind, spec, table, snap)(w, batch, z)
-
-
-def estimator_mean_bruteforce(kind, spec, w, state, schedule):
-    """Exact mean of an estimator over every batch of a schedule.
-
-    ``state`` is the table of a table kind, else the snap state (None for
-    GD/SGD). Each batch starts from a copy of the table, so every batch sees
-    the same starting table. Only enumerable problems are accepted (n <= 64).
-    """
-    n = spec.data.n
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"n = {n} too large to enumerate (cap {ENUMERATION_CAP})")
-    table, snap = (state, None) if kind in TABLE_KINDS else (None, state)
-    total = np.zeros(spec.data.d)
-    for batch in schedule.batches:
-        total += direction(kind, spec, w, batch, copy.deepcopy(table), snap)
-    return total / schedule.m

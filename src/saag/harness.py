@@ -9,7 +9,7 @@ the gradient counters.
 
 import copy
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .objective import accuracy, objective_value
 
@@ -91,15 +91,16 @@ def _run_job(config, test):
 
 def run_jobs(jobs, test, budget, workers):
     """Run a command's ``RunConfig`` jobs after every objective's reference
-    optimum, so a bad ``budget`` fails first: each distinct (solver, seed,
-    objective, batch size) once, serially or on ``workers`` processes; gd's
-    batch is every row, so a batch sweep runs it once per (seed, objective).
+    optimum, so a bad ``budget`` fails first: each distinct job (equal in
+    every field, the objective by identity) once, serially or on ``workers``
+    processes; gd's batch is every row, so a batch sweep runs it once per
+    (seed, objective).
     Returns one trace per job, in job order, each its own copy, and
     ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
     from .solvers import reference_optimum  # as in _run_job
     references = {spec: reference_optimum(spec, budget)
                   for spec in dict.fromkeys(job.objective for job in jobs)}
-    keys = [(job.solver, job.seed, job.objective, job.batch_size) for job in jobs]
+    keys = [tuple(getattr(job, f.name) for f in fields(job)) for job in jobs]
     unique = dict(zip(keys, jobs))
     if workers > 1:
         # imported here, so a command without a pool skips multiprocessing

@@ -151,6 +151,11 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     ("--solvers", "saag1,saag1", "repeated value"),
     ("--seeds", "0,0", "repeated value"),
     ("--workers", "0", "workers must be >= 1"),
+    # text that does not parse as its option's value
+    ("--seeds", "x", "invalid literal for int()"),
+    ("--b", "abc", "invalid literal for int()"),
+    ("--synthetic", "n=abc,d=3", "invalid literal for int()"),
+    ("--values", "abc", "could not convert string to float"),
 ])
 def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                 flag, value, message):
@@ -160,8 +165,9 @@ def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(cli, "split_train_test", lambda *a: calls.append(a))
     monkeypatch.setattr(solvers, "reference_optimum", lambda *a: calls.append(a))
     out = tmp_path / "run.csv"
-    code = main(["run", "--synthetic", "n=40,d=4", "--epochs", "2",
-                 flag, value, "--out", str(out)])
+    command = ["sweep", "--axis", "batch"] if flag == "--values" else ["run"]
+    code = main(command + ["--synthetic", "n=40,d=4", "--epochs", "2",
+                           flag, value, "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
     assert calls == []
@@ -397,6 +403,30 @@ def test_verify_writes_report_csv(tmp_path):
     names = {ln.split(",")[0] for ln in lines[1:]}
     assert {"gradient-fd", "prox-oracle", "bias-identity", "variance-bound",
             "rate-constants"} <= names
+    # above the enumeration cap, one skipped row with an empty passed cell
+    assert main(["verify", "--synthetic", "n=80,d=4", "--out", str(out)]) == 0
+    assert [ln.split(",")[:2] for ln in out.read_text().splitlines()] == [
+        ["check", "passed"], ["gradient-fd", "True"], ["prox-oracle", "True"],
+        ["enumeration", ""], ["rate-constants", "True"]]
+    assert "enumeration,,skipped: n = 80 exceeds cap 64" in out.read_text()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--config", "c.txt"), ("--dataset", "/nonexistent.svm"),
+    ("--solvers", "saag4"), ("--b", "3"), ("--epochs", "0"), ("--seeds", "1"),
+    ("--eta0", "2"), ("--alpha", "0.2"), ("--shrink", "0.3"),
+    ("--max-backtracks", "4"), ("--fixed-eta", "0.05"), ("--workers", "0"),
+    ("--train-fraction", "0.5"), ("--split-seed", "1"), ("--ref-budget", "9"),
+])
+def test_verify_rejects_options_it_does_not_read(monkeypatch, capsys, flag, value):
+    import saag.cli as cli
+    calls = []
+    monkeypatch.setattr(cli, "run_suites", lambda *a: calls.append(a))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", flag, value])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

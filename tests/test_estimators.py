@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saag.data import Dataset, make_schedule, make_synthetic
-from saag.estimators import (direction, estimator_mean_bruteforce, make_table,
-                             saag1_direction, saag2_direction, svrg_direction,
-                             take_snapshot)
+from saag.estimators import (bind, make_table, saag1_direction,
+                             saag2_direction, svrg_direction, take_snapshot)
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             full_grad, margins, scatter, slope_t)
+from saag.verify import estimator_mean_bruteforce
 
 
 def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
@@ -150,8 +150,9 @@ def test_sgd_direction_cases():
     spec = spec_for(6, 3, lam2=3e-2)
     rng = np.random.default_rng(9)
     w = rng.standard_normal(3)
-    assert np.array_equal(direction("sgd", spec, w, np.arange(6)), full_grad(spec, w))
-    single = direction("sgd", spec, w, np.array([4]))
+    sgd = bind("sgd", spec)
+    assert np.array_equal(sgd(w, np.arange(6), None), full_grad(spec, w))
+    single = sgd(w, np.array([4]), None)
     assert np.allclose(single, dense_component(spec, w, 4) + spec.reg.lambda2 * w,
                        atol=1e-15)
     sched = make_schedule(6, 2, seed=2)
@@ -170,7 +171,7 @@ def test_degenerate_equivalence_all_estimators():
     for d in (saag1_direction(table, spec, w, batch),
               saag2_direction(spec, w, batch, snap),
               svrg_direction(spec, w, batch, snap),
-              direction("sgd", spec, w, batch)):
+              bind("sgd", spec)(w, batch, None)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
 
@@ -280,7 +281,7 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
 def test_direction_rejects_an_unknown_kind():
     spec = spec_for(6, 3)
     with pytest.raises(ValueError, match="unknown estimator kind 'nope'"):
-        direction("nope", spec, np.zeros(3), np.array([0, 1]))
+        bind("nope", spec)(np.zeros(3), np.array([0, 1]), None)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -311,4 +312,4 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
             want = (scatter(data, c, batch)
                     + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
             assert np.array_equal(saag2_direction(spec, w, batch, snap), want)
-            assert np.array_equal(direction("saag4", spec, w, batch, snap=snap), want)
+            assert np.array_equal(bind("saag4", spec, None, snap)(w, batch, None), want)

@@ -4,6 +4,7 @@ import pytest
 from saag.data import make_synthetic, split_train_test
 from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
                           finalize_suboptimality, read_csv, run_jobs)
+from saag.line_search import SBASParams
 from saag.objective import ObjectiveSpec, Regularizer
 from saag import solvers
 from saag.solvers import RunConfig, reference_optimum, run
@@ -168,6 +169,23 @@ def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
     # the copies of one run are equal, point for point
     assert traces[0].points == traces[2].points
     assert list(optima) == specs
+
+
+def test_run_jobs_keys_runs_on_every_config_field():
+    # jobs that differ only in epochs, fixed_eta or sbas are distinct runs
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3),
+                         make_synthetic(40, 4, seed=1))
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=4,
+                      **kwargs)
+            for kind, epochs, kwargs in (
+                ("svrg", 2, {}), ("svrg", 3, {}), ("saag4", 2, {}),
+                ("saag4", 2, {"fixed_eta": 0.05}),
+                ("saag4", 2, {"sbas": SBASParams(eta0=2.0)}))]
+    traces, _ = run_jobs(jobs, None, 50, 1)
+    assert [len(t.points) for t in traces] == [3, 4, 3, 3, 3]
+    assert [t.config["epochs"] for t in traces] == [2, 3, 2, 2, 2]
+    assert [t.config["fixed_eta"] for t in traces] == [None, None, None, 0.05, None]
+    assert [t.config["eta0"] for t in traces] == [1.0, 1.0, 1.0, 1.0, 2.0]
 
 
 def test_run_jobs_finalizes_each_objective_against_its_reference():

@@ -252,8 +252,9 @@ def test_run_suites_default_problem_passes_every_check():
 def test_run_suites_leaves_out_enumeration_above_cap():
     results = run_suites(make_synthetic(80, 4), "logistic", 0.0, 1e-5)
     assert [name for name, _, _ in results] == [
-        "gradient-fd", "prox-oracle", "rate-constants"]
-    assert all(passed for _, passed, _ in results)
+        "gradient-fd", "prox-oracle", "enumeration", "rate-constants"]
+    assert [passed for _, passed, _ in results] == [True, True, None, True]
+    assert results[2][2] == "skipped: n = 80 exceeds cap 64"
 
 
 def test_run_suites_scale_bug_fails_only_the_bias_identity():
