@@ -44,6 +44,40 @@ def _list_of(read):
     return read_list
 
 
+def _reading(where, read, text):
+    try:
+        return read(text)
+    except ValueError as err:   # the message names the option or config line
+        raise UsageError(f"{where}: {err}") from err
+
+
+def parse_synthetic_spec(text):
+    """Parse ``n=...,d=...[,flip=...][,margin=...][,seed=...]`` into
+    generator kwargs."""
+    kwargs = {"flip": 0.0, "margin": 0.0, "seed": 0}
+    seen = set()
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, sep, value = part.partition("=")
+        if not sep or key not in ("n", "d", "flip", "margin", "seed"):
+            raise UsageError(f"bad synthetic spec component {part!r}")
+        if key in seen:
+            raise UsageError(f"repeated synthetic spec key {key!r}")
+        kwargs[key] = float(value) if key in ("flip", "margin") else int(value)
+        seen.add(key)
+    if "n" not in seen or "d" not in seen:
+        raise UsageError("synthetic spec needs at least n=... and d=...")
+    return kwargs
+
+
+def canonical_synthetic(text):
+    kw = parse_synthetic_spec(text)
+    return (f"n={kw['n']},d={kw['d']},flip={kw['flip']!r},"
+            f"margin={kw['margin']!r},seed={kw['seed']}")
+
+
 def _option(default, read, text):
     return field(default=default, metadata={"read": read, "help": text})
 
@@ -58,7 +92,8 @@ class ExperimentConfig:
 
     dataset: str | None = _option(None, _optional(str), "LibSVM-format data file")
     synthetic: str | None = _option(
-        None, _optional(str), "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
+        None, _optional(canonical_synthetic),
+        "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
     solvers: tuple = _option(("saag3", "saag4", "svrg", "vrsgd"), _list_of(str),
                              "comma list from: " + ",".join(SOLVERS))
     loss: str = _option("logistic", str, "one of: " + ",".join(LOSSES))
@@ -114,35 +149,8 @@ def parse_config_text(text):
         key = key.strip()
         if key not in readers:
             raise UsageError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = readers[key](value.strip())
+        values[key] = _reading(f"config line {lineno}", readers[key], value.strip())
     return values
-
-
-def parse_synthetic_spec(text):
-    """Parse ``n=...,d=...[,flip=...][,margin=...][,seed=...]`` into
-    generator kwargs."""
-    kwargs = {"flip": 0.0, "margin": 0.0, "seed": 0}
-    seen = set()
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        if not sep or key not in ("n", "d", "flip", "margin", "seed"):
-            raise UsageError(f"bad synthetic spec component {part!r}")
-        if key in seen:
-            raise UsageError(f"repeated synthetic spec key {key!r}")
-        kwargs[key] = float(value) if key in ("flip", "margin") else int(value)
-        seen.add(key)
-    if "n" not in seen or "d" not in seen:
-        raise UsageError("synthetic spec needs at least n=... and d=...")
-    return kwargs
-
-
-def canonical_synthetic(text):
-    kw = parse_synthetic_spec(text)
-    return (f"n={kw['n']},d={kw['d']},flip={kw['flip']!r},"
-            f"margin={kw['margin']!r},seed={kw['seed']}")
 
 
 def _build_config(args):
@@ -153,7 +161,8 @@ def _build_config(args):
     for f in fields(ExperimentConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
-            values[f.name] = f.metadata["read"](flag)
+            values[f.name] = _reading("--" + f.name.replace("_", "-"),
+                                      f.metadata["read"], flag)
     config = ExperimentConfig(**values)
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
@@ -163,8 +172,6 @@ def _build_config(args):
                 f"unknown solver {kind!r}; valid kinds: {', '.join(SOLVERS)}")
     if config.loss not in LOSSES:
         raise UsageError(f"unknown loss {config.loss!r}; valid: {', '.join(LOSSES)}")
-    if config.synthetic is not None:
-        config = replace(config, synthetic=canonical_synthetic(config.synthetic))
     return config
 
 
@@ -313,12 +320,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     values = getattr(args, "values", None)
     try:
-        try:    # text that does not read as its option's value
-            config = _build_config(args)
-            if values is not None:
-                values = [float(v) for v in values.split(",") if v.strip()]
-        except ValueError as err:
-            raise UsageError(err) from err
+        config = _build_config(args)
+        if values is not None:
+            values = _reading("--values", lambda text: [
+                float(v) for v in text.split(",") if v.strip()], values)
         if args.command == "verify":
             return cmd_verify(config, args.inject_scale_bug, args.out)
         return cmd_run(config, getattr(args, "axis", None), values)

@@ -3,8 +3,8 @@
 Four estimators are provided: the SAAG-I/III incremental gradient table, the
 biased SAAG-II/IV snap-point estimator (fresh batch term at 1/b, stale snap
 term at 1/n), the unbiased SVRG/VR-SGD estimator (both terms at 1/b), and the
-plain mini-batch gradient of GD/SGD. ``bind`` maps a solver kind to its
-estimator, bound to the table or snap state of an epoch. The l2
+plain mini-batch gradient of GD/SGD. ``bind`` maps a family of ``solvers.KINDS``
+to its estimator, bound to the table or snap state of an epoch. The l2
 contribution is always applied analytically at the point each term is
 evaluated at, never from stale storage. The scalar operands (k, n,
 lambda2) are the spec's 0-d ``scalars``.
@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import batch_grad, margins, scatter, slope_t
-
-TABLE_KINDS = ("saag1", "saag3")
 
 
 @dataclass(eq=False)
@@ -121,18 +119,18 @@ def svrg_direction(spec, w, batch, snap, z=None):
             + lam2 * (w - snap.point) + snap.grad)
 
 
-def bind(kind, spec, table=None, snap=None):
-    """The estimator of solver ``kind`` as a function of (w, batch, z): the
-    table kinds read and refresh ``table``, the snap kinds read ``snap``,
+def bind(family, spec, table=None, snap=None):
+    """The estimator of ``family`` as a function of (w, batch, z): "table"
+    reads and refreshes ``table``, "biased" and "unbiased" read ``snap``,
     and ``z`` is the batch's signed margins, or None to form them. A solver
     binds once per epoch, so its steps pay no dispatch."""
-    if kind in TABLE_KINDS:
+    if family == "table":
         return lambda w, batch, z: saag1_direction(table, spec, w, batch, z)
-    if kind in ("saag2", "saag4"):
+    if family == "biased":
         return lambda w, batch, z: saag2_direction(spec, w, batch, snap, z)
-    if kind in ("svrg", "vrsgd"):
+    if family == "unbiased":
         return lambda w, batch, z: svrg_direction(spec, w, batch, snap, z)
-    if kind in ("gd", "sgd"):
+    if family == "batch":
         return lambda w, batch, z: batch_grad(spec, w, batch, z)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+    raise ValueError(f"unknown estimator family {family!r}")
 

@@ -5,7 +5,7 @@ estimator, pick a step size with the stochastic Armijo search (or a fixed /
 scheduled step), then apply the smooth update w <- w - eta*d when lambda1 = 0
 or the proximal update w <- prox(w - eta*d) otherwise. The solvers differ in
 their estimator and in the epoch-boundary rules for the snap point and the
-starting iterate.
+starting iterate: one ``KINDS`` row per solver.
 """
 
 import math
@@ -15,15 +15,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import make_schedule
-from .estimators import (TABLE_KINDS, GradTable, SnapState, bind, make_table,
-                         take_snapshot)
+from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, batch_smooth_value,
                         margins, operand, prox, scatter)
 
-SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd", "sgd")
-AVERAGING_KINDS = ("saag3", "saag4", "vrsgd")     # the readers of the average
+
+@dataclass(frozen=True)
+class Kind:
+    """One solver's rules; "last" and "average" are the previous epoch's."""
+    family: str                 # of estimators.bind
+    snap: str | None = None     # each epoch's snap point: "last" or "average"
+    start: str = "last"         # each epoch's start: "last" or "average"
+    full_batch: bool = False    # gd: b = n
+    decay: bool = False         # sgd: eta0 / sqrt(t) unless the step is fixed
+
+
+KINDS = {
+    "saag1": Kind("table"),
+    "saag2": Kind("biased", snap="last"),
+    "saag3": Kind("table", start="average"),
+    "saag4": Kind("biased", snap="average"),
+    "svrg": Kind("unbiased", snap="last"),
+    "vrsgd": Kind("unbiased", snap="average"),
+    "gd": Kind("batch", full_batch=True),
+    "sgd": Kind("batch", decay=True),
+}
+SOLVERS = tuple(KINDS)
 
 POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
@@ -38,9 +57,8 @@ class NonFiniteDirection(RuntimeError):
 @dataclass(eq=False)
 class EpochState:
     """Mutable state of one solver run: the iterate, the previous epoch's
-    iterate average, the snap state or gradient table, and the work
-    counters. Only saag3, saag4 and vrsgd read the average, so only they
-    keep it; it is zeros before their first epoch and for every other kind."""
+    iterate average (zeros unless the kind uses it and has run an epoch),
+    the snap state or gradient table, and the work counters."""
 
     w: np.ndarray
     average: np.ndarray
@@ -67,14 +85,14 @@ class RunConfig:
     fixed_eta: float | None = None
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
+        if self.solver not in KINDS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         n = self.objective.data.n
         if not 1 <= self.batch_size <= n:
             raise ValueError(f"batch size {self.batch_size} out of range [1, {n}]")
-        if self.solver == "gd":
+        if KINDS[self.solver].full_batch:
             self.batch_size = n
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -84,7 +102,7 @@ class RunConfig:
 
 def init_state(config):
     spec = config.objective
-    table = make_table(spec) if config.solver in TABLE_KINDS else None
+    table = make_table(spec) if KINDS[config.solver].family == "table" else None
     return EpochState(w=np.zeros(spec.data.d), average=np.zeros(spec.data.d),
                       table=table)
 
@@ -114,7 +132,7 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     if fixed_eta is not None:
         eta = fixed_eta
     else:
-        if kind == "sgd":
+        if KINDS[kind].decay:
             eta = sbas_params.eta0 / math.sqrt(state.inner)
         else:
             phi = batch_ray(spec, state.w, batch, d, z, dd)
@@ -129,26 +147,21 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
 
 
 def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
-    """One epoch: snap bookkeeping, m inner steps, boundary rule. The
-    estimator is bound to the epoch's table or snap state once, and the
-    batches are gathered a chunk at a time (``Dataset.plan``). Overflow is
-    not reported inside the steps: a finite direction whose d.d overflows
-    still steps, and a non-finite one raises ``NonFiniteDirection``.
-
-    An averaging kind (saag3, saag4, vrsgd) sums the epoch's m iterates,
-    one after each step, and stores their mean in ``state.average``; the
-    other kinds leave it as it is. Snap rules at epoch start: saag2 and svrg
-    anchor at the current iterate (the previous epoch's last point); saag4
-    and vrsgd anchor at ``state.average``, the previous epoch's iterate
-    average. Boundary rule at epoch end: saag3 restarts from the new
-    average; every other kind keeps its last iterate.
+    """One epoch: snap bookkeeping, m inner steps, boundary rule, as the
+    kind's ``KINDS`` row says; a kind using ``state.average`` sets it to the
+    mean of the epoch's m iterates. The estimator is bound to the epoch's
+    table or snap state once, and the batches are gathered a chunk at a time
+    (``Dataset.plan``). Overflow is not reported inside the steps: a finite
+    direction whose d.d overflows still steps, and a non-finite one raises
+    ``NonFiniteDirection``.
     """
-    if kind in ("saag2", "svrg", "saag4", "vrsgd"):
-        anchor = state.average if kind in ("saag4", "vrsgd") else state.w
+    row = KINDS[kind]
+    if row.snap is not None:
+        anchor = state.average if row.snap == "average" else state.w
         state.snap = take_snapshot(spec, anchor)
         state.grads += spec.data.n
-    direct = bind(kind, spec, state.table, state.snap)
-    averaging = kind in AVERAGING_KINDS
+    direct = bind(row.family, spec, state.table, state.snap)
+    averaging = "average" in (row.snap, row.start)
     total = np.zeros_like(state.w)
     with np.errstate(over="ignore"):
         for batch in spec.data.plan(schedule):
@@ -157,7 +170,7 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
                 total += state.w
     if averaging:
         state.average = total / schedule.m
-    if kind == "saag3":
+    if row.start == "average":
         state.w = state.average
     state.epoch += 1
     return state

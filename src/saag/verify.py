@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .data import make_schedule
-from .estimators import TABLE_KINDS, bind, saag2_direction, take_snapshot
+from .estimators import bind, saag2_direction, take_snapshot
 from .objective import (CURVATURE, LOSSES, ObjectiveSpec, Regularizer,
                         batch_grad, batch_smooth_value, full_grad,
                         objective_value, prox)
@@ -71,19 +71,19 @@ def _enumerable(spec):
     return n
 
 
-def estimator_mean_bruteforce(kind, spec, w, state, schedule):
-    """Exact mean of the estimator of solver ``kind`` over every batch of a
-    schedule.
+def estimator_mean_bruteforce(family, spec, w, state, schedule):
+    """Exact mean of the estimator of ``family`` (``estimators.bind``) over
+    every batch of a schedule.
 
-    ``state`` is the table of a table kind, else the snap state (None for
-    GD/SGD). Each batch is bound to its own copy of the table, so every batch
+    ``state`` is the table of the "table" family, else the snap state (None
+    for "batch"). Each batch binds its own copy of the table, so every batch
     sees the same starting table. Only enumerable problems are accepted.
     """
     _enumerable(spec)
-    table, snap = (state, None) if kind in TABLE_KINDS else (None, state)
+    table, snap = (state, None) if family == "table" else (None, state)
     total = np.zeros(spec.data.d)
     for batch in schedule.batches:
-        total += bind(kind, spec, copy.deepcopy(table), snap)(w, batch, None)
+        total += bind(family, spec, copy.deepcopy(table), snap)(w, batch, None)
     return total / schedule.m
 
 
@@ -290,15 +290,13 @@ def prox_check(reg, z, eta):
     return best_err
 
 
-def bias_identity_gap(spec, w, snap, schedule, kind="saag2"):
-    """Norm of mean_B[direction] - grad f(w) - ((m-1)/m) grad f(w~) for the
-    estimator of solver ``kind``.
+def bias_identity_gap(spec, w, snap, schedule, family="biased"):
+    """Norm of mean_B[direction] - grad f(w) - ((m-1)/m) grad f(w~) for ``family``.
 
-    Exactly zero in expectation for the biased snap estimator on an
-    equal-size partition; the unbiased one ("svrg") misses it by
-    ((m-1)/m) ||grad f(w~)||.
+    Exactly zero in expectation for the "biased" family on an equal-size
+    partition; "unbiased" misses it by ((m-1)/m) ||grad f(w~)||.
     """
-    mean = estimator_mean_bruteforce(kind, spec, w, snap, schedule)
+    mean = estimator_mean_bruteforce(family, spec, w, snap, schedule)
     m = schedule.m
     expected = full_grad(spec, w) + (m - 1) / m * full_grad(spec, snap.point)
     return float(np.linalg.norm(mean - expected))
@@ -306,7 +304,7 @@ def bias_identity_gap(spec, w, snap, schedule, kind="saag2"):
 
 def unbiasedness_gap(spec, w, snap, schedule):
     """Norm of mean_B[unbiased direction] - grad f(w)."""
-    mean = estimator_mean_bruteforce("svrg", spec, w, snap, schedule)
+    mean = estimator_mean_bruteforce("unbiased", spec, w, snap, schedule)
     return float(np.linalg.norm(mean - full_grad(spec, w)))
 
 
@@ -320,6 +318,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
     estimator, which on equal batches is the biased one with its snap term
     scaled by 1/b instead of 1/n; that suite must then fail.
     """
+    Regularizer(lambda2=l2, lambda1=l1)     # a bad l1 or l2 fails before any suite
     rng = np.random.default_rng(7)
     results = []
 
@@ -350,7 +349,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         # sizes dividing n are enumerated
         divisors = [b for b in (1, 2, max(2, data.n // 3)) if data.n % b == 0]
         spec = ObjectiveSpec(loss, Regularizer(lambda2=l2), data)
-        estimator = "svrg" if inject_scale_bug else "saag2"
+        estimator = "unbiased" if inject_scale_bug else "biased"
         bias_gap = 0.0
         unbias_gap = 0.0
         for b in sorted(set(divisors)):

@@ -154,6 +154,7 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     # text that does not parse as its option's value
     ("--seeds", "x", "invalid literal for int()"),
     ("--b", "abc", "invalid literal for int()"),
+    ("--fixed-eta", "abc", "could not convert string to float"),
     ("--synthetic", "n=abc,d=3", "invalid literal for int()"),
     ("--values", "abc", "could not convert string to float"),
 ])
@@ -169,7 +170,10 @@ def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
     code = main(command + ["--synthetic", "n=40,d=4", "--epochs", "2",
                            flag, value, "--out", str(out)])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # a value its option's reader rejects is named by the flag
+    assert flag == "--workers" or f"usage error: {flag}: {message}" in err
     assert calls == []
     assert not out.exists()
 
@@ -368,6 +372,15 @@ def test_repeated_synthetic_key_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_config_file_value_names_its_line(tmp_path, capsys):
+    config = tmp_path / "c.txt"
+    config.write_text("synthetic = n=40,d=4\nseeds = 0,x\n")
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "config line 2: invalid literal for int()" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_values_is_usage_error(capsys):
     code = main(["sweep", "--axis", "batch", "--values", "",
                  "--synthetic", "n=30,d=3"])
@@ -409,6 +422,24 @@ def test_verify_writes_report_csv(tmp_path):
         ["check", "passed"], ["gradient-fd", "True"], ["prox-oracle", "True"],
         ["enumeration", ""], ["rate-constants", "True"]]
     assert "enumeration,,skipped: n = 80 exceeds cap 64" in out.read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["--synthetic", "n=80,d=4", "--l1", "nan"],
+    ["--synthetic", "n=80,d=4", "--l1", "-5"],
+    ["--l1", "-5"],
+    ["--l1", "inf"],
+    ["--l2", "-0.5"],
+])
+def test_verify_rejects_a_bad_lambda_before_any_suite(monkeypatch, capsys, args):
+    import saag.verify as verify
+    calls = []
+    monkeypatch.setattr(verify, "gradient_check", lambda *a: calls.append(a))
+    assert main(["verify", *args]) == 1
+    out, err = capsys.readouterr()
+    assert "regularization coefficients must be finite and >= 0" in err
+    assert out == ""
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag, value", [

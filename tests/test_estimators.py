@@ -119,7 +119,7 @@ def test_bias_identity_over_grid(n, b):
     for _ in range(5):
         w = rng.standard_normal(3)
         snap = take_snapshot(spec, rng.standard_normal(3))
-        mean = estimator_mean_bruteforce("saag2", spec, w, snap, sched)
+        mean = estimator_mean_bruteforce("biased", spec, w, snap, sched)
         expected = (full_grad(spec, w)
                     + (sched.m - 1) / sched.m * full_grad(spec, snap.point))
         assert np.linalg.norm(mean - expected) <= 1e-10
@@ -133,7 +133,7 @@ def test_svrg_unbiased_over_grid(n, b):
     for _ in range(5):
         w = rng.standard_normal(3)
         snap = take_snapshot(spec, rng.standard_normal(3))
-        mean = estimator_mean_bruteforce("svrg", spec, w, snap, sched)
+        mean = estimator_mean_bruteforce("unbiased", spec, w, snap, sched)
         assert np.linalg.norm(mean - full_grad(spec, w)) <= 1e-10
 
 
@@ -150,13 +150,13 @@ def test_sgd_direction_cases():
     spec = spec_for(6, 3, lam2=3e-2)
     rng = np.random.default_rng(9)
     w = rng.standard_normal(3)
-    sgd = bind("sgd", spec)
+    sgd = bind("batch", spec)
     assert np.array_equal(sgd(w, np.arange(6), None), full_grad(spec, w))
     single = sgd(w, np.array([4]), None)
     assert np.allclose(single, dense_component(spec, w, 4) + spec.reg.lambda2 * w,
                        atol=1e-15)
     sched = make_schedule(6, 2, seed=2)
-    mean = estimator_mean_bruteforce("sgd", spec, w, None, sched)
+    mean = estimator_mean_bruteforce("batch", spec, w, None, sched)
     assert np.linalg.norm(mean - full_grad(spec, w)) <= 1e-12
 
 
@@ -171,7 +171,7 @@ def test_degenerate_equivalence_all_estimators():
     for d in (saag1_direction(table, spec, w, batch),
               saag2_direction(spec, w, batch, snap),
               svrg_direction(spec, w, batch, snap),
-              bind("sgd", spec)(w, batch, None)):
+              bind("batch", spec)(w, batch, None)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
 
@@ -182,7 +182,7 @@ def test_bruteforce_mean_resets_table_state():
     saag1_direction(table, spec, rng.standard_normal(3), np.array([0, 1]))
     before = copy.deepcopy(table)
     sched = make_schedule(8, 2, seed=5)
-    m1 = estimator_mean_bruteforce("saag1", spec, rng.standard_normal(3), table, sched)
+    m1 = estimator_mean_bruteforce("table", spec, rng.standard_normal(3), table, sched)
     assert np.array_equal(table.slopes, before.slopes)
     assert np.array_equal(table.aggregate, before.aggregate)
 
@@ -191,7 +191,7 @@ def test_bruteforce_rejects_large_n():
     spec = spec_for(80, 3)
     sched = make_schedule(80, 8, seed=0)
     with pytest.raises(ValueError, match="enumerate"):
-        estimator_mean_bruteforce("sgd", spec, np.zeros(3), None, sched)
+        estimator_mean_bruteforce("batch", spec, np.zeros(3), None, sched)
     with pytest.raises(ValueError, match="unknown"):
         small = spec_for(6, 3)
         estimator_mean_bruteforce("nope", small, np.zeros(3), None,
@@ -280,7 +280,7 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
 
 def test_direction_rejects_an_unknown_kind():
     spec = spec_for(6, 3)
-    with pytest.raises(ValueError, match="unknown estimator kind 'nope'"):
+    with pytest.raises(ValueError, match="unknown estimator family 'nope'"):
         bind("nope", spec)(np.zeros(3), np.array([0, 1]), None)
 
 
@@ -312,4 +312,4 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
             want = (scatter(data, c, batch)
                     + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
             assert np.array_equal(saag2_direction(spec, w, batch, snap), want)
-            assert np.array_equal(bind("saag4", spec, None, snap)(w, batch, None), want)
+            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, None), want)

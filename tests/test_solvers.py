@@ -14,9 +14,8 @@ from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
                             batch_smooth_value, full_grad, margins,
                             objective_value, scatter, slope_t)
-from saag.solvers import (AVERAGING_KINDS, SOLVERS, NonFiniteDirection,
-                          RunConfig, init_state, reference_optimum, run,
-                          run_epoch)
+from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
+                          reference_optimum, run, run_epoch)
 
 SBAS_SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd")
 
@@ -83,7 +82,7 @@ def test_epoch_boundary_equalities(monkeypatch):
         for w in collected:
             total += w
         assert len(collected) == sched.m
-        if kind in AVERAGING_KINDS:
+        if kind in ("saag3", "saag4", "vrsgd"):     # the readers of the average
             # the average is the sequential sum of the epoch's iterates over m
             assert np.array_equal(state.average, total / sched.m), kind
         else:
@@ -100,12 +99,19 @@ def test_epoch_boundary_equalities(monkeypatch):
 
 def test_snap_anchor_rules():
     spec = toy_spec(n=20, d=4)
-    for kind, anchor in (("saag2", "start"), ("svrg", "start"),
-                         ("saag4", "avg"), ("vrsgd", "avg")):
+    for kind, anchor in (("saag1", None), ("saag2", "start"), ("saag3", None),
+                         ("saag4", "avg"), ("svrg", "start"), ("vrsgd", "avg"),
+                         ("gd", None), ("sgd", None)):
         cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=5, seed=4)
         state = init_state(cfg)
-        # first epoch anchors at the initial point for every snap solver
         run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=0), cfg.sbas)
+        if anchor is None:
+            # no snap point, in either epoch
+            assert state.snap is None, kind
+            run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=1), cfg.sbas)
+            assert state.snap is None, kind
+            continue
+        # first epoch anchors at the initial point for every snap solver
         assert np.array_equal(state.snap.point, np.zeros(4)), kind
         start = state.w.copy()
         avg = state.average.copy()
@@ -123,7 +129,7 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
     state.w = np.array([0.7, 0.3])  # w . x = 1 = y, so the residual is zero
-    solvers_mod.inner_step("gd", bind("gd", spec), state, spec, np.array([0]),
+    solvers_mod.inner_step("gd", bind("batch", spec), state, spec, np.array([0]),
                            cfg.sbas)
     # eta = eta0 = 1 on a zero direction; threshold = eta * lambda1 = 0.2
     assert np.allclose(state.w, [0.5, 0.1], atol=1e-15)
@@ -330,7 +336,7 @@ def test_sentinel_streak_leaves_w_unchanged(kind):
     schedule = make_schedule(16, cfg.batch_size, 0)
     run_epoch(kind, state, spec, schedule, params)
     assert np.array_equal(state.w, w0)
-    if kind in AVERAGING_KINDS:
+    if kind in ("saag3", "saag4", "vrsgd"):     # the readers of the average
         # a 0.0 step still counts in the average
         assert np.array_equal(state.average, w0)
     assert state.epoch == 1
@@ -498,7 +504,7 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
                         fixed_eta=fixed_eta)
         state = init_state(cfg)
         state.snap = estimators_mod.take_snapshot(spec, state.w)
-        direct = solvers_mod.bind("svrg", spec, None, state.snap)
+        direct = solvers_mod.bind("unbiased", spec, None, state.snap)
         with pytest.raises(NonFiniteDirection) as err:
             solvers_mod.inner_step("svrg", direct, state, spec,
                                    np.array([0, 1, 2, 3]), cfg.sbas, fixed_eta)
@@ -516,7 +522,7 @@ def test_inner_step_eta_zero_leaves_w_unchanged():
     # alpha ~ 1 with a single backtrack forces the 0.0 sentinel on an
     # ascent-shaped direction; counters still advance
     params = SBASParams(alpha=0.999999, shrink=0.5, eta0=1e6, max_backtracks=1)
-    solvers_mod.inner_step("gd", bind("gd", spec), state, spec, np.arange(8),
+    solvers_mod.inner_step("gd", bind("batch", spec), state, spec, np.arange(8),
                            params)
     assert np.array_equal(state.w, w0)
     assert state.inner == 1

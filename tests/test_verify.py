@@ -144,7 +144,7 @@ def test_bias_mutation_detected():
     snap = take_snapshot(spec, rng.standard_normal(3))
     assert bias_identity_gap(spec, w, snap, sched) <= 1e-10
     assert unbiasedness_gap(spec, w, snap, sched) <= 1e-10
-    assert bias_identity_gap(spec, w, snap, sched, "svrg") > 1e-6
+    assert bias_identity_gap(spec, w, snap, sched, "unbiased") > 1e-6
 
 
 def test_theorem1_canonical_value():
