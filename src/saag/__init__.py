@@ -1,6 +1,6 @@
 """Biased variance-reduced stochastic gradient methods with proximal
-extensions, plus baselines, a stochastic Armijo line search, a benchmark
-harness, and oracle-based verification of the estimator and rate claims."""
+extensions, plus baselines, a stochastic Armijo line search and a benchmark
+harness. Only ``saag verify`` loads the oracle checks, ``saag.verify``."""
 
 from .data import (Batch, BatchSchedule, Dataset, ParseError, load_libsvm,
                    make_schedule, make_synthetic, parse_libsvm,
@@ -18,9 +18,5 @@ from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)
-from .verify import (ProblemConstants, RateParams, RateReport, RegimeError,
-                     VarianceBoundReport, alpha_b, best_beta, bias_identity_gap,
-                     estimate_constants, estimator_mean_bruteforce, run_suites,
-                     theoretical_rate, unbiasedness_gap, variance_bound_check)
 
 __version__ = "0.1.0"

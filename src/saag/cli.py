@@ -18,7 +18,6 @@ from .harness import emit_csv, run_jobs
 from .line_search import SBASParams
 from .objective import LOSSES, ObjectiveSpec, Regularizer
 from .solvers import SOLVERS, RunConfig
-from .verify import run_suites
 
 DEFAULT_BATCH_GRID = (32, 64, 128)
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-5, 1e-7)
@@ -93,7 +92,7 @@ class ExperimentConfig:
     dataset: str | None = _option(None, _optional(str), "LibSVM-format data file")
     synthetic: str | None = _option(
         None, _optional(canonical_synthetic),
-        "synthetic generator spec: n=..,d=..[,flip=..][,seed=..]")
+        "synthetic generator spec: n=..,d=..[,flip=..][,margin=..][,seed=..]")
     solvers: tuple = _option(("saag3", "saag4", "svrg", "vrsgd"), _list_of(str),
                              "comma list from: " + ",".join(SOLVERS))
     loss: str = _option("logistic", str, "one of: " + ",".join(LOSSES))
@@ -275,6 +274,7 @@ def cmd_verify(config, inject_scale_bug=False, out=None):
     problem and print one PASS, FAIL or SKIP (a check that did not run) line
     per check; exit 1 if any check fails. When ``out`` is given, the results
     also go to a ``check,passed,detail`` CSV."""
+    from .verify import run_suites  # here, so run and sweep never load it
     data = make_synthetic(**parse_synthetic_spec(config.synthetic or "n=24,d=6"))
     results = run_suites(data, config.loss, config.l1, config.l2, inject_scale_bug)
     for name, passed, detail in results:

@@ -27,7 +27,7 @@ def operand(x):
     return np.array(x, dtype=np.float64)
 
 
-ZERO = operand(0.0)
+ZERO, HALF, ONE, TWO = map(operand, (0.0, 0.5, 1.0, 2.0))
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,8 @@ def loss_t(kind, t):
     if kind == "logistic":
         return np.logaddexp(ZERO, t)
     if kind == "squared_hinge":
-        return np.maximum(0.0, 1.0 + t) ** 2
-    return 0.5 * (t + 1.0) ** 2     # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
+        return np.maximum(ZERO, ONE + t) ** 2
+    return HALF * (t + ONE) ** 2    # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
 
 
 def slope_t(kind, t):
@@ -82,8 +82,8 @@ def slope_t(kind, t):
         # sigmoid(t); logaddexp keeps exp from overflowing
         return np.exp(-np.logaddexp(ZERO, -t))
     if kind == "squared_hinge":
-        return 2.0 * np.maximum(0.0, 1.0 + t)
-    return t + 1.0
+        return TWO * np.maximum(ZERO, ONE + t)
+    return t + ONE
 
 
 def margins(data, w, rows=None):

@@ -75,6 +75,27 @@ def test_import_leaves_multiprocessing_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_run_and_sweep_leave_the_verify_oracles_unloaded():
+    # saag.verify, and the fractions and decimal modules it needs, load only
+    # when the verify command runs
+    code = ("import sys, saag, saag.cli; "
+            "loaded = {'saag.verify', 'fractions', 'decimal'} & set(sys.modules); "
+            "assert not loaded, loaded; "
+            "sys.exit(saag.cli.main(['verify']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS  bias-identity" in proc.stdout
+
+
+def test_run_help_lists_every_synthetic_key(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    assert "n=..,d=..[,flip=..][,margin=..][,seed=..]" in capsys.readouterr().out
+
+
 def test_run_with_two_workers_writes_the_same_csv(tmp_path):
     argv = ["run", "--synthetic", "n=40,d=4", "--solvers", "saag1,saag4,svrg",
             "--seeds", "0,1", "--b", "4", "--epochs", "2"]
@@ -450,9 +471,9 @@ def test_verify_rejects_a_bad_lambda_before_any_suite(monkeypatch, capsys, args)
     ("--train-fraction", "0.5"), ("--split-seed", "1"), ("--ref-budget", "9"),
 ])
 def test_verify_rejects_options_it_does_not_read(monkeypatch, capsys, flag, value):
-    import saag.cli as cli
+    import saag.verify
     calls = []
-    monkeypatch.setattr(cli, "run_suites", lambda *a: calls.append(a))
+    monkeypatch.setattr(saag.verify, "run_suites", lambda *a: calls.append(a))
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", flag, value])
     assert exit_info.value.code == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import warnings
@@ -420,10 +421,10 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
          for p in afresh.points]
 
 
-def run_bits(kind, data, b, lam1, fixed_eta):
+def run_bits(kind, data, b, lam1, fixed_eta, loss="logistic"):
     """A fresh spec's run of ``kind``: the spec, and the bytes of its final
     w and of every trace point's (objective, grads/n, fevals)."""
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), data)
+    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-3, lambda1=lam1), data)
     w, trace = run(RunConfig(solver=kind, objective=spec, epochs=3, batch_size=b,
                              seed=3, fixed_eta=fixed_eta))
     points = [(p.objective, p.grads_over_n, p.fevals) for p in trace.points]
@@ -434,24 +435,26 @@ def run_bits(kind, data, b, lam1, fixed_eta):
 @pytest.mark.parametrize("lam1", [0.0, 1e-3])
 @pytest.mark.parametrize("fixed_eta", [None, 0.05], ids=["sbas", "fixed"])
 def test_zero_d_operands_keep_traces(dense, lam1, fixed_eta, monkeypatch):
-    # the step's scalar operands are 0-d arrays; the Python floats they are
-    # made from give the same bits, at b = 1, at b = 7 with a tail of 6 and
-    # at b = n
+    # the step's and every loss kernel's scalar operands are 0-d arrays; the
+    # Python floats they are made from give the same bits, at b = 1, at
+    # b = 7 with a tail of 6 and at b = n
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     data = make_synthetic(20, 5, seed=7, flip=0.1)
     assert (data.block is None) != dense
-    for b in (1, 7, 20):
+    for b, loss in itertools.product((1, 7, 20), LOSSES):
         for kind in SOLVERS:
-            spec, shipped = run_bits(kind, data, b, lam1, fixed_eta)
+            spec, shipped = run_bits(kind, data, b, lam1, fixed_eta, loss)
             assert all(isinstance(x, np.ndarray) and x.ndim == 0
                        for x in spec.scalars(b))
             with monkeypatch.context() as m:
-                m.setattr(objective_mod, "ZERO", 0.0)
+                for name, value in (("ZERO", 0.0), ("HALF", 0.5), ("ONE", 1.0),
+                                    ("TWO", 2.0)):
+                    m.setattr(objective_mod, name, value)
                 m.setattr(objective_mod, "operand", float)
                 m.setattr(solvers_mod, "operand", float)
-                spec, floats = run_bits(kind, data, b, lam1, fixed_eta)
+                spec, floats = run_bits(kind, data, b, lam1, fixed_eta, loss)
                 assert all(type(x) is float for x in spec.scalars(b))
-            assert shipped == floats, (kind, b)
+            assert shipped == floats, (kind, b, loss)
 
 
 def test_sgd_run_grows_no_module_state():
