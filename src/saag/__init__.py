@@ -1,6 +1,9 @@
 """Biased variance-reduced stochastic gradient methods with proximal
-extensions, plus baselines, a stochastic Armijo line search and a benchmark
-harness. Only ``saag verify`` loads the oracle checks, ``saag.verify``."""
+extensions, plus baselines, a stochastic Armijo line search, a benchmark
+harness, and oracle-based verification of the estimator and rate claims."""
+
+import importlib.util
+import sys
 
 from .data import (Batch, BatchSchedule, Dataset, ParseError, load_libsvm,
                    make_schedule, make_synthetic, parse_libsvm,
@@ -18,5 +21,12 @@ from .objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
 from .solvers import (SOLVERS, EpochState, NonFiniteDirection, ReferenceResult,
                       RunConfig, init_state, inner_step, reference_optimum,
                       run, run_epoch)
+
+# saag.verify, the oracle checks, runs on first use: like every module it is
+# in sys.modules after `import saag`, but only `saag verify` pays for it.
+_spec = importlib.util.find_spec(__name__ + ".verify")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+verify = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verify)
 
 __version__ = "0.1.0"

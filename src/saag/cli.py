@@ -18,6 +18,7 @@ from .harness import emit_csv, run_jobs
 from .line_search import SBASParams
 from .objective import LOSSES, ObjectiveSpec, Regularizer
 from .solvers import SOLVERS, RunConfig
+from . import verify  # runs only when cmd_verify first uses it
 
 DEFAULT_BATCH_GRID = (32, 64, 128)
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-5, 1e-7)
@@ -274,9 +275,8 @@ def cmd_verify(config, inject_scale_bug=False, out=None):
     problem and print one PASS, FAIL or SKIP (a check that did not run) line
     per check; exit 1 if any check fails. When ``out`` is given, the results
     also go to a ``check,passed,detail`` CSV."""
-    from .verify import run_suites  # here, so run and sweep never load it
     data = make_synthetic(**parse_synthetic_spec(config.synthetic or "n=24,d=6"))
-    results = run_suites(data, config.loss, config.l1, config.l2, inject_scale_bug)
+    results = verify.run_suites(data, config.loss, config.l1, config.l2, inject_scale_bug)
     for name, passed, detail in results:
         status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
         print(f"{status}  {name:<18} {detail}")

@@ -95,7 +95,7 @@ def run_jobs(jobs, test, budget, workers):
     every field, the objective by identity) once, serially or on ``workers``
     processes; gd's batch is every row, so a batch sweep runs it once per
     (seed, objective).
-    Returns one trace per job, in job order (a run's repeats are copies), and
+    Returns one trace per job, in job order, each its own copy, and
     ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
     from .solvers import reference_optimum  # as in _run_job
     references = {spec: reference_optimum(spec, budget)
@@ -110,9 +110,7 @@ def run_jobs(jobs, test, budget, workers):
     else:
         results = [_run_job(job, test) for job in unique.values()]
     done = dict(zip(unique, results))
-    left = dict(done)   # a run's first job takes its trace, later ones copy it
-    traces = [left.pop(key) if key in left else copy.deepcopy(done[key])
-              for key in keys]
+    traces = [copy.deepcopy(done[key]) for key in keys]
     return traces, {spec: (ref, finalize_suboptimality(
         [t for job, t in zip(jobs, traces) if job.objective is spec], ref.value))
         for spec, ref in references.items()}

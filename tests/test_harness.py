@@ -6,7 +6,7 @@ from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
                           finalize_suboptimality, read_csv, run_jobs)
 from saag.line_search import SBASParams
 from saag.objective import ObjectiveSpec, Regularizer
-from saag import harness, solvers
+from saag import solvers
 from saag.solvers import RunConfig, reference_optimum, run
 
 
@@ -169,28 +169,6 @@ def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
     # the copies of one run are equal, point for point
     assert traces[0].points == traces[2].points
     assert list(optima) == specs
-
-
-def test_run_jobs_copies_only_the_repeated_uses_of_a_run(monkeypatch):
-    # a batch sweep's jobs: gd's three (one run) and saag1's three
-    train, test = split_train_test(make_synthetic(30, 4, seed=2), 0.8, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
-    jobs = [RunConfig(solver=kind, objective=spec, epochs=2, batch_size=b)
-            for b in (1, 4, 8) for kind in ("gd", "saag1")]
-    returned = []
-    real = harness._run_job
-    monkeypatch.setattr(harness, "_run_job", lambda job, test: (
-        returned.append(real(job, test)) or returned[-1]))
-    traces, _ = run_jobs(jobs, test, 50, 1)
-    assert len(returned) == 4
-    gd = traces[0::2]
-    assert len({id(t) for t in gd}) == len({id(t.extra) for t in gd}) == 3
-    assert gd[0].points == gd[1].points == gd[2].points
-    gd[1].extra["batch"] = 4
-    assert gd[0].extra == gd[2].extra == {}
-    # a run's first job, and a job whose run is its own, take the run's
-    # trace itself
-    assert [id(t) for t in traces[:2] + traces[3::2]] == [id(t) for t in returned]
 
 
 def test_run_jobs_keys_runs_on_every_config_field():
