@@ -44,6 +44,15 @@ def _list_of(read):
     return read_list
 
 
+def _checked(read, ok, message):
+    """``read``, failing with ``message.format(value)`` where ``ok`` is false."""
+    def read_checked(text):
+        if not ok(value := read(text)):
+            raise UsageError(message.format(value))
+        return value
+    return read_checked
+
+
 def _reading(where, read, text):
     try:
         return read(text)
@@ -94,9 +103,16 @@ class ExperimentConfig:
     synthetic: str | None = _option(
         None, _optional(canonical_synthetic),
         "synthetic generator spec: n=..,d=..[,flip=..][,margin=..][,seed=..]")
-    solvers: tuple = _option(("saag3", "saag4", "svrg", "vrsgd"), _list_of(str),
-                             "comma list from: " + ",".join(SOLVERS))
-    loss: str = _option("logistic", str, "one of: " + ",".join(LOSSES))
+    solvers: tuple = _option(
+        ("saag3", "saag4", "svrg", "vrsgd"),
+        _list_of(_checked(str, SOLVERS.__contains__,
+                          "unknown solver {!r}; valid kinds: " + ", ".join(SOLVERS))),
+        "comma list from: " + ",".join(SOLVERS))
+    loss: str = _option(
+        "logistic",
+        _checked(str, LOSSES.__contains__,
+                 "unknown loss {!r}; valid: " + ", ".join(LOSSES)),
+        "one of: " + ",".join(LOSSES))
     l1: float = _option(0.0, float, "l1 coefficient (non-smooth part)")
     l2: float = _option(1e-5, float, "l2 coefficient (smooth part)")
     b: int = _option(32, int, "mini-batch size")
@@ -111,7 +127,8 @@ class ExperimentConfig:
     fixed_eta: float | None = _option(
         None, _optional(float), "bypass the line search with a fixed step (finite, > 0)")
     out: str = _option("trace.csv", str, "output CSV path")
-    workers: int = _option(1, int, "parallel run workers")
+    workers: int = _option(1, _checked(int, lambda w: w >= 1, "workers must be >= 1"),
+                           "parallel run workers")
     train_fraction: float = _option(0.8, float,
                                     "share of the rows in the training set")
     split_seed: int = _option(0, int, "seed of the train/test split")
@@ -163,16 +180,7 @@ def _build_config(args):
         if flag is not None:
             values[f.name] = _reading("--" + f.name.replace("_", "-"),
                                       f.metadata["read"], flag)
-    config = ExperimentConfig(**values)
-    if config.workers < 1:
-        raise UsageError("workers must be >= 1")
-    for kind in config.solvers:
-        if kind not in SOLVERS:
-            raise UsageError(
-                f"unknown solver {kind!r}; valid kinds: {', '.join(SOLVERS)}")
-    if config.loss not in LOSSES:
-        raise UsageError(f"unknown loss {config.loss!r}; valid: {', '.join(LOSSES)}")
-    return config
+    return ExperimentConfig(**values)
 
 
 def _load_data(config):

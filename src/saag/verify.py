@@ -205,18 +205,13 @@ def theoretical_rate(theorem, params, constants=None):
         big_l = Fraction(constants.L)
         mu = Fraction(constants.mu)
         bm1 = beta - 1
-        if theorem == 2:
-            num = (c * big_l * beta / (m * mu)
-                   + 4 * (a * m ** 2 + (m - 1) ** 2) / (m ** 2 * bm1)
-                   - c * (m - 1) / m ** 2
-                   + 4 * a / bm1)
-            den = 1 - 4 * a / bm1 - c * ((m - 1) / m ** 2 - (4 * a / bm1) / m)
-        else:
-            num = (big_l * c * beta / (m * mu)
-                   + 4 * c * a / (m * bm1)
-                   - c * (m - 1) / m ** 2
-                   + 4 * (a * m ** 2 + (m - 1) ** 2) / (m ** 2 * bm1))
-            den = 1 - 4 * a / bm1 - c * (m - 1) / m ** 2 + 4 * c * a / (m * bm1)
+        # theorems 2 and 4 share the denominator and differ in one numerator
+        # term: q = 4a/(beta-1) for theorem 2, cq/m for theorem 4
+        q, drift = 4 * a / bm1, c * (m - 1) / m ** 2
+        num = (c * big_l * beta / (m * mu)
+               + 4 * (a * m ** 2 + (m - 1) ** 2) / (m ** 2 * bm1)
+               - drift + (q if theorem == 2 else c * q / m))
+        den = 1 - q - drift + c * q / m
         if den <= 0:
             raise RegimeError(
                 f"theorem {theorem} denominator is not positive at beta = {params.beta}")

@@ -67,20 +67,36 @@ def test_run_multi_solver_and_seed_cardinality(tmp_path):
     assert combos == {("saag3", 0), ("saag3", 1), ("svrg", 0), ("svrg", 1)}
 
 
-def test_import_leaves_multiprocessing_unloaded():
-    # only a command with --workers > 1 needs the process pool, and only
-    # saag verify runs saag.verify (which imports fractions, and with it
-    # decimal); saag.verify is still registered, like every module
-    code = ("import sys, saag, saag.cli; "
-            "loaded = {'multiprocessing', 'fractions', 'decimal'} & set(sys.modules); "
-            "assert not loaded, loaded; "
-            "assert 'saag.verify' in sys.modules; "
-            "sys.exit(saag.cli.main(['verify']))")
+def _fresh_interpreter(code):
+    """The stdout of ``python -c code`` in a new interpreter; it must exit 0."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "PASS  bias-identity" in proc.stdout
+    return proc.stdout
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a command with --workers > 1 needs the process pool, and only
+    # saag verify runs saag.verify (which imports fractions, and with it
+    # decimal); saag.verify is still registered, like every module
+    out = _fresh_interpreter(
+        "import sys, saag, saag.cli; "
+        "loaded = {'multiprocessing', 'fractions', 'decimal'} & set(sys.modules); "
+        "assert not loaded, loaded; "
+        "assert 'saag.verify' in sys.modules; "
+        "sys.exit(saag.cli.main(['verify']))")
+    assert "PASS  bias-identity" in out
+
+
+def test_package_namespace_is_its_modules_and_read_csv():
+    # each public name is bound in its module only; saag.read_csv stays
+    # for the benchmark, which reads its CSVs through it
+    out = _fresh_interpreter(
+        "import saag, saag.cli; "
+        "print(*sorted(n for n in vars(saag) if not n.startswith('_')))")
+    assert out.split() == ["cli", "data", "estimators", "harness", "line_search",
+                           "objective", "read_csv", "solvers", "verify"]
 
 
 def test_run_help_lists_every_synthetic_key(capsys):
@@ -166,6 +182,8 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     ("--solvers", "saag1,saag1", "repeated value"),
     ("--seeds", "0,0", "repeated value"),
     ("--workers", "0", "workers must be >= 1"),
+    ("--solvers", "saag4,sagmark", "unknown solver 'sagmark'; valid kinds: saag1,"),
+    ("--loss", "hinge", "unknown loss 'hinge'; valid: logistic, squared_hinge,"),
     # text that does not parse as its option's value
     ("--seeds", "x", "invalid literal for int()"),
     ("--b", "abc", "invalid literal for int()"),
@@ -188,7 +206,7 @@ def test_bad_lists_and_workers_are_usage_errors(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert message in err
     # a value its option's reader rejects is named by the flag
-    assert flag == "--workers" or f"usage error: {flag}: {message}" in err
+    assert f"usage error: {flag}: {message}" in err
     assert calls == []
     assert not out.exists()
 
@@ -389,10 +407,14 @@ def test_repeated_synthetic_key_is_usage_error(tmp_path, capsys):
 
 def test_bad_config_file_value_names_its_line(tmp_path, capsys):
     config = tmp_path / "c.txt"
-    config.write_text("synthetic = n=40,d=4\nseeds = 0,x\n")
     out = tmp_path / "run.csv"
-    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
-    assert "config line 2: invalid literal for int()" in capsys.readouterr().err
+    for line, message in [("seeds = 0,x", "invalid literal for int()"),
+                          ("solvers = sagmark", "unknown solver 'sagmark'"),
+                          ("loss = hinge", "unknown loss 'hinge'"),
+                          ("workers = 0", "workers must be >= 1")]:
+        config.write_text(f"synthetic = n=40,d=4\n{line}\n")
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert f"usage error: config line 2: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
