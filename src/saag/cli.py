@@ -8,6 +8,7 @@ echo written into the output CSV's ``#`` metadata lines.
 
 import argparse
 import csv
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -325,6 +326,12 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-1e-3" for an option: "--l1 -1e-3" reads as "--l1=-1e-3"
+    for i in reversed(range(1, len(argv))):
+        flag, value = argv[i - 1:i + 1]
+        if re.fullmatch(r"--[^=]+", flag) and re.match(r"-(\.?\d|inf|nan)", value, re.I):
+            argv[i - 1:i + 1] = [f"{flag}={value}"]
     args = build_parser().parse_args(argv)
     values = getattr(args, "values", None)
     try:

@@ -125,11 +125,6 @@ def batch_grad(spec, w, rows=None, z=None):
     return scatter(spec.data, slope_t(spec.loss, z), rows) / k + lam2 * w
 
 
-def full_grad(spec, w):
-    """Gradient of the smooth part over the whole dataset."""
-    return batch_grad(spec, w)
-
-
 def batch_smooth_value(spec, w, rows=None, z=None):
     """Mini-batch smooth objective: mean loss over the batch plus the l2 term.
     ``z`` is the batch's signed margins when the caller has them.

@@ -298,7 +298,8 @@ def reference_optimum(spec, budget=500):
             zp = margins(data, p)
             fp = batch_smooth_value(spec, p, z=zp)
             move = p - v
-            if fp <= fv + float(g.dot(move)) + 0.5 * lipschitz * float(move.dot(move)):
+            moved = float(move.dot(move))
+            if fp <= fv + float(g.dot(move)) + 0.5 * lipschitz * moved:
                 break
             if fresh:
                 lipschitz *= 2.0
@@ -311,7 +312,7 @@ def reference_optimum(spec, budget=500):
             break
         fp += lam1 * float(np.abs(p).sum())
         bound = lam2 * GAP * fw
-        converged = lipschitz ** 2 * float(move.dot(move)) <= bound
+        converged = lipschitz ** 2 * moved <= bound
         if converged and lam1 > 0.0:
             s = batch_grad(spec, p, z=zp) - g - lipschitz * move
             converged = float(s.dot(s)) <= bound

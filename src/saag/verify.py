@@ -4,8 +4,8 @@ linear-rate constants C for the four smoothness / strong-convexity regimes,
 and the oracle suites of ``saag verify`` (``run_suites``).
 
 Expectations are exact enumerations over a schedule's partition batches,
-matching how the solvers actually sample; this distribution choice is
-recorded in every report.
+read as the solvers read them (``Dataset.plan``, ``estimators.bind``);
+this distribution choice is recorded in every report.
 """
 
 import copy
@@ -15,10 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .data import make_schedule
-from .estimators import bind, saag2_direction, take_snapshot
+from .estimators import bind, take_snapshot
 from .objective import (CURVATURE, LOSSES, ObjectiveSpec, Regularizer,
-                        batch_grad, batch_smooth_value, full_grad,
-                        objective_value, prox)
+                        batch_grad, batch_smooth_value, objective_value, prox)
 from .solvers import reference_optimum
 
 ENUMERATION_CAP = 64
@@ -73,7 +72,7 @@ def _enumerable(spec):
 
 def estimator_mean_bruteforce(family, spec, w, state, schedule):
     """Exact mean of the estimator of ``family`` (``estimators.bind``) over
-    every batch of a schedule.
+    every batch of a schedule (``Dataset.plan``).
 
     ``state`` is the table of the "table" family, else the snap state (None
     for "batch"). Each batch binds its own copy of the table, so every batch
@@ -82,7 +81,7 @@ def estimator_mean_bruteforce(family, spec, w, state, schedule):
     _enumerable(spec)
     table, snap = (state, None) if family == "table" else (None, state)
     total = np.zeros(spec.data.d)
-    for batch in schedule.batches:
+    for batch in spec.data.plan(schedule):
         total += bind(family, spec, copy.deepcopy(table), snap)(w, batch, None)
     return total / schedule.m
 
@@ -98,7 +97,7 @@ class VarianceBoundReport:
 
 
 def variance_bound_check(spec, w, snap, schedule, constants, reference):
-    """Check the variance bound of the biased snap estimator by enumeration.
+    """Check the variance bound of the "biased" snap estimator by enumeration.
 
     LHS is the exact mean of ||direction(B) - grad f(w)||^2 over the
     schedule's batches. RHS is
@@ -109,11 +108,11 @@ def variance_bound_check(spec, w, snap, schedule, constants, reference):
     both regimes.
     """
     n = _enumerable(spec)
-    g = full_grad(spec, w)
-    lhs = 0.0
-    r_max = 0.0
-    for batch in schedule.batches:
-        diff = saag2_direction(spec, w, batch, snap) - g
+    g = batch_grad(spec, w)
+    direct = bind("biased", spec, snap=snap)
+    lhs = r_max = 0.0
+    for batch in spec.data.plan(schedule):
+        diff = direct(w, batch, None) - g
         lhs += float(diff @ diff)
         gb = batch_grad(spec, reference.w, batch)
         r_max = max(r_max, float(gb @ gb))
@@ -247,11 +246,9 @@ def gradient_check(spec, w):
     """Max relative coordinate error of the analytic full gradient against
     central finite differences (step 1e-6) of the smooth objective."""
     h = 1e-6
-    g = full_grad(spec, w)
+    g = batch_grad(spec, w)
     worst = 0.0
-    for j in range(w.size):
-        e = np.zeros_like(w)
-        e[j] = h
+    for j, e in enumerate(h * np.eye(w.size)):
         fd = (batch_smooth_value(spec, w + e)
               - batch_smooth_value(spec, w - e)) / (2 * h)
         denom = max(abs(g[j]), abs(fd), 1e-8)
@@ -293,14 +290,14 @@ def bias_identity_gap(spec, w, snap, schedule, family="biased"):
     """
     mean = estimator_mean_bruteforce(family, spec, w, snap, schedule)
     m = schedule.m
-    expected = full_grad(spec, w) + (m - 1) / m * full_grad(spec, snap.point)
+    expected = batch_grad(spec, w) + (m - 1) / m * batch_grad(spec, snap.point)
     return float(np.linalg.norm(mean - expected))
 
 
 def unbiasedness_gap(spec, w, snap, schedule):
     """Norm of mean_B[unbiased direction] - grad f(w)."""
     mean = estimator_mean_bruteforce("unbiased", spec, w, snap, schedule)
-    return float(np.linalg.norm(mean - full_grad(spec, w)))
+    return float(np.linalg.norm(mean - batch_grad(spec, w)))
 
 
 def run_suites(data, loss, l1, l2, inject_scale_bug=False):
@@ -345,8 +342,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         divisors = [b for b in (1, 2, max(2, data.n // 3)) if data.n % b == 0]
         spec = ObjectiveSpec(loss, Regularizer(lambda2=l2), data)
         estimator = "unbiased" if inject_scale_bug else "biased"
-        bias_gap = 0.0
-        unbias_gap = 0.0
+        bias_gap = unbias_gap = 0.0
         for b in sorted(set(divisors)):
             schedule = make_schedule(data.n, b, seed=0)
             for _ in range(20):
@@ -360,8 +356,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         results.append(("unbiasedness", unbias_gap <= 1e-10,
                         f"max gap {unbias_gap:.3e} (tol 1e-10)"))
 
-        worst_margin = np.inf
-        all_hold = True
+        worst_margin, all_hold = np.inf, True
         for lam1 in (0.0, max(l1, 1e-3)):
             spec_v = ObjectiveSpec(loss, Regularizer(lambda2=l2, lambda1=lam1), data)
             constants = estimate_constants(spec_v)

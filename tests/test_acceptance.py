@@ -16,8 +16,7 @@ from saag.estimators import saag2_direction, take_snapshot
 from saag.harness import finalize_suboptimality
 from saag.line_search import SBASParams, sbas
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
-                            batch_smooth_value, full_grad, objective_value,
-                            prox)
+                            batch_smooth_value, objective_value, prox)
 from saag.solvers import (RunConfig, init_state, reference_optimum, run,
                           run_epoch)
 from saag.verify import RateParams, RegimeError, estimate_constants, theoretical_rate
@@ -54,8 +53,8 @@ def test_criterion_1_bias_identity():
                 w = rng.standard_normal(3)
                 snap = take_snapshot(spec, rng.standard_normal(3))
                 mean = enumerate_mean(spec, w, snap, schedule)
-                expected = (full_grad(spec, w)
-                            + (m - 1) / m * full_grad(spec, snap.point))
+                expected = (batch_grad(spec, w)
+                            + (m - 1) / m * batch_grad(spec, snap.point))
                 worst = max(worst, float(np.linalg.norm(mean - expected)))
     elapsed = time.perf_counter() - start
     report(1, worst <= 1e-10,
@@ -76,7 +75,7 @@ def test_criterion_2_unbiasedness():
                 total = np.zeros(3)
                 for batch in schedule.batches:
                     total += svrg_direction(spec, w, batch, snap)
-                gap = np.linalg.norm(total / schedule.m - full_grad(spec, w))
+                gap = np.linalg.norm(total / schedule.m - batch_grad(spec, w))
                 worst = max(worst, float(gap))
     report(2, worst <= 1e-10, f"unbiasedness: max gap {worst:.2e} (tol 1e-10)")
 
@@ -99,7 +98,7 @@ def test_criterion_3_variance_bounds():
         for _ in range(50):
             w = rng.standard_normal(4)
             snap = take_snapshot(spec, rng.standard_normal(4))
-            g = full_grad(spec, w)
+            g = batch_grad(spec, w)
             lhs = np.mean([
                 float(np.linalg.norm(saag2_direction(spec, w, batch, snap) - g) ** 2)
                 for batch in schedule.batches])

@@ -176,6 +176,37 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    "run --l1 -1e-3", "run --eta0 -1e0", "run --fixed-eta -5e-2",
+    "run --seeds -1,2", "sweep --axis lambda --values -1e-3",
+])
+def test_negative_value_reaches_its_reader_in_either_spelling(tmp_path, capsys,
+                                                              args):
+    *command, flag, value = args.split()
+    out = tmp_path / "neg.csv"
+
+    def outcome(*spelling):
+        try:
+            code = main(command + ["--synthetic", "n=40,d=4", "--epochs", "1",
+                                   *spelling, "--out", str(out)])
+        except SystemExit as exit_info:
+            code = exit_info.code
+        return code, capsys.readouterr().err
+
+    code, err = outcome(flag, value)
+    assert (code, err) == outcome(f"{flag}={value}")
+    # the reader's check (exit 1), not argparse's (exit 2)
+    assert code == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_flag_after_a_flag_is_no_value(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--synthetic", "n=40,d=4", "--l1", "--l2", "3"])
+    assert exit_info.value.code == 2
+    assert "argument --l1: expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--solvers", "", "empty comma list"),
     ("--seeds", ",", "empty comma list"),

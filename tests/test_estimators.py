@@ -9,7 +9,7 @@ from saag.data import Dataset, make_schedule, make_synthetic
 from saag.estimators import (bind, make_table, saag1_direction,
                              saag2_direction, svrg_direction, take_snapshot)
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
-                            full_grad, margins, scatter, slope_t)
+                            margins, scatter, slope_t)
 from saag.verify import estimator_mean_bruteforce
 
 
@@ -42,7 +42,7 @@ def test_saag1_full_batch_is_full_gradient():
     rng = np.random.default_rng(1)
     w = rng.standard_normal(3)
     d = saag1_direction(table, spec, w, np.arange(8))
-    assert np.array_equal(d, full_grad(spec, w))
+    assert np.array_equal(d, batch_grad(spec, w))
     assert np.all(table.slopes != 0.0)
 
 
@@ -92,7 +92,7 @@ def test_saag2_full_batch_collapses():
     w = rng.standard_normal(3)
     snap = take_snapshot(spec, rng.standard_normal(3))
     d = saag2_direction(spec, w, np.arange(6), snap)
-    assert np.linalg.norm(d - full_grad(spec, w)) <= 1e-14
+    assert np.linalg.norm(d - batch_grad(spec, w)) <= 1e-14
 
 
 def test_saag2_at_snap_point_closed_form():
@@ -120,8 +120,8 @@ def test_bias_identity_over_grid(n, b):
         w = rng.standard_normal(3)
         snap = take_snapshot(spec, rng.standard_normal(3))
         mean = estimator_mean_bruteforce("biased", spec, w, snap, sched)
-        expected = (full_grad(spec, w)
-                    + (sched.m - 1) / sched.m * full_grad(spec, snap.point))
+        expected = (batch_grad(spec, w)
+                    + (sched.m - 1) / sched.m * batch_grad(spec, snap.point))
         assert np.linalg.norm(mean - expected) <= 1e-10
 
 
@@ -134,7 +134,7 @@ def test_svrg_unbiased_over_grid(n, b):
         w = rng.standard_normal(3)
         snap = take_snapshot(spec, rng.standard_normal(3))
         mean = estimator_mean_bruteforce("unbiased", spec, w, snap, sched)
-        assert np.linalg.norm(mean - full_grad(spec, w)) <= 1e-10
+        assert np.linalg.norm(mean - batch_grad(spec, w)) <= 1e-10
 
 
 def test_svrg_at_snap_returns_snap_gradient_exactly():
@@ -151,13 +151,13 @@ def test_sgd_direction_cases():
     rng = np.random.default_rng(9)
     w = rng.standard_normal(3)
     sgd = bind("batch", spec)
-    assert np.array_equal(sgd(w, np.arange(6), None), full_grad(spec, w))
+    assert np.array_equal(sgd(w, np.arange(6), None), batch_grad(spec, w))
     single = sgd(w, np.array([4]), None)
     assert np.allclose(single, dense_component(spec, w, 4) + spec.reg.lambda2 * w,
                        atol=1e-15)
     sched = make_schedule(6, 2, seed=2)
     mean = estimator_mean_bruteforce("batch", spec, w, None, sched)
-    assert np.linalg.norm(mean - full_grad(spec, w)) <= 1e-12
+    assert np.linalg.norm(mean - batch_grad(spec, w)) <= 1e-12
 
 
 def test_degenerate_equivalence_all_estimators():
@@ -166,7 +166,7 @@ def test_degenerate_equivalence_all_estimators():
     w = rng.standard_normal(4)
     snap = take_snapshot(spec, w.copy())
     batch = np.arange(10)
-    fg = full_grad(spec, w)
+    fg = batch_grad(spec, w)
     table = make_table(spec)
     for d in (saag1_direction(table, spec, w, batch),
               saag2_direction(spec, w, batch, snap),
@@ -225,7 +225,7 @@ def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout, monk
     for spec in specs:
         snap = take_snapshot(spec, rng.standard_normal(spec.data.d))
         assert (spec.data.block is not None) == (layout == "dense")
-        assert np.array_equal(snap.grad, full_grad(spec, snap.point))
+        assert np.array_equal(snap.grad, batch_grad(spec, snap.point))
         for b in (1, 7, 32, n):
             for epoch in range(3):
                 for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:

@@ -3,8 +3,8 @@ import pytest
 
 from saag.data import Dataset, make_synthetic
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                            batch_grad, batch_smooth_value, full_grad,
-                            objective_value, prox)
+                            batch_grad, batch_smooth_value, objective_value,
+                            prox)
 
 
 def tiny(loss, lam2=0.0, lam1=0.0, n=5, d=4, seed=0):
@@ -48,7 +48,7 @@ def test_batch_grad_cases():
     rng = np.random.default_rng(1)
     w = rng.standard_normal(4)
     allidx = np.arange(spec.data.n)
-    assert np.array_equal(batch_grad(spec, w, allidx), full_grad(spec, w))
+    assert np.array_equal(batch_grad(spec, w, allidx), batch_grad(spec, w))
     g1 = batch_grad(spec, w, np.array([2]))
     x, y = spec.data.dense()[2], spec.data.labels[2]
     comp = -y / (1.0 + np.exp(y * (x @ w))) * x   # -y sigma(-y x.w) x

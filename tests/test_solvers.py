@@ -13,8 +13,8 @@ from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.estimators import bind
 from saag.line_search import SBASParams
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
-                            batch_smooth_value, full_grad, margins,
-                            objective_value, scatter, slope_t)
+                            batch_smooth_value, margins, objective_value,
+                            scatter, slope_t)
 from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
                           reference_optimum, run, run_epoch)
 
@@ -412,7 +412,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
-        estimators_mod.SnapState(w.copy(), full_grad(spec_, w), None, None)))
+        estimators_mod.SnapState(w.copy(), batch_grad(spec_, w), None, None)))
     w_afresh, afresh = run(cfg, test=test)
     assert np.array_equal(w_stored, w_afresh)
     assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)

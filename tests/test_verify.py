@@ -147,6 +147,34 @@ def test_bias_mutation_detected():
     assert bias_identity_gap(spec, w, snap, sched, "unbiased") > 1e-6
 
 
+def test_oracles_read_the_batches_and_estimator_the_solvers_run(monkeypatch):
+    # every batch comes from Dataset.plan and the variance bound's direction
+    # from estimators.bind, so a mutant of the estimator module reaches it
+    import saag.estimators as estimators
+    from saag.data import Dataset
+    from saag.verify import estimator_mean_bruteforce
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2),
+                         make_synthetic(6, 4, seed=3))
+    constants = estimate_constants(spec)
+    reference = reference_optimum(spec, budget=300)
+    sched = make_schedule(6, 2, seed=1)
+    rng = np.random.default_rng(8)
+    w = rng.standard_normal(4)
+    snap = take_snapshot(spec, rng.standard_normal(4))
+    planned = []
+    plan = Dataset.plan
+    monkeypatch.setattr(Dataset, "plan", lambda data, schedule: (
+        planned.append(schedule) or plan(data, schedule)))
+    lhs = variance_bound_check(spec, w, snap, sched, constants, reference).lhs
+    estimator_mean_bruteforce("biased", spec, w, snap, sched)
+    assert planned == [sched, sched]
+    saag2 = estimators.saag2_direction
+    monkeypatch.setattr(estimators, "saag2_direction",
+                        lambda *args: 2.0 * saag2(*args))
+    doubled = variance_bound_check(spec, w, snap, sched, constants, reference)
+    assert doubled.lhs != lhs
+
+
 def test_theorem1_canonical_value():
     report = theoretical_rate(1, RateParams(beta=10.0, c=1.0, m=100, b=10, n=1000))
     a = Fraction(990, 9990)
