@@ -153,13 +153,13 @@ def echo_config(config):
 
 
 def parse_config_text(text):
-    """Parse ``key = value`` lines; '#' comments, blank lines and ``note:``
-    lines are skipped."""
+    """Parse ``key = value`` lines; blank lines and lines starting with '#'
+    or ``note:`` are skipped, and a '#' inside a value is part of it."""
     readers = {f.name: f.metadata["read"] for f in fields(ExperimentConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("note:"):
+        line = raw.strip()
+        if not line or line.startswith(("#", "note:")):
             continue
         key, sep, value = line.partition("=")
         if not sep:

@@ -7,7 +7,8 @@ plain mini-batch gradient of GD/SGD. ``bind`` maps a family of ``solvers.KINDS``
 to its estimator, bound to the table or snap state of an epoch. The l2
 contribution is always applied analytically at the point each term is
 evaluated at, never from stale storage. The scalar operands (k, n,
-lambda2) are the spec's 0-d ``scalars``.
+lambda2) are the spec's 0-d ``scalars``; the caller passes ``z``, the
+batch's signed margins at w.
 """
 
 from dataclasses import dataclass
@@ -57,20 +58,17 @@ def make_table(spec):
     return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.d))
 
 
-def saag1_direction(table, spec, w, batch, z=None):
+def saag1_direction(table, spec, w, batch, z):
     """Incremental-table direction; refreshes the batch slots in place.
 
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
     gradients enter at weight 1/n, so the stale remainder is averaged over
     the whole dataset and the direction collapses to the full gradient at
-    |B| = n. Work is O(|B| * nnz) per call. ``z`` is the batch's signed
-    margins when the caller has them.
+    |B| = n. Work is O(|B| * nnz) per call.
     """
     data = spec.data
     size = len(batch)
     k, n, lam2, _ = spec.scalars(size)
-    if z is None:
-        z = margins(data, w, batch)
     c = slope_t(spec.loss, z)
     # slots never refreshed hold slope 0, so the change is c - stored in every slot
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
@@ -82,7 +80,7 @@ def saag1_direction(table, spec, w, batch, z=None):
     return fresh / k + (table.aggregate - fresh) / n + lam2 * w
 
 
-def saag2_direction(spec, w, batch, snap, z=None):
+def saag2_direction(spec, w, batch, snap, z):
     """Biased snap-point direction:
     (1/|B|) sum_B grad f_i(w) - (1/n) sum_B grad f_i(w~) + mu~.
 
@@ -92,38 +90,30 @@ def saag2_direction(spec, w, batch, snap, z=None):
     share at its own evaluation point, so the identity holds exactly for any
     lambda2. For a linear model both sums run over the batch's signed rows,
     so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B/n
-    read from the snapshot; ``z`` is as in ``saag1_direction``.
+    read from the snapshot.
     """
     k, _, lam2, share = spec.scalars(len(batch))     # share = (k / n) * lam2
-    if z is None:
-        z = margins(spec.data, w, batch)
     c = slope_t(spec.loss, z) / k - snap.scaled[batch]
-    return (scatter(spec.data, c, batch)
-            + lam2 * w - share * snap.point
-            + snap.grad)
+    return scatter(spec.data, c, batch) + lam2 * w - share * snap.point + snap.grad
 
 
-def svrg_direction(spec, w, batch, snap, z=None):
+def svrg_direction(spec, w, batch, snap, z):
     """Unbiased control-variate direction:
     (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~, one scatter of
     (c_i - c~_i)/|B| over B.
 
     At w = w~ the slopes cancel exactly and the direction equals mu~.
-    ``z`` is as in ``saag1_direction``.
     """
     k, _, lam2, _ = spec.scalars(len(batch))
-    if z is None:
-        z = margins(spec.data, w, batch)
     c = (slope_t(spec.loss, z) - snap.slopes[batch]) / k
-    return (scatter(spec.data, c, batch)
-            + lam2 * (w - snap.point) + snap.grad)
+    return scatter(spec.data, c, batch) + lam2 * (w - snap.point) + snap.grad
 
 
 def bind(family, spec, table=None, snap=None):
     """The estimator of ``family`` as a function of (w, batch, z): "table"
     reads and refreshes ``table``, "biased" and "unbiased" read ``snap``,
-    and ``z`` is the batch's signed margins, or None to form them. A solver
-    binds once per epoch, so its steps pay no dispatch."""
+    and ``z`` is the batch's signed margins at w. A solver binds once per
+    epoch, so its steps pay no dispatch."""
     if family == "table":
         return lambda w, batch, z: saag1_direction(table, spec, w, batch, z)
     if family == "biased":

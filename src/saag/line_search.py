@@ -76,14 +76,3 @@ def _trials(phi, steps):
     if steps.size > 2:
         yield from zip(steps[2:].tolist(), phi(steps[2:]))
 
-
-def sbas(params, f_batch, w, direction):
-    """Backtracking-Armijo search along -direction using only the batch
-    objective ``f_batch``, called once per counted evaluation; the contract
-    is that of ``backtrack``.
-
-    Returns (eta, n_evals).
-    """
-    return backtrack(
-        params, lambda etas: (f_batch(w - eta * direction) for eta in etas),
-        float(direction @ direction))

@@ -138,24 +138,19 @@ def batch_smooth_value(spec, w, rows=None, z=None):
     return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w.dot(w))
 
 
-def batch_ray(spec, w, rows, direction, z=None, dd=None):
+def batch_ray(spec, w, rows, direction, z, dd):
     """phi(etas) iterates batch_smooth_value(spec, w - eta * direction, rows)
-    over the steps of the 1-d array ``etas``, in O(b) per step. The signed
-    margins z of w (formed here when None) and u of d (every row when
-    ``rows`` is None), w.w, w.d and d.d (``dd``, likewise) are formed once,
-    so the steps of one call are one (len(etas), b) block loss_t(z - eta u)
-    summed along its rows, four array calls for the logistic loss, and
-    each value is the float a step on its own gives."""
+    over the steps of the 1-d array ``etas``, in O(b) per step, from the
+    signed margins z of w over ``rows`` (every row when None) and dd = d.d.
+    The margins u of d, w.w and w.d are formed once, so the steps of one
+    call are one (len(etas), b) block loss_t(z - eta u) summed along its
+    rows, four array calls for the logistic loss, and each value is the
+    float a step on its own gives."""
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
-    data, kind = spec.data, spec.loss
-    if z is None:
-        z = margins(data, w, rows)
-    u = margins(data, direction, rows)
+    u = margins(spec.data, direction, rows)
     ww, wd = float(w.dot(w)), float(w.dot(direction))
-    if dd is None:
-        dd = float(direction.dot(direction))
-    half, b = 0.5 * spec.reg.lambda2, z.size
+    half, b, kind = 0.5 * spec.reg.lambda2, z.size, spec.loss
 
     def phi(etas):
         sums = np.add.reduce(loss_t(kind, z - etas[:, None] * u), axis=1)

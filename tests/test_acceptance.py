@@ -14,9 +14,10 @@ from saag.cli import ExperimentConfig, echo_config
 from saag.data import make_schedule, make_synthetic
 from saag.estimators import saag2_direction, take_snapshot
 from saag.harness import finalize_suboptimality
-from saag.line_search import SBASParams, sbas
+from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
-                            batch_smooth_value, objective_value, prox)
+                            batch_ray, batch_smooth_value, margins,
+                            objective_value, prox)
 from saag.solvers import (RunConfig, init_state, reference_optimum, run,
                           run_epoch)
 from saag.verify import RateParams, RegimeError, estimate_constants, theoretical_rate
@@ -36,7 +37,7 @@ def enumerate_mean(spec, w, snap, schedule):
     # independent of estimator_mean_bruteforce: plain loop and sum
     total = np.zeros(spec.data.d)
     for batch in schedule.batches:
-        total += saag2_direction(spec, w, batch, snap)
+        total += saag2_direction(spec, w, batch, snap, margins(spec.data, w, batch))
     return total / schedule.m
 
 
@@ -74,7 +75,8 @@ def test_criterion_2_unbiasedness():
                 snap = take_snapshot(spec, rng.standard_normal(3))
                 total = np.zeros(3)
                 for batch in schedule.batches:
-                    total += svrg_direction(spec, w, batch, snap)
+                    total += svrg_direction(spec, w, batch, snap,
+                                            margins(spec.data, w, batch))
                 gap = np.linalg.norm(total / schedule.m - batch_grad(spec, w))
                 worst = max(worst, float(gap))
     report(2, worst <= 1e-10, f"unbiasedness: max gap {worst:.2e} (tol 1e-10)")
@@ -100,7 +102,8 @@ def test_criterion_3_variance_bounds():
             snap = take_snapshot(spec, rng.standard_normal(4))
             g = batch_grad(spec, w)
             lhs = np.mean([
-                float(np.linalg.norm(saag2_direction(spec, w, batch, snap) - g) ** 2)
+                float(np.linalg.norm(saag2_direction(
+                    spec, w, batch, snap, margins(spec.data, w, batch)) - g) ** 2)
                 for batch in schedule.batches])
             rhs = (8 * constants.L * a * (objective_value(spec, w) - ref.value)
                    + 8 * constants.L * (a * m ** 2 + (m - 1) ** 2) / m ** 2
@@ -245,19 +248,28 @@ def test_criterion_10_sbas_contract():
     rng = np.random.default_rng(110)
     ok = True
     max_evals = 0
+    worst_trial = 0.0
     for _ in range(50):
         batch = np.sort(rng.choice(24, size=6, replace=False))
         w = rng.standard_normal(5)
         direction = batch_grad(spec, w, batch) if rng.random() < 0.5 \
             else rng.standard_normal(5)
-        count = [0]
+        trials = []
+        dd = float(direction @ direction)
+        # the search runs over the batch's ray as the inner step forms it
+        ray = batch_ray(spec, w, batch, direction, margins(spec.data, w, batch), dd)
 
-        def f_batch(v, batch=batch, count=count):
-            count[0] += 1
-            return batch_smooth_value(spec, v, batch)
+        def phi(etas, ray=ray, trials=trials):
+            for eta, value in zip(etas.tolist(), ray(etas)):
+                trials.append((eta, value))
+                yield value
 
-        eta, evals = sbas(params, f_batch, w, direction)
-        max_evals = max(max_evals, evals, count[0])
+        eta, evals = backtrack(params, phi, dd)
+        max_evals = max(max_evals, evals, len(trials))
+        # each value compared is the batch objective at its trial step
+        for step, value in trials:
+            want = batch_smooth_value(spec, w - step * direction, batch)
+            worst_trial = max(worst_trial, abs(value - want) / (1.0 + abs(want)))
         if eta > 0.0:
             base = batch_smooth_value(spec, w, batch)
             stepped = batch_smooth_value(spec, w - eta * direction, batch)
@@ -265,10 +277,12 @@ def test_criterion_10_sbas_contract():
                 direction @ direction)
             ok &= armijo or stepped < base
     # constructed ascent case: moving along -d climbs the parabola
-    quad = lambda v: 0.5 * float(v @ v)
-    eta0, _ = sbas(params, quad, np.array([1.0]), np.array([-1.0]))
-    ok &= eta0 == 0.0 and max_evals <= 11
-    report(10, ok, f"SBAS: accepted steps satisfy Armijo/decrease, "
+    w, d = np.array([1.0]), np.array([-1.0])
+    ascent = lambda etas: (0.5 * float((w - eta * d) @ (w - eta * d)) for eta in etas)
+    eta0, _ = backtrack(params, ascent, float(d @ d))
+    ok &= eta0 == 0.0 and max_evals <= 11 and worst_trial <= 1e-12
+    report(10, ok, f"SBAS: trials are the batch objective (gap {worst_trial:.1e}), "
+                   f"accepted steps satisfy Armijo/decrease, "
                    f"ascent returns 0.0, max {max_evals} evals (<= 11)")
 
 

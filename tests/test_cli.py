@@ -34,6 +34,13 @@ def test_config_text_roundtrip():
     assert parse_config_text("# comment\nnote: whatever\n") == {}
 
 
+def test_config_text_keeps_a_hash_inside_a_value():
+    # only a line starting with '#' is a comment: paths holding '#' round-trip
+    cfg = ExperimentConfig(dataset="data#2.svm", out="x#1.csv")
+    assert ExperimentConfig(**parse_config_text("\n".join(echo_config(cfg)))) == cfg
+    assert parse_config_text("  # indented comment\nb = 8\n") == {"b": 8}
+
+
 def test_defaults_match_benchmark_protocol():
     lines = echo_config(ExperimentConfig())
     for expected in ("alpha = 0.1", "shrink = 0.5", "eta0 = 1.0",

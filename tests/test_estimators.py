@@ -31,7 +31,7 @@ def test_saag1_first_call_uses_only_the_batch():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(3)
     batch = np.array([1, 4])
-    d = saag1_direction(table, spec, w, batch)
+    d = saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
     assert np.allclose(d, batch_grad(spec, w, batch), atol=1e-15)
     assert list(np.flatnonzero(table.slopes)) == [1, 4]
 
@@ -41,7 +41,7 @@ def test_saag1_full_batch_is_full_gradient():
     table = make_table(spec)
     rng = np.random.default_rng(1)
     w = rng.standard_normal(3)
-    d = saag1_direction(table, spec, w, np.arange(8))
+    d = saag1_direction(table, spec, w, np.arange(8), margins(spec.data, w))
     assert np.array_equal(d, batch_grad(spec, w))
     assert np.all(table.slopes != 0.0)
 
@@ -56,12 +56,12 @@ def test_saag1_matches_direct_recomputation():
     sched = make_schedule(8, 2, seed=3)
     stored = {}
     for w, batch in zip(w_hist, sched.batches):
-        saag1_direction(table, spec, w, batch)
+        saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
     w = rng.standard_normal(3)
     for batch in make_schedule(8, 2, seed=4).batches:
-        got = saag1_direction(table, spec, w, batch)
+        got = saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
         fresh = sum(stored[i] for i in batch)
@@ -80,7 +80,8 @@ def test_table_aggregate_consistency():
     for epoch in range(6):
         sched = make_schedule(12, 3, seed=9, epoch=epoch)
         for batch in sched.batches:
-            saag1_direction(table, spec, rng.standard_normal(4), batch)
+            w = rng.standard_normal(4)
+            saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
     rebuilt = scatter(spec.data, table.slopes)
     rel = np.linalg.norm(table.aggregate - rebuilt) / max(np.linalg.norm(rebuilt), 1e-300)
     assert rel <= 1e-12
@@ -91,7 +92,7 @@ def test_saag2_full_batch_collapses():
     rng = np.random.default_rng(6)
     w = rng.standard_normal(3)
     snap = take_snapshot(spec, rng.standard_normal(3))
-    d = saag2_direction(spec, w, np.arange(6), snap)
+    d = saag2_direction(spec, w, np.arange(6), snap, margins(spec.data, w))
     assert np.linalg.norm(d - batch_grad(spec, w)) <= 1e-14
 
 
@@ -104,7 +105,7 @@ def test_saag2_at_snap_point_closed_form():
     snap = take_snapshot(spec, wt)
     sched = make_schedule(6, 2, seed=0)
     for batch in sched.batches:
-        d = saag2_direction(spec, wt, batch, snap)
+        d = saag2_direction(spec, wt, batch, snap, margins(spec.data, wt, batch))
         expect = (1 - 1 / sched.m) * batch_grad(spec, wt, batch) + snap.grad
         assert np.linalg.norm(d - expect) <= 1e-14
 
@@ -142,7 +143,8 @@ def test_svrg_at_snap_returns_snap_gradient_exactly():
     rng = np.random.default_rng(8)
     wt = rng.standard_normal(3)
     snap = take_snapshot(spec, wt)
-    d = svrg_direction(spec, wt, np.array([0, 3]), snap)
+    batch = np.array([0, 3])
+    d = svrg_direction(spec, wt, batch, snap, margins(spec.data, wt, batch))
     assert np.array_equal(d, snap.grad)
 
 
@@ -168,9 +170,10 @@ def test_degenerate_equivalence_all_estimators():
     batch = np.arange(10)
     fg = batch_grad(spec, w)
     table = make_table(spec)
-    for d in (saag1_direction(table, spec, w, batch),
-              saag2_direction(spec, w, batch, snap),
-              svrg_direction(spec, w, batch, snap),
+    z = margins(spec.data, w, batch)
+    for d in (saag1_direction(table, spec, w, batch, z),
+              saag2_direction(spec, w, batch, snap, z),
+              svrg_direction(spec, w, batch, snap, z),
               bind("batch", spec)(w, batch, None)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
@@ -179,7 +182,8 @@ def test_bruteforce_mean_resets_table_state():
     spec = spec_for(8, 3)
     table = make_table(spec)
     rng = np.random.default_rng(11)
-    saag1_direction(table, spec, rng.standard_normal(3), np.array([0, 1]))
+    w, batch = rng.standard_normal(3), np.array([0, 1])
+    saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
     before = copy.deepcopy(table)
     sched = make_schedule(8, 2, seed=5)
     m1 = estimator_mean_bruteforce("table", spec, rng.standard_normal(3), table, sched)
@@ -272,9 +276,10 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
                 m.setattr(Dataset, "PLAN_BYTES", bound)
                 for batch, (saag2, svrg, size) in zip(data.plan(schedule), want,
                                                         strict=True):
-                    assert np.all(np.abs(saag2_direction(spec, w, batch, snap) - saag2)
+                    z = margins(data, w, batch)
+                    assert np.all(np.abs(saag2_direction(spec, w, batch, snap, z) - saag2)
                                   <= 1e-12 * size)
-                    assert np.all(np.abs(svrg_direction(spec, w, batch, snap) - svrg)
+                    assert np.all(np.abs(svrg_direction(spec, w, batch, snap, z) - svrg)
                                   <= 1e-12 * size)
 
 
@@ -311,5 +316,6 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
             c = slope_t(kind, margins(data, w, batch)) / k - snap.slopes[batch] / n
             want = (scatter(data, c, batch)
                     + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
-            assert np.array_equal(saag2_direction(spec, w, batch, snap), want)
-            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, None), want)
+            z = margins(data, w, batch)
+            assert np.array_equal(saag2_direction(spec, w, batch, snap, z), want)
+            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, z), want)

@@ -164,7 +164,8 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
     lam2 = 1e-2
     spec = ObjectiveSpec(kind, Regularizer(lambda2=lam2), data)
-    base, value = batch_ray(spec, w, rows, d)(np.array([0.0, eta]))
+    phi = batch_ray(spec, w, rows, d, margins(data, w, rows), float(d @ d))
+    base, value = phi(np.array([0.0, eta]))
     # the search's reference value at eta = 0 is the same float
     assert base == batch_smooth_value(spec, w, rows)
     v = w - eta * d
@@ -230,7 +231,6 @@ def test_batch_ray_trials_are_the_margin_formula_bit_for_bit(problem, kind, eta,
     l2 = 0.5 * lam2 * (float(w @ w) - 2.0 * eta * float(w @ d)
                        + eta * eta * float(d @ d))
     want = float(margin_loss(kind, z - eta * u, yb).sum()) / z.size + l2
-    assert list(batch_ray(spec, w, rows, d)(np.array([eta]))) == [want]
     # the inner step hands over the signed margins and d.d it already formed
     assert list(batch_ray(spec, w, rows, d, t, float(d @ d))(np.array([eta]))) == [want]
 
@@ -278,7 +278,7 @@ def test_trial_ladder_is_the_sequential_search_bit_for_bit(
     assert steps.size == tries + 1 and steps[0] == 0.0 and steps[1] == eta0
     for j in range(2, tries + 1):     # each trial is the one before times shrink
         assert steps[j] == steps[j - 1] * 0.3
-    phi = batch_ray(spec, w, rows, v)
+    phi = batch_ray(spec, w, rows, v, z, vv)
     want = [one(eta) for eta in steps.tolist()]
     assert list(phi(steps)) == want
     assert list(phi(steps[:2])) + list(phi(steps[2:])) == want
@@ -310,9 +310,10 @@ def test_empty_row_and_unused_column():
     # an empty row has margin 0: loss ln 2, gradient 0
     assert batch_smooth_value(spec, w, [1]) == np.log(2.0)
     assert np.array_equal(batch_grad(spec, w, [1]), np.zeros(3))
-    assert list(batch_ray(spec, w, [1], np.ones(3))(np.array([0.5]))) == [np.log(2.0)]
+    phi = batch_ray(spec, w, [1], np.ones(3), margins(data, w, [1]), 3.0)
+    assert list(phi(np.array([0.5]))) == [np.log(2.0)]
     with pytest.raises(ValueError):
-        batch_ray(spec, w, [], np.ones(3))
+        batch_ray(spec, w, [], np.ones(3), margins(data, w, []), 3.0)
 
 
 def chunk_bytes(gathered):

@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 
-from saag.line_search import SBASParams, sbas
+from saag.line_search import SBASParams, backtrack
 
 
 def quad(scale=1.0):
     return lambda v: 0.5 * scale * float(v @ v)
 
 
+def ray(f, w, d):
+    """phi(etas) for backtrack: f at w - eta * d, once per trial taken."""
+    return lambda etas: (f(w - eta * d) for eta in etas)
+
+
 def test_accepts_unit_step_on_easy_quadratic():
     # f(w) = w^2/2 at w = 1 along d = 1: f(0) = 0 <= 0.5 - 0.1 = 0.4
-    eta, evals = sbas(SBASParams(), quad(), np.array([1.0]), np.array([1.0]))
+    w, d = np.array([1.0]), np.array([1.0])
+    eta, evals = backtrack(SBASParams(), ray(quad(), w, d), 1.0)
     assert eta == 1.0
     assert evals == 2
 
 
 def test_zero_direction_returns_eta0_with_equality():
-    eta, _ = sbas(SBASParams(eta0=0.7), quad(), np.array([1.0]), np.array([0.0]))
+    w, d = np.array([1.0]), np.array([0.0])
+    eta, _ = backtrack(SBASParams(eta0=0.7), ray(quad(), w, d), 0.0)
     assert eta == 0.7
 
 
@@ -28,7 +35,7 @@ def test_ascent_direction_returns_zero_sentinel():
         return 0.5 * float(v @ v)
 
     # moving along -d = +1 from w = 1 only increases f
-    eta, evals = sbas(SBASParams(), f, np.array([1.0]), np.array([-1.0]))
+    eta, evals = backtrack(SBASParams(), ray(f, np.array([1.0]), np.array([-1.0])), 1.0)
     assert eta == 0.0
     assert evals == len(calls) == 11  # max_backtracks + 1
 
@@ -37,7 +44,7 @@ def test_backtracks_on_stiff_quadratic():
     params = SBASParams()
     w = np.array([1.0])
     d = np.array([100.0])  # gradient of 50*w^2 at w=1
-    eta, _ = sbas(params, quad(100.0), w, d)
+    eta, _ = backtrack(params, ray(quad(100.0), w, d), float(d @ d))
     assert eta > 0.0
     assert quad(100.0)(w - eta * d) <= quad(100.0)(w) - params.alpha * eta * float(d @ d)
 
@@ -48,7 +55,7 @@ def test_fallback_returns_last_tried_step_on_strict_decrease():
     params = SBASParams(alpha=0.9999)
     w = np.array([1.0])
     d = np.array([1.0])
-    eta, evals = sbas(params, quad(), w, d)
+    eta, evals = backtrack(params, ray(quad(), w, d), float(d @ d))
     assert eta == pytest.approx(0.5 ** 9)
     assert evals == 11
     assert quad()(w - eta * d) < quad()(w)
@@ -71,7 +78,7 @@ def test_contract_on_random_problems():
             count[0] += 1
             return f(v)
 
-        eta, evals = sbas(params, counted, w, d)
+        eta, evals = backtrack(params, ray(counted, w, d), float(d @ d))
         assert evals == count[0] <= params.max_backtracks + 1
         if eta > 0.0:
             armijo = f(w - eta * d) <= f(w) - params.alpha * eta * float(d @ d)

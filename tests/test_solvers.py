@@ -356,8 +356,8 @@ SEARCH_CASES = [
 
 @pytest.mark.parametrize("kind,loss,lam1", SEARCH_CASES)
 def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
-    # the margin-space search must take the same Armijo decisions as
-    # sbas(params, lambda v: batch_smooth_value(spec, v, batch), w, d)
+    # the margin-space search must take the same Armijo decisions as a
+    # search over batch_smooth_value(spec, w - eta * d, batch)
     spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-4, lambda1=lam1),
                          make_synthetic(60, 8, seed=5, flip=0.1))
     # eta0 = 50 makes every solver backtrack, so the decisions are tested
@@ -366,7 +366,7 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     w_fast, fast = run(cfg)
     monkeypatch.setattr(
         solvers_mod, "batch_ray",
-        lambda spec_, w, rows, d, z=None, dd=None:
+        lambda spec_, w, rows, d, z, dd:
             lambda etas: (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas))
     w_plain, plain = run(cfg)
     assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]

@@ -285,6 +285,18 @@ def test_run_suites_leaves_out_enumeration_above_cap():
     assert results[2][2] == "skipped: n = 80 exceeds cap 64"
 
 
+def test_run_suites_checks_the_variance_bound_below_the_full_batch():
+    # at b = n (m = 1) the bound's right side is exactly 0 and its left side
+    # rounding: n = 2 checks b = 1, and n = 1 has no batch size to check
+    results = run_suites(make_synthetic(2, 1), "logistic", 0.0, 1e-5)
+    assert tuple(name for name, _, _ in results) == SUITES
+    assert all(passed is True for _, passed, _ in results)
+    results = run_suites(make_synthetic(1, 3), "logistic", 0.0, 1e-5)
+    assert tuple(name for name, _, _ in results) == SUITES
+    assert [passed for _, passed, _ in results] == [True] * 4 + [None, True]
+    assert results[4][2] == "skipped: no batch size below n = 1"
+
+
 def test_run_suites_scale_bug_fails_only_the_bias_identity():
     results = run_suites(make_synthetic(24, 6), "logistic", 0.0, 1e-5,
                          inject_scale_bug=True)
