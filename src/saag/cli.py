@@ -259,7 +259,9 @@ def cmd_run(config, axis=None, values=None):
             trace.extra[axis] = value
     where = {specs[reg]: f"lambda = {value}, " if axis == "lambda" else ""
              for value, _, reg in points}
-    f_star_notes = [f"note: f_star = {fstar!r} ({where[spec]}reference converged: "
+    # the bound precedes the group: parsers read the iterations as its last token
+    f_star_notes = [f"note: f_star = {fstar!r} within {reference.bound!r} of the "
+                    f"optimum ({where[spec]}reference converged: "
                     f"{reference.converged}, iterations: {reference.iterations})"
                     for spec, (reference, fstar) in optima.items()]
     metadata = echo_config(config) + [f"note: data from {provenance}"]

@@ -9,6 +9,7 @@ the gradient counters.
 
 import copy
 import csv
+import math
 from dataclasses import dataclass, field, fields
 
 from .objective import accuracy, objective_value
@@ -90,16 +91,18 @@ def _run_job(config, test):
 
 
 def run_jobs(jobs, test, budget, workers):
-    """Run a command's ``RunConfig`` jobs after every objective's reference
-    optimum, so a bad ``budget`` fails first: each distinct job (equal in
-    every field, the objective by identity) once, serially or on ``workers``
-    processes; gd's batch is every row, so a batch sweep runs it once per
-    (seed, objective).
+    """Run a command's ``RunConfig`` jobs, then every objective's reference
+    optimum (a bad ``budget`` still fails before any job): each distinct job
+    (equal in every field, the objective by identity) once, serially or on
+    ``workers`` processes; gd's batch is every row, so a batch sweep runs it
+    once per (seed, objective). Each reference stops once F* is certified to
+    ``solvers.TRACE_ACCURACY`` of the smallest gap its objective's traces
+    show, the lowest finite objective they reached (``best``).
     Returns one trace per job, in job order, each its own copy, and
     ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
     from .solvers import reference_optimum  # as in _run_job
-    references = {spec: reference_optimum(spec, budget)
-                  for spec in dict.fromkeys(job.objective for job in jobs)}
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     keys = [tuple(getattr(job, f.name) for f in fields(job)) for job in jobs]
     unique = dict(zip(keys, jobs))
     if workers > 1:
@@ -111,9 +114,14 @@ def run_jobs(jobs, test, budget, workers):
         results = [_run_job(job, test) for job in unique.values()]
     done = dict(zip(unique, results))
     traces = [copy.deepcopy(done[key]) for key in keys]
-    return traces, {spec: (ref, finalize_suboptimality(
-        [t for job, t in zip(jobs, traces) if job.objective is spec], ref.value))
-        for spec, ref in references.items()}
+    optima = {}
+    for spec in dict.fromkeys(job.objective for job in jobs):
+        own = [t for job, t in zip(jobs, traces) if job.objective is spec]
+        best = min((p.objective for t in own for p in t.points
+                    if math.isfinite(p.objective)), default=-math.inf)
+        reference = reference_optimum(spec, budget, best)
+        optima[spec] = reference, finalize_suboptimality(own, reference.value)
+    return traces, optima
 
 
 def _fmt(value):

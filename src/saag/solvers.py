@@ -48,6 +48,7 @@ POWER_PASSES = 30       # behind the reference optimum's first estimate of L
 MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
 DECAY = 0.9             # of L, tried first after an accepted reference step
 GAP = 1e-13             # of lambda2 * F: bound on a squared reference certificate
+TRACE_ACCURACY = 1e-6   # of the traces' smallest gap: the reference's stop
 
 
 class NonFiniteDirection(RuntimeError):
@@ -224,10 +225,13 @@ def _config_echo(config):
 
 @dataclass(eq=False)
 class ReferenceResult:
+    """``bound`` >= value - F*, certified; NaN without a certificate (a
+    rounding exit, the cap, or lambda2 = 0)."""
     w: np.ndarray
     value: float
     converged: bool
     iterations: int
+    bound: float
 
 
 def _iteration_cap(budget):
@@ -249,7 +253,7 @@ def _top_eigenvalue(data):
     return top
 
 
-def reference_optimum(spec, budget=500):
+def reference_optimum(spec, budget=500, best=-math.inf):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
     Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue & Candes
@@ -258,10 +262,16 @@ def reference_optimum(spec, budget=500):
     doubles until the quadratic upper bound holds, and after each step that
     lowers F the next iteration first tries DECAY * L, never below lambda2
     nor 2^-(MAX_DOUBLINGS // 2) of the first L. It stops, converged, once
-    a subgradient s of F has ||s||^2 <= lambda2 * GAP * F, so
-    F(p) - F* <= ||s||^2 / (2 lambda2) <= 5e-14 * F by strong convexity
-    whatever L the bound held at, or at a rounding fixed point; unconverged
-    after max(2000, 20 * budget) iterations. With lambda1 = 0, s is the
+    a subgradient s of F has
+    ||s||^2 <= lambda2 * max(GAP * F, 2 * TRACE_ACCURACY * (best - F)), so
+    F(p) - F* <= ||s||^2 / (2 lambda2) <= max(5e-14 * F, 1e-6 * (best - F))
+    by strong convexity whatever L the bound held at (the result's
+    ``bound``), or at a rounding fixed point; unconverged after
+    max(2000, 20 * budget) iterations. ``best`` is the lowest objective the
+    traces reached: a gap best - F* then reads within a relative 1e-6 of
+    its true value. A ``best`` that is NaN, infinite or <= F leaves the
+    5e-14 * F stop, and so the iterates, as without it; the iterates up to
+    the stop never depend on ``best``. With lambda1 = 0, s is the
     gradient mapping L(v - p), the gradient at v, and F(p) <= F(v) where
     the bound holds. With lambda1 > 0 the gradient mapping is no
     subgradient; once it passes the test, s = grad f(p) - grad f(v) +
@@ -288,6 +298,7 @@ def reference_optimum(spec, budget=500):
     w, zw = np.zeros(data.d), np.zeros(n)
     fw = batch_smooth_value(spec, w, z=zw)
     v, zv, t, restarted = w, zw, 1.0, True      # as after a momentum restart
+    certified = math.nan
     for iterations in range(1, _iteration_cap(budget) + 1):
         # zv is extrapolated unless v = w; as it drifts from X v it can fail
         fresh = restarted   # the bound test, so form it afresh before L grows
@@ -312,10 +323,15 @@ def reference_optimum(spec, budget=500):
             break
         fp += lam1 * float(np.abs(p).sum())
         bound = lam2 * GAP * fw
-        converged = lipschitz ** 2 * moved <= bound
-        if converged and lam1 > 0.0:
+        if best - fw < math.inf:    # false at a NaN or infinite best
+            bound = max(bound, 2.0 * lam2 * TRACE_ACCURACY * (best - fw))
+        squared = lipschitz ** 2 * moved
+        if squared <= bound and lam1 > 0.0:
             s = batch_grad(spec, p, z=zp) - g - lipschitz * move
-            converged = float(s.dot(s)) <= bound
+            squared = float(s.dot(s))
+        converged = squared <= bound
+        if converged and lam2 > 0.0:
+            certified = squared / (2.0 * lam2)
         if fp < fw:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
@@ -328,4 +344,4 @@ def reference_optimum(spec, budget=500):
             v, zv, t, restarted = w, zw, 1.0, True
         if converged:
             break
-    return ReferenceResult(w, fw, converged, iterations)
+    return ReferenceResult(w, fw, converged, iterations, certified)

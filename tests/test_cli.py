@@ -166,14 +166,18 @@ def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
     ("--max-backtracks", "0", "max_backtracks must be >= 1"),
     ("--l1", "nan", "finite"),
     ("--eta0", "nan", "eta0 must be finite"),
+    # the reference runs after the jobs, but its budget is checked before them
+    ("--ref-budget", "0", "budget must be >= 1"),
 ])
 def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
                                                       capsys, flag, value, message):
     import saag.solvers as solvers
     calls = []
-    reference = solvers.reference_optimum
-    monkeypatch.setattr(solvers, "reference_optimum", lambda spec, budget: (
-        calls.append(spec) or reference(spec, budget)))
+    reference, run = solvers.reference_optimum, solvers.run
+    monkeypatch.setattr(solvers, "reference_optimum", lambda spec, budget, best: (
+        calls.append(spec) or reference(spec, budget, best)))
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
+        calls.append(config) or run(config, **kw)))
     out = tmp_path / "run.csv"
     code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
                  "--epochs", "2", flag, value, "--out", str(out)])

@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from saag.data import make_synthetic, split_train_test
+from saag.data import Dataset, make_synthetic, split_train_test
 from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
                           finalize_suboptimality, read_csv, run_jobs)
 from saag.line_search import SBASParams
 from saag.objective import ObjectiveSpec, Regularizer
 from saag import solvers
-from saag.solvers import RunConfig, reference_optimum, run
+from saag.solvers import TRACE_ACCURACY, RunConfig, reference_optimum, run
 
 
 def run_toy(kind="saag3", epochs=2, seed=0, with_test=False, **kwargs):
@@ -193,14 +195,71 @@ def test_run_jobs_finalizes_each_objective_against_its_reference():
     traces, optima = run_jobs(jobs, test, 50, 1)
     for spec in specs:
         reference, f_star = optima[spec]
-        assert reference.value == reference_optimum(spec, 50).value
         own = [t for job, t in zip(jobs, traces) if job.objective is spec]
+        # the reference runs after the jobs, to the accuracy their traces need
+        best = min(p.objective for t in own for p in t.points)
+        assert reference.value == reference_optimum(spec, 50, best).value
         assert f_star == min([reference.value] +
                              [p.objective for t in own for p in t.points])
         for t in own:
             for p in t.points:
                 assert p.suboptimality == max(p.objective - f_star, SUBOPT_FLOOR)
     assert optima[specs[0]][1] != optima[specs[1]][1]
+
+
+def point_fields(trace):
+    return [(p.epoch, p.grads_over_n, p.fevals, p.objective, p.test_accuracy)
+            for p in trace.points]
+
+
+@pytest.mark.parametrize("layout", ["dense", "csr"])
+@pytest.mark.parametrize("lam1", [0.0, 1e-3])
+@pytest.mark.parametrize("loss", ["logistic", "least_squares"])
+def test_run_jobs_suboptimality_is_within_the_trace_accuracy(monkeypatch, layout,
+                                                             lam1, loss):
+    if layout == "csr":     # no set fills twice its entries: the CSR passes
+        monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 2.0)
+    train, test = split_train_test(make_synthetic(40, 5, seed=3, flip=0.1),
+                                   0.8, seed=0)
+    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-3, lambda1=lam1), train)
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=4)
+            for kind in ("saag4", "svrg")]
+    traces, optima = run_jobs(jobs, test, 500, 1)
+    assert (train.block is None) == (layout == "csr")
+    reference, _ = optima[spec]
+    exact = reference_optimum(spec)     # to the 5e-14 * F stop
+    points = [p for t in traces for p in t.points]
+    exact_star = min([exact.value] + [p.objective for p in points])
+    assert reference.converged and reference.iterations <= exact.iterations
+    for p in points:
+        gap = max(p.objective - exact_star, SUBOPT_FLOOR)
+        assert abs(p.suboptimality - gap) <= TRACE_ACCURACY * gap
+    assert reference.bound <= TRACE_ACCURACY * min(p.suboptimality for p in points)
+    # every other field is the jobs' own, bit for bit
+    for job, trace in zip(jobs, traces):
+        assert point_fields(trace) == point_fields(run(job, test=test)[1])
+
+
+def test_run_jobs_non_finite_points_cannot_loosen_the_reference(monkeypatch):
+    # a diverged point's objective is no gap: best is the finite minimum
+    specs, jobs, test = lambda_grid_jobs()
+    real = solvers.run
+
+    def diverged(config, **kw):
+        w, trace = real(config, **kw)
+        trace.points[0].objective = math.nan
+        trace.points[1].objective = math.inf
+        return w, trace
+
+    monkeypatch.setattr(solvers, "run", diverged)
+    traces, optima = run_jobs(jobs, test, 50, 1)
+    for spec in specs:
+        finite = [p.objective for job, t in zip(jobs, traces)
+                  if job.objective is spec for p in t.points
+                  if math.isfinite(p.objective)]
+        expected = reference_optimum(spec, 50, min(finite))
+        assert optima[spec][0].w.tobytes() == expected.w.tobytes()
+        assert optima[spec][0].iterations == expected.iterations
 
 
 def test_run_jobs_bad_budget_fails_before_any_run(monkeypatch):

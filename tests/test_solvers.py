@@ -703,6 +703,53 @@ def test_reference_optimum_above_dense_limit_uses_csr(monkeypatch):
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
 
 
+def same_reference(a, b):
+    # repr: a NaN bound equals a NaN bound
+    return (a.w.tobytes(), a.value, a.iterations, a.converged, repr(a.bound)) == \
+        (b.w.tobytes(), b.value, b.iterations, b.converged, repr(b.bound))
+
+
+@pytest.mark.parametrize("lam1", [0.0, 1e-3])
+@pytest.mark.parametrize("best", ["nan", "inf", "-inf", "f_star", "below"])
+def test_reference_without_a_usable_best_keeps_the_gap_stop(lam1, best):
+    # a best that is no finite value above F cannot move the stop: the
+    # iterates, the exit and the bound are the default call's, bit for bit
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=lam1),
+                         sparse_logistic_set())
+    default = reference_optimum(spec)
+    assert default.converged and 0.0 < default.bound <= 5e-14 * default.value
+    value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+             "f_star": default.value, "below": default.value - 1.0}[best]
+    assert same_reference(reference_optimum(spec, best=value), default)
+
+
+def test_reference_at_lambda2_zero_ignores_best():
+    # no certificate without strong convexity: best leaves the run as it is
+    spec = toy_spec(n=12, d=3, lam2=0.0, seed=7)
+    default = reference_optimum(spec, budget=5)
+    assert not default.converged and math.isnan(default.bound)
+    above = objective_value(spec, np.zeros(3))
+    assert same_reference(reference_optimum(spec, budget=5, best=above), default)
+
+
+def test_reference_stops_at_the_trace_accuracy(monkeypatch):
+    # the bound it certifies is TRACE_ACCURACY of the gap best - F, and the
+    # iterates are the default call's up to the earlier stop
+    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=1e-3),
+                         sparse_logistic_set())
+    default = reference_optimum(spec)
+    best = default.value + 1e-3
+    early = reference_optimum(spec, best=best)
+    assert early.converged and early.iterations < default.iterations
+    assert 0.0 < early.bound <= solvers_mod.TRACE_ACCURACY * (best - early.value)
+    assert 0.0 <= early.value - default.value <= early.bound
+    monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
+    # the default call capped where the early one stopped: the same point
+    capped = reference_optimum(spec, budget=early.iterations)
+    assert not capped.converged and math.isnan(capped.bound)
+    assert (capped.w.tobytes(), capped.value) == (early.w.tobytes(), early.value)
+
+
 def test_reference_optimum_budget_validation():
     spec = toy_spec(n=8, d=3)
     with pytest.raises(ValueError):
