@@ -29,6 +29,10 @@ def operand(x):
 
 ZERO, HALF, ONE, TWO = map(operand, (0.0, 0.5, 1.0, 2.0))
 
+# Above about 34, log1p(exp(t)) rounds to t: the logistic loss clips its
+# exp operand here, so it cannot overflow.
+CAP = operand(36.0)
+
 
 @dataclass(frozen=True)
 class Regularizer:
@@ -69,7 +73,9 @@ def loss_t(kind, t):
     """Per-point losses at signed margins t = -y z, y = +-1: every loss is a
     function of t alone."""
     if kind == "logistic":
-        return np.logaddexp(ZERO, t)
+        # softplus(t) within 1 ULP in four array calls: numpy's exp and
+        # log1p are vectorized where logaddexp is a scalar loop
+        return np.maximum(t, np.log1p(np.exp(np.minimum(t, CAP))))
     if kind == "squared_hinge":
         return np.maximum(ZERO, ONE + t) ** 2
     return HALF * (t + ONE) ** 2    # (z - y)^2 / 2, as (1 - y z)^2 = (z - y)^2
@@ -79,8 +85,10 @@ def slope_t(kind, t):
     """Per-point slopes c = d loss_t / dt at signed margins t: the gradient
     of loss i is c_i times its signed row -y_i x_i."""
     if kind == "logistic":
-        # sigmoid(t); logaddexp keeps exp from overflowing
-        return np.exp(-np.logaddexp(ZERO, -t))
+        # sigmoid(t) within 2 ULP; below t = -709.78 exp(-t) overflows to
+        # inf for the exact slope +0.0, so a caller that can meet such
+        # margins ignores "over"
+        return ONE / (ONE + np.exp(-t))
     if kind == "squared_hinge":
         return TWO * np.maximum(ZERO, ONE + t)
     return t + ONE
@@ -177,7 +185,7 @@ def prox(z, eta, reg):
     if reg.lambda1 == 0.0:
         return z.copy()
     t = eta * reg.lambda1
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return np.sign(z) * np.maximum(np.abs(z) - t, ZERO)
 
 
 def accuracy(w, test):

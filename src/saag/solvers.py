@@ -152,19 +152,20 @@ def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
     kind's ``KINDS`` row says; a kind using ``state.average`` sets it to the
     mean of the epoch's m iterates. The estimator is bound to the epoch's
     table or snap state once, and the batches are gathered a chunk at a time
-    (``Dataset.plan``). Overflow is not reported inside the steps: a finite
-    direction whose d.d overflows still steps, and a non-finite one raises
-    ``NonFiniteDirection``.
+    (``Dataset.plan``). Overflow is not reported inside the snapshot and the
+    steps: a logistic slope whose exp(-t) overflows is the exact +0.0, a
+    finite direction whose d.d overflows still steps, and a non-finite one
+    raises ``NonFiniteDirection``.
     """
     row = KINDS[kind]
-    if row.snap is not None:
-        anchor = state.average if row.snap == "average" else state.w
-        state.snap = take_snapshot(spec, anchor)
-        state.grads += spec.data.n
-    direct = bind(row.family, spec, state.table, state.snap)
     averaging = "average" in (row.snap, row.start)
     total = np.zeros_like(state.w)
     with np.errstate(over="ignore"):
+        if row.snap is not None:
+            anchor = state.average if row.snap == "average" else state.w
+            state.snap = take_snapshot(spec, anchor)
+            state.grads += spec.data.n
+        direct = bind(row.family, spec, state.table, state.snap)
         for batch in spec.data.plan(schedule):
             inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta)
             if averaging:

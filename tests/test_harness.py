@@ -9,7 +9,8 @@ from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
 from saag.line_search import SBASParams
 from saag.objective import ObjectiveSpec, Regularizer
 from saag import solvers
-from saag.solvers import TRACE_ACCURACY, RunConfig, reference_optimum, run
+from saag.solvers import (SOLVERS, TRACE_ACCURACY, RunConfig, reference_optimum,
+                          run)
 
 
 def run_toy(kind="saag3", epochs=2, seed=0, with_test=False, **kwargs):
@@ -283,3 +284,18 @@ def test_run_jobs_on_two_workers_equals_serial():
     assert [scrub(t) for t in serial] == [scrub(t) for t in pooled]
     assert [f for _, f in serial_optima.values()] == \
         [f for _, f in pooled_optima.values()]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("reg", [Regularizer(), Regularizer(lambda2=1e-5, lambda1=1e-3)],
+                         ids=["l2=0", "l2=1e-5,l1=1e-3"])
+def test_run_jobs_warns_nothing_at_extreme_margins(reg):
+    # margins past -709.78 overflow the logistic slope's exp(-t) to inf,
+    # for the exact slope +0.0: in the snapshots as in the steps, no
+    # RuntimeWarning may escape a run
+    spec = ObjectiveSpec("logistic", reg, make_synthetic(60, 5, margin=2000.0))
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=8)
+            for kind in SOLVERS]
+    traces, _ = run_jobs(jobs, None, 50, 1)
+    assert all(t.failure is None and math.isfinite(t.points[-1].objective)
+               for t in traces)

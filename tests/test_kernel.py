@@ -183,7 +183,7 @@ def margin_loss(kind, z, y):
     """The losses written over unsigned margins z: the signed-margin kernel
     and the search must match them bit for bit."""
     if kind == "logistic":
-        return np.logaddexp(0.0, -y * z)
+        return np.maximum(-y * z, np.log1p(np.exp(np.minimum(-y * z, 36.0))))
     if kind == "squared_hinge":
         return np.maximum(0.0, 1.0 - y * z) ** 2
     return 0.5 * (z - y) ** 2
@@ -193,7 +193,7 @@ def margin_slope(kind, z, y):
     """The slopes along the unsigned rows, written over unsigned margins z:
     the gradient over the signed rows must match them bit for bit."""
     if kind == "logistic":
-        return -y * np.exp(-np.logaddexp(0.0, y * z))
+        return -y * (1.0 / (1.0 + np.exp(y * z)))
     if kind == "squared_hinge":
         return -2.0 * y * np.maximum(0.0, 1.0 - y * z)
     return z - y

@@ -1,10 +1,13 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from saag.data import Dataset, make_synthetic
 from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
-                            batch_grad, batch_smooth_value, objective_value,
-                            prox)
+                            batch_grad, batch_smooth_value, loss_t,
+                            objective_value, prox, slope_t)
 
 
 def tiny(loss, lam2=0.0, lam1=0.0, n=5, d=4, seed=0):
@@ -114,6 +117,18 @@ def test_prox_soft_threshold():
         prox(z, 0.0, reg)
 
 
+def test_prox_is_the_float_threshold_form_bit_for_bit():
+    # the 0-d ZERO operand must give the bits of a Python-float 0.0,
+    # signed zeros and entries at the threshold included
+    rng = np.random.default_rng(12)
+    z = np.concatenate([rng.normal(scale=2.0, size=200), [0.0, -0.0, 0.5, -0.5]])
+    for eta, lam1 in ((2.0, 0.25), (0.3, 1e-3), (1e-9, 7.0)):
+        t = eta * lam1
+        want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+        got = prox(z, eta, Regularizer(lambda1=lam1))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_prox_matches_scalar_minimizer():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -165,3 +180,64 @@ def test_unknown_loss_rejected():
                 dict(lambda1=np.nan), dict(lambda1=np.inf)):
         with pytest.raises(ValueError, match="finite"):
             Regularizer(**bad)
+
+
+def _softplus_and_sigmoid(t):
+    """log(1 + e^t) and 1 / (1 + e^-t) at the float t, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(t)
+        e = (-x if t >= 0.0 else x).exp()      # e <= 1, never overflows
+        # 1 + e keeps only e's leading digits: for a small e the series
+        # of log1p, to 1e-45 relative
+        log1p = e - e * e / 2 + e * e * e / 3 if e < Decimal("1e-15") else (1 + e).ln()
+        if t >= 0.0:
+            return x + log1p, 1 / (1 + e)
+        return log1p, e / (1 + e)
+
+
+def _ulps(got, want):
+    """|got - want| in units of the float spacing just below |want|."""
+    near = abs(float(want))
+    if Decimal(near) > abs(want):
+        near = math.nextafter(near, 0.0)
+    return float(abs(Decimal(float(got)) - want) / Decimal(math.ulp(near)))
+
+
+def test_logistic_kernel_is_accurate_at_extreme_margins():
+    # against a 50-digit oracle: the loss within 1 ULP everywhere, the slope
+    # within 2 ULP wherever the true slope is >= 1e-300, and neither less
+    # accurate than the logaddexp forms, in the whole ULPs the bounds count
+    cap = np.arange(33.0, 37.0 + 1e-9, 0.125)
+    edges = [np.nextafter(36.0, 0.0), np.nextafter(36.0, 99.0)]
+    half = np.concatenate([[0.0, 1e-300, 709.0, 710.0, 745.0, 1e308], cap, edges])
+    t = np.concatenate([half, -half])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        loss = loss_t("logistic", t)        # the loss cannot overflow
+    with np.errstate(over="ignore"):
+        slope = slope_t("logistic", t)
+        old_slope = np.exp(-np.logaddexp(0.0, -t))
+    old_loss = np.logaddexp(0.0, t)
+    worst = dict.fromkeys(("loss", "old loss", "slope", "old slope"), 0.0)
+    for i, ti in enumerate(t.tolist()):
+        true_loss, true_slope = _softplus_and_sigmoid(ti)
+        for name, got, want in (("loss", loss, true_loss),
+                                ("old loss", old_loss, true_loss),
+                                ("slope", slope, true_slope),
+                                ("old slope", old_slope, true_slope)):
+            if "slope" in name and true_slope < Decimal("1e-300"):
+                assert 0.0 <= got[i] <= 1e-300, (name, ti, got[i])
+            else:
+                worst[name] = max(worst[name], _ulps(got[i], want))
+    assert worst["loss"] <= 1.0 and worst["slope"] <= 2.0, worst
+    assert math.ceil(worst["loss"]) <= math.ceil(worst["old loss"]), worst
+    assert math.ceil(worst["slope"]) <= math.ceil(worst["old slope"]), worst
+    # the limits are exact, +0.0 included, and NaN propagates
+    with np.errstate(over="ignore"):
+        ends = np.array([-np.inf, -1e308, 1e308, np.inf, np.nan])
+        loss, slope = loss_t("logistic", ends), slope_t("logistic", ends)
+    assert loss[:4].tolist() == [0.0, 0.0, 1e308, np.inf]
+    assert slope[:4].tolist() == [0.0, 0.0, 1.0, 1.0]
+    assert not np.signbit(slope[:2]).any() and not np.signbit(loss[:2]).any()
+    assert np.isnan(loss[4]) and np.isnan(slope[4])
+    assert slope_t("logistic", np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
