@@ -17,7 +17,7 @@ import numpy as np
 from .data import load_libsvm, make_synthetic, split_train_test
 from .harness import emit_csv, run_jobs
 from .line_search import SBASParams
-from .objective import LOSSES, ObjectiveSpec, Regularizer
+from .objective import LOSSES, ObjectiveSpec
 from .solvers import SOLVERS, RunConfig
 from . import verify  # runs only when cmd_verify first uses it
 
@@ -210,10 +210,10 @@ def _summary_lines(traces):
 
 
 def _grid(config, axis, values, n_train):
-    """The points of a sweep as (axis value, batch size, Regularizer), and
-    the axis values as reported; ``axis=None`` is the one configured point."""
+    """The points of a sweep as (axis value, batch size, (lambda2, lambda1))
+    and the axis values as reported; ``axis=None`` is the configured point."""
     b = min(config.b, n_train)
-    reg = Regularizer(lambda2=config.l2, lambda1=config.l1)
+    reg = (config.l2, config.l1)
     if axis is None:
         return [(None, b, reg)], None
     if values is None:
@@ -228,8 +228,7 @@ def _grid(config, axis, values, n_train):
     # a repeated value is one point, in first-seen order
     values = list(dict.fromkeys(values))
     # the grid scales every regularization coefficient that is active
-    return [(v, b, Regularizer(lambda2=float(v),
-                               lambda1=float(v) if config.l1 > 0 else 0.0))
+    return [(v, b, (float(v), float(v) if config.l1 > 0 else 0.0))
             for v in values], values
 
 
@@ -243,7 +242,7 @@ def cmd_run(config, axis=None, values=None):
     points, values = _grid(config, axis, values, train.n)
     if axis is None:
         config = replace(config, b=points[0][1])
-    specs = {reg: ObjectiveSpec(config.loss, reg, train) for _, _, reg in points}
+    specs = {reg: ObjectiveSpec(config.loss, train, *reg) for _, _, reg in points}
     # the jobs check their parameters before run_jobs computes any F*
     sbas = SBASParams(alpha=config.alpha, shrink=config.shrink, eta0=config.eta0,
                       max_backtracks=config.max_backtracks)

@@ -59,6 +59,8 @@ class Dataset:
         n = self.labels.size
         if n == 0:
             raise ValueError("empty dataset")
+        if self.d < 1:
+            raise ValueError("a dataset needs at least one feature (d >= 1)")
         if self.indptr.shape != (n + 1,):
             raise ValueError("indptr must hold one offset per row plus one")
         if self.indices.ndim != 1 or self.indices.shape != self.values.shape:

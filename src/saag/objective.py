@@ -34,29 +34,21 @@ ZERO, HALF, ONE, TWO = map(operand, (0.0, 0.5, 1.0, 2.0))
 CAP = operand(36.0)
 
 
-@dataclass(frozen=True)
-class Regularizer:
-    """lambda2 scales the smooth l2 term, lambda1 the non-smooth l1 term."""
+@dataclass(eq=False)
+class ObjectiveSpec:
+    """Loss kind + dataset + the coefficients of the smooth l2 term (lambda2)
+    and the non-smooth l1 term (lambda1); immutable during a solver run."""
 
+    loss: str
+    data: object
     lambda2: float = 0.0
     lambda1: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.lambda2 < np.inf and 0.0 <= self.lambda1 < np.inf):
-            raise ValueError("regularization coefficients must be finite and >= 0")
-
-
-@dataclass(eq=False)
-class ObjectiveSpec:
-    """Loss kind + regularizer + dataset; immutable during a solver run."""
-
-    loss: str
-    reg: Regularizer
-    data: object
-
-    def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
+        if not (0.0 <= self.lambda2 < np.inf and 0.0 <= self.lambda1 < np.inf):
+            raise ValueError("regularization coefficients must be finite and >= 0")
         self._scalars = {}
 
     def scalars(self, k):
@@ -64,7 +56,7 @@ class ObjectiveSpec:
         k rows, formed on the first call for each k and kept: at most n
         entries, and a run reads b, its tail batch's size and n."""
         if k not in self._scalars:
-            n, lam2 = self.data.n, self.reg.lambda2
+            n, lam2 = self.data.n, self.lambda2
             self._scalars[k] = tuple(map(operand, (k, n, lam2, (k / n) * lam2)))
         return self._scalars[k]
 
@@ -143,7 +135,7 @@ def batch_smooth_value(spec, w, rows=None, z=None):
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
     losses = loss_t(spec.loss, margins(spec.data, w, rows) if z is None else z)
-    return float(losses.sum()) / losses.size + 0.5 * spec.reg.lambda2 * float(w.dot(w))
+    return float(losses.sum()) / losses.size + 0.5 * spec.lambda2 * float(w.dot(w))
 
 
 def batch_ray(spec, w, rows, direction, z, dd):
@@ -158,7 +150,7 @@ def batch_ray(spec, w, rows, direction, z, dd):
         raise ValueError("empty batch")
     u = margins(spec.data, direction, rows)
     ww, wd = float(w.dot(w)), float(w.dot(direction))
-    half, b, kind = 0.5 * spec.reg.lambda2, z.size, spec.loss
+    half, b, kind = 0.5 * spec.lambda2, z.size, spec.loss
 
     def phi(etas):
         sums = np.add.reduce(loss_t(kind, z - etas[:, None] * u), axis=1)
@@ -170,10 +162,10 @@ def batch_ray(spec, w, rows, direction, z, dd):
 
 def objective_value(spec, w):
     """Full composite objective F(w) = mean loss + l2 term + l1 term."""
-    return batch_smooth_value(spec, w) + spec.reg.lambda1 * float(np.abs(w).sum())
+    return batch_smooth_value(spec, w) + spec.lambda1 * float(np.abs(w).sum())
 
 
-def prox(z, eta, reg):
+def prox(z, eta, lambda1):
     """Proximal map of eta * lambda1 * ||.||_1: coordinatewise soft-threshold.
 
     With lambda1 = 0 this returns z unchanged (the l2 term lives in the smooth
@@ -182,9 +174,9 @@ def prox(z, eta, reg):
     if eta <= 0.0:
         raise ValueError(f"step size must be positive, got {eta}")
     z = np.asarray(z, dtype=np.float64)
-    if reg.lambda1 == 0.0:
+    if lambda1 == 0.0:
         return z.copy()
-    t = eta * reg.lambda1
+    t = eta * lambda1
     return np.sign(z) * np.maximum(np.abs(z) - t, ZERO)
 
 
@@ -193,8 +185,6 @@ def accuracy(w, test):
 
     sign(0) counts as +1; w . x = -y t is exact, as y = +-1.
     """
-    if test.n == 0:
-        raise ValueError("empty test set")
     y = test.labels
     pred = np.where(-y * margins(test, w) >= 0.0, 1.0, -1.0)
     return float(np.mean(pred == y))

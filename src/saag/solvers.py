@@ -143,7 +143,7 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
             return state
     v = state.w - eta * d
     # prox's scalar work on eta is faster on a float
-    state.w = prox(v, float(eta), spec.reg) if spec.reg.lambda1 > 0 else v
+    state.w = prox(v, float(eta), spec.lambda1) if spec.lambda1 > 0 else v
     return state
 
 
@@ -214,8 +214,8 @@ def _config_echo(config):
         "b": config.batch_size,
         "seed": config.seed,
         "loss": config.objective.loss,
-        "l2": config.objective.reg.lambda2,
-        "l1": config.objective.reg.lambda1,
+        "l2": config.objective.lambda2,
+        "l1": config.objective.lambda1,
         "eta0": config.sbas.eta0,
         "alpha": config.sbas.alpha,
         "shrink": config.sbas.shrink,
@@ -286,7 +286,7 @@ def reference_optimum(spec, budget=500, best=-math.inf):
     if budget < 1:
         raise ValueError("budget must be >= 1")
     data, n = spec.data, spec.data.n
-    lam1, lam2 = spec.reg.lambda1, spec.reg.lambda2
+    lam1, lam2 = spec.lambda1, spec.lambda2
 
     # when the power iteration meets the null space, the trace bound
     top = _top_eigenvalue(data) or float(data.values.dot(data.values))
@@ -306,7 +306,7 @@ def reference_optimum(spec, budget=500, best=-math.inf):
         g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
         for _ in range(MAX_DOUBLINGS):
             step = 1.0 / lipschitz
-            p = prox(v - step * g, step, spec.reg)
+            p = prox(v - step * g, step, lam1)
             zp = margins(data, p)
             fp = batch_smooth_value(spec, p, z=zp)
             move = p - v

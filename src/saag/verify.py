@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import make_schedule
 from .estimators import bind, take_snapshot
-from .objective import (CURVATURE, LOSSES, ObjectiveSpec, Regularizer,
-                        batch_grad, batch_smooth_value, margins, objective_value, prox)
+from .objective import (CURVATURE, LOSSES, ObjectiveSpec, batch_grad,
+                        batch_smooth_value, margins, objective_value, prox)
 from .solvers import reference_optimum
 
 ENUMERATION_CAP = 64
@@ -46,7 +46,7 @@ def estimate_constants(spec):
     data = spec.data
     max_sq = float(np.bincount(data.row_ids, weights=data.values ** 2,
                                minlength=data.n).max())
-    lam2 = spec.reg.lambda2
+    lam2 = spec.lambda2
     return ProblemConstants(L=CURVATURE[spec.loss] * max_sq + lam2, mu=lam2)
 
 
@@ -157,7 +157,6 @@ class RateParams:
 
 @dataclass
 class RateReport:
-    theorem: int
     C: float
     C_exact: Fraction
     contraction: bool
@@ -216,7 +215,7 @@ def theoretical_rate(theorem, params, constants=None):
             raise RegimeError(
                 f"theorem {theorem} denominator is not positive at beta = {params.beta}")
         c_exact = num / den
-    return RateReport(theorem=theorem, C=float(c_exact), C_exact=c_exact,
+    return RateReport(C=float(c_exact), C_exact=c_exact,
                       contraction=c_exact < 1, note=note)
 
 
@@ -257,7 +256,7 @@ def gradient_check(spec, w):
     return worst
 
 
-def prox_check(reg, z, eta):
+def prox_check(lambda1, z, eta):
     """Gap between the closed-form prox and a scalar brute-force minimizer of
     (1/(2 eta)) (t - z)^2 + lambda1 |t|, refined over four passes of a
     4001-point grid.
@@ -267,7 +266,7 @@ def prox_check(reg, z, eta):
     grid = 4001
     best_err = 0.0
     eta_l = np.longdouble(eta)
-    lam1 = np.longdouble(reg.lambda1)
+    lam1 = np.longdouble(lambda1)
     for zj in np.atleast_1d(z):
         zl = np.longdouble(zj)
         lo, hi = -abs(zl) - 1, abs(zl) + 1
@@ -278,7 +277,7 @@ def prox_check(reg, z, eta):
             t_best = ts[int(np.argmin(vals))]
             span = (hi - lo) / (grid - 1)
             lo, hi = t_best - 2 * span, t_best + 2 * span
-        closed = prox(np.array([zj]), eta, reg)[0]
+        closed = prox(np.array([zj]), eta, lambda1)[0]
         best_err = max(best_err, abs(float(closed - t_best)))
     return best_err
 
@@ -311,14 +310,14 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
     estimator, which on equal batches is the biased one with its snap term
     scaled by 1/b instead of 1/n; that suite must then fail.
     """
-    Regularizer(lambda2=l2, lambda1=l1)     # a bad l1 or l2 fails before any suite
+    ObjectiveSpec(loss, data, l2, l1)     # a bad l1 or l2 fails before any suite
     rng = np.random.default_rng(7)
     results = []
 
     # gradient vs central finite differences, all losses
     worst_fd = 0.0
     for kind in LOSSES:
-        spec = ObjectiveSpec(kind, Regularizer(lambda2=l2), data)
+        spec = ObjectiveSpec(kind, data, l2)
         for _ in range(3):
             worst_fd = max(worst_fd,
                            gradient_check(spec, 0.5 * rng.standard_normal(data.d)))
@@ -328,9 +327,9 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
     # prox against scalar brute force
     worst_prox = 0.0
     for _ in range(200):
-        reg = Regularizer(lambda1=float(rng.uniform(0.0, 2.0)))
         worst_prox = max(worst_prox, prox_check(
-            reg, rng.normal(scale=2.0, size=3), float(rng.uniform(0.05, 3.0))))
+            float(rng.uniform(0.0, 2.0)), rng.normal(scale=2.0, size=3),
+            float(rng.uniform(0.05, 3.0))))
     results.append(("prox-oracle", worst_prox <= 1e-8,
                     f"max gap {worst_prox:.3e} (tol 1e-8)"))
 
@@ -341,7 +340,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         # the expectation identities assume equal batch sizes, so only batch
         # sizes dividing n are enumerated
         divisors = [b for b in (1, 2, max(2, data.n // 3)) if data.n % b == 0]
-        spec = ObjectiveSpec(loss, Regularizer(lambda2=l2), data)
+        spec = ObjectiveSpec(loss, data, l2)
         estimator = "unbiased" if inject_scale_bug else "biased"
         bias_gap = unbias_gap = 0.0
         for b in sorted(set(divisors)):
@@ -366,7 +365,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
             schedule = make_schedule(data.n, below[-1], seed=1)
             worst_margin, all_hold = np.inf, True
             for lam1 in (0.0, max(l1, 1e-3)):
-                spec_v = ObjectiveSpec(loss, Regularizer(lambda2=l2, lambda1=lam1), data)
+                spec_v = ObjectiveSpec(loss, data, l2, lam1)
                 constants = estimate_constants(spec_v)
                 reference = reference_optimum(spec_v, budget=200)
                 for _ in range(50):
@@ -388,7 +387,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
         rate_ok = False
     except RegimeError:
         pass
-    spec = ObjectiveSpec(loss, Regularizer(lambda2=max(l2, 1e-6)), data)
+    spec = ObjectiveSpec(loss, data, max(l2, 1e-6))
     constants = estimate_constants(spec)
     for theorem in (2, 4):
         _, rep = best_beta(theorem, c=0.05, m=8, b=3, n=24, constants=constants)

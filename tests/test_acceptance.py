@@ -15,7 +15,7 @@ from saag.data import make_schedule, make_synthetic
 from saag.estimators import saag2_direction, take_snapshot
 from saag.harness import finalize_suboptimality
 from saag.line_search import SBASParams, backtrack
-from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
+from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_ray, batch_smooth_value, margins,
                             objective_value, prox)
 from saag.solvers import (RunConfig, init_state, reference_optimum, run,
@@ -30,7 +30,7 @@ def report(num, ok, detail):
 
 def logistic_spec(n, d, lam2=1e-2, lam1=0.0, seed=0, margin=0.0, flip=0.0):
     data = make_synthetic(n, d, seed=seed, margin=margin, flip=flip)
-    return ObjectiveSpec("logistic", Regularizer(lambda2=lam2, lambda1=lam1), data)
+    return ObjectiveSpec("logistic", data, lambda2=lam2, lambda1=lam1)
 
 
 def enumerate_mean(spec, w, snap, schedule):
@@ -122,8 +122,7 @@ def test_criterion_4_gradient_correctness():
     h = 1e-6
     worst = 0.0
     for loss in LOSSES:
-        spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-2),
-                             make_synthetic(5, 4, seed=44))
+        spec = ObjectiveSpec(loss, make_synthetic(5, 4, seed=44), lambda2=1e-2)
         for _ in range(5):
             w = rng.standard_normal(4)
             batch = np.arange(5)
@@ -160,7 +159,7 @@ def test_criterion_5_prox_oracle():
         z = float(rng.normal(scale=2.0))
         eta = float(rng.uniform(0.05, 3.0))
         lam1 = float(rng.uniform(0.0, 2.0))
-        closed = prox(np.array([z]), eta, Regularizer(lambda1=lam1))[0]
+        closed = prox(np.array([z]), eta, lam1)[0]
         worst = max(worst, abs(closed - brute_force_prox_scalar(z, eta, lam1)))
     report(5, worst <= 1e-8, f"prox vs brute force: max gap {worst:.2e} (tol 1e-8)")
 

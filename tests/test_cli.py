@@ -187,6 +187,22 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_label_only_file_fails_before_any_solver(tmp_path, monkeypatch, capsys):
+    import saag.solvers as solvers
+    calls = []
+    run = solvers.run
+    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
+        calls.append(config) or run(config, **kw)))
+    path, out = tmp_path / "labels.svm", tmp_path / "run.csv"
+    path.write_text("+1\n-1\n+1\n-1\n+1\n")
+    code = main(["run", "--dataset", str(path), "--epochs", "1", "--b", "2",
+                 "--out", str(out)])
+    assert code == 1
+    assert "a dataset needs at least one feature (d >= 1)" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     "run --l1 -1e-3", "run --eta0 -1e0", "run --fixed-eta -5e-2",
     "run --seeds -1,2", "sweep --axis lambda --values -1e-3",

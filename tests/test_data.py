@@ -130,6 +130,10 @@ def test_dataset_invariants():
         Dataset([0, 2], [1], [1.0], [1.0], d=2)  # indptr past the values
     with pytest.raises(ValueError):
         Dataset([0, 1], [0, 1], [1.0], [1.0], d=2)  # indices/values mismatch
+    with pytest.raises(ValueError, match=r"at least one feature \(d >= 1\)"):
+        Dataset([0, 0], [], [], [1.0], d=0)
+    with pytest.raises(ValueError, match=r"at least one feature \(d >= 1\)"):
+        parse_libsvm("+1\n-1\n")  # a label-only file names no feature
 
 
 def test_split_cardinality_and_union():

@@ -7,7 +7,7 @@ from saag.data import Dataset, make_synthetic, split_train_test
 from saag.harness import (CSV_FIELDS, SUBOPT_FLOOR, emit_csv,
                           finalize_suboptimality, read_csv, run_jobs)
 from saag.line_search import SBASParams
-from saag.objective import ObjectiveSpec, Regularizer
+from saag.objective import ObjectiveSpec
 from saag import solvers
 from saag.solvers import (SOLVERS, TRACE_ACCURACY, RunConfig, reference_optimum,
                           run)
@@ -19,7 +19,7 @@ def run_toy(kind="saag3", epochs=2, seed=0, with_test=False, **kwargs):
         train, test = split_train_test(ds, 0.8, seed=0)
     else:
         train, test = ds, None
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+    spec = ObjectiveSpec("logistic", train, lambda2=1e-3)
     cfg = RunConfig(solver=kind, objective=spec, epochs=epochs,
                     batch_size=4, seed=seed, **kwargs)
     return run(cfg, test=test)
@@ -127,7 +127,7 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     monkeypatch.setattr(solvers, "record_epoch",
                         advance(solvers.record_epoch, 1000.0))
     train, test = split_train_test(make_synthetic(20, 4, seed=1), 0.8, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+    spec = ObjectiveSpec("logistic", train, lambda2=1e-3)
     cfg = RunConfig(solver="saag3", objective=spec, epochs=7, batch_size=4)
     _, trace = run(cfg, test=test)
     assert [p.wall_seconds for p in trace.points] == [float(e) for e in range(8)]
@@ -138,7 +138,7 @@ def lambda_grid_jobs():
     b = 4, seeds 0 and 1, per objective."""
     train, test = split_train_test(make_synthetic(30, 4, seed=2, flip=0.1),
                                    0.8, seed=0)
-    specs = [ObjectiveSpec("logistic", Regularizer(lambda2=lam), train)
+    specs = [ObjectiveSpec("logistic", train, lambda2=lam)
              for lam in (1e-2, 1e-4)]
     jobs = [RunConfig(solver=kind, objective=spec, epochs=2, batch_size=b,
                       seed=seed)
@@ -176,8 +176,7 @@ def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
 
 def test_run_jobs_keys_runs_on_every_config_field():
     # jobs that differ only in epochs, fixed_eta or sbas are distinct runs
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3),
-                         make_synthetic(40, 4, seed=1))
+    spec = ObjectiveSpec("logistic", make_synthetic(40, 4, seed=1), lambda2=1e-3)
     jobs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=4,
                       **kwargs)
             for kind, epochs, kwargs in (
@@ -222,7 +221,7 @@ def test_run_jobs_suboptimality_is_within_the_trace_accuracy(monkeypatch, layout
         monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 2.0)
     train, test = split_train_test(make_synthetic(40, 5, seed=3, flip=0.1),
                                    0.8, seed=0)
-    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-3, lambda1=lam1), train)
+    spec = ObjectiveSpec(loss, train, lambda2=1e-3, lambda1=lam1)
     jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=4)
             for kind in ("saag4", "svrg")]
     traces, optima = run_jobs(jobs, test, 500, 1)
@@ -287,13 +286,13 @@ def test_run_jobs_on_two_workers_equals_serial():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("reg", [Regularizer(), Regularizer(lambda2=1e-5, lambda1=1e-3)],
+@pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1e-5, 1e-3)],
                          ids=["l2=0", "l2=1e-5,l1=1e-3"])
-def test_run_jobs_warns_nothing_at_extreme_margins(reg):
+def test_run_jobs_warns_nothing_at_extreme_margins(lambdas):
     # margins past -709.78 overflow the logistic slope's exp(-t) to inf,
     # for the exact slope +0.0: in the snapshots as in the steps, no
     # RuntimeWarning may escape a run
-    spec = ObjectiveSpec("logistic", reg, make_synthetic(60, 5, margin=2000.0))
+    spec = ObjectiveSpec("logistic", make_synthetic(60, 5, margin=2000.0), *lambdas)
     jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=8)
             for kind in SOLVERS]
     traces, _ = run_jobs(jobs, None, 50, 1)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from saag.data import Dataset, make_synthetic
-from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, accuracy,
+from saag.objective import (LOSSES, ObjectiveSpec, accuracy,
                             batch_grad, batch_smooth_value, loss_t,
                             objective_value, prox, slope_t)
 
 
 def tiny(loss, lam2=0.0, lam1=0.0, n=5, d=4, seed=0):
-    return ObjectiveSpec(loss, Regularizer(lambda2=lam2, lambda1=lam1),
-                         make_synthetic(n, d, seed=seed))
+    return ObjectiveSpec(loss, make_synthetic(n, d, seed=seed), lam2, lam1)
 
 
 def test_objective_values_at_zero():
@@ -35,10 +34,10 @@ def test_component_grad_closed_forms():
 
     # squared hinge is flat once the margin reaches 1
     ds = Dataset([0, 1], [0], [1.0], [1.0], d=1)
-    spec = ObjectiveSpec("squared_hinge", Regularizer(), ds)
+    spec = ObjectiveSpec("squared_hinge", ds)
     assert np.array_equal(batch_grad(spec, np.array([2.0]), [0]), [0.0])
 
-    spec = ObjectiveSpec("least_squares", Regularizer(), ds)
+    spec = ObjectiveSpec("least_squares", ds)
     g = batch_grad(spec, np.array([0.0]), [0])
     assert np.allclose(g, [-1.0])
 
@@ -107,14 +106,13 @@ def _prox_scalar_golden(z, eta, lam1, iters=80):
 
 
 def test_prox_soft_threshold():
-    reg = Regularizer(lambda1=0.25)
-    out = prox(np.array([0.0, 2.0, -0.3]), 2.0, reg)  # eta*lam1 = 0.5
+    out = prox(np.array([0.0, 2.0, -0.3]), 2.0, 0.25)  # eta*lam1 = 0.5
     assert np.allclose(out, [0.0, 1.5, 0.0], atol=1e-15)
     # lambda1 = 0 leaves the input unchanged
     z = np.array([1.0, -2.0])
-    assert np.array_equal(prox(z, 0.7, Regularizer(lambda2=3.0)), z)
+    assert np.array_equal(prox(z, 0.7, 0.0), z)
     with pytest.raises(ValueError):
-        prox(z, 0.0, reg)
+        prox(z, 0.0, 0.25)
 
 
 def test_prox_is_the_float_threshold_form_bit_for_bit():
@@ -125,7 +123,7 @@ def test_prox_is_the_float_threshold_form_bit_for_bit():
     for eta, lam1 in ((2.0, 0.25), (0.3, 1e-3), (1e-9, 7.0)):
         t = eta * lam1
         want = np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-        got = prox(z, eta, Regularizer(lambda1=lam1))
+        got = prox(z, eta, lam1)
         assert got.tobytes() == want.tobytes()
 
 
@@ -135,7 +133,7 @@ def test_prox_matches_scalar_minimizer():
         z = float(rng.normal(scale=2.0))
         eta = float(rng.uniform(0.05, 3.0))
         lam1 = float(rng.uniform(0.0, 2.0))
-        closed = prox(np.array([z]), eta, Regularizer(lambda1=lam1))[0]
+        closed = prox(np.array([z]), eta, lam1)[0]
         assert abs(closed - _prox_scalar_golden(z, eta, lam1)) <= 1e-8
 
 
@@ -175,11 +173,11 @@ def test_nonnegative_losses():
 
 def test_unknown_loss_rejected():
     with pytest.raises(ValueError):
-        ObjectiveSpec("hinge", Regularizer(), make_synthetic(3, 2, seed=0))
+        ObjectiveSpec("hinge", make_synthetic(3, 2, seed=0))
     for bad in (dict(lambda2=-1.0), dict(lambda2=np.nan), dict(lambda2=np.inf),
                 dict(lambda1=np.nan), dict(lambda1=np.inf)):
         with pytest.raises(ValueError, match="finite"):
-            Regularizer(**bad)
+            ObjectiveSpec("logistic", make_synthetic(3, 2, seed=0), **bad)
 
 
 def _softplus_and_sigmoid(t):

@@ -12,7 +12,7 @@ import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.estimators import bind
 from saag.line_search import SBASParams
-from saag.objective import (LOSSES, ObjectiveSpec, Regularizer, batch_grad,
+from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_smooth_value, margins, objective_value,
                             scatter, slope_t)
 from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
@@ -28,8 +28,7 @@ EXPECTED_GRADS_PER_EPOCH = {
 
 
 def toy_spec(n=24, d=6, lam2=1e-2, lam1=0.0, seed=0, loss="logistic"):
-    return ObjectiveSpec(loss, Regularizer(lambda2=lam2, lambda1=lam1),
-                         make_synthetic(n, d, seed=seed))
+    return ObjectiveSpec(loss, make_synthetic(n, d, seed=seed), lam2, lam1)
 
 
 @pytest.mark.parametrize("kind", SOLVERS)
@@ -126,7 +125,7 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     # the proximal update reduces to soft-thresholding the iterate
     from saag.data import Dataset
     ds = Dataset([0, 2], [0, 1], [1.0, 1.0], [1.0], d=2)
-    spec = ObjectiveSpec("least_squares", Regularizer(lambda1=0.2), ds)
+    spec = ObjectiveSpec("least_squares", ds, lambda1=0.2)
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
     state.w = np.array([0.7, 0.3])  # w . x = 1 = y, so the residual is zero
@@ -201,7 +200,7 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
     for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
         monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
         train, test = split_train_test(make_synthetic(60, 5, seed=1), 0.8, 0)
-        spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), train)
+        spec = ObjectiveSpec("logistic", train, lambda2=1e-3)
         cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
         with monkeypatch.context() as m:
             chunks = record_chunks(m)
@@ -236,7 +235,7 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
     n, d = 40, 5
     data = make_synthetic(n, d, seed=2, flip=0.1)
     assert (data.block is not None) == dense
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), data)
+    spec = ObjectiveSpec("logistic", data, lambda2=1e-3)
     # 3 rows of 5 values fit in a chunk (9 on the block): b = 1 batches
     # share chunks, b = 16 and n - 1 batches are each past the bound
     monkeypatch.setattr(Dataset, "PLAN_BYTES", 24 * d * 3)
@@ -358,8 +357,7 @@ SEARCH_CASES = [
 def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     # the margin-space search must take the same Armijo decisions as a
     # search over batch_smooth_value(spec, w - eta * d, batch)
-    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-4, lambda1=lam1),
-                         make_synthetic(60, 8, seed=5, flip=0.1))
+    spec = ObjectiveSpec(loss, make_synthetic(60, 8, seed=5, flip=0.1), 1e-4, lam1)
     # eta0 = 50 makes every solver backtrack, so the decisions are tested
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
                     sbas=SBASParams(eta0=50.0), seed=2)
@@ -383,7 +381,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     # chunk at a time, must give the traces of forming it afresh as
     # slope_t(margins(spec, snap.point, batch)) every step
     train, test = split_train_test(make_synthetic(60, 8, seed=6, flip=0.1), 0.8, 0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3, lambda1=lam1), train)
+    spec = ObjectiveSpec("logistic", train, lambda2=1e-3, lambda1=lam1)
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6, seed=1)
     # 8 batches of 6 rows of 8 values: chunks of 3, 3 and 2 batches
     bound = 3 * 6 * 8 * 8
@@ -397,7 +395,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
         return slope_t(spec_.loss, margins(spec_.data, snap.point, batch))
 
     def saag2_afresh(spec_, w, batch, snap, z=None):
-        n, k, lam2 = spec_.data.n, len(batch), spec_.reg.lambda2
+        n, k, lam2 = spec_.data.n, len(batch), spec_.lambda2
         c = (slope_t(spec_.loss, margins(spec_.data, w, batch)) / k
              - snap_slopes(spec_, snap, batch) / n)
         return (scatter(spec_.data, c, batch)
@@ -407,7 +405,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
         c = ((slope_t(spec_.loss, margins(spec_.data, w, batch))
               - snap_slopes(spec_, snap, batch)) / len(batch))
         return (scatter(spec_.data, c, batch)
-                + spec_.reg.lambda2 * (w - snap.point) + snap.grad)
+                + spec_.lambda2 * (w - snap.point) + snap.grad)
 
     monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
@@ -424,7 +422,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
 def run_bits(kind, data, b, lam1, fixed_eta, loss="logistic"):
     """A fresh spec's run of ``kind``: the spec, and the bytes of its final
     w and of every trace point's (objective, grads/n, fevals)."""
-    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-3, lambda1=lam1), data)
+    spec = ObjectiveSpec(loss, data, lambda2=1e-3, lambda1=lam1)
     w, trace = run(RunConfig(solver=kind, objective=spec, epochs=3, batch_size=b,
                              seed=3, fixed_eta=fixed_eta))
     points = [(p.objective, p.grads_over_n, p.fevals) for p in trace.points]
@@ -553,7 +551,7 @@ def test_reference_optimum_one_point_least_squares():
     # single point x = 1, y = 1, no regularization: w* = 1, F* = 0
     from saag.data import Dataset
     ds = Dataset([0, 1], [0], [1.0], [1.0], d=1)
-    spec = ObjectiveSpec("least_squares", Regularizer(), ds)
+    spec = ObjectiveSpec("least_squares", ds)
     ref = reference_optimum(spec, budget=50)
     assert abs(ref.w[0] - 1.0) <= 1e-8
     assert abs(ref.value) <= 1e-12
@@ -564,7 +562,7 @@ def test_reference_optimum_symmetric_logistic():
     # +x and -x with matching labels force w* = 0, F* = ln 2
     from saag.data import Dataset
     ds = Dataset([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, -1.0, -2.0], [1.0, 1.0], d=2)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-3), ds)
+    spec = ObjectiveSpec("logistic", ds, lambda2=1e-3)
     ref = reference_optimum(spec, budget=50)
     assert np.linalg.norm(ref.w) <= 1e-6
     assert abs(ref.value - math.log(2.0)) <= 1e-10
@@ -611,7 +609,7 @@ def test_reference_polish_stops_at_rounding_fixed_point(shape, lam2):
     n, d, seed, flip, margin = shape
     data = make_synthetic(n, d, seed=seed, flip=flip, margin=margin)
     train, _ = split_train_test(data, 0.8, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), train)
+    spec = ObjectiveSpec("logistic", train, lambda2=lam2)
     ref = reference_optimum(spec, budget=500)
     assert ref.converged
     assert ref.iterations < 2000
@@ -630,15 +628,14 @@ def sparse_logistic_set():
 def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
     # below DENSE_PASS_FILL the full passes run in CSR without densifying;
     # the passes on a dense block must reach the same optimum
-    reg = Regularizer(lambda2=1e-3, lambda1=1e-3)
     ds = sparse_logistic_set()
     with monkeypatch.context() as m:
         m.setattr(Dataset, "dense", lambda self: pytest.fail("densified"))
-        sparse = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
+        sparse = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3), budget=300)
     assert ds.block is None
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0)
     ds = sparse_logistic_set()
-    dense = reference_optimum(ObjectiveSpec("logistic", reg, ds), budget=300)
+    dense = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3), budget=300)
     assert ds.block is not None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
@@ -648,8 +645,7 @@ def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
 def test_reference_decaying_step_matches_the_global_step(monkeypatch):
     # after each accepted step L first tries DECAY * L; the certificate holds
     # at any L, so the optimum is the one the global step reaches, sooner
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-5, lambda1=1e-3),
-                         sparse_logistic_set())
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-5, lambda1=1e-3)
     local = reference_optimum(spec)
     monkeypatch.setattr(solvers_mod, "DECAY", 1.0)
     fixed = reference_optimum(spec)
@@ -661,8 +657,7 @@ def test_reference_decaying_step_matches_the_global_step(monkeypatch):
 def test_reference_l1_certificate_bounds_the_gap(monkeypatch):
     # with lambda1 > 0 the loop stops on a subgradient of F at p; a lambda2
     # this large lets it fire well before the rounding exit
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=1e-3),
-                         sparse_logistic_set())
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-2, lambda1=1e-3)
     certified = reference_optimum(spec)
     monkeypatch.setattr(solvers_mod, "GAP", 0.0)
     rounded = reference_optimum(spec)
@@ -679,7 +674,7 @@ def test_reference_decay_stays_within_reach_of_the_doublings(monkeypatch):
     steps = []
     prox = solvers_mod.prox
     monkeypatch.setattr(solvers_mod, "prox",
-                        lambda z, step, reg: steps.append(step) or prox(z, step, reg))
+                        lambda z, step, lam1: steps.append(step) or prox(z, step, lam1))
     ref = reference_optimum(spec, budget=5)
     first = 0.25 * solvers_mod._top_eigenvalue(spec.data) / spec.data.n
     assert not ref.converged
@@ -714,8 +709,7 @@ def same_reference(a, b):
 def test_reference_without_a_usable_best_keeps_the_gap_stop(lam1, best):
     # a best that is no finite value above F cannot move the stop: the
     # iterates, the exit and the bound are the default call's, bit for bit
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=lam1),
-                         sparse_logistic_set())
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-2, lambda1=lam1)
     default = reference_optimum(spec)
     assert default.converged and 0.0 < default.bound <= 5e-14 * default.value
     value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
@@ -735,8 +729,7 @@ def test_reference_at_lambda2_zero_ignores_best():
 def test_reference_stops_at_the_trace_accuracy(monkeypatch):
     # the bound it certifies is TRACE_ACCURACY of the gap best - F, and the
     # iterates are the default call's up to the earlier stop
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=1e-3),
-                         sparse_logistic_set())
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-2, lambda1=1e-3)
     default = reference_optimum(spec)
     best = default.value + 1e-3
     early = reference_optimum(spec, best=best)
@@ -757,8 +750,7 @@ def test_reference_optimum_budget_validation():
 
 
 def test_convergence_on_smooth_toy():
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2),
-                         make_synthetic(200, 10, seed=0, margin=4.0))
+    spec = ObjectiveSpec("logistic", make_synthetic(200, 10, seed=0, margin=4.0), 1e-2)
     ref = reference_optimum(spec, budget=500)
     init = objective_value(spec, np.zeros(10)) - ref.value
     _, trace = run(RunConfig(solver="saag4", objective=spec, epochs=30,
@@ -803,7 +795,7 @@ def test_reference_small_lambda_separable_finishes_under_cap():
     # extrapolated margins drift from X v and the bound test fails by
     # rounding alone, so the search on L must be bounded
     train, _ = split_train_test(make_synthetic(30, 3), 0.8, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-7), train)
+    spec = ObjectiveSpec("logistic", train, lambda2=1e-7)
     ref = reference_optimum(spec)
     assert ref.converged
     assert ref.iterations < solvers_mod._iteration_cap(500)
@@ -818,7 +810,7 @@ def test_reference_optimum_empty_rows_and_zero_columns(monkeypatch):
     ds = Dataset([0, 2, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -2.0, 2.0],
                  [1.0, -1.0, 1.0], d=4)
     lam2 = 1e-3
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), ds)
+    spec = ObjectiveSpec("logistic", ds, lambda2=lam2)
     tops = []
     top = solvers_mod._top_eigenvalue
     monkeypatch.setattr(solvers_mod, "_top_eigenvalue",
@@ -846,7 +838,7 @@ def test_reference_optimum_of_all_empty_rows():
     from saag.data import Dataset
     ds = Dataset([0, 0, 0], [], [], [1.0, -1.0], d=3)
     for lam2 in (0.0, 1e-3):
-        spec = ObjectiveSpec("logistic", Regularizer(lambda2=lam2), ds)
+        spec = ObjectiveSpec("logistic", ds, lambda2=lam2)
         ref = reference_optimum(spec)
         assert ref.converged and ref.iterations == 1
         assert ref.value == math.log(2.0)

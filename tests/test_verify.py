@@ -5,7 +5,7 @@ import pytest
 
 from saag.data import make_schedule, make_synthetic
 from saag.estimators import take_snapshot
-from saag.objective import (ObjectiveSpec, Regularizer, batch_grad,
+from saag.objective import (ObjectiveSpec, batch_grad,
                             batch_smooth_value)
 from saag.solvers import reference_optimum
 from saag.verify import (ProblemConstants, RateParams, RegimeError,
@@ -39,13 +39,13 @@ def test_alpha_b_decreasing_in_b():
 def test_estimate_constants_closed_forms():
     from saag.data import Dataset
     ds = Dataset([0, 1], [0], [2.0], [1.0], d=2)
-    c = estimate_constants(ObjectiveSpec("logistic", Regularizer(), ds))
+    c = estimate_constants(ObjectiveSpec("logistic", ds))
     assert c.L == 1.0 and c.mu == 0.0
-    c = estimate_constants(ObjectiveSpec("logistic", Regularizer(lambda2=1e-5), ds))
+    c = estimate_constants(ObjectiveSpec("logistic", ds, lambda2=1e-5))
     assert c.mu == 1e-5
-    c = estimate_constants(ObjectiveSpec("squared_hinge", Regularizer(), ds))
+    c = estimate_constants(ObjectiveSpec("squared_hinge", ds))
     assert c.L == 8.0
-    c = estimate_constants(ObjectiveSpec("least_squares", Regularizer(), ds))
+    c = estimate_constants(ObjectiveSpec("least_squares", ds))
     assert c.L == 4.0
 
 
@@ -70,27 +70,24 @@ def quadratic_bound_check(spec, constants, n_pairs, seed):
 
 @pytest.mark.parametrize("loss", ["logistic", "squared_hinge", "least_squares"])
 def test_quadratic_upper_bound_certified_by_L(loss):
-    spec = ObjectiveSpec(loss, Regularizer(lambda2=1e-3),
-                         make_synthetic(5, 4, seed=6))
+    spec = ObjectiveSpec(loss, make_synthetic(5, 4, seed=6), lambda2=1e-3)
     constants = estimate_constants(spec)
     worst = quadratic_bound_check(spec, constants, n_pairs=1000, seed=0)
     assert worst <= 1e-9
 
 
 def test_gradient_check_and_prox_check():
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2),
-                         make_synthetic(5, 4, seed=1))
+    spec = ObjectiveSpec("logistic", make_synthetic(5, 4, seed=1), lambda2=1e-2)
     rng = np.random.default_rng(2)
     assert gradient_check(spec, rng.standard_normal(4)) <= 1e-5
-    assert prox_check(Regularizer(lambda1=0.7), rng.normal(size=4), 0.9) <= 1e-8
+    assert prox_check(0.7, rng.normal(size=4), 0.9) <= 1e-8
 
 
 def test_variance_bound_over_sample_grid():
     rng = np.random.default_rng(3)
     data = make_synthetic(6, 4, seed=3)
     for lam1 in (0.0, 1e-3):
-        spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2, lambda1=lam1),
-                             data)
+        spec = ObjectiveSpec("logistic", data, lambda2=1e-2, lambda1=lam1)
         constants = estimate_constants(spec)
         reference = reference_optimum(spec, budget=300)
         sched = make_schedule(6, 2, seed=1)
@@ -105,7 +102,7 @@ def test_variance_bound_over_sample_grid():
 
 def test_variance_bound_at_optimum_and_full_batch():
     data = make_synthetic(6, 4, seed=4)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2), data)
+    spec = ObjectiveSpec("logistic", data, lambda2=1e-2)
     constants = estimate_constants(spec)
     reference = reference_optimum(spec, budget=300)
     # w = w~ = w*: both brackets vanish and the bound reduces to R'
@@ -124,7 +121,7 @@ def test_variance_bound_at_optimum_and_full_batch():
 
 def test_variance_bound_rejects_large_n():
     data = make_synthetic(80, 3, seed=0)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2), data)
+    spec = ObjectiveSpec("logistic", data, lambda2=1e-2)
     constants = estimate_constants(spec)
     snap = take_snapshot(spec, np.zeros(3))
     with pytest.raises(ValueError, match="enumerate"):
@@ -137,7 +134,7 @@ def test_bias_mutation_detected():
     # the snap term at 1/b instead of 1/n (the unbiased estimator on equal
     # batches) must break the bias identity
     data = make_synthetic(8, 3, seed=5)
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2), data)
+    spec = ObjectiveSpec("logistic", data, lambda2=1e-2)
     sched = make_schedule(8, 2, seed=0)
     rng = np.random.default_rng(6)
     w = rng.standard_normal(3)
@@ -153,8 +150,7 @@ def test_oracles_read_the_batches_and_estimator_the_solvers_run(monkeypatch):
     import saag.estimators as estimators
     from saag.data import Dataset
     from saag.verify import estimator_mean_bruteforce
-    spec = ObjectiveSpec("logistic", Regularizer(lambda2=1e-2),
-                         make_synthetic(6, 4, seed=3))
+    spec = ObjectiveSpec("logistic", make_synthetic(6, 4, seed=3), lambda2=1e-2)
     constants = estimate_constants(spec)
     reference = reference_optimum(spec, budget=300)
     sched = make_schedule(6, 2, seed=1)
