@@ -158,21 +158,12 @@ def emit_csv(traces, path, metadata=(), extra_fields=()):
 
 def read_csv(path):
     """Read an emitted CSV back; returns (rows as dicts, metadata lines)."""
-    metadata = []
-    rows = []
     with open(path) as fh:
-        data_lines = []
-        for line in fh:
-            if line.startswith("#"):
-                metadata.append(line[1:].strip())
-            else:
-                data_lines.append(line)
-        reader = csv.DictReader(data_lines)
-        for raw in reader:
-            row = dict(raw)
-            row["seed"] = int(row["seed"])
-            row["epoch"] = int(row["epoch"])
-            for name in _REAL_FIELDS:
-                row[name] = float(row[name])
-            rows.append(row)
+        lines = fh.readlines()
+    metadata = [line[1:].strip() for line in lines if line.startswith("#")]
+    rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+    for row in rows:
+        row["seed"], row["epoch"] = int(row["seed"]), int(row["epoch"])
+        for name in _REAL_FIELDS:
+            row[name] = float(row[name])
     return rows, metadata

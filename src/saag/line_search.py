@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, count, repeat
+from operator import mul
 
 import numpy as np
 
@@ -23,22 +25,32 @@ class SBASParams:
             raise ValueError("shrink must be in (0, 1)")
         if not 0.0 < self.eta0 < np.inf:
             raise ValueError("eta0 must be finite and > 0")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
+        if type(self.max_backtracks) is not int or self.max_backtracks < 1:
+            raise ValueError("max_backtracks must be >= 1 and an int, "
+                             f"got {self.max_backtracks!r}")
+
+    @cached_property
+    def ladder(self):
+        """The trial steps eta0 * shrink^j for j < max_backtracks, each the
+        one before times shrink."""
+        return tuple(accumulate(repeat(self.shrink, self.max_backtracks - 1),
+                                mul, initial=self.eta0))
 
     @cached_property
     def steps(self):
-        """0.0, then the trial steps eta0 * shrink^j for j < max_backtracks,
-        each the one before times shrink, as a read-only array."""
-        steps = [0.0, self.eta0]
-        for _ in range(self.max_backtracks - 1):
-            steps.append(steps[-1] * self.shrink)
-        steps = np.array(steps)
+        """0.0, then the ladder, as a read-only array."""
+        steps = np.array((0.0, *self.ladder))
         steps.flags.writeable = False
         return steps
 
+    @cached_property
+    def blocks(self):
+        """The blocks ``backtrack`` hands ``phi``, by ``whole``: (0, eta0)
+        and then the rest, or every step in one."""
+        return (self.steps[:2], self.steps[2:]), (self.steps,)
 
-def backtrack(params, phi, dd):
+
+def backtrack(params, phi, dd, whole=False):
     """Backtracking-Armijo search along a ray.
 
     ``phi(etas)`` gives the objective at w - eta * d for each step of the
@@ -51,28 +63,19 @@ def backtrack(params, phi, dd):
     If no trial satisfies it, the last tried step is returned anyway when it
     strictly reduced phi; otherwise 0.0 signals the caller to skip the
     update. At most max_backtracks + 1 evaluations of phi are spent, each
-    counted. ``phi`` is asked for 0 and eta0 first and, only when eta0
-    fails, for the other trials in one call; no value past the last one
-    counted is read, so a lazy ``phi`` evaluates once per count.
+    counted: an accept at trial j counts j + 2. ``phi`` is asked for every
+    step in one call when ``whole`` is true, else for 0 and eta0 and, only
+    when eta0 fails, for the rest in a second call; no value past the last
+    one counted is read, so a lazy ``phi`` evaluates once per count.
 
     Returns (eta, n_evals).
     """
-    steps = params.steps
-    trials = _trials(phi, steps)
-    _, base = next(trials)
+    values = chain.from_iterable(map(phi, params.blocks[whole]))
+    base = next(values)
     gain = params.alpha * dd
-    evals = 1
-    for eta, value in trials:
-        evals += 1
+    for evals, eta, value in zip(count(2), params.ladder, values):
         if value <= base - eta * gain:
             return eta, evals
     if value < base:
         return eta, evals
     return 0.0, evals
-
-
-def _trials(phi, steps):
-    yield from zip(steps[:2].tolist(), phi(steps[:2]))
-    if steps.size > 2:
-        yield from zip(steps[2:].tolist(), phi(steps[2:]))
-

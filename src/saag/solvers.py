@@ -59,7 +59,8 @@ class NonFiniteDirection(RuntimeError):
 class EpochState:
     """Mutable state of one solver run: the iterate, the previous epoch's
     iterate average (zeros unless the kind uses it and has run an epoch),
-    the snap state or gradient table, and the work counters."""
+    the snap state or gradient table, the work counters, and whether the
+    run's last search went past eta0."""
 
     w: np.ndarray
     average: np.ndarray
@@ -70,6 +71,7 @@ class EpochState:
     fevals: int = 0
     inner: int = 0
     work_seconds: float = 0.0
+    backtracked: bool = False
 
 
 @dataclass(eq=False)
@@ -115,7 +117,9 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     it, an ``operand``.
 
     A step size of 0 (the line-search sentinel) leaves w unchanged but still
-    advances the counters.
+    advances the counters. After a search that went past eta0 the next one
+    asks ``phi`` for its whole trial ladder in one block, as the sentinel
+    streaks of svrg and vrsgd spend every trial (``backtrack``).
     """
     # the batch's signed margins serve both the direction and the search
     z = margins(spec.data, state.w, batch)
@@ -137,8 +141,9 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
             eta = sbas_params.eta0 / math.sqrt(state.inner)
         else:
             phi = batch_ray(spec, state.w, batch, d, z, dd)
-            eta, evals = backtrack(sbas_params, phi, dd)
+            eta, evals = backtrack(sbas_params, phi, dd, state.backtracked)
             state.fevals += evals
+            state.backtracked = evals > 2
         if not eta > 0.0:       # the sentinel: w stays
             return state
     v = state.w - eta * d

@@ -284,7 +284,10 @@ def test_trial_ladder_is_the_sequential_search_bit_for_bit(
     want = [one(eta) for eta in steps.tolist()]
     assert list(phi(steps)) == want
     assert list(phi(steps[:2])) + list(phi(steps[2:])) == want
-    assert backtrack(params, phi, vv) == sequential_backtrack(params, one, vv)
+    # the block shape asked of phi cannot change a search
+    search = sequential_backtrack(params, one, vv)
+    for whole in (False, True):
+        assert backtrack(params, phi, vv, whole) == search
 
 
 @SETTINGS

@@ -61,6 +61,25 @@ def test_fallback_returns_last_tried_step_on_strict_decrease():
     assert quad()(w - eta * d) < quad()(w)
 
 
+@pytest.mark.parametrize("whole", [False, True], ids=["two_blocks", "one_block"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["accept", "sentinel"])
+def test_single_trial_asks_for_no_empty_block(whole, sign):
+    # with max_backtracks = 1 the ladder is (0, eta0) in either shape: an
+    # accept or the sentinel after 2 evaluations, and no call for the rest
+    sizes = []
+    w, d = np.array([1.0]), np.array([sign])
+    steps = ray(quad(), w, d)
+
+    def phi(etas):
+        sizes.append(etas.size)
+        return steps(etas)
+
+    params = SBASParams(max_backtracks=1)
+    eta, evals = backtrack(params, phi, 1.0, whole)
+    assert (eta, evals) == ((1.0, 2) if sign > 0 else (0.0, 2))
+    assert sizes == [2]
+
+
 def test_contract_on_random_problems():
     rng = np.random.default_rng(0)
     params = SBASParams()
@@ -72,17 +91,19 @@ def test_contract_on_random_problems():
         f = lambda v: 0.5 * float(v @ h @ v) + float(c @ v)
         w = rng.standard_normal(dim)
         d = rng.standard_normal(dim)
-        count = [0]
+        # either block shape: a lazy phi is read once per counted evaluation
+        for whole in (False, True):
+            count = [0]
 
-        def counted(v, f=f, count=count):
-            count[0] += 1
-            return f(v)
+            def counted(v, f=f, count=count):
+                count[0] += 1
+                return f(v)
 
-        eta, evals = backtrack(params, ray(counted, w, d), float(d @ d))
-        assert evals == count[0] <= params.max_backtracks + 1
-        if eta > 0.0:
-            armijo = f(w - eta * d) <= f(w) - params.alpha * eta * float(d @ d)
-            assert armijo or f(w - eta * d) < f(w)
+            eta, evals = backtrack(params, ray(counted, w, d), float(d @ d), whole)
+            assert evals == count[0] <= params.max_backtracks + 1
+            if eta > 0.0:
+                armijo = f(w - eta * d) <= f(w) - params.alpha * eta * float(d @ d)
+                assert armijo or f(w - eta * d) < f(w)
 
 
 def test_param_validation():
@@ -91,3 +112,7 @@ def test_param_validation():
                 dict(max_backtracks=0)):
         with pytest.raises(ValueError):
             SBASParams(**bad)
+    # a float or a bool count would fail only at a run's first search
+    for bad in (3.0, True):
+        with pytest.raises(ValueError, match="max_backtracks"):
+            SBASParams(max_backtracks=bad)

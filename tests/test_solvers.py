@@ -11,7 +11,7 @@ import saag.objective as objective_mod
 import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
 from saag.estimators import bind
-from saag.line_search import SBASParams
+from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_smooth_value, margins, objective_value,
                             scatter, slope_t)
@@ -322,10 +322,23 @@ def test_nonfinite_direction_aborts_with_partial_trace(kind):
 
 
 @pytest.mark.parametrize("kind", SBAS_SOLVERS)
-def test_sentinel_streak_leaves_w_unchanged(kind):
+def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
     # with lambda2 > 0 every trial of eta0 = 1e6 shrunk 3 times raises the
     # batch objective, so each search spends max_backtracks + 1 evaluations
     # and returns the 0.0 sentinel
+    blocks = []
+    ray = solvers_mod.batch_ray
+
+    def counted_ray(*args):
+        phi = ray(*args)
+
+        def counted(etas):
+            blocks.append(etas.size)
+            return phi(etas)
+
+        return counted
+
+    monkeypatch.setattr(solvers_mod, "batch_ray", counted_ray)
     spec = toy_spec(n=16, d=5, lam2=1e-2)
     w0 = np.array([0.5, -0.25, 1.0, 0.125, -2.0])   # dyadic: sums stay exact
     params = SBASParams(eta0=1e6, max_backtracks=3)
@@ -343,6 +356,10 @@ def test_sentinel_streak_leaves_w_unchanged(kind):
     assert state.inner == schedule.m
     assert state.fevals == (params.max_backtracks + 1) * schedule.m
     assert state.grads == EXPECTED_GRADS_PER_EPOCH[kind] * 16
+    # the first search asks phi for (0, eta0) and then the rest, each later
+    # one, after a search that went past eta0, for its whole ladder at once
+    assert blocks == [2, 2] + [4] * (schedule.m - 1)
+    assert state.backtracked
 
 
 # every loss with and without l1; the logistic smooth case of a solver is
@@ -372,6 +389,40 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     assert np.array_equal(w_fast, w_plain)
     steps = 4 * (1 if kind == "gd" else 10)
     assert fast.points[-1].fevals > 2 * steps     # the searches backtracked
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("lam1", [0.0, 1e-3])
+@pytest.mark.parametrize("kind", SBAS_SOLVERS)
+def test_one_block_after_a_backtrack_keeps_traces(kind, lam1, dense, monkeypatch):
+    # asking phi for the whole ladder after a search that went past eta0
+    # must give the counts and decisions of asking for (0, eta0) first
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    data = make_synthetic(60, 8, seed=5, flip=0.1)
+    assert (data.block is None) != dense
+    shapes = []
+
+    def recorded(params, phi, dd, whole=False):
+        shapes.append(whole)
+        return backtrack(params, phi, dd, whole)
+
+    for loss in LOSSES:
+        spec = ObjectiveSpec(loss, data, 1e-4, lam1)
+        # eta0 = 50 makes every solver backtrack, so both shapes are asked for
+        cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
+                        sbas=SBASParams(eta0=50.0), seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(solvers_mod, "backtrack", recorded)
+            w_rule, rule = run(cfg)
+        assert {False, True} <= set(shapes), loss
+        shapes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(solvers_mod, "backtrack",
+                      lambda params, phi, dd, whole=False: backtrack(params, phi, dd))
+            w_two, two = run(cfg)
+        assert [p.fevals for p in rule.points] == [p.fevals for p in two.points]
+        assert [p.objective for p in rule.points] == [p.objective for p in two.points]
+        assert np.array_equal(w_rule, w_two), loss
 
 
 @pytest.mark.parametrize("kind", ["saag2", "saag4", "svrg", "vrsgd"])
