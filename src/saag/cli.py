@@ -134,7 +134,8 @@ class ExperimentConfig:
                                     "share of the rows in the training set")
     split_seed: int = _option(0, int, "seed of the train/test split")
     ref_budget: int = _option(500, int, "reference-optimum budget: it stops after "
-                                        "max(2000, 20 * budget) iterations")
+                                        "max(2000, 20 * budget) gradient and "
+                                        "Hessian-vector products")
 
 
 def _format_value(value):

@@ -86,6 +86,20 @@ def slope_t(kind, t):
     return t + ONE
 
 
+def curvature_t(kind, t):
+    """Per-point curvatures d slope_t / dt at signed margins t, at most
+    ``CURVATURE[kind]``: the weights of the loss's Hessian X^T diag X. The
+    squared hinge's is its generalized second derivative, 0 from the kink
+    t = -1 down."""
+    if kind == "logistic":
+        with np.errstate(over="ignore"):    # exp(-t) = inf is the slope 0
+            c = slope_t(kind, t)
+        return c * (ONE - c)
+    if kind == "squared_hinge":
+        return np.where(t > -ONE, TWO, ZERO)
+    return np.ones_like(t)
+
+
 def margins(data, w, rows=None):
     """Signed margins t = -y X_B w of a batch's rows (every row when None).
 

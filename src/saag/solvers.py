@@ -19,7 +19,7 @@ from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, batch_smooth_value,
-                        margins, operand, prox, scatter)
+                        curvature_t, margins, operand, prox, scatter)
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,13 @@ KINDS = {
 }
 SOLVERS = tuple(KINDS)
 
-POWER_PASSES = 30       # behind the reference optimum's first estimate of L
-MAX_DOUBLINGS = 60      # of L, while one reference iteration seeks its step
-DECAY = 0.9             # of L, tried first after an accepted reference step
 GAP = 1e-13             # of lambda2 * F: bound on a squared reference certificate
 TRACE_ACCURACY = 1e-6   # of the traces' smallest gap: the reference's stop
+CG_STEPS = 25           # most conjugate-gradient steps per reference Newton step
+ARMIJO = 1e-4           # sufficient-decrease share of a reference Newton step
+POWER_PASSES = 30       # behind the lambda2 = 0 reference's first estimate of L
+MAX_DOUBLINGS = 60      # of L, while one lambda2 = 0 reference iteration seeks its step
+DECAY = 0.9             # of L, tried first after an accepted lambda2 = 0 reference step
 
 
 class NonFiniteDirection(RuntimeError):
@@ -231,8 +233,10 @@ def _config_echo(config):
 
 @dataclass(eq=False)
 class ReferenceResult:
-    """``bound`` >= value - F*, certified; NaN without a certificate (a
-    rounding exit, the cap, or lambda2 = 0)."""
+    """``bound`` >= value - F*, certified at every exit when lambda2 > 0;
+    NaN when lambda2 = 0. ``iterations`` counts the gradient and
+    Hessian-vector products (FISTA: its iterations), each one pass over X
+    and one over X^T."""
     w: np.ndarray
     value: float
     converged: bool
@@ -241,7 +245,7 @@ class ReferenceResult:
 
 
 def _iteration_cap(budget):
-    """Most iterations the reference optimum takes for a ``budget``."""
+    """Most products (iterations) the reference optimum takes for a ``budget``."""
     return max(2000, 20 * budget)
 
 
@@ -262,50 +266,145 @@ def _top_eigenvalue(data):
 def reference_optimum(spec, budget=500, best=-math.inf):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
-    Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue & Candes
-    2015) at a local step 1/L of the full mean loss (Scheinberg, Goldfarb &
-    Bai 2014): L starts at CURVATURE * lambda_max(X^T X) / n + lambda2,
-    doubles until the quadratic upper bound holds, and after each step that
-    lowers F the next iteration first tries DECAY * L, never below lambda2
-    nor 2^-(MAX_DOUBLINGS // 2) of the first L. It stops, converged, once
-    a subgradient s of F has
+    With lambda2 > 0 F is strongly convex, and an orthant-wise truncated
+    Newton method runs from w = 0 (``_newton_cg``): the Newton-CG of
+    liblinear's TRON (Lin, Weng & Keerthi, JMLR 2008) with an Armijo line
+    search (ARMIJO = 1e-4) in place of the trust region, made orthant-wise
+    for the l1 term as in OWL-QN (Andrew & Gao, ICML 2007), with at most
+    CG_STEPS = 25 conjugate-gradient steps per Newton step. It stops,
+    converged, once the min-norm subgradient s of F at its point has
     ||s||^2 <= lambda2 * max(GAP * F, 2 * TRACE_ACCURACY * (best - F)), so
-    F(p) - F* <= ||s||^2 / (2 lambda2) <= max(5e-14 * F, 1e-6 * (best - F))
-    by strong convexity whatever L the bound held at (the result's
-    ``bound``), or at a rounding fixed point; unconverged after
-    max(2000, 20 * budget) iterations. ``best`` is the lowest objective the
-    traces reached: a gap best - F* then reads within a relative 1e-6 of
-    its true value. A ``best`` that is NaN, infinite or <= F leaves the
-    5e-14 * F stop, and so the iterates, as without it; the iterates up to
-    the stop never depend on ``best``. With lambda1 = 0, s is the
-    gradient mapping L(v - p), the gradient at v, and F(p) <= F(v) where
-    the bound holds. With lambda1 > 0 the gradient mapping is no
-    subgradient; once it passes the test, s = grad f(p) - grad f(v) +
-    L(v - p), which lies in dF(p) by the prox's optimality condition, must
-    pass too, at the cost of one more pass over X^T. The certificate needs
-    lambda2 > 0: with lambda2 = 0 the loop stops converged only where a
-    step no longer moves p or no longer lowers F, and otherwise runs to its
-    cap unconverged. Each iteration takes one pass over X and one over
-    X^T, in the layout the dataset chose (``Dataset.block``).
+    F(w) - F* <= ||s||^2 / (2 lambda2) <= max(5e-14 * F, 1e-6 * (best - F))
+    by strong convexity. ``best`` is the lowest objective the traces
+    reached: a gap best - F* then reads within a relative 1e-6 of its true
+    value. A ``best`` that is NaN, infinite or <= F leaves the 5e-14 * F
+    stop; the iterates never depend on ``best``. A step that cannot lower F
+    is the rounding exit, converged; after max(2000, 20 * budget) gradient
+    and Hessian-vector products it stops unconverged. At every exit
+    ``bound`` is ||s||^2 / (2 lambda2) of the returned point.
+
+    With lambda2 = 0 no certificate exists: restarted FISTA runs instead
+    (``_fista``), for at most max(2000, 20 * budget) iterations, and
+    ``bound`` is NaN.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if spec.lambda2 > 0.0:
+        return _newton_cg(spec, _iteration_cap(budget), best)
+    return _fista(spec, _iteration_cap(budget))
+
+
+def _newton_cg(spec, cap, best):
+    """The lambda2 > 0 reference of ``reference_optimum``.
+
+    Each step forms the margins z of w afresh (the certificate is on w),
+    g = grad f(w) and the min-norm subgradient s of F: g + lambda1 sign(w_j)
+    where w_j != 0, else the soft threshold of g_j by lambda1. The free
+    coordinates are w_j != 0 or s_j != 0, and the orthant of w is sign(w),
+    -sign(s) where w_j = 0. Conjugate gradients from 0 on
+    (X^T diag(curvature_t(z)) X / n + lambda2 I) p = -s over the free
+    coordinates stop at ||r|| <= min(0.5, ||s||) ||s||, or after CG_STEPS.
+    The step w(a) = P(w + a p), where P zeroes each coordinate that leaves
+    the orthant, takes a = 1, 1/2, ... until F falls with
+    F(w(a)) <= F(w) + ARMIJO * s.(w(a) - w). Where that sufficient
+    decrease is below F's rounding and the trial does not lower F, w is
+    optimal up to rounding: the rounding exit. The accepted trial's
+    margins, formed from its point, are the next step's z.
+    """
     data, n = spec.data, spec.data.n
     lam1, lam2 = spec.lambda1, spec.lambda2
+    w, z = np.zeros(data.d), np.zeros(n)
+    f = batch_smooth_value(spec, w, z=z)
+    products = 0
+    while True:
+        g = batch_grad(spec, w, z=z)
+        products += 1
+        s = g if lam1 == 0.0 else np.where(
+            w != 0.0, g + lam1 * np.sign(w),
+            np.sign(g) * np.maximum(np.abs(g) - lam1, 0.0))
+        squared = float(s.dot(s))
+        bound = lam2 * GAP * f
+        if best - f < math.inf:     # false at a NaN or infinite best
+            bound = max(bound, 2.0 * lam2 * TRACE_ACCURACY * (best - f))
+        # the cap keeps one product for the gradient after a step
+        room = min(CG_STEPS, cap - products - 1)
+        if squared <= bound or room < 1:
+            converged = squared <= bound
+            break
+        fixed = (w == 0.0) & (s == 0.0)
+        p, steps = _conjugate_gradient(spec, curvature_t(spec.loss, z) / n,
+                                       fixed, s, squared, room)
+        products += steps
+        if lam1 > 0.0:
+            orthant = np.where(w != 0.0, np.sign(w), -np.sign(s))
+        a = 1.0
+        while True:
+            trial = w + a * p
+            if lam1 > 0.0:
+                trial = np.where(trial * orthant > 0.0, trial, 0.0)
+            zt = margins(data, trial)
+            ft = batch_smooth_value(spec, trial, z=zt) + lam1 * float(np.abs(trial).sum())
+            decrease = ARMIJO * float(s.dot(trial - w))
+            # accepted, or no step can be seen to lower F
+            if ft < f and ft <= f + decrease or f + decrease == f:
+                break
+            a *= 0.5
+        if not ft < f:          # w is optimal up to rounding
+            converged = True
+            break
+        w, z, f = trial, zt, ft
+    return ReferenceResult(w, f, converged, products, squared / (2.0 * lam2))
+
+
+def _conjugate_gradient(spec, weights, fixed, s, squared, steps):
+    """(p, products): conjugate gradients from p = 0 on H p = -s with the
+    ``fixed`` coordinates held at 0, H = X^T diag(weights) X + lambda2 I, until
+    ||r|| <= min(0.5, ||s||) ||s|| (||s||^2 = ``squared``) or ``steps``
+    products; each product is one pass over X and one over X^T."""
+    data, lam2 = spec.data, spec.lambda2
+    target = min(0.25, squared) * squared
+    p, r = np.zeros_like(s), -s
+    q, rr = r, squared
+    for step in range(1, steps + 1):
+        hq = scatter(data, weights * margins(data, q)) + lam2 * q
+        hq[fixed] = 0.0
+        alpha = rr / float(q.dot(hq))
+        p += alpha * q
+        r = r - alpha * hq
+        rr, previous = float(r.dot(r)), rr
+        if rr <= target:
+            break
+        q = r + (rr / previous) * q
+    return p, step
+
+
+def _fista(spec, cap):
+    """Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue &
+    Candes 2015) at a local step 1/L of the full mean loss (Scheinberg,
+    Goldfarb & Bai 2014), for lambda2 = 0: L starts at
+    CURVATURE * lambda_max(X^T X) / n, doubles until the quadratic upper
+    bound holds, and after each step that lowers F the next iteration first
+    tries DECAY * L, never below 2^-(MAX_DOUBLINGS // 2) of the first L.
+    With no certificate it stops converged only at a rounding fixed point,
+    where no L fits or a step from a restart point no longer lowers F, and
+    otherwise after ``cap`` iterations unconverged. Each iteration takes
+    one pass over X and one over X^T, in the layout the dataset chose
+    (``Dataset.block``).
+    """
+    data, n, lam1 = spec.data, spec.data.n, spec.lambda1
 
     # when the power iteration meets the null space, the trace bound
     top = _top_eigenvalue(data) or float(data.values.dot(data.values))
-    # f is constant when both terms vanish, and any step fits
-    lipschitz = CURVATURE[spec.loss] * top / n + lam2 or 1.0
-    # below lambda2 no step fits but by rounding; the second bound keeps the
-    # global L within MAX_DOUBLINGS of any L the decay reaches when lambda2 = 0
-    floor = max(lam2, lipschitz * 2.0 ** -(MAX_DOUBLINGS // 2))
+    # f is constant when the loss term vanishes, and any step fits
+    lipschitz = CURVATURE[spec.loss] * top / n or 1.0
+    # the floor keeps the global L within MAX_DOUBLINGS of any L the decay reaches
+    floor = lipschitz * 2.0 ** -(MAX_DOUBLINGS // 2)
 
     w, zw = np.zeros(data.d), np.zeros(n)
     fw = batch_smooth_value(spec, w, z=zw)
     v, zv, t, restarted = w, zw, 1.0, True      # as after a momentum restart
-    certified = math.nan
-    for iterations in range(1, _iteration_cap(budget) + 1):
+    converged = False
+    for iterations in range(1, cap + 1):
         # zv is extrapolated unless v = w; as it drifts from X v it can fail
         fresh = restarted   # the bound test, so form it afresh before L grows
         g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
@@ -328,16 +427,6 @@ def reference_optimum(spec, budget=500, best=-math.inf):
             converged = True
             break
         fp += lam1 * float(np.abs(p).sum())
-        bound = lam2 * GAP * fw
-        if best - fw < math.inf:    # false at a NaN or infinite best
-            bound = max(bound, 2.0 * lam2 * TRACE_ACCURACY * (best - fw))
-        squared = lipschitz ** 2 * moved
-        if squared <= bound and lam1 > 0.0:
-            s = batch_grad(spec, p, z=zp) - g - lipschitz * move
-            squared = float(s.dot(s))
-        converged = squared <= bound
-        if converged and lam2 > 0.0:
-            certified = squared / (2.0 * lam2)
         if fp < fw:
             t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
@@ -346,8 +435,7 @@ def reference_optimum(spec, budget=500, best=-math.inf):
             lipschitz = max(DECAY * lipschitz, floor)
         elif restarted:     # a step from w cannot raise F but by rounding
             converged = True
+            break
         else:               # F failed to fall: restart the momentum
             v, zv, t, restarted = w, zw, 1.0, True
-        if converged:
-            break
-    return ReferenceResult(w, fw, converged, iterations, certified)
+    return ReferenceResult(w, fw, converged, iterations, math.nan)

@@ -1,12 +1,13 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from saag.data import Dataset, make_synthetic
-from saag.objective import (LOSSES, ObjectiveSpec, accuracy,
-                            batch_grad, batch_smooth_value, loss_t,
+from saag.objective import (CURVATURE, LOSSES, ObjectiveSpec, accuracy,
+                            batch_grad, batch_smooth_value, curvature_t, loss_t,
                             objective_value, prox, slope_t)
 
 
@@ -239,3 +240,21 @@ def test_logistic_kernel_is_accurate_at_extreme_margins():
     assert not np.signbit(slope[:2]).any() and not np.signbit(loss[:2]).any()
     assert np.isnan(loss[4]) and np.isnan(slope[4])
     assert slope_t("logistic", np.array([0.0, -0.0])).tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("kind", LOSSES)
+def test_curvature_is_the_slope_derivative(kind):
+    # central differences of slope_t, away from the squared hinge's kink
+    t = np.linspace(-8.0, 8.0, 161) + 0.0123
+    h = 1e-6
+    numeric = (slope_t(kind, t + h) - slope_t(kind, t - h)) / (2.0 * h)
+    np.testing.assert_allclose(curvature_t(kind, t), numeric, rtol=1e-5, atol=1e-5)
+    # its peak is the loss's bound; 0.0, the logistic peak, is on the grid
+    grid = curvature_t(kind, np.linspace(-4.0, 4.0, 801))
+    assert float(grid.max()) == CURVATURE[kind] and (grid >= 0.0).all()
+    # exp(-t) overflows at t = -2000, where the logistic slope is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ends = curvature_t(kind, np.array([-2000.0, 2000.0]))
+    assert ends.tolist() == {"logistic": [0.0, 0.0], "squared_hinge": [0.0, 2.0],
+                             "least_squares": [1.0, 1.0]}[kind]

@@ -694,9 +694,10 @@ def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
 
 
 def test_reference_decaying_step_matches_the_global_step(monkeypatch):
-    # after each accepted step L first tries DECAY * L; the certificate holds
-    # at any L, so the optimum is the one the global step reaches, sooner
-    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-5, lambda1=1e-3)
+    # at lambda2 = 0 (FISTA), after each accepted step L first tries
+    # DECAY * L; the rounding exit holds at any L, so the optimum is the one
+    # the global step reaches, sooner
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=0.0, lambda1=1e-3)
     local = reference_optimum(spec)
     monkeypatch.setattr(solvers_mod, "DECAY", 1.0)
     fixed = reference_optimum(spec)
@@ -706,8 +707,9 @@ def test_reference_decaying_step_matches_the_global_step(monkeypatch):
 
 
 def test_reference_l1_certificate_bounds_the_gap(monkeypatch):
-    # with lambda1 > 0 the loop stops on a subgradient of F at p; a lambda2
-    # this large lets it fire well before the rounding exit
+    # with lambda1 > 0 Newton stops on the min-norm subgradient of F at w; a
+    # lambda2 this large lets it fire well before the rounding exit, which
+    # GAP = 0 leaves as the only stop, and its bound holds against that exit
     spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=1e-2, lambda1=1e-3)
     certified = reference_optimum(spec)
     monkeypatch.setattr(solvers_mod, "GAP", 0.0)
@@ -715,6 +717,8 @@ def test_reference_l1_certificate_bounds_the_gap(monkeypatch):
     assert certified.converged and rounded.converged
     assert certified.iterations < rounded.iterations
     assert abs(certified.value - rounded.value) <= 5e-14 * rounded.value
+    assert certified.value - rounded.value <= certified.bound
+    assert 0.0 <= rounded.bound < math.inf
 
 
 def test_reference_decay_stays_within_reach_of_the_doublings(monkeypatch):
@@ -790,7 +794,8 @@ def test_reference_stops_at_the_trace_accuracy(monkeypatch):
     monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
     # the default call capped where the early one stopped: the same point
     capped = reference_optimum(spec, budget=early.iterations)
-    assert not capped.converged and math.isnan(capped.bound)
+    assert not capped.converged and math.isfinite(capped.bound)
+    assert capped.bound >= capped.value - default.value
     assert (capped.w.tobytes(), capped.value) == (early.w.tobytes(), early.value)
 
 
@@ -811,10 +816,11 @@ def test_convergence_on_smooth_toy():
 
 
 def test_reference_backtracks_from_a_low_curvature_estimate(monkeypatch):
-    # least squares has curvature exactly lambda_max(X^T X) / n, so a 10x
-    # low power-iteration result makes the first steps too long; the search
-    # on L must double it back, keeping every accepted iterate's F falling
-    spec = toy_spec(n=60, d=8, lam2=1e-3, seed=1, loss="least_squares")
+    # least squares has curvature exactly lambda_max(X^T X) / n, so at
+    # lambda2 = 0 (FISTA) a 10x low power-iteration result makes the first
+    # steps too long; the search on L must double it back, keeping every
+    # accepted iterate's F falling
+    spec = toy_spec(n=60, d=8, lam2=0.0, seed=1, loss="least_squares")
     exact = reference_optimum(spec)
     top = solvers_mod._top_eigenvalue
     monkeypatch.setattr(solvers_mod, "_top_eigenvalue",
@@ -842,46 +848,81 @@ def test_reference_optimum_ridge_least_squares_matches_normal_equations():
 
 
 def test_reference_small_lambda_separable_finishes_under_cap():
-    # the lambda = 1e-7 point of a default lambda sweep on n=30,d=3: the
-    # extrapolated margins drift from X v and the bound test fails by
-    # rounding alone, so the search on L must be bounded
+    # the lambda = 1e-7 point of a default lambda sweep on n=30,d=3, with
+    # and without l1: Newton reaches the 5e-14 * F certificate, not a
+    # rounding exit, and warns nothing
     train, _ = split_train_test(make_synthetic(30, 3), 0.8, seed=0)
-    spec = ObjectiveSpec("logistic", train, lambda2=1e-7)
+    for lam1 in (0.0, 1e-7):
+        spec = ObjectiveSpec("logistic", train, lambda2=1e-7, lambda1=lam1)
+        ref = reference_optimum(spec)
+        assert ref.converged and 0.0 <= ref.bound <= 5e-14 * ref.value
+        assert ref.iterations < solvers_mod._iteration_cap(500)
+        assert ref.value <= objective_value(spec, np.zeros(3))
+
+
+@pytest.mark.parametrize("loss, lam1", [("least_squares", 0.0), ("least_squares", 1e-3),
+                                        ("squared_hinge", 1e-3)])
+def test_reference_certifies_nearly_collinear_rows(loss, lam1):
+    # margin = 2000 rows are nearly parallel: restarted FISTA hit its cap
+    # (least squares) or needed thousands of iterations (with l1); the
+    # orthant-wise Newton steps, their projection clipping many coordinates,
+    # must still reach the certificate, not stop at a false rounding exit
+    train, _ = split_train_test(make_synthetic(60, 5, margin=2000.0), 0.8, seed=0)
+    spec = ObjectiveSpec(loss, train, lambda2=1e-5, lambda1=lam1)
     ref = reference_optimum(spec)
-    assert ref.converged
-    assert ref.iterations < solvers_mod._iteration_cap(500)
-    assert ref.value <= objective_value(spec, np.zeros(3))
+    assert ref.converged and 0.0 <= ref.bound <= 5e-14 * ref.value
+    assert ref.value <= objective_value(spec, np.zeros(5))
+
+
+@pytest.mark.parametrize("lam2", [0.0, 1e-3])
+def test_reference_cap_bounds_its_products(monkeypatch, lam2):
+    # iterations counts the gradient and Hessian-vector products (FISTA:
+    # its iterations); a cap of k stops at k at most, unconverged, with a
+    # bound of its point when lambda2 > 0
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=lam2, lambda1=1e-3)
+    full = reference_optimum(spec)
+    monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
+    for k in (1, 2, 3, 7, 30):
+        capped = reference_optimum(spec, budget=k)
+        assert capped.iterations <= k and not capped.converged
+        if lam2 > 0.0:
+            assert capped.bound >= capped.value - full.value
+        else:
+            assert math.isnan(capped.bound)
+    assert full.converged and full.iterations > 30
 
 
 def test_reference_optimum_empty_rows_and_zero_columns(monkeypatch):
     # rows (1, -1, 0, 0), empty and (-2, 2, 0, 0): X times the power
     # iteration's start vector of ones is 0, columns 2 and 3 are empty, and
-    # the optimum is (a, -a, 0, 0) with a from a scalar Newton solve
+    # the optimum is (a, -a, 0, 0) with a from a scalar Newton solve. Only
+    # FISTA (lambda2 = 0) reads the top eigenvalue.
     from saag.data import Dataset
     ds = Dataset([0, 2, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -2.0, 2.0],
                  [1.0, -1.0, 1.0], d=4)
-    lam2 = 1e-3
-    spec = ObjectiveSpec("logistic", ds, lambda2=lam2)
     tops = []
     top = solvers_mod._top_eigenvalue
     monkeypatch.setattr(solvers_mod, "_top_eigenvalue",
                         lambda *args: tops.append(top(*args)) or tops[-1])
-    ref = reference_optimum(spec)
-    assert tops == [0.0]
 
     def sig(t):
         return 0.5 * (1.0 + math.tanh(0.5 * t))
 
-    a = 0.0
-    for _ in range(50):
-        g = (-2.0 * sig(-2.0 * a) + 4.0 * sig(4.0 * a)) / 3.0 + 2.0 * lam2 * a
-        h = (4.0 * sig(2.0 * a) * sig(-2.0 * a)
-             + 16.0 * sig(4.0 * a) * sig(-4.0 * a)) / 3.0 + 2.0 * lam2
-        a -= g / h
-    exact = objective_value(spec, np.array([a, -a, 0.0, 0.0]))
-    assert ref.converged
-    assert abs(ref.value - exact) <= 1e-12 * exact
-    assert ref.w[2] == 0.0 and ref.w[3] == 0.0
+    for lam2, read in ((0.0, [0.0]), (1e-3, [])):
+        spec = ObjectiveSpec("logistic", ds, lambda2=lam2)
+        tops.clear()
+        ref = reference_optimum(spec)
+        assert tops == read
+        a = 0.0
+        for _ in range(50):
+            g = (-2.0 * sig(-2.0 * a) + 4.0 * sig(4.0 * a)) / 3.0 + 2.0 * lam2 * a
+            h = (4.0 * sig(2.0 * a) * sig(-2.0 * a)
+                 + 16.0 * sig(4.0 * a) * sig(-4.0 * a)) / 3.0 + 2.0 * lam2
+            a -= g / h
+        exact = objective_value(spec, np.array([a, -a, 0.0, 0.0]))
+        assert ref.converged
+        assert abs(ref.value - exact) <= 1e-12 * exact
+        assert ref.w[2] == 0.0 and ref.w[3] == 0.0
 
 
 def test_reference_optimum_of_all_empty_rows():
