@@ -125,6 +125,19 @@ def scatter(data, c, rows=None):
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
+def square_scatter(data):
+    """The map c -> sum_i c_i x_i^2 (entrywise) over every row: the diagonal
+    of X^T diag(c) X, a ``scatter`` over the squared entries, which are
+    formed here once (block^2 on a dense block, values^2 in CSR)."""
+    gathered = data.gather()
+    if isinstance(gathered, np.ndarray):
+        squares = gathered * gathered
+        return lambda c: c.dot(squares)
+    local, cols, vals = gathered
+    squares = vals * vals
+    return lambda c: np.bincount(cols, weights=squares * c[local], minlength=data.d)
+
+
 def batch_grad(spec, w, rows=None, z=None):
     """Mean gradient of the smooth part over a batch (every row when None):
     (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is the batch's

@@ -19,7 +19,8 @@ from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (CURVATURE, batch_grad, batch_ray, batch_smooth_value,
-                        curvature_t, margins, operand, prox, scatter)
+                        curvature_t, margins, operand, prox, scatter,
+                        square_scatter)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ KINDS = {
 }
 SOLVERS = tuple(KINDS)
 
-GAP = 1e-13             # of lambda2 * F: bound on a squared reference certificate
+GAP = 5e-14             # of F: the reference's stop on its bound without a best
 TRACE_ACCURACY = 1e-6   # of the traces' smallest gap: the reference's stop
+ROUNDING = 4 * 2.0 ** -52    # of F: 4 eps, a reference value's rounding, in its bound
 CG_STEPS = 25           # most conjugate-gradient steps per reference Newton step
 ARMIJO = 1e-4           # sufficient-decrease share of a reference Newton step
 POWER_PASSES = 30       # behind the lambda2 = 0 reference's first estimate of L
@@ -271,17 +273,19 @@ def reference_optimum(spec, budget=500, best=-math.inf):
     liblinear's TRON (Lin, Weng & Keerthi, JMLR 2008) with an Armijo line
     search (ARMIJO = 1e-4) in place of the trust region, made orthant-wise
     for the l1 term as in OWL-QN (Andrew & Gao, ICML 2007), with at most
-    CG_STEPS = 25 conjugate-gradient steps per Newton step. It stops,
-    converged, once the min-norm subgradient s of F at its point has
-    ||s||^2 <= lambda2 * max(GAP * F, 2 * TRACE_ACCURACY * (best - F)), so
-    F(w) - F* <= ||s||^2 / (2 lambda2) <= max(5e-14 * F, 1e-6 * (best - F))
-    by strong convexity. ``best`` is the lowest objective the traces
-    reached: a gap best - F* then reads within a relative 1e-6 of its true
-    value. A ``best`` that is NaN, infinite or <= F leaves the 5e-14 * F
-    stop; the iterates never depend on ``best``. A step that cannot lower F
-    is the rounding exit, converged; after max(2000, 20 * budget) gradient
-    and Hessian-vector products it stops unconverged. At every exit
-    ``bound`` is ||s||^2 / (2 lambda2) of the returned point.
+    CG_STEPS = 25 Jacobi-preconditioned conjugate-gradient steps per Newton
+    step (Hsia, Chiang & Lin, ACML 2018). With s the min-norm subgradient of
+    F at its point, ``bound`` = ||s||^2 / (2 lambda2) + ROUNDING * F: the
+    first term bounds F(w) - F* by strong convexity, the second the
+    rounding of the float F(w) (4 eps of F), so value - F* <= bound. It
+    stops, converged, once bound <= max(GAP * F, TRACE_ACCURACY * (best - F))
+    = max(5e-14 * F, 1e-6 * (best - F)). ``best`` is the lowest objective
+    the traces reached: a gap best - F* then reads within a relative 1e-6
+    of its true value. A ``best`` that is NaN, infinite or <= F leaves the
+    5e-14 * F stop; the iterates never depend on ``best``. A step that
+    cannot lower F is the rounding exit, converged; after
+    max(2000, 20 * budget) gradient and Hessian-vector products it stops
+    unconverged. ``bound`` is that of the returned point at every exit.
 
     With lambda2 = 0 no certificate exists: restarted FISTA runs instead
     (``_fista``), for at most max(2000, 20 * budget) iterations, and
@@ -289,9 +293,11 @@ def reference_optimum(spec, budget=500, best=-math.inf):
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if spec.lambda2 > 0.0:
-        return _newton_cg(spec, _iteration_cap(budget), best)
-    return _fista(spec, _iteration_cap(budget))
+    # as in run_epoch: a logistic slope whose exp(-t) overflows is the exact +0.0
+    with np.errstate(over="ignore"):
+        if spec.lambda2 > 0.0:
+            return _newton_cg(spec, _iteration_cap(budget), best)
+        return _fista(spec, _iteration_cap(budget))
 
 
 def _newton_cg(spec, cap, best):
@@ -302,8 +308,11 @@ def _newton_cg(spec, cap, best):
     where w_j != 0, else the soft threshold of g_j by lambda1. The free
     coordinates are w_j != 0 or s_j != 0, and the orthant of w is sign(w),
     -sign(s) where w_j = 0. Conjugate gradients from 0 on
-    (X^T diag(curvature_t(z)) X / n + lambda2 I) p = -s over the free
-    coordinates stop at ||r|| <= min(0.5, ||s||) ||s||, or after CG_STEPS.
+    H p = -s, H = X^T diag(curvature_t(z)) X / n + lambda2 I, over the free
+    coordinates, preconditioned by diag(H), stop at
+    ||r|| <= min(0.5, ||s||) ||s||, or after CG_STEPS. The squared entries
+    of X are formed once per call (``square_scatter``), and diag(H) from
+    them once per step in one pass, which ``iterations`` does not count.
     The step w(a) = P(w + a p), where P zeroes each coordinate that leaves
     the orthant, takes a = 1, 1/2, ... until F falls with
     F(w(a)) <= F(w) + ARMIJO * s.(w(a) - w). Where that sufficient
@@ -315,6 +324,7 @@ def _newton_cg(spec, cap, best):
     lam1, lam2 = spec.lambda1, spec.lambda2
     w, z = np.zeros(data.d), np.zeros(n)
     f = batch_smooth_value(spec, w, z=z)
+    diagonal = square_scatter(data)
     products = 0
     while True:
         g = batch_grad(spec, w, z=z)
@@ -323,16 +333,18 @@ def _newton_cg(spec, cap, best):
             w != 0.0, g + lam1 * np.sign(w),
             np.sign(g) * np.maximum(np.abs(g) - lam1, 0.0))
         squared = float(s.dot(s))
-        bound = lam2 * GAP * f
+        bound = squared / (2.0 * lam2) + ROUNDING * f
+        limit = GAP * f
         if best - f < math.inf:     # false at a NaN or infinite best
-            bound = max(bound, 2.0 * lam2 * TRACE_ACCURACY * (best - f))
+            limit = max(limit, TRACE_ACCURACY * (best - f))
         # the cap keeps one product for the gradient after a step
         room = min(CG_STEPS, cap - products - 1)
-        if squared <= bound or room < 1:
-            converged = squared <= bound
+        if bound <= limit or room < 1:
+            converged = bound <= limit
             break
         fixed = (w == 0.0) & (s == 0.0)
-        p, steps = _conjugate_gradient(spec, curvature_t(spec.loss, z) / n,
+        weights = curvature_t(spec.loss, z) / n
+        p, steps = _conjugate_gradient(spec, weights, diagonal(weights) + lam2,
                                        fixed, s, squared, room)
         products += steps
         if lam1 > 0.0:
@@ -353,28 +365,33 @@ def _newton_cg(spec, cap, best):
             converged = True
             break
         w, z, f = trial, zt, ft
-    return ReferenceResult(w, f, converged, products, squared / (2.0 * lam2))
+    return ReferenceResult(w, f, converged, products, bound)
 
 
-def _conjugate_gradient(spec, weights, fixed, s, squared, steps):
+def _conjugate_gradient(spec, weights, preconditioner, fixed, s, squared, steps):
     """(p, products): conjugate gradients from p = 0 on H p = -s with the
-    ``fixed`` coordinates held at 0, H = X^T diag(weights) X + lambda2 I, until
-    ||r|| <= min(0.5, ||s||) ||s|| (||s||^2 = ``squared``) or ``steps``
-    products; each product is one pass over X and one over X^T."""
+    ``fixed`` coordinates (where s is 0) held at 0,
+    H = X^T diag(weights) X + lambda2 I, preconditioned by the diagonal of H
+    (``preconditioner``, > 0), until ||r|| <= min(0.5, ||s||) ||s||
+    (||s||^2 = ``squared``) or ``steps`` products; each product is one pass
+    over X and one over X^T."""
     data, lam2 = spec.data, spec.lambda2
     target = min(0.25, squared) * squared
+    # s and every H q are 0 on the fixed coordinates, so r and r / M are too
     p, r = np.zeros_like(s), -s
-    q, rr = r, squared
+    q = r / preconditioner
+    rz = float(r.dot(q))
     for step in range(1, steps + 1):
         hq = scatter(data, weights * margins(data, q)) + lam2 * q
         hq[fixed] = 0.0
-        alpha = rr / float(q.dot(hq))
+        alpha = rz / float(q.dot(hq))
         p += alpha * q
         r = r - alpha * hq
-        rr, previous = float(r.dot(r)), rr
-        if rr <= target:
+        if float(r.dot(r)) <= target:
             break
-        q = r + (rr / previous) * q
+        z = r / preconditioner
+        rz, previous = float(r.dot(z)), rz
+        q = z + (rz / previous) * q
     return p, step
 
 

@@ -598,6 +598,9 @@ def test_lambda_sweep_notes_one_f_star_per_value(tmp_path):
         assert int(note.rsplit(" ", 1)[1].rstrip(")")) >= 1
         f_star = float(note.split()[3])
         picked = [r for r in rows if r["lambda"] == value]
+        # the certified bound, a plain float, 1e-6 of the smallest gap at most
+        bound = float(note.split()[5])
+        assert 0.0 < bound <= 1e-6 * min(r["suboptimality"] for r in picked)
         implied = [r["objective"] - r["suboptimality"] for r in picked]
         scale = max(r["objective"] for r in picked)
         assert max(abs(f - f_star) for f in implied) <= 1e-12 * scale

@@ -8,7 +8,7 @@ import pytest
 from saag.data import Dataset, make_synthetic
 from saag.objective import (CURVATURE, LOSSES, ObjectiveSpec, accuracy,
                             batch_grad, batch_smooth_value, curvature_t, loss_t,
-                            objective_value, prox, slope_t)
+                            objective_value, prox, slope_t, square_scatter)
 
 
 def tiny(loss, lam2=0.0, lam1=0.0, n=5, d=4, seed=0):
@@ -258,3 +258,22 @@ def test_curvature_is_the_slope_derivative(kind):
         ends = curvature_t(kind, np.array([-2000.0, 2000.0]))
     assert ends.tolist() == {"logistic": [0.0, 0.0], "squared_hinge": [0.0, 2.0],
                              "least_squares": [1.0, 1.0]}[kind]
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["csr", "dense"])
+def test_square_scatter_is_the_hessian_diagonal(monkeypatch, dense):
+    # c -> diag(X^T diag(c) X) in either layout: the CSR arrays below
+    # DENSE_PASS_FILL, the dense block at or above it
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.6)
+    x[3], x[:, 4] = 0.0, 0.0    # an empty row and an empty column
+    labels = np.where(rng.random(7) < 0.5, 1.0, -1.0)
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    ds = Dataset(indptr, cols, x[rows, cols], labels, 5)
+    c = rng.random(7)
+    diagonal = square_scatter(ds)(c)
+    assert (ds.block is not None) == dense
+    np.testing.assert_allclose(diagonal, np.diag(x.T @ np.diag(c) @ x), rtol=1e-14)
+    assert diagonal[4] == 0.0

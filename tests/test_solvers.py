@@ -935,3 +935,93 @@ def test_reference_optimum_of_all_empty_rows():
         assert ref.converged and ref.iterations == 1
         assert ref.value == math.log(2.0)
         assert not np.any(ref.w)
+
+
+def jacobi(spec, z):
+    # the Hessian weights and diagonal that _newton_cg hands to CG at margins z
+    weights = objective_mod.curvature_t(spec.loss, z) / spec.data.n
+    return weights, objective_mod.square_scatter(spec.data)(weights) + spec.lambda2
+
+
+def test_jacobi_cg_solves_a_diagonal_hessian_in_one_step():
+    # one stored value per row, each in its own column: X^T D X is diagonal,
+    # so the first preconditioned residual is the Newton step
+    ds = Dataset([0, 1, 2, 3], [2, 0, 1], [3.0, -0.5, 40.0], [1.0, -1.0, 1.0], d=4)
+    spec = ObjectiveSpec("logistic", ds, lambda2=1e-3)
+    w = np.array([0.1, -0.2, 0.3, 0.0])
+    z = margins(ds, w)
+    weights, diagonal = jacobi(spec, z)
+    s = batch_grad(spec, w, z=z)
+    fixed = np.zeros(4, dtype=bool)
+    p, steps = solvers_mod._conjugate_gradient(spec, weights, diagonal, fixed,
+                                               s, float(s.dot(s)), 25)
+    assert steps == 1
+    np.testing.assert_allclose(p, -s / diagonal, rtol=1e-14)
+
+
+def test_jacobi_cg_holds_the_fixed_coordinates_at_zero():
+    # the coordinates where w_j = s_j = 0 are not free: p stays exactly 0
+    # there through every step, while the free ones move
+    spec = ObjectiveSpec("logistic", sparse_logistic_set(), 1e-3, 1e-3)
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal(300) * (rng.random(300) < 0.5)
+    z = margins(spec.data, w)
+    weights, diagonal = jacobi(spec, z)
+    s = batch_grad(spec, w, z=z)
+    fixed = (w == 0.0) & (rng.random(300) < 0.5)
+    s[fixed] = 0.0
+    p, steps = solvers_mod._conjugate_gradient(spec, weights, diagonal, fixed,
+                                               s, float(s.dot(s)), 25)
+    assert steps > 1 and fixed.sum() > 50
+    assert not p[fixed].any() and p[~fixed].any()
+
+
+def test_jacobi_preconditioner_of_a_zero_curvature_column_is_lambda2():
+    # column 1 is stored only in row 0, whose squared hinge margin t = -2 is
+    # past the kink: its curvature is 0, so M_1 is lambda2 alone, and the
+    # step on it is the l2 term's Newton step back to 0
+    ds = Dataset([0, 1, 2], [1, 0], [2.0, 1.0], [1.0, -1.0], d=2)
+    spec = ObjectiveSpec("squared_hinge", ds, lambda2=1e-3)
+    w = np.array([0.1, 1.0])
+    z = margins(ds, w)
+    assert z.tolist() == [-2.0, 0.1]
+    weights, diagonal = jacobi(spec, z)
+    assert diagonal[1] == spec.lambda2 and np.isfinite(diagonal).all()
+    s = batch_grad(spec, w, z=z)
+    p, _ = solvers_mod._conjugate_gradient(spec, weights, diagonal,
+                                           np.zeros(2, dtype=bool), s,
+                                           float(s.dot(s)), 25)
+    assert np.isfinite(p).all() and p[1] == pytest.approx(-1.0, rel=1e-12)
+
+
+def test_jacobi_reference_certifies_column_scaled_least_squares():
+    # columns scaled across 10^-1.5 .. 10^1.5 make X^T X badly scaled: plain
+    # CG restarted every CG_STEPS took 5447 products here; the
+    # Jacobi-preconditioned CG certifies in 277
+    ds = sparse_logistic_set()
+    scaled = ds.values * np.logspace(-1.5, 1.5, 300)[ds.indices]
+    spec = ObjectiveSpec("least_squares",
+                         Dataset(ds.indptr, ds.indices, scaled, ds.labels, 300),
+                         lambda2=1e-3)
+    ref = reference_optimum(spec)
+    assert ref.converged and 0.0 < ref.bound <= 5e-14 * ref.value
+    assert ref.iterations <= 300
+
+
+def test_reference_gradient_past_the_logistic_overflow_warns_nothing(monkeypatch):
+    # at lambda2 = 1e-10 Newton's iterates on this separable set reach
+    # margins below -709.78, where exp(-t) in the logistic slope overflows to
+    # the exact slope +0.0; the reference ignores that overflow as run_epoch
+    # does, so no RuntimeWarning escapes
+    train, _ = split_train_test(make_synthetic(30, 3), 0.8, seed=0)
+    ds = Dataset(train.indptr, train.indices, 10.0 * train.values, train.labels, 3)
+    spec = ObjectiveSpec("logistic", ds, lambda2=1e-10)
+    lowest = []
+    grad = solvers_mod.batch_grad
+    monkeypatch.setattr(solvers_mod, "batch_grad", lambda spec, w, z: (
+        lowest.append(float(z.min())) or grad(spec, w, z=z)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ref = reference_optimum(spec)
+    assert min(lowest) < -709.78
+    assert ref.converged and np.isfinite(ref.w).all()
