@@ -18,9 +18,8 @@ from .data import make_schedule
 from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (CURVATURE, batch_grad, batch_ray, batch_smooth_value,
-                        curvature_t, margins, operand, prox, scatter,
-                        square_scatter)
+from .objective import (batch_grad, batch_ray, batch_smooth_value, curvature_t,
+                        margins, operand, prox, scatter, square_scatter)
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,6 @@ TRACE_ACCURACY = 1e-6   # of the traces' smallest gap: the reference's stop
 ROUNDING = 4 * 2.0 ** -52    # of F: 4 eps, a reference value's rounding, in its bound
 CG_STEPS = 25           # most conjugate-gradient steps per reference Newton step
 ARMIJO = 1e-4           # sufficient-decrease share of a reference Newton step
-POWER_PASSES = 30       # behind the lambda2 = 0 reference's first estimate of L
-MAX_DOUBLINGS = 60      # of L, while one lambda2 = 0 reference iteration seeks its step
-DECAY = 0.9             # of L, tried first after an accepted lambda2 = 0 reference step
 
 
 class NonFiniteDirection(RuntimeError):
@@ -237,8 +233,7 @@ def _config_echo(config):
 class ReferenceResult:
     """``bound`` >= value - F*, certified at every exit when lambda2 > 0;
     NaN when lambda2 = 0. ``iterations`` counts the gradient and
-    Hessian-vector products (FISTA: its iterations), each one pass over X
-    and one over X^T."""
+    Hessian-vector products, each one pass over X and one over X^T."""
     w: np.ndarray
     value: float
     converged: bool
@@ -247,79 +242,60 @@ class ReferenceResult:
 
 
 def _iteration_cap(budget):
-    """Most products (iterations) the reference optimum takes for a ``budget``."""
+    """Most products the reference optimum takes for a ``budget``."""
     return max(2000, 20 * budget)
 
 
-def _top_eigenvalue(data):
-    """lambda_max(X^T X), which the signed rows share, from below, by power
-    iteration from a vector of ones; 0.0 when a pass meets ||X u|| = 0."""
-    u = np.full(data.d, 1.0 / math.sqrt(data.d))
-    for _ in range(POWER_PASSES):
-        q = margins(data, u)
-        top = float(q.dot(q))   # u^T X^T X u with ||u|| = 1
-        if top == 0.0:
-            break
-        u = scatter(data, q)
-        u /= math.sqrt(float(u.dot(u)))
-    return top
-
-
+# as in run_epoch: a logistic slope whose exp(-t) overflows is the exact +0.0
+@np.errstate(over="ignore")
 def reference_optimum(spec, budget=500, best=-math.inf):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
-    With lambda2 > 0 F is strongly convex, and an orthant-wise truncated
-    Newton method runs from w = 0 (``_newton_cg``): the Newton-CG of
-    liblinear's TRON (Lin, Weng & Keerthi, JMLR 2008) with an Armijo line
-    search (ARMIJO = 1e-4) in place of the trust region, made orthant-wise
-    for the l1 term as in OWL-QN (Andrew & Gao, ICML 2007), with at most
-    CG_STEPS = 25 Jacobi-preconditioned conjugate-gradient steps per Newton
-    step (Hsia, Chiang & Lin, ACML 2018). With s the min-norm subgradient of
-    F at its point, ``bound`` = ||s||^2 / (2 lambda2) + ROUNDING * F: the
-    first term bounds F(w) - F* by strong convexity, the second the
-    rounding of the float F(w) (4 eps of F), so value - F* <= bound. It
-    stops, converged, once bound <= max(GAP * F, TRACE_ACCURACY * (best - F))
-    = max(5e-14 * F, 1e-6 * (best - F)). ``best`` is the lowest objective
-    the traces reached: a gap best - F* then reads within a relative 1e-6
-    of its true value. A ``best`` that is NaN, infinite or <= F leaves the
-    5e-14 * F stop; the iterates never depend on ``best``. A step that
-    cannot lower F is the rounding exit, converged; after
-    max(2000, 20 * budget) gradient and Hessian-vector products it stops
-    unconverged. ``bound`` is that of the returned point at every exit.
-
-    With lambda2 = 0 no certificate exists: restarted FISTA runs instead
-    (``_fista``), for at most max(2000, 20 * budget) iterations, and
-    ``bound`` is NaN.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    # as in run_epoch: a logistic slope whose exp(-t) overflows is the exact +0.0
-    with np.errstate(over="ignore"):
-        if spec.lambda2 > 0.0:
-            return _newton_cg(spec, _iteration_cap(budget), best)
-        return _fista(spec, _iteration_cap(budget))
-
-
-def _newton_cg(spec, cap, best):
-    """The lambda2 > 0 reference of ``reference_optimum``.
+    An orthant-wise truncated Newton method runs from w = 0: the Newton-CG
+    of liblinear's TRON (Lin, Weng & Keerthi, JMLR 2008) with an Armijo
+    line search in place of the trust region, made orthant-wise for the l1
+    term as in OWL-QN (Andrew & Gao, ICML 2007).
 
     Each step forms the margins z of w afresh (the certificate is on w),
     g = grad f(w) and the min-norm subgradient s of F: g + lambda1 sign(w_j)
     where w_j != 0, else the soft threshold of g_j by lambda1. The free
     coordinates are w_j != 0 or s_j != 0, and the orthant of w is sign(w),
-    -sign(s) where w_j = 0. Conjugate gradients from 0 on
-    H p = -s, H = X^T diag(curvature_t(z)) X / n + lambda2 I, over the free
-    coordinates, preconditioned by diag(H), stop at
-    ||r|| <= min(0.5, ||s||) ||s||, or after CG_STEPS. The squared entries
-    of X are formed once per call (``square_scatter``), and diag(H) from
-    them once per step in one pass, which ``iterations`` does not count.
-    The step w(a) = P(w + a p), where P zeroes each coordinate that leaves
-    the orthant, takes a = 1, 1/2, ... until F falls with
-    F(w(a)) <= F(w) + ARMIJO * s.(w(a) - w). Where that sufficient
-    decrease is below F's rounding and the trial does not lower F, w is
-    optimal up to rounding: the rounding exit. The accepted trial's
-    margins, formed from its point, are the next step's z.
+    -sign(s) where w_j = 0. Conjugate gradients (``_conjugate_gradient``)
+    from 0 on H p = -s, H = X^T diag(curvature_t(z)) X / n + lambda2 I, over
+    the free coordinates, preconditioned by diag(H) (Hsia, Chiang & Lin,
+    ACML 2018), stop at ||r|| <= min(0.5, ||s||) ||s||, or after
+    CG_STEPS = 25. The squared entries of X are formed once per call
+    (``square_scatter``), and diag(H) from them once per step in one pass,
+    which ``iterations`` does not count. The step w(a) = P(w + a p), where P
+    zeroes each coordinate that leaves the orthant, takes a = 1, 1/2, ...
+    until F falls with F(w(a)) <= F(w) + ARMIJO * s.(w(a) - w),
+    ARMIJO = 1e-4. The accepted trial's margins, formed from its point, are
+    the next step's z.
+
+    With lambda2 > 0 F is strongly convex, and ``bound`` =
+    ||s||^2 / (2 lambda2) + ROUNDING * F: the first term bounds F(w) - F*,
+    the second the rounding of the float F(w) (4 eps of F), so
+    value - F* <= bound. It stops, converged, once bound <=
+    max(GAP * F, TRACE_ACCURACY * (best - F)) = max(5e-14 * F,
+    1e-6 * (best - F)). ``best`` is the lowest objective the traces reached:
+    a gap best - F* then reads within a relative 1e-6 of its true value. A
+    ``best`` that is NaN, infinite or <= F leaves the 5e-14 * F stop; the
+    iterates never depend on ``best``.
+
+    With lambda2 = 0 no certificate exists, ``bound`` is NaN, and H may be
+    singular: a free coordinate with no curvature has preconditioner 1, and
+    CG stops on a direction of no curvature (Dembo & Steihaug, Math. Prog.
+    1983).
+
+    At every lambda2 it stops converged where s = 0, or at the rounding
+    exit: a step whose sufficient decrease is below F's rounding and that
+    does not lower F, so w is optimal up to rounding. After
+    max(2000, 20 * budget) gradient and Hessian-vector products it stops
+    unconverged. ``bound`` is that of the returned point at every exit.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    cap = _iteration_cap(budget)
     data, n = spec.data, spec.data.n
     lam1, lam2 = spec.lambda1, spec.lambda2
     w, z = np.zeros(data.d), np.zeros(n)
@@ -333,19 +309,22 @@ def _newton_cg(spec, cap, best):
             w != 0.0, g + lam1 * np.sign(w),
             np.sign(g) * np.maximum(np.abs(g) - lam1, 0.0))
         squared = float(s.dot(s))
-        bound = squared / (2.0 * lam2) + ROUNDING * f
+        bound = squared / (2.0 * lam2) + ROUNDING * f if lam2 > 0.0 else math.nan
         limit = GAP * f
         if best - f < math.inf:     # false at a NaN or infinite best
             limit = max(limit, TRACE_ACCURACY * (best - f))
+        converged = bound <= limit or squared == 0.0
         # the cap keeps one product for the gradient after a step
         room = min(CG_STEPS, cap - products - 1)
-        if bound <= limit or room < 1:
-            converged = bound <= limit
+        if converged or room < 1:
             break
         fixed = (w == 0.0) & (s == 0.0)
         weights = curvature_t(spec.loss, z) / n
-        p, steps = _conjugate_gradient(spec, weights, diagonal(weights) + lam2,
-                                       fixed, s, squared, room)
+        preconditioner = diagonal(weights) + lam2
+        # no curvature and no lambda2 on a coordinate: its step is unscaled
+        preconditioner[preconditioner == 0.0] = 1.0
+        p, steps = _conjugate_gradient(spec, weights, preconditioner, fixed, s,
+                                       squared, room)
         products += steps
         if lam1 > 0.0:
             orthant = np.where(w != 0.0, np.sign(w), -np.sign(s))
@@ -374,7 +353,9 @@ def _conjugate_gradient(spec, weights, preconditioner, fixed, s, squared, steps)
     H = X^T diag(weights) X + lambda2 I, preconditioned by the diagonal of H
     (``preconditioner``, > 0), until ||r|| <= min(0.5, ||s||) ||s||
     (||s||^2 = ``squared``) or ``steps`` products; each product is one pass
-    over X and one over X^T."""
+    over X and one over X^T. At a direction q with q.Hq <= 0 (H singular
+    along q, lambda2 = 0) it stops with p, or with q at the first step: the
+    preconditioned descent direction -s / M."""
     data, lam2 = spec.data, spec.lambda2
     target = min(0.25, squared) * squared
     # s and every H q are 0 on the fixed coordinates, so r and r / M are too
@@ -384,7 +365,10 @@ def _conjugate_gradient(spec, weights, preconditioner, fixed, s, squared, steps)
     for step in range(1, steps + 1):
         hq = scatter(data, weights * margins(data, q)) + lam2 * q
         hq[fixed] = 0.0
-        alpha = rz / float(q.dot(hq))
+        curvature = float(q.dot(hq))
+        if curvature <= 0.0:
+            return (q if step == 1 else p), step
+        alpha = rz / curvature
         p += alpha * q
         r = r - alpha * hq
         if float(r.dot(r)) <= target:
@@ -393,66 +377,3 @@ def _conjugate_gradient(spec, weights, preconditioner, fixed, s, squared, steps)
         rz, previous = float(r.dot(z)), rz
         q = z + (rz / previous) * q
     return p, step
-
-
-def _fista(spec, cap):
-    """Restarted FISTA from w = 0 (Beck & Teboulle 2009; O'Donoghue &
-    Candes 2015) at a local step 1/L of the full mean loss (Scheinberg,
-    Goldfarb & Bai 2014), for lambda2 = 0: L starts at
-    CURVATURE * lambda_max(X^T X) / n, doubles until the quadratic upper
-    bound holds, and after each step that lowers F the next iteration first
-    tries DECAY * L, never below 2^-(MAX_DOUBLINGS // 2) of the first L.
-    With no certificate it stops converged only at a rounding fixed point,
-    where no L fits or a step from a restart point no longer lowers F, and
-    otherwise after ``cap`` iterations unconverged. Each iteration takes
-    one pass over X and one over X^T, in the layout the dataset chose
-    (``Dataset.block``).
-    """
-    data, n, lam1 = spec.data, spec.data.n, spec.lambda1
-
-    # when the power iteration meets the null space, the trace bound
-    top = _top_eigenvalue(data) or float(data.values.dot(data.values))
-    # f is constant when the loss term vanishes, and any step fits
-    lipschitz = CURVATURE[spec.loss] * top / n or 1.0
-    # the floor keeps the global L within MAX_DOUBLINGS of any L the decay reaches
-    floor = lipschitz * 2.0 ** -(MAX_DOUBLINGS // 2)
-
-    w, zw = np.zeros(data.d), np.zeros(n)
-    fw = batch_smooth_value(spec, w, z=zw)
-    v, zv, t, restarted = w, zw, 1.0, True      # as after a momentum restart
-    converged = False
-    for iterations in range(1, cap + 1):
-        # zv is extrapolated unless v = w; as it drifts from X v it can fail
-        fresh = restarted   # the bound test, so form it afresh before L grows
-        g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
-        for _ in range(MAX_DOUBLINGS):
-            step = 1.0 / lipschitz
-            p = prox(v - step * g, step, lam1)
-            zp = margins(data, p)
-            fp = batch_smooth_value(spec, p, z=zp)
-            move = p - v
-            moved = float(move.dot(move))
-            if fp <= fv + float(g.dot(move)) + 0.5 * lipschitz * moved:
-                break
-            if fresh:
-                lipschitz *= 2.0
-            else:
-                zv = margins(data, v)
-                g, fv = batch_grad(spec, v, z=zv), batch_smooth_value(spec, v, z=zv)
-                fresh = True
-        else:               # no L fits: v is a fixed point up to rounding
-            converged = True
-            break
-        fp += lam1 * float(np.abs(p).sum())
-        if fp < fw:
-            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_new
-            v, zv = p + beta * (p - w), zp + beta * (zp - zw)
-            w, zw, fw, t, restarted = p, zp, fp, t_new, False
-            lipschitz = max(DECAY * lipschitz, floor)
-        elif restarted:     # a step from w cannot raise F but by rounding
-            converged = True
-            break
-        else:               # F failed to fall: restart the momentum
-            v, zv, t, restarted = w, zw, 1.0, True
-    return ReferenceResult(w, fw, converged, iterations, math.nan)

@@ -115,7 +115,10 @@ def variance_bound_check(spec, w, snap, schedule, constants, reference):
     for batch in spec.data.plan(schedule):
         diff = direct(w, batch, margins(spec.data, w, batch)) - g
         lhs += float(diff @ diff)
-        gb = batch_grad(spec, reference.w, batch)
+        # as in run_epoch: at lambda2 = 0 the optimum's margins can pass
+        # -709.78, where a logistic slope's exp(-t) overflows to the exact +0.0
+        with np.errstate(over="ignore"):
+            gb = batch_grad(spec, reference.w, batch)
         r_max = max(r_max, float(gb @ gb))
     lhs /= schedule.m
     m = schedule.m

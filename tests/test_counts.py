@@ -3,9 +3,11 @@
 Each command below is a ~1 s run shaped like one benchmark workload, or one
 of the two backtracking-heavy ``ladder`` commands. Its in-memory traces
 must give the per-epoch line-search evaluations (``fevals``) and
-``grads_over_n`` in ``counts.json``, bit for bit. Objectives are not pinned,
-so a kernel rewrite at the ULP level stays possible; a change that moves a
-count on purpose regenerates the file with
+``grads_over_n`` in ``counts.json``, bit for bit, and its CSV's ``f_star``
+note the reference optimum's ``converged`` flag and products
+(``iterations``). Objectives are not pinned, so a kernel rewrite at the ULP
+level stays possible; a change that moves a count on purpose regenerates the
+file with
 
     PYTHONPATH=src python tests/test_counts.py
 
@@ -19,7 +21,7 @@ import sys
 
 import pytest
 
-from saag import cli
+from saag import cli, read_csv
 
 HERE = pathlib.Path(__file__).resolve().parent
 GOLDEN = HERE / "counts.json"
@@ -54,12 +56,14 @@ def _rcv1_like():
 
 def command_counts(name, tmp_path):
     """Each trace of command ``name`` as its solver, seed, sweep value and
-    per-epoch counts, in the CSV's row order."""
+    per-epoch counts, in the CSV's row order, then each ``f_star`` note's
+    reference ``converged`` flag and products."""
     argv = list(COMMANDS[name])
     if name in SPARSE:
         path = tmp_path / f"{name}.svm"
         _rcv1_like()(str(path), *SPARSE[name])
         argv += ["--dataset", str(path)]
+    out = tmp_path / f"{name}.csv"
     seen = []
     real = cli.emit_csv
 
@@ -69,14 +73,19 @@ def command_counts(name, tmp_path):
 
     cli.emit_csv = keep
     try:
-        assert cli.main(argv + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert cli.main(argv + ["--out", str(out)]) == 0
     finally:
         cli.emit_csv = real
-    return [{"solver": t.solver, "seed": t.seed, "extra": t.extra,
-             "fevals": [p.fevals for p in t.points],
-             "grads_over_n": [p.grads_over_n for p in t.points]}
-            for t in sorted(seen, key=lambda t: (t.solver, t.seed,
-                                                 sorted(t.extra.items())))]
+    traces = [{"solver": t.solver, "seed": t.seed, "extra": t.extra,
+               "fevals": [p.fevals for p in t.points],
+               "grads_over_n": [p.grads_over_n for p in t.points]}
+              for t in sorted(seen, key=lambda t: (t.solver, t.seed,
+                                                   sorted(t.extra.items())))]
+    # "... (reference converged: True, iterations: 63)"
+    notes = [m for m in read_csv(out)[1] if m.startswith("note: f_star")]
+    return traces + [{"reference_converged": "converged: True," in note,
+                      "reference_iterations": int(note.rstrip(")").split()[-1])}
+                     for note in notes]
 
 
 @pytest.mark.parametrize("name", COMMANDS)

@@ -273,6 +273,15 @@ def test_run_suites_default_problem_passes_every_check():
     assert all(isinstance(detail, str) and detail for _, _, detail in results)
 
 
+def test_run_suites_at_lambda2_zero_passes_every_check_warning_nothing():
+    # the default set is separable: at lambda2 = 0 the reference's margins
+    # pass -709.78, where the logistic slope's exp(-t) overflows to +0.0, and
+    # the variance bound reads its batch gradients there without a warning
+    results = run_suites(make_synthetic(24, 6), "logistic", 0.0, 0.0)
+    assert tuple(name for name, _, _ in results) == SUITES
+    assert all(passed is True for _, passed, _ in results)
+
+
 def test_run_suites_leaves_out_enumeration_above_cap():
     results = run_suites(make_synthetic(80, 4), "logistic", 0.0, 1e-5)
     assert [name for name, _, _ in results] == [
