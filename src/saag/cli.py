@@ -133,9 +133,6 @@ class ExperimentConfig:
     train_fraction: float = _option(0.8, float,
                                     "share of the rows in the training set")
     split_seed: int = _option(0, int, "seed of the train/test split")
-    ref_budget: int = _option(500, int, "reference-optimum budget: it stops after "
-                                        "max(2000, 20 * budget) gradient and "
-                                        "Hessian-vector products")
 
 
 def _format_value(value):
@@ -252,8 +249,7 @@ def cmd_run(config, axis=None, values=None):
                               seed=seed, fixed_eta=config.fixed_eta))
             for value, b, reg in points
             for kind in config.solvers for seed in config.seeds]
-    traces, optima = run_jobs([job for _, job in runs], test, config.ref_budget,
-                              config.workers)
+    traces, optima = run_jobs([job for _, job in runs], test, config.workers)
     if axis is not None:
         for (value, _), trace in zip(runs, traces):
             trace.extra[axis] = value

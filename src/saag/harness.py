@@ -90,19 +90,16 @@ def _run_job(config, test):
     return run(config, test=test)[1]
 
 
-def run_jobs(jobs, test, budget, workers):
+def run_jobs(jobs, test, workers):
     """Run a command's ``RunConfig`` jobs, then every objective's reference
-    optimum (a bad ``budget`` still fails before any job): each distinct job
-    (equal in every field, the objective by identity) once, serially or on
-    ``workers`` processes; gd's batch is every row, so a batch sweep runs it
-    once per (seed, objective). Each reference stops once F* is certified to
-    ``solvers.TRACE_ACCURACY`` of the smallest gap its objective's traces
-    show, the lowest finite objective they reached (``best``).
-    Returns one trace per job, in job order, each its own copy, and
+    optimum: each distinct job (equal in every field, the objective by
+    identity) once, serially or on ``workers`` processes; gd's batch is every
+    row, so a batch sweep runs it once per (seed, objective). Each reference
+    stops once F* is certified to ``solvers.TRACE_ACCURACY`` of the smallest
+    gap its objective's traces show, the lowest finite objective they reached
+    (``best``). Returns one trace per job, in job order, each its own copy, and
     ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
     from .solvers import reference_optimum  # as in _run_job
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     keys = [tuple(getattr(job, f.name) for f in fields(job)) for job in jobs]
     unique = dict(zip(keys, jobs))
     if workers > 1:
@@ -119,7 +116,7 @@ def run_jobs(jobs, test, budget, workers):
         own = [t for job, t in zip(jobs, traces) if job.objective is spec]
         best = min((p.objective for t in own for p in t.points
                     if math.isfinite(p.objective)), default=-math.inf)
-        reference = reference_optimum(spec, budget, best)
+        reference = reference_optimum(spec, best)
         optima[spec] = reference, finalize_suboptimality(own, reference.value)
     return traces, optima
 

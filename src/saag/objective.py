@@ -187,9 +187,10 @@ def batch_ray(spec, w, rows, direction, z, dd):
     return phi
 
 
-def objective_value(spec, w):
-    """Full composite objective F(w) = mean loss + l2 term + l1 term."""
-    return batch_smooth_value(spec, w) + spec.lambda1 * float(np.abs(w).sum())
+def objective_value(spec, w, z=None):
+    """Full composite objective F(w) = mean loss + l2 term + l1 term; ``z``
+    is w's signed margins when the caller has them."""
+    return batch_smooth_value(spec, w, z=z) + spec.lambda1 * float(np.abs(w).sum())
 
 
 def prox(z, eta, lambda1):

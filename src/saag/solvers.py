@@ -18,8 +18,8 @@ from .data import make_schedule
 from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
-from .objective import (batch_grad, batch_ray, batch_smooth_value, curvature_t,
-                        margins, operand, prox, scatter, square_scatter)
+from .objective import (batch_grad, batch_ray, curvature_t, margins,
+                        objective_value, operand, prox, scatter, square_scatter)
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ GAP = 5e-14             # of F: the reference's stop on its bound without a best
 TRACE_ACCURACY = 1e-6   # of the traces' smallest gap: the reference's stop
 ROUNDING = 4 * 2.0 ** -52    # of F: 4 eps, a reference value's rounding, in its bound
 CG_STEPS = 25           # most conjugate-gradient steps per reference Newton step
+PRODUCTS = 10_000       # most gradient and Hessian-vector products per reference
 ARMIJO = 1e-4           # sufficient-decrease share of a reference Newton step
 
 
@@ -233,7 +234,8 @@ def _config_echo(config):
 class ReferenceResult:
     """``bound`` >= value - F*, certified at every exit when lambda2 > 0;
     NaN when lambda2 = 0. ``iterations`` counts the gradient and
-    Hessian-vector products, each one pass over X and one over X^T."""
+    Hessian-vector products, each one pass over X and one over X^T, at most
+    ``PRODUCTS``; ``converged`` is False only at that cap."""
     w: np.ndarray
     value: float
     converged: bool
@@ -241,14 +243,9 @@ class ReferenceResult:
     bound: float
 
 
-def _iteration_cap(budget):
-    """Most products the reference optimum takes for a ``budget``."""
-    return max(2000, 20 * budget)
-
-
 # as in run_epoch: a logistic slope whose exp(-t) overflows is the exact +0.0
 @np.errstate(over="ignore")
-def reference_optimum(spec, budget=500, best=-math.inf):
+def reference_optimum(spec, best=-math.inf):
     """High-accuracy minimizer of the composite objective, for suboptimality.
 
     An orthant-wise truncated Newton method runs from w = 0: the Newton-CG
@@ -289,17 +286,14 @@ def reference_optimum(spec, budget=500, best=-math.inf):
 
     At every lambda2 it stops converged where s = 0, or at the rounding
     exit: a step whose sufficient decrease is below F's rounding and that
-    does not lower F, so w is optimal up to rounding. After
-    max(2000, 20 * budget) gradient and Hessian-vector products it stops
-    unconverged. ``bound`` is that of the returned point at every exit.
+    does not lower F, so w is optimal up to rounding. After PRODUCTS =
+    10,000 gradient and Hessian-vector products it stops unconverged.
+    ``bound`` is that of the returned point at every exit.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    cap = _iteration_cap(budget)
     data, n = spec.data, spec.data.n
     lam1, lam2 = spec.lambda1, spec.lambda2
     w, z = np.zeros(data.d), np.zeros(n)
-    f = batch_smooth_value(spec, w, z=z)
+    f = objective_value(spec, w, z=z)
     diagonal = square_scatter(data)
     products = 0
     while True:
@@ -315,7 +309,7 @@ def reference_optimum(spec, budget=500, best=-math.inf):
             limit = max(limit, TRACE_ACCURACY * (best - f))
         converged = bound <= limit or squared == 0.0
         # the cap keeps one product for the gradient after a step
-        room = min(CG_STEPS, cap - products - 1)
+        room = min(CG_STEPS, PRODUCTS - products - 1)
         if converged or room < 1:
             break
         fixed = (w == 0.0) & (s == 0.0)
@@ -334,7 +328,7 @@ def reference_optimum(spec, budget=500, best=-math.inf):
             if lam1 > 0.0:
                 trial = np.where(trial * orthant > 0.0, trial, 0.0)
             zt = margins(data, trial)
-            ft = batch_smooth_value(spec, trial, z=zt) + lam1 * float(np.abs(trial).sum())
+            ft = objective_value(spec, trial, z=zt)
             decrease = ARMIJO * float(s.dot(trial - w))
             # accepted, or no step can be seen to lower F
             if ft < f and ft <= f + decrease or f + decrease == f:

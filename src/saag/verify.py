@@ -370,7 +370,7 @@ def run_suites(data, loss, l1, l2, inject_scale_bug=False):
             for lam1 in (0.0, max(l1, 1e-3)):
                 spec_v = ObjectiveSpec(loss, data, l2, lam1)
                 constants = estimate_constants(spec_v)
-                reference = reference_optimum(spec_v, budget=200)
+                reference = reference_optimum(spec_v)
                 for _ in range(50):
                     w = 0.5 * rng.standard_normal(data.d)
                     snap = take_snapshot(spec_v, 0.5 * rng.standard_normal(data.d))

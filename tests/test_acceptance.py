@@ -90,7 +90,7 @@ def test_criterion_3_variance_bounds():
     for lam1 in (0.0, 1e-3):  # smooth and elastic net
         spec = logistic_spec(6, 4, lam2=1e-2, lam1=lam1, seed=3)
         constants = estimate_constants(spec)
-        ref = reference_optimum(spec, budget=300)
+        ref = reference_optimum(spec)
         schedule = make_schedule(6, 2, seed=1)
         m = schedule.m
         a = (6 - 2) / (2 * (6 - 1))
@@ -188,7 +188,7 @@ def test_criterion_6_degenerate_equivalence():
 def test_criterion_7_convergence_at_desk_scale():
     start = time.perf_counter()
     spec = logistic_spec(200, 10, lam2=1e-2, seed=0, margin=4.0)
-    ref = reference_optimum(spec, budget=500)
+    ref = reference_optimum(spec)
     traces = {}
     for kind in ("saag3", "saag4", "svrg", "vrsgd"):
         cfg = RunConfig(solver=kind, objective=spec, epochs=30, batch_size=8, seed=0)
@@ -287,7 +287,7 @@ def test_criterion_10_sbas_contract():
 
 def test_criterion_11_stability():
     spec = logistic_spec(200, 10, lam2=1e-2, seed=0, margin=3.0, flip=0.01)
-    ref = reference_optimum(spec, budget=500)
+    ref = reference_optimum(spec)
     stds = {"saag1": [], "saag3": []}
     for seed in range(5):
         for kind in stds:

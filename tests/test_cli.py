@@ -144,38 +144,20 @@ def test_bad_fixed_step_is_an_error(tmp_path, capsys, eta):
     assert not out.exists()
 
 
-def test_bad_ref_budget_fails_before_any_solver_runs(tmp_path, monkeypatch,
-                                                     capsys):
-    import saag.solvers as solvers
-    calls = []
-    run = solvers.run
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append(config) or run(config, **kw)))
-    out = tmp_path / "run.csv"
-    code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
-                 "--epochs", "2", "--ref-budget", "0", "--out", str(out)])
-    assert code == 1
-    assert "budget must be >= 1" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("flag, value, message", [
     ("--epochs", "0", "epochs must be >= 1"),
     ("--seeds", "-1", "seed must be non-negative"),
     ("--max-backtracks", "0", "max_backtracks must be >= 1"),
     ("--l1", "nan", "finite"),
     ("--eta0", "nan", "eta0 must be finite"),
-    # the reference runs after the jobs, but its budget is checked before them
-    ("--ref-budget", "0", "budget must be >= 1"),
 ])
 def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
                                                       capsys, flag, value, message):
     import saag.solvers as solvers
     calls = []
     reference, run = solvers.reference_optimum, solvers.run
-    monkeypatch.setattr(solvers, "reference_optimum", lambda spec, budget, best: (
-        calls.append(spec) or reference(spec, budget, best)))
+    monkeypatch.setattr(solvers, "reference_optimum", lambda spec, best: (
+        calls.append(spec) or reference(spec, best)))
     monkeypatch.setattr(solvers, "run", lambda config, **kw: (
         calls.append(config) or run(config, **kw)))
     out = tmp_path / "run.csv"
@@ -275,7 +257,7 @@ def test_every_option_is_a_flag_with_its_echoed_value():
         solvers=("saag1", "gd"), loss="squared_hinge", l1=1e-3, l2=1e-4, b=8,
         epochs=3, seeds=(2, 5), eta0=2.0, alpha=0.2, shrink=0.7,
         max_backtracks=4, fixed_eta=0.05, out="x.csv", workers=2,
-        train_fraction=0.5, split_seed=7, ref_budget=9)
+        train_fraction=0.5, split_seed=7)
     default = ExperimentConfig()
     argv = ["run"]
     for line in echo_config(config):

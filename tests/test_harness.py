@@ -158,7 +158,7 @@ def counted_runs(monkeypatch):
 def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
     specs, jobs, test = lambda_grid_jobs()
     calls = counted_runs(monkeypatch)
-    traces, optima = run_jobs(jobs, test, 50, 1)
+    traces, optima = run_jobs(jobs, test, 1)
     # gd's batch is every row: its b = 2 and b = 4 jobs are one run
     assert len(calls) == 8
     assert sorted((c.solver, c.seed) for c in calls if c.objective is specs[0]) == \
@@ -183,7 +183,7 @@ def test_run_jobs_keys_runs_on_every_config_field():
                 ("svrg", 2, {}), ("svrg", 3, {}), ("saag4", 2, {}),
                 ("saag4", 2, {"fixed_eta": 0.05}),
                 ("saag4", 2, {"sbas": SBASParams(eta0=2.0)}))]
-    traces, _ = run_jobs(jobs, None, 50, 1)
+    traces, _ = run_jobs(jobs, None, 1)
     assert [len(t.points) for t in traces] == [3, 4, 3, 3, 3]
     assert [t.config["epochs"] for t in traces] == [2, 3, 2, 2, 2]
     assert [t.config["fixed_eta"] for t in traces] == [None, None, None, 0.05, None]
@@ -192,13 +192,13 @@ def test_run_jobs_keys_runs_on_every_config_field():
 
 def test_run_jobs_finalizes_each_objective_against_its_reference():
     specs, jobs, test = lambda_grid_jobs()
-    traces, optima = run_jobs(jobs, test, 50, 1)
+    traces, optima = run_jobs(jobs, test, 1)
     for spec in specs:
         reference, f_star = optima[spec]
         own = [t for job, t in zip(jobs, traces) if job.objective is spec]
         # the reference runs after the jobs, to the accuracy their traces need
         best = min(p.objective for t in own for p in t.points)
-        assert reference.value == reference_optimum(spec, 50, best).value
+        assert reference.value == reference_optimum(spec, best).value
         assert f_star == min([reference.value] +
                              [p.objective for t in own for p in t.points])
         for t in own:
@@ -224,7 +224,7 @@ def test_run_jobs_suboptimality_is_within_the_trace_accuracy(monkeypatch, layout
     spec = ObjectiveSpec(loss, train, lambda2=1e-3, lambda1=lam1)
     jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=4)
             for kind in ("saag4", "svrg")]
-    traces, optima = run_jobs(jobs, test, 500, 1)
+    traces, optima = run_jobs(jobs, test, 1)
     assert (train.block is None) == (layout == "csr")
     reference, _ = optima[spec]
     exact = reference_optimum(spec)     # to the 5e-14 * F stop
@@ -252,28 +252,20 @@ def test_run_jobs_non_finite_points_cannot_loosen_the_reference(monkeypatch):
         return w, trace
 
     monkeypatch.setattr(solvers, "run", diverged)
-    traces, optima = run_jobs(jobs, test, 50, 1)
+    traces, optima = run_jobs(jobs, test, 1)
     for spec in specs:
         finite = [p.objective for job, t in zip(jobs, traces)
                   if job.objective is spec for p in t.points
                   if math.isfinite(p.objective)]
-        expected = reference_optimum(spec, 50, min(finite))
+        expected = reference_optimum(spec, min(finite))
         assert optima[spec][0].w.tobytes() == expected.w.tobytes()
         assert optima[spec][0].iterations == expected.iterations
 
 
-def test_run_jobs_bad_budget_fails_before_any_run(monkeypatch):
-    _, jobs, test = lambda_grid_jobs()
-    calls = counted_runs(monkeypatch)
-    with pytest.raises(ValueError, match="budget must be >= 1"):
-        run_jobs(jobs, test, 0, 1)
-    assert calls == []
-
-
 def test_run_jobs_on_two_workers_equals_serial():
     _, jobs, test = lambda_grid_jobs()
-    serial, serial_optima = run_jobs(jobs, test, 50, 1)
-    pooled, pooled_optima = run_jobs(jobs, test, 50, 2)
+    serial, serial_optima = run_jobs(jobs, test, 1)
+    pooled, pooled_optima = run_jobs(jobs, test, 2)
 
     def scrub(trace):
         return (trace.solver, trace.seed, trace.config, trace.failure,
@@ -295,6 +287,6 @@ def test_run_jobs_warns_nothing_at_extreme_margins(lambdas):
     spec = ObjectiveSpec("logistic", make_synthetic(60, 5, margin=2000.0), *lambdas)
     jobs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=8)
             for kind in SOLVERS]
-    traces, _ = run_jobs(jobs, None, 50, 1)
+    traces, _ = run_jobs(jobs, None, 1)
     assert all(t.failure is None and math.isfinite(t.points[-1].objective)
                for t in traces)

@@ -603,7 +603,7 @@ def test_reference_optimum_one_point_least_squares():
     from saag.data import Dataset
     ds = Dataset([0, 1], [0], [1.0], [1.0], d=1)
     spec = ObjectiveSpec("least_squares", ds)
-    ref = reference_optimum(spec, budget=50)
+    ref = reference_optimum(spec)
     assert abs(ref.w[0] - 1.0) <= 1e-8
     assert abs(ref.value) <= 1e-12
     assert ref.converged
@@ -614,14 +614,14 @@ def test_reference_optimum_symmetric_logistic():
     from saag.data import Dataset
     ds = Dataset([0, 2, 4], [0, 1, 0, 1], [1.0, 2.0, -1.0, -2.0], [1.0, 1.0], d=2)
     spec = ObjectiveSpec("logistic", ds, lambda2=1e-3)
-    ref = reference_optimum(spec, budget=50)
+    ref = reference_optimum(spec)
     assert np.linalg.norm(ref.w) <= 1e-6
     assert abs(ref.value - math.log(2.0)) <= 1e-10
 
 
 def test_reference_optimum_matches_grid_search_elastic_net():
     spec = toy_spec(n=12, d=2, lam2=5e-2, lam1=2e-2, seed=4)
-    ref = reference_optimum(spec, budget=300)
+    ref = reference_optimum(spec)
     # independent oracle: fine grid over the 2-d weight space, then refine
     lo, hi = -3.0, 3.0
     center = np.zeros(2)
@@ -639,11 +639,13 @@ def test_reference_optimum_matches_grid_search_elastic_net():
     assert abs(ref.value - best) <= 1e-6
 
 
-def test_reference_flags_nonconvergence():
+def test_reference_flags_nonconvergence(monkeypatch):
     # separable logistic with no regularization has no finite minimizer; the
-    # objective keeps creeping down and the convergence window never closes
+    # objective keeps creeping down, and 2000 products stop it short of the
+    # rounding exit (4066 products)
+    monkeypatch.setattr(solvers_mod, "PRODUCTS", 2000)
     spec = toy_spec(n=12, d=3, lam2=0.0, seed=7)
-    ref = reference_optimum(spec, budget=5)
+    ref = reference_optimum(spec)
     assert not ref.converged
 
 
@@ -661,7 +663,7 @@ def test_reference_polish_stops_at_rounding_fixed_point(shape, lam2):
     data = make_synthetic(n, d, seed=seed, flip=flip, margin=margin)
     train, _ = split_train_test(data, 0.8, seed=0)
     spec = ObjectiveSpec("logistic", train, lambda2=lam2)
-    ref = reference_optimum(spec, budget=500)
+    ref = reference_optimum(spec)
     assert ref.converged
     assert ref.iterations < 2000
 
@@ -682,11 +684,11 @@ def test_reference_optimum_sparse_passes_match_dense(monkeypatch):
     ds = sparse_logistic_set()
     with monkeypatch.context() as m:
         m.setattr(Dataset, "dense", lambda self: pytest.fail("densified"))
-        sparse = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3), budget=300)
+        sparse = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3))
     assert ds.block is None
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0)
     ds = sparse_logistic_set()
-    dense = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3), budget=300)
+    dense = reference_optimum(ObjectiveSpec("logistic", ds, 1e-3, 1e-3))
     assert ds.block is not None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
@@ -708,17 +710,52 @@ def test_reference_l1_certificate_bounds_the_gap(monkeypatch):
     assert 0.0 <= rounded.bound < math.inf
 
 
+def extended_value_and_lower(spec, w):
+    # logistic F at w and its certificate's lower bound F - ||s||^2 / (2
+    # lambda2) on F*, s the min-norm subgradient, all in np.longdouble
+    data = spec.data
+    rows = np.repeat(np.arange(data.n), np.diff(data.indptr))
+    signed = np.zeros((data.n, data.d), dtype=np.longdouble)
+    signed[rows, data.indices] = -data.labels[rows] * data.values.astype(np.longdouble)
+    w = w.astype(np.longdouble)
+    t = signed @ w
+    lam1, lam2 = np.longdouble(spec.lambda1), np.longdouble(spec.lambda2)
+    f = np.logaddexp(0.0, t).mean() + lam2 / 2 * w.dot(w) + lam1 * np.abs(w).sum()
+    g = signed.T @ (1.0 / (1.0 + np.exp(-t))) / data.n + lam2 * w
+    s = np.where(w != 0.0, g + lam1 * np.sign(w),
+                 np.sign(g) * np.maximum(np.abs(g) - lam1, 0.0))
+    return f, f - s.dot(s) / (2 * lam2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                    reason="long double is float64 here")
+@pytest.mark.parametrize("data", [sparse_logistic_set, lambda: make_synthetic(40, 6, seed=2)],
+                         ids=["sparse-200x300", "dense-40x6"])
+def test_reference_bound_holds_in_extended_precision(monkeypatch, data):
+    # the rounding exit (GAP = 0) gives a point whose extended-precision
+    # lower bound on F* is tight; the default call's float value lies above
+    # it by F's rounding, which the ROUNDING term of its bound must cover
+    spec = ObjectiveSpec("logistic", data(), lambda2=1e-2, lambda1=1e-3)
+    default = reference_optimum(spec)
+    monkeypatch.setattr(solvers_mod, "GAP", 0.0)
+    _, lower = extended_value_and_lower(spec, reference_optimum(spec).w)
+    assert default.converged
+    assert default.value - lower <= default.bound
+    # the certificate term alone would not cover it
+    assert default.value - lower > default.bound - solvers_mod.ROUNDING * default.value
+
+
 def test_reference_optimum_above_dense_limit_uses_csr(monkeypatch):
     # a dense training set whose copy would not fit takes the CSR passes
     # instead of failing in Dataset.dense
     spec = toy_spec(n=40, d=6, lam2=1e-3, lam1=1e-3, seed=2)
-    dense = reference_optimum(spec, budget=200)
+    dense = reference_optimum(spec)
     assert spec.data.block is not None
     monkeypatch.setattr(Dataset, "DENSE_LIMIT", spec.data.n * spec.data.d - 1)
     spec = toy_spec(n=40, d=6, lam2=1e-3, lam1=1e-3, seed=2)
     with pytest.raises(ValueError, match="too large to densify"):
         spec.data.dense()
-    sparse = reference_optimum(spec, budget=200)
+    sparse = reference_optimum(spec)
     assert spec.data.block is None
     assert sparse.converged and dense.converged
     assert abs(sparse.value - dense.value) <= 1e-10 * dense.value
@@ -743,13 +780,14 @@ def test_reference_without_a_usable_best_keeps_the_gap_stop(lam1, best):
     assert same_reference(reference_optimum(spec, best=value), default)
 
 
-def test_reference_at_lambda2_zero_ignores_best():
+def test_reference_at_lambda2_zero_ignores_best(monkeypatch):
     # no certificate without strong convexity: best leaves the run as it is
+    monkeypatch.setattr(solvers_mod, "PRODUCTS", 2000)
     spec = toy_spec(n=12, d=3, lam2=0.0, seed=7)
-    default = reference_optimum(spec, budget=5)
+    default = reference_optimum(spec)
     assert not default.converged and math.isnan(default.bound)
     above = objective_value(spec, np.zeros(3))
-    assert same_reference(reference_optimum(spec, budget=5, best=above), default)
+    assert same_reference(reference_optimum(spec, best=above), default)
 
 
 def test_reference_stops_at_the_trace_accuracy(monkeypatch):
@@ -762,23 +800,17 @@ def test_reference_stops_at_the_trace_accuracy(monkeypatch):
     assert early.converged and early.iterations < default.iterations
     assert 0.0 < early.bound <= solvers_mod.TRACE_ACCURACY * (best - early.value)
     assert 0.0 <= early.value - default.value <= early.bound
-    monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
+    monkeypatch.setattr(solvers_mod, "PRODUCTS", early.iterations)
     # the default call capped where the early one stopped: the same point
-    capped = reference_optimum(spec, budget=early.iterations)
+    capped = reference_optimum(spec)
     assert not capped.converged and math.isfinite(capped.bound)
     assert capped.bound >= capped.value - default.value
     assert (capped.w.tobytes(), capped.value) == (early.w.tobytes(), early.value)
 
 
-def test_reference_optimum_budget_validation():
-    spec = toy_spec(n=8, d=3)
-    with pytest.raises(ValueError):
-        reference_optimum(spec, budget=0)
-
-
 def test_convergence_on_smooth_toy():
     spec = ObjectiveSpec("logistic", make_synthetic(200, 10, seed=0, margin=4.0), 1e-2)
-    ref = reference_optimum(spec, budget=500)
+    ref = reference_optimum(spec)
     init = objective_value(spec, np.zeros(10)) - ref.value
     _, trace = run(RunConfig(solver="saag4", objective=spec, epochs=30,
                              batch_size=8, seed=0))
@@ -807,7 +839,7 @@ def test_reference_small_lambda_separable_finishes_under_cap():
         spec = ObjectiveSpec("logistic", train, lambda2=1e-7, lambda1=lam1)
         ref = reference_optimum(spec)
         assert ref.converged and 0.0 <= ref.bound <= 5e-14 * ref.value
-        assert ref.iterations < solvers_mod._iteration_cap(500)
+        assert ref.iterations < solvers_mod.PRODUCTS
         assert ref.value <= objective_value(spec, np.zeros(3))
 
 
@@ -831,9 +863,9 @@ def test_reference_cap_bounds_its_products(monkeypatch, lam2):
     # lambda2 > 0
     spec = ObjectiveSpec("logistic", sparse_logistic_set(), lambda2=lam2, lambda1=1e-3)
     full = reference_optimum(spec)
-    monkeypatch.setattr(solvers_mod, "_iteration_cap", lambda budget: budget)
     for k in (1, 2, 3, 7, 30):
-        capped = reference_optimum(spec, budget=k)
+        monkeypatch.setattr(solvers_mod, "PRODUCTS", k)
+        capped = reference_optimum(spec)
         assert capped.iterations <= k and not capped.converged
         if lam2 > 0.0:
             assert capped.bound >= capped.value - full.value

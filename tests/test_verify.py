@@ -89,7 +89,7 @@ def test_variance_bound_over_sample_grid():
     for lam1 in (0.0, 1e-3):
         spec = ObjectiveSpec("logistic", data, lambda2=1e-2, lambda1=lam1)
         constants = estimate_constants(spec)
-        reference = reference_optimum(spec, budget=300)
+        reference = reference_optimum(spec)
         sched = make_schedule(6, 2, seed=1)
         for _ in range(50):
             w = rng.standard_normal(4)
@@ -104,7 +104,7 @@ def test_variance_bound_at_optimum_and_full_batch():
     data = make_synthetic(6, 4, seed=4)
     spec = ObjectiveSpec("logistic", data, lambda2=1e-2)
     constants = estimate_constants(spec)
-    reference = reference_optimum(spec, budget=300)
+    reference = reference_optimum(spec)
     # w = w~ = w*: both brackets vanish and the bound reduces to R'
     snap = take_snapshot(spec, reference.w)
     sched = make_schedule(6, 2, seed=2)
@@ -127,7 +127,7 @@ def test_variance_bound_rejects_large_n():
     with pytest.raises(ValueError, match="enumerate"):
         variance_bound_check(spec, np.zeros(3), snap,
                              make_schedule(80, 8, seed=0), constants,
-                             reference_optimum(spec, budget=10))
+                             reference_optimum(spec))
 
 
 def test_bias_mutation_detected():
@@ -152,7 +152,7 @@ def test_oracles_read_the_batches_and_estimator_the_solvers_run(monkeypatch):
     from saag.verify import estimator_mean_bruteforce
     spec = ObjectiveSpec("logistic", make_synthetic(6, 4, seed=3), lambda2=1e-2)
     constants = estimate_constants(spec)
-    reference = reference_optimum(spec, budget=300)
+    reference = reference_optimum(spec)
     sched = make_schedule(6, 2, seed=1)
     rng = np.random.default_rng(8)
     w = rng.standard_normal(4)
@@ -280,6 +280,18 @@ def test_run_suites_at_lambda2_zero_passes_every_check_warning_nothing():
     results = run_suites(make_synthetic(24, 6), "logistic", 0.0, 0.0)
     assert tuple(name for name, _, _ in results) == SUITES
     assert all(passed is True for _, passed, _ in results)
+
+
+def test_run_suites_references_converge_at_lambda2_zero(monkeypatch):
+    # the variance bound's references run to the library's own cap: on the
+    # separable default set the lambda1 = 0 one reaches its rounding exit
+    import saag.verify
+    references = []
+    monkeypatch.setattr(saag.verify, "reference_optimum", lambda spec: (
+        references.append(reference_optimum(spec)) or references[-1]))
+    run_suites(make_synthetic(24, 6), "logistic", 0.0, 0.0)
+    assert len(references) == 2
+    assert all(reference.converged for reference in references)
 
 
 def test_run_suites_leaves_out_enumeration_above_cap():
