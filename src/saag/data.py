@@ -128,18 +128,21 @@ class Dataset:
         return self._csr_rows(rows, self.signed)[:3] if block is None else block[rows]
 
     def plan(self, schedule):
-        """Yield the batches of ``schedule`` in order, each a ``Batch`` that
-        carries its gathered signed rows, equal to a fresh gather. They are
-        gathered ahead a chunk at a time: runs of full batches (rows of
+        """Yield the batches of ``schedule`` in order, a chunk at a time: each
+        chunk a list of ``Batch``es that carry their gathered signed rows,
+        equal to a fresh gather. A chunk is a run of full batches (rows of
         ``schedule.head``), or the tail batch, whose gathered rows take at
         most PLAN_BYTES (a batch past the bound on its own is a chunk of
-        one), each in one pass, so a batch's rows are views of its chunk. A
-        batch of every row carries the block or the stored arrays, uncopied.
+        one), gathered in one pass when it is asked for, so a batch's rows
+        are views of its chunk's; a caller that drops each chunk before it
+        asks for the next holds one chunk's rows at a time. The one batch of
+        every row is a chunk that carries the block or the stored arrays,
+        uncopied.
         """
         if schedule.b == self.n:
             (batch,) = schedule.head.view(Batch)
             batch.signed = self.gather()
-            yield batch
+            yield [batch]
             return
         runs = [schedule.head]
         if len(schedule.batches) > len(schedule.head):
@@ -149,12 +152,18 @@ class Dataset:
             start = 0
             while start < len(rows):
                 stop = max(int(ends[start]), start + 1)
-                chunk = rows[start:stop]
-                # each row of the Batch view is a Batch, read-only as the schedule
-                for batch, signed in zip(chunk.view(Batch), self._gather_chunk(chunk)):
-                    batch.signed = signed
-                    yield batch
+                yield self._planned(rows[start:stop])
                 start = stop
+
+    def _planned(self, rows):
+        """The ``Batch``es of the (m, b) ``rows``, each carrying its rows of
+        one gather; a function of its own, so that the generator ``plan``
+        keeps no reference to a chunk it has yielded."""
+        # each row of the Batch view is a Batch, read-only as the schedule
+        batches = list(rows.view(Batch))
+        for batch, signed in zip(batches, self._gather_chunk(rows)):
+            batch.signed = signed
+        return batches
 
     def _chunk_ends(self, rows):
         """For each start k, the end of the longest chunk of the batches

@@ -85,31 +85,46 @@ def finalize_suboptimality(traces, reference_value=None):
     return best
 
 
-def _run_job(config, test):
+def _run_group(jobs, test):
     from .solvers import run    # at call time: solvers imports this module
-    return run(config, test=test)[1]
+    return [trace for _, trace in run(jobs, test=test)]
 
 
 def run_jobs(jobs, test, workers):
     """Run a command's ``RunConfig`` jobs, then every objective's reference
-    optimum: each distinct job (equal in every field, the objective by
-    identity) once, serially or on ``workers`` processes; gd's batch is every
-    row, so a batch sweep runs it once per (seed, objective). Each reference
+    optimum. Each distinct job (equal in every field, the objective by
+    identity) runs once; gd's batch is every row, so a batch sweep runs it
+    once per (seed, objective). The jobs that share their batches (one
+    ``solvers.batch_key``; the objectives of a lambda sweep share one data
+    set) are a group that ``solvers.run`` steps through each epoch in
+    lockstep, serially or on a pool of ``workers`` processes that maps the
+    groups. With fewer groups than workers, the largest group is split in
+    two, round-robin, until every worker that has a job runs. Each reference
     stops once F* is certified to ``solvers.TRACE_ACCURACY`` of the smallest
     gap its objective's traces show, the lowest finite objective they reached
     (``best``). Returns one trace per job, in job order, each its own copy, and
     ``{objective: (ReferenceResult, F*)}``, F* = min(reference, traces)."""
-    from .solvers import reference_optimum  # as in _run_job
+    from .solvers import batch_key, reference_optimum  # as in _run_group
     keys = [tuple(getattr(job, f.name) for f in fields(job)) for job in jobs]
     unique = dict(zip(keys, jobs))
+    groups = {}
+    for key, job in unique.items():
+        groups.setdefault(batch_key(job), []).append(key)
+    parts = list(groups.values())
+    while len(parts) < min(workers, len(unique)):
+        parts.sort(key=len)
+        largest = parts.pop()
+        parts += [largest[::2], largest[1::2]]
+    configs = [[unique[key] for key in part] for part in parts]
     if workers > 1:
         # imported here, so a command without a pool skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, unique.values(), [test] * len(unique)))
+            results = list(pool.map(_run_group, configs, [test] * len(parts)))
     else:
-        results = [_run_job(job, test) for job in unique.values()]
-    done = dict(zip(unique, results))
+        results = [_run_group(group, test) for group in configs]
+    done = {key: trace for part, traces in zip(parts, results)
+            for key, trace in zip(part, traces)}
     traces = [copy.deepcopy(done[key]) for key in keys]
     optima = {}
     for spec in dict.fromkeys(job.objective for job in jobs):

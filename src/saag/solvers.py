@@ -5,7 +5,8 @@ estimator, pick a step size with the stochastic Armijo search (or a fixed /
 scheduled step), then apply the smooth update w <- w - eta*d when lambda1 = 0
 or the proximal update w <- prox(w - eta*d) otherwise. The solvers differ in
 their estimator and in the epoch-boundary rules for the snap point and the
-starting iterate: one ``KINDS`` row per solver.
+starting iterate: one ``KINDS`` row per solver. Runs that share their
+batches step through each epoch's schedule together (``run``).
 """
 
 import math
@@ -57,25 +58,6 @@ class NonFiniteDirection(RuntimeError):
 
 
 @dataclass(eq=False)
-class EpochState:
-    """Mutable state of one solver run: the iterate, the previous epoch's
-    iterate average (zeros unless the kind uses it and has run an epoch),
-    the snap state or gradient table, the work counters, and whether the
-    run's last search went past eta0."""
-
-    w: np.ndarray
-    average: np.ndarray
-    epoch: int = 0
-    snap: SnapState | None = None
-    table: GradTable | None = None
-    grads: int = 0
-    fevals: int = 0
-    inner: int = 0
-    work_seconds: float = 0.0
-    backtracked: bool = False
-
-
-@dataclass(eq=False)
 class RunConfig:
     """Everything one solver run needs; deterministic given the seed.
     Gradient descent steps on every row, so its ``batch_size`` is set to n."""
@@ -104,11 +86,40 @@ class RunConfig:
             raise ValueError(f"fixed step {self.fixed_eta} must be finite and > 0")
 
 
+@dataclass(eq=False)
+class EpochState:
+    """Mutable state of one solver run: its config, the iterate, the previous
+    epoch's iterate average (zeros unless the kind uses it and has run an
+    epoch), the snap state or gradient table, the work counters, whether the
+    run's last search went past eta0, and the message of the non-finite
+    direction that stopped the run (None while it runs)."""
+
+    config: RunConfig
+    w: np.ndarray
+    average: np.ndarray
+    epoch: int = 0
+    snap: SnapState | None = None
+    table: GradTable | None = None
+    grads: int = 0
+    fevals: int = 0
+    inner: int = 0
+    work_seconds: float = 0.0
+    backtracked: bool = False
+    failure: str | None = None
+
+
 def init_state(config):
     spec = config.objective
     table = make_table(spec) if KINDS[config.solver].family == "table" else None
-    return EpochState(w=np.zeros(spec.data.d), average=np.zeros(spec.data.d),
+    return EpochState(config, w=np.zeros(spec.data.d), average=np.zeros(spec.data.d),
                       table=table)
+
+
+def batch_key(config):
+    """What fixes a run's batches: its data set (by identity), batch size,
+    seed and epoch count. Runs with one key share every epoch's schedule,
+    so ``run`` steps them through it together."""
+    return id(config.objective.data), config.batch_size, config.seed, config.epochs
 
 
 def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
@@ -153,64 +164,119 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
     return state
 
 
-def run_epoch(kind, state, spec, schedule, sbas_params, fixed_eta=None):
-    """One epoch: snap bookkeeping, m inner steps, boundary rule, as the
-    kind's ``KINDS`` row says; a kind using ``state.average`` sets it to the
-    mean of the epoch's m iterates. The estimator is bound to the epoch's
-    table or snap state once, and the batches are gathered a chunk at a time
-    (``Dataset.plan``). Overflow is not reported inside the snapshot and the
-    steps: a logistic slope whose exp(-t) overflows is the exact +0.0, a
-    finite direction whose d.d overflows still steps, and a non-finite one
-    raises ``NonFiniteDirection``.
+def run_epoch(states, schedule):
+    """One epoch of every run of ``states``, which share ``schedule``, in
+    lockstep. Per run, the snap bookkeeping as its kind's ``KINDS`` row says,
+    and its estimator bound to the epoch's table or snap state once. Then
+    each chunk of the schedule's batches (``Dataset.plan``) is gathered once,
+    every run takes its inner steps on it, and it is dropped before the next
+    is gathered. Per run, the boundary rule last: a kind using
+    ``state.average`` sets it to the mean of the epoch's m iterates.
+
+    Overflow is not reported inside the snapshots and the steps: a logistic
+    slope whose exp(-t) overflows is the exact +0.0, a finite direction whose
+    d.d overflows still steps, and a run whose direction is not finite
+    (``NonFiniteDirection``) keeps the message in ``state.failure`` and
+    leaves the epoch, while the others go on.
+
+    A run's ``work_seconds`` grows by its own snapshot, steps and boundary,
+    and by the gather of each chunk it reads, timed once for the group: one
+    clock pair per run and chunk, never per step.
     """
-    row = KINDS[kind]
-    averaging = "average" in (row.snap, row.start)
-    total = np.zeros_like(state.w)
+    clock = time.perf_counter
+    live = []
     with np.errstate(over="ignore"):
-        if row.snap is not None:
-            anchor = state.average if row.snap == "average" else state.w
-            state.snap = take_snapshot(spec, anchor)
-            state.grads += spec.data.n
-        direct = bind(row.family, spec, state.table, state.snap)
-        for batch in spec.data.plan(schedule):
-            inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta)
-            if averaging:
-                total += state.w
-    if averaging:
-        state.average = total / schedule.m
-    if row.start == "average":
-        state.w = state.average
-    state.epoch += 1
-    return state
+        for state in states:
+            start = clock()
+            live.append((state, *_start_epoch(state)))
+            state.work_seconds += clock() - start
+        start = clock()
+        for chunk in states[0].config.objective.data.plan(schedule):
+            gathered = clock() - start
+            for state, steps, _ in live:
+                start = clock()
+                try:
+                    steps(chunk)
+                except NonFiniteDirection as err:
+                    state.failure = str(err)
+                state.work_seconds += gathered + clock() - start
+            live = [run for run in live if run[0].failure is None]
+            del chunk       # its rows are freed before the next gather
+            if not live:
+                break
+            start = clock()
+    for state, _, total in live:
+        start = clock()
+        if total is not None:
+            state.average = total / schedule.m
+        if KINDS[state.config.solver].start == "average":
+            state.w = state.average
+        state.epoch += 1
+        state.work_seconds += clock() - start
 
 
-def run(config, test=None):
-    """Run a solver for S epochs and record a trace point per epoch.
-
-    The trace gets an epoch-0 baseline before any work. Metric evaluation is
-    excluded from the recorded wall time and from the gradient counters. On a
-    non-finite direction the run stops and the partial trace carries a
-    failure marker. Returns (final w, Trace).
-    """
-    spec = config.objective
-    kind = config.solver
+def _start_epoch(state):
+    """The snap bookkeeping of ``state``'s epoch and its bound estimator.
+    Returns ``steps(chunk)``, which takes the run's inner steps on a chunk's
+    batches, and the array it sums the epoch's iterates into (None unless
+    the kind uses the average)."""
+    config = state.config
+    kind, spec, sbas = config.solver, config.objective, config.sbas
+    row = KINDS[kind]
+    if row.snap is not None:
+        anchor = state.average if row.snap == "average" else state.w
+        state.snap = take_snapshot(spec, anchor)
+        state.grads += spec.data.n
+    direct = bind(row.family, spec, state.table, state.snap)
     fixed_eta = None if config.fixed_eta is None else operand(config.fixed_eta)
-    state = init_state(config)
-    trace = Trace(solver=kind, seed=config.seed, points=[],
-                  config=_config_echo(config))
-    record_epoch(trace, state, spec, test)
-    for s in range(config.epochs):
-        schedule = make_schedule(spec.data.n, config.batch_size, config.seed,
-                                 epoch=s)
-        start = time.perf_counter()
-        try:
-            run_epoch(kind, state, spec, schedule, config.sbas, fixed_eta)
-        except NonFiniteDirection as err:
-            trace.failure = str(err)
+    total = np.zeros_like(state.w) if "average" in (row.snap, row.start) else None
+
+    def steps(chunk):
+        nonlocal total
+        for batch in chunk:
+            inner_step(kind, direct, state, spec, batch, sbas, fixed_eta)
+            if total is not None:
+                total += state.w
+
+    return steps, total
+
+
+def run(configs, test=None):
+    """Run ``configs``, runs that share their batches (one ``batch_key``),
+    for their S epochs in lockstep, and record a trace point per run and
+    epoch. Each epoch's schedule is drawn once for all of them, and
+    ``run_epoch`` gathers each of its chunks once; a group of one is a
+    single run.
+
+    Each trace gets an epoch-0 baseline before any work. Metric evaluation
+    is excluded from the recorded wall time and from the gradient counters.
+    A run whose direction is not finite stops there, its partial trace
+    carries a failure marker, and the others go on. Returns a (final w,
+    Trace) per config, in order.
+    """
+    first = configs[0]
+    if any(batch_key(config) != batch_key(first) for config in configs):
+        raise ValueError("runs stepped together must share their data set, "
+                         "batch size, seed and epochs")
+    runs = [(init_state(config), Trace(solver=config.solver, seed=config.seed,
+                                       points=[], config=_config_echo(config)))
+            for config in configs]
+    for state, trace in runs:
+        record_epoch(trace, state, state.config.objective, test)
+    n = first.objective.data.n
+    live = runs
+    for s in range(first.epochs):
+        run_epoch([state for state, _ in live],
+                  make_schedule(n, first.batch_size, first.seed, epoch=s))
+        for state, trace in live:
+            if state.failure is None:
+                record_epoch(trace, state, state.config.objective, test)
+            else:
+                trace.failure = state.failure
+        live = [(state, trace) for state, trace in live if state.failure is None]
+        if not live:
             break
-        state.work_seconds += time.perf_counter() - start
-        record_epoch(trace, state, spec, test)
-    return state.w, trace
+    return [(state.w, trace) for state, trace in runs]
 
 
 def _config_echo(config):

@@ -11,6 +11,7 @@ this distribution choice is recorded in every report.
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def estimator_mean_bruteforce(family, spec, w, state, schedule):
     _enumerable(spec)
     table, snap = (state, None) if family == "table" else (None, state)
     total = np.zeros(spec.data.d)
-    for batch in spec.data.plan(schedule):
+    for batch in chain.from_iterable(spec.data.plan(schedule)):
         direct = bind(family, spec, copy.deepcopy(table), snap)
         total += direct(w, batch, margins(spec.data, w, batch))
     return total / schedule.m
@@ -112,7 +113,7 @@ def variance_bound_check(spec, w, snap, schedule, constants, reference):
     g = batch_grad(spec, w)
     direct = bind("biased", spec, snap=snap)
     lhs = r_max = 0.0
-    for batch in spec.data.plan(schedule):
+    for batch in chain.from_iterable(spec.data.plan(schedule)):
         diff = direct(w, batch, margins(spec.data, w, batch)) - g
         lhs += float(diff @ diff)
         # as in run_epoch: at lambda2 = 0 the optimum's margins can pass

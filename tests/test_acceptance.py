@@ -174,7 +174,7 @@ def test_criterion_6_degenerate_equivalence():
         state = init_state(cfg)
         history = []
         for s in range(5):
-            run_epoch(kind, state, spec, make_schedule(n, n, 0, epoch=s), cfg.sbas)
+            run_epoch([state], make_schedule(n, n, 0, epoch=s))
             history.append(state.w.copy())
         iterates[kind] = history
     worst = 0.0
@@ -192,7 +192,7 @@ def test_criterion_7_convergence_at_desk_scale():
     traces = {}
     for kind in ("saag3", "saag4", "svrg", "vrsgd"):
         cfg = RunConfig(solver=kind, objective=spec, epochs=30, batch_size=8, seed=0)
-        _, trace = run(cfg)
+        _, trace = run([cfg])[0]
         traces[kind] = trace
     finalize_suboptimality(list(traces.values()), ref.value)
     init = objective_value(spec, np.zeros(10)) - ref.value
@@ -212,7 +212,7 @@ def test_criterion_8_gradient_accounting():
     got = {}
     for kind in expected:
         cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=6, seed=0)
-        _, trace = run(cfg)
+        _, trace = run([cfg])[0]
         got[kind] = trace.points[-1].grads_over_n
     ok = all(got[k] == expected[k] for k in expected)
     report(8, ok, "grads/n after one epoch: "
@@ -293,7 +293,7 @@ def test_criterion_11_stability():
         for kind in stds:
             cfg = RunConfig(solver=kind, objective=spec, epochs=30,
                             batch_size=8, seed=seed)
-            _, trace = run(cfg)
+            _, trace = run([cfg])[0]
             subs = np.maximum([p.objective - ref.value
                                for p in trace.points[1:]], 1e-16)
             stds[kind].append(float(np.std(np.log10(subs))))

@@ -113,9 +113,19 @@ def test_run_help_lists_every_synthetic_key(capsys):
     assert "n=..,d=..[,flip=..][,margin=..][,seed=..]" in capsys.readouterr().out
 
 
-def test_run_with_two_workers_writes_the_same_csv(tmp_path):
-    argv = ["run", "--synthetic", "n=40,d=4", "--solvers", "saag1,saag4,svrg",
-            "--seeds", "0,1", "--b", "4", "--epochs", "2"]
+def serial_and_pooled(tmp_path, monkeypatch, argv):
+    """The CSV rows and metadata of ``argv`` run serially and on 2 workers,
+    wall time and the workers echo aside, and the parts the pool mapped."""
+    import concurrent.futures
+    parts = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, fn, *iterables):
+            iterables = [list(it) for it in iterables]
+            parts.append(len(iterables[0]))
+            return super().map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     out, tables = tmp_path / "workers.csv", []
     for workers in ("1", "2"):
         assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
@@ -123,7 +133,26 @@ def test_run_with_two_workers_writes_the_same_csv(tmp_path):
         for row in rows:
             del row["wall_seconds"]
         tables.append((rows, [m for m in metadata if not m.startswith("workers")]))
-    assert tables[0] == tables[1]
+    return tables, parts
+
+
+def test_run_with_two_workers_writes_the_same_csv(tmp_path, monkeypatch):
+    argv = ["run", "--synthetic", "n=40,d=4", "--solvers", "saag1,saag4,svrg",
+            "--seeds", "0,1", "--b", "4", "--epochs", "2"]
+    (serial, pooled), parts = serial_and_pooled(tmp_path, monkeypatch, argv)
+    assert serial == pooled
+    # one group of runs that share their batches per seed
+    assert parts == [2]
+
+
+def test_one_group_on_two_workers_is_split_between_them(tmp_path, monkeypatch):
+    # every run of a lambda sweep at one seed shares its batches: one group,
+    # split round-robin between both workers, writes the serial CSV
+    argv = ["sweep", "--axis", "lambda", "--l1", "1e-3", "--synthetic", "n=40,d=4",
+            "--solvers", "saag4,svrg", "--b", "4", "--epochs", "2"]
+    (serial, pooled), parts = serial_and_pooled(tmp_path, monkeypatch, argv)
+    assert serial == pooled
+    assert parts == [2]
 
 
 def test_unknown_solver_is_usage_error(capsys):
@@ -158,8 +187,8 @@ def test_bad_run_parameters_fail_before_any_reference(tmp_path, monkeypatch,
     reference, run = solvers.reference_optimum, solvers.run
     monkeypatch.setattr(solvers, "reference_optimum", lambda spec, best: (
         calls.append(spec) or reference(spec, best)))
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append(config) or run(config, **kw)))
+    monkeypatch.setattr(solvers, "run", lambda configs, **kw: (
+        calls.extend(configs) or run(configs, **kw)))
     out = tmp_path / "run.csv"
     code = main(["run", "--synthetic", "n=40,d=4", "--solvers", "saag4,svrg",
                  "--epochs", "2", flag, value, "--out", str(out)])
@@ -173,8 +202,8 @@ def test_label_only_file_fails_before_any_solver(tmp_path, monkeypatch, capsys):
     import saag.solvers as solvers
     calls = []
     run = solvers.run
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append(config) or run(config, **kw)))
+    monkeypatch.setattr(solvers, "run", lambda configs, **kw: (
+        calls.extend(configs) or run(configs, **kw)))
     path, out = tmp_path / "labels.svm", tmp_path / "run.csv"
     path.write_text("+1\n-1\n+1\n-1\n+1\n")
     code = main(["run", "--dataset", str(path), "--epochs", "1", "--b", "2",
@@ -272,8 +301,9 @@ def test_solver_prefix_runs_one_job(tmp_path, monkeypatch):
     import saag.solvers as solvers
     calls = []
     run = solvers.run
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append((config.solver, config.seed)) or run(config, **kw)))
+    monkeypatch.setattr(solvers, "run", lambda configs, **kw: (
+        calls.extend((c.solver, c.seed) for c in configs)
+        or run(configs, **kw)))
     assert main(["run", "--solver", "saag4", "--synthetic", "n=30,d=3",
                  "--epochs", "1", "--out", str(tmp_path / "one.csv")]) == 0
     assert calls == [("saag4", 0)]
@@ -635,8 +665,9 @@ def test_batch_sweep_runs_gd_once_per_seed(tmp_path, monkeypatch):
     import saag.solvers as solvers
     calls = []
     run = solvers.run
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append((config.solver, config.batch_size)) or run(config, **kw)))
+    monkeypatch.setattr(solvers, "run", lambda configs, **kw: (
+        calls.extend((c.solver, c.batch_size) for c in configs)
+        or run(configs, **kw)))
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--axis", "batch", "--values", "1,8,24",
                  "--synthetic", "n=30,d=3,flip=0.1", "--solvers", "gd,saag1",

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -242,7 +244,7 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         ds = make_synthetic(6, 3, seed=0)
         assert (ds.block is None) == (fill > 1.0)
         schedule = make_schedule(6, 2, seed=0)
-        batches = list(ds.plan(schedule))
+        batches = list(chain.from_iterable(ds.plan(schedule)))
         # the schedule's batches in order, as read-only row ids
         assert len(batches) == schedule.m
         for batch, rows in zip(batches, schedule.batches):
@@ -283,7 +285,7 @@ def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
         # a schedule of one batch of every row carries the stored layout,
         # uncopied
         whole = make_schedule(6, 6, seed=0)
-        seen = list(ds.plan(whole))
+        seen = list(chain.from_iterable(ds.plan(whole)))
         assert len(seen) == 1 and np.array_equal(seen[0], whole.batches[0])
         assert not seen[0].flags.writeable
         every = _parts(ds.gather(seen[0]))

@@ -1,4 +1,5 @@
 import copy
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -275,8 +276,8 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
             for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d):
                 with pytest.MonkeyPatch.context() as m:
                     m.setattr(Dataset, "PLAN_BYTES", bound)
-                    for batch, (saag2, svrg, size) in zip(data.plan(schedule), want,
-                                                            strict=True):
+                    planned = chain.from_iterable(data.plan(schedule))
+                    for batch, (saag2, svrg, size) in zip(planned, want, strict=True):
                         z = margins(data, w, batch)
                         assert np.all(np.abs(saag2_direction(spec, w, batch, snap, z) - saag2)
                                       <= 1e-12 * size)
@@ -312,7 +313,7 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
     w = scale * rng.uniform(-1.0, 1.0, d)
     for b in (1, min(16, n), n - 1, n):
         schedule = make_schedule(n, b, seed)
-        for batch in data.plan(schedule):
+        for batch in chain.from_iterable(data.plan(schedule)):
             k = len(batch)
             c = slope_t(kind, margins(data, w, batch)) / k - snap.slopes[batch] / n
             want = (scatter(data, c, batch)

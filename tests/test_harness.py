@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def run_toy(kind="saag3", epochs=2, seed=0, with_test=False, **kwargs):
     spec = ObjectiveSpec("logistic", train, lambda2=1e-3)
     cfg = RunConfig(solver=kind, objective=spec, epochs=epochs,
                     batch_size=4, seed=seed, **kwargs)
-    return run(cfg, test=test)
+    return run([cfg], test=test)[0]
 
 
 def test_trace_has_baseline_plus_one_point_per_epoch():
@@ -112,25 +113,39 @@ def test_fevals_tracked_but_not_emitted(tmp_path):
 
 
 def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
-    # a fake clock that only epochs (1 tick each) and metric evaluation
-    # (1000 ticks each) move; the work clock must see the epoch ticks alone
+    # a fake clock that only a chunk's gather (2 ticks), a step (1 tick for
+    # saag3, 4 for svrg), a snapshot (16 ticks) and metric evaluation (1000
+    # ticks) move: per epoch, each run's work clock must rise by every gather
+    # it reads and its own steps and snapshot, never by the record
     now = [0.0]
 
     def advance(fn, ticks):
         def wrapped(*args, **kwargs):
-            now[0] += ticks
+            now[0] += ticks(*args)
             return fn(*args, **kwargs)
         return wrapped
 
+    step = {"saag3": 1.0, "svrg": 4.0}
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: now[0])
-    monkeypatch.setattr(solvers, "run_epoch", advance(solvers.run_epoch, 1.0))
+    monkeypatch.setattr(Dataset, "_gather_chunk",
+                        advance(Dataset._gather_chunk, lambda *args: 2.0))
+    monkeypatch.setattr(solvers, "inner_step",
+                        advance(solvers.inner_step, lambda kind, *args: step[kind]))
+    monkeypatch.setattr(solvers, "take_snapshot",
+                        advance(solvers.take_snapshot, lambda *args: 16.0))
     monkeypatch.setattr(solvers, "record_epoch",
-                        advance(solvers.record_epoch, 1000.0))
+                        advance(solvers.record_epoch, lambda *args: 1000.0))
     train, test = split_train_test(make_synthetic(20, 4, seed=1), 0.8, seed=0)
+    # 8 batches of 2 rows of the dense block, 3 to a chunk: 3 gathers an epoch
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", 3 * 8 * 2 * 4)
     spec = ObjectiveSpec("logistic", train, lambda2=1e-3)
-    cfg = RunConfig(solver="saag3", objective=spec, epochs=7, batch_size=4)
-    _, trace = run(cfg, test=test)
-    assert [p.wall_seconds for p in trace.points] == [float(e) for e in range(8)]
+    configs = [RunConfig(solver=kind, objective=spec, epochs=7, batch_size=2)
+               for kind in step]
+    results = run(configs, test=test)
+    assert train.block is not None
+    for (_, trace), epoch in zip(results, (3 * 2.0 + 8 * 1.0,
+                                           3 * 2.0 + 8 * 4.0 + 16.0)):
+        assert [p.wall_seconds for p in trace.points] == [epoch * e for e in range(8)]
 
 
 def lambda_grid_jobs():
@@ -150,8 +165,8 @@ def lambda_grid_jobs():
 def counted_runs(monkeypatch):
     calls = []
     real = solvers.run
-    monkeypatch.setattr(solvers, "run", lambda config, **kw: (
-        calls.append(config) or real(config, **kw)))
+    monkeypatch.setattr(solvers, "run", lambda configs, **kw: (
+        calls.extend(configs) or real(configs, **kw)))
     return calls
 
 
@@ -172,6 +187,55 @@ def test_run_jobs_runs_equal_jobs_once_and_copies_their_traces(monkeypatch):
     # the copies of one run are equal, point for point
     assert traces[0].points == traces[2].points
     assert list(optima) == specs
+
+
+def gathered_roots(views):
+    """The arrays a chunk's gather made: the root of its first view, a
+    dense block's rows or the CSR triple."""
+    roots = []
+    for a in views[0] if isinstance(views[0], tuple) else views[:1]:
+        while a.base is not None:
+            a = a.base
+        roots.append(a)
+    return roots
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_run_jobs_draws_and_gathers_once_per_seed_and_epoch(dense, monkeypatch):
+    # 4 solvers x 3 seeds x 5 epochs: one schedule per (seed, epoch), not one
+    # per run, each of its chunks gathered once, and each chunk's rows freed
+    # before the next is gathered, so PLAN_BYTES bounds a whole group
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    n, d, b = 48, 5, 8
+    spec = ObjectiveSpec("logistic", make_synthetic(n, d, seed=2, flip=0.1), 1e-3)
+    assert (spec.data.block is not None) == dense
+    # two batches of b full rows to a chunk: 3 chunks an epoch
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", 2 * (8 if dense else 24) * b * d)
+    drawn, gathered, alive, refs = [], [], [], []
+    draw, gather_chunk = solvers.make_schedule, Dataset._gather_chunk
+
+    def counted_draw(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    def counted_gather(self, rows):
+        alive.append(sum(ref() is not None for ref in refs))
+        views = gather_chunk(self, rows)
+        refs[:] = map(weakref.ref, gathered_roots(views))
+        gathered.extend(rows)
+        return views
+
+    monkeypatch.setattr(solvers, "make_schedule", counted_draw)
+    monkeypatch.setattr(Dataset, "_gather_chunk", counted_gather)
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=5, batch_size=b, seed=seed)
+            for kind in ("saag3", "saag4", "svrg", "vrsgd") for seed in (0, 1, 2)]
+    traces, _ = run_jobs(jobs, None, 1)
+    assert all(len(t.points) == 6 for t in traces)
+    assert len(drawn) == 15
+    assert len(alive) == 15 * 3 and alive == [0] * len(alive)
+    assert len(gathered) == 15 * 6
+    assert all(np.array_equal(rows, batch) for rows, batch in
+               zip(gathered, [batch for s in drawn for batch in s.batches]))
 
 
 def test_run_jobs_keys_runs_on_every_config_field():
@@ -237,7 +301,7 @@ def test_run_jobs_suboptimality_is_within_the_trace_accuracy(monkeypatch, layout
     assert reference.bound <= TRACE_ACCURACY * min(p.suboptimality for p in points)
     # every other field is the jobs' own, bit for bit
     for job, trace in zip(jobs, traces):
-        assert point_fields(trace) == point_fields(run(job, test=test)[1])
+        assert point_fields(trace) == point_fields(run([job], test=test)[0][1])
 
 
 def test_run_jobs_non_finite_points_cannot_loosen_the_reference(monkeypatch):
@@ -245,11 +309,12 @@ def test_run_jobs_non_finite_points_cannot_loosen_the_reference(monkeypatch):
     specs, jobs, test = lambda_grid_jobs()
     real = solvers.run
 
-    def diverged(config, **kw):
-        w, trace = real(config, **kw)
-        trace.points[0].objective = math.nan
-        trace.points[1].objective = math.inf
-        return w, trace
+    def diverged(configs, **kw):
+        results = real(configs, **kw)
+        for _, trace in results:
+            trace.points[0].objective = math.nan
+            trace.points[1].objective = math.inf
+        return results
 
     monkeypatch.setattr(solvers, "run", diverged)
     traces, optima = run_jobs(jobs, test, 1)

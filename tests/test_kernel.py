@@ -1,6 +1,8 @@
 """Property tests of the loss kernel, on both data layouts, against plain
 dense numpy over the unsigned rows and the labels."""
 
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -362,7 +364,7 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
             seen, chunks = [], []
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
-                for batch in data.plan(schedule):
+                for batch in chain.from_iterable(data.plan(schedule)):
                     k = len(seen)
                     seen.append(batch)
                     assert isinstance(batch, Batch) and not batch.flags.writeable
@@ -416,7 +418,7 @@ def test_dense_scatter_is_the_matmul_bit_for_bit(b, d, seed, scale):
     c = rng.standard_normal(n) * rng.choice([1e-8, 1.0, 1e8], n)
     schedule = make_schedule(n, b, seed)
     assert b == 1 or len(schedule.batches[-1]) < b
-    for batch in data.plan(schedule):
+    for batch in chain.from_iterable(data.plan(schedule)):
         assert np.array_equal(scatter(data, c[batch], batch),
                               c[batch] @ data.block[batch])
     assert np.array_equal(scatter(data, c), c @ data.block)
@@ -438,6 +440,6 @@ def test_batch_margins_are_the_full_pass_bit_for_bit(d, dense, seed, scale):
     full = margins(data, w)
     for b in (1, 2, 7, 16, 32):
         schedule = make_schedule(n, b, seed, epoch=1)
-        for batch in data.plan(schedule):
+        for batch in chain.from_iterable(data.plan(schedule)):
             assert np.array_equal(margins(data, w, batch), full[batch])
             assert np.array_equal(margins(data, w, np.array(batch)), full[batch])

@@ -35,7 +35,7 @@ def toy_spec(n=24, d=6, lam2=1e-2, lam1=0.0, seed=0, loss="logistic"):
 def test_gradient_accounting_one_epoch(kind):
     spec = toy_spec()
     cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=6, seed=0)
-    _, trace = run(cfg)
+    _, trace = run([cfg])[0]
     assert trace.points[0].grads_over_n == 0.0
     assert trace.points[-1].grads_over_n == EXPECTED_GRADS_PER_EPOCH[kind]
 
@@ -51,7 +51,7 @@ def test_degenerate_equivalence_at_full_batch(lam1):
         history = []
         for s in range(5):
             sched = make_schedule(n, n, 0, epoch=s)
-            run_epoch(kind, state, spec, sched, cfg.sbas)
+            run_epoch([state], sched)
             history.append(state.w.copy())
         iterates[kind] = history
     ref = iterates["gd"]
@@ -77,7 +77,7 @@ def test_epoch_boundary_equalities(monkeypatch):
         state = init_state(cfg)
         before = state.average
         sched = make_schedule(20, cfg.batch_size, 1, epoch=0)
-        run_epoch(kind, state, spec, sched, cfg.sbas)
+        run_epoch([state], sched)
         total = np.zeros(4)
         for w in collected:
             total += w
@@ -104,18 +104,18 @@ def test_snap_anchor_rules():
                          ("gd", None), ("sgd", None)):
         cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=5, seed=4)
         state = init_state(cfg)
-        run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=0), cfg.sbas)
+        run_epoch([state], make_schedule(20, 5, 4, epoch=0))
         if anchor is None:
             # no snap point, in either epoch
             assert state.snap is None, kind
-            run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=1), cfg.sbas)
+            run_epoch([state], make_schedule(20, 5, 4, epoch=1))
             assert state.snap is None, kind
             continue
         # first epoch anchors at the initial point for every snap solver
         assert np.array_equal(state.snap.point, np.zeros(4)), kind
         start = state.w.copy()
         avg = state.average.copy()
-        run_epoch(kind, state, spec, make_schedule(20, 5, 4, epoch=1), cfg.sbas)
+        run_epoch([state], make_schedule(20, 5, 4, epoch=1))
         expected = start if anchor == "start" else avg
         assert np.array_equal(state.snap.point, expected), kind
 
@@ -152,16 +152,16 @@ def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     cfg = RunConfig(solver="saag3", objective=spec, epochs=3, batch_size=4, seed=2)
     state = init_state(cfg)
     for s in range(3):
-        run_epoch("saag3", state, spec, make_schedule(20, 4, 2, epoch=s), cfg.sbas)
+        run_epoch([state], make_schedule(20, 4, 2, epoch=s))
     assert checks and all(checks)
 
 
 def test_run_single_epoch_full_batch_gd_equals_saag4():
     spec = toy_spec(n=16, d=4)
-    w_gd, _ = run(RunConfig(solver="gd", objective=spec, epochs=1,
-                            batch_size=16, seed=0))
-    w_s4, _ = run(RunConfig(solver="saag4", objective=spec, epochs=1,
-                            batch_size=16, seed=0))
+    w_gd, _ = run([RunConfig(solver="gd", objective=spec, epochs=1,
+                             batch_size=16, seed=0)])[0]
+    w_s4, _ = run([RunConfig(solver="saag4", objective=spec, epochs=1,
+                             batch_size=16, seed=0)])[0]
     assert np.linalg.norm(w_gd - w_s4) <= 1e-12
 
 
@@ -204,7 +204,7 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         cfg = RunConfig(solver="gd", objective=spec, epochs=3, batch_size=8)
         with monkeypatch.context() as m:
             chunks = record_chunks(m)
-            w, trace = run(cfg, test=test)
+            w, trace = run([cfg], test=test)[0]
         # gd's one batch is every row, read uncopied: no chunk is gathered
         assert chunks == []
         # the passes read the signed rows: the block or the signed copy of
@@ -220,7 +220,7 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(Dataset, "gather", lambda self, rows=None: self._gather(
                 np.arange(self.n) if rows is None else np.asarray(rows)))
-            w_copy, trace_copy = run(cfg, test=test)
+            w_copy, trace_copy = run([cfg], test=test)[0]
         assert np.array_equal(w, w_copy)
         assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
             [(p.fevals, p.objective, p.test_accuracy) for p in trace_copy.points]
@@ -256,15 +256,15 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
         schedule = make_schedule(n, b, seed=3)
         for kind in SOLVERS:
             state = init_state(RunConfig(solver=kind, objective=spec, epochs=1,
-                                         batch_size=b))
+                                         batch_size=b, sbas=SBASParams(eta0=50.0)))
             chunked.clear()
             fresh.clear()
-            run_epoch(kind, state, spec, schedule, SBASParams(eta0=50.0))
+            run_epoch([state], schedule)
             assert fresh == []
             assert len(chunked) == (0 if b == n else schedule.m)
             assert all(np.array_equal(r, s) for r, s in zip(chunked, schedule.batches))
     # the one batch of every row carries the stored layout itself
-    (batch,) = data.plan(make_schedule(n, n, seed=3))
+    ((batch,),) = data.plan(make_schedule(n, n, seed=3))
     assert chunked == [] and fresh == []
     if dense:
         assert batch.signed is data.block
@@ -273,11 +273,89 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
                    zip(batch.signed, (data.row_ids, data.indices, data.signed)))
 
 
+# mixes shaped like the benchmark's workloads: (layout, kinds, b, seeds,
+# lambda1, fixed step)
+LOCKSTEP_MIXES = {
+    "dense-sbas": (True, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 0.0, None),
+    "csr-l1": (False, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 1e-3, None),
+    "fixed-b1": (True, ("saag1", "saag2", "sgd"), 1, (0,), 0.0, 0.05),
+}
+
+
+def solo_bits(result):
+    """The bytes of a run's final w and of its points' (objective,
+    grads/n, fevals), and its failure marker."""
+    w, trace = result
+    points = [(p.objective, p.grads_over_n, p.fevals) for p in trace.points]
+    return w.tobytes(), np.array(points).tobytes(), trace.failure
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["bound", "low-bound"])
+@pytest.mark.parametrize("mix", sorted(LOCKSTEP_MIXES))
+def test_lockstep_runs_equal_their_solo_runs(mix, chunked, monkeypatch):
+    # runs stepped through each epoch together give each run's solo trace
+    # and w, bit for bit, also with every epoch gathered in 3 or more chunks
+    dense, kinds, b, seeds, lam1, fixed_eta = LOCKSTEP_MIXES[mix]
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    n, d, epochs = 48, 5, 3
+    data = make_synthetic(n, d, seed=9, flip=0.1)
+    assert (data.block is not None) == dense
+    if chunked:     # a chunk of one batch of b full rows
+        monkeypatch.setattr(Dataset, "PLAN_BYTES", (8 if dense else 24) * b * d)
+    gathers = record_chunks(monkeypatch)
+    spec = ObjectiveSpec("logistic", data, lambda2=1e-3, lambda1=lam1)
+    for seed in seeds:
+        configs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=b,
+                             seed=seed, fixed_eta=fixed_eta) for kind in kinds]
+        gathers.clear()
+        grouped = run(configs)
+        if chunked:
+            assert len(gathers) >= 3 * epochs
+        assert [solo_bits(r) for r in grouped] == \
+            [solo_bits(run([config])[0]) for config in configs]
+
+
+def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
+    # svrg's direction is non-finite from its second epoch on: its trace
+    # stops there with the failure marker, and the rest of its group runs on
+    # to the traces it has alone
+    spec = toy_spec(n=48, d=5, lam2=1e-3)
+    configs = [RunConfig(solver=kind, objective=spec, epochs=4, batch_size=8)
+               for kind in ("saag3", "saag4", "svrg", "vrsgd")]
+    solo = [solo_bits(run([config])[0]) for config in configs]
+    step = solvers_mod.inner_step
+
+    def failing(kind, direct, state, *args):
+        if kind == "svrg" and state.epoch >= 1:
+            direct = lambda w, batch, z: np.full(w.size, math.inf)  # noqa: E731
+        return step(kind, direct, state, *args)
+
+    monkeypatch.setattr(solvers_mod, "inner_step", failing)
+    results = run(configs)
+    _, trace = results[2]
+    assert trace.failure == "svrg: non-finite direction at epoch 1, inner step 6"
+    assert [p.epoch for p in trace.points] == [0, 1]
+    assert [solo_bits(r) for r in results[:2] + results[3:]] == solo[:2] + solo[3:]
+
+
+def test_runs_stepped_together_must_share_their_batches():
+    spec = toy_spec(n=24, d=4)
+    other = toy_spec(n=24, d=4)     # equal rows, another data set object
+    base = dict(solver="saag4", objective=spec, epochs=2, batch_size=6, seed=0)
+    for change in ({"seed": 1}, {"batch_size": 4}, {"epochs": 3},
+                   {"objective": other}):
+        with pytest.raises(ValueError, match="must share their data set"):
+            run([RunConfig(**base), RunConfig(**dict(base, **change))])
+    # another objective on the same data set shares the batches
+    lam = ObjectiveSpec("logistic", spec.data, lambda2=1e-4)
+    assert len(run([RunConfig(**base), RunConfig(**dict(base, objective=lam))])) == 2
+
+
 def test_run_is_deterministic():
     spec = toy_spec(n=30, d=5)
     cfg = RunConfig(solver="saag4", objective=spec, epochs=4, batch_size=5, seed=3)
-    w1, t1 = run(cfg)
-    w2, t2 = run(cfg)
+    w1, t1 = run([cfg])[0]
+    w2, t2 = run([cfg])[0]
     assert np.array_equal(w1, w2)
     for p1, p2 in zip(t1.points, t2.points):
         assert (p1.epoch, p1.grads_over_n, p1.fevals, p1.objective) == \
@@ -288,7 +366,7 @@ def test_sgd_uses_inverse_sqrt_schedule():
     spec = toy_spec(n=8, d=3)
     cfg = RunConfig(solver="sgd", objective=spec, epochs=2, batch_size=4, seed=5,
                     sbas=SBASParams(eta0=0.5))
-    w_run, _ = run(cfg)
+    w_run, _ = run([cfg])[0]
     w = np.zeros(3)
     k = 0
     for s in range(2):
@@ -302,7 +380,7 @@ def test_fixed_eta_bypasses_line_search():
     spec = toy_spec(n=12, d=4)
     cfg = RunConfig(solver="svrg", objective=spec, epochs=2, batch_size=4,
                     seed=1, fixed_eta=0.05)
-    _, trace = run(cfg)
+    _, trace = run([cfg])[0]
     assert trace.points[-1].fevals == 0
 
 
@@ -315,7 +393,7 @@ def test_nonfinite_direction_aborts_with_partial_trace(kind):
     spec = toy_spec(n=8, d=3, loss="least_squares", lam2=0.0)
     cfg = RunConfig(solver=kind, objective=spec, epochs=200, batch_size=4,
                     seed=0, fixed_eta=1e8)
-    _, trace = run(cfg)
+    _, trace = run([cfg])[0]
     assert trace.failure.startswith(f"{kind}: non-finite direction")
     assert 2 <= len(trace.points) < 201
     assert [p.epoch for p in trace.points] == list(range(len(trace.points)))
@@ -347,7 +425,7 @@ def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
     state = init_state(cfg)
     state.w = w0.copy()
     schedule = make_schedule(16, cfg.batch_size, 0)
-    run_epoch(kind, state, spec, schedule, params)
+    run_epoch([state], schedule)
     assert np.array_equal(state.w, w0)
     if kind in ("saag3", "saag4", "vrsgd"):     # the readers of the average
         # a 0.0 step still counts in the average
@@ -378,12 +456,12 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     # eta0 = 50 makes every solver backtrack, so the decisions are tested
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
                     sbas=SBASParams(eta0=50.0), seed=2)
-    w_fast, fast = run(cfg)
+    w_fast, fast = run([cfg])[0]
     monkeypatch.setattr(
         solvers_mod, "batch_ray",
         lambda spec_, w, rows, d, z, dd:
             lambda etas: (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas))
-    w_plain, plain = run(cfg)
+    w_plain, plain = run([cfg])[0]
     assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]
     assert [p.objective for p in fast.points] == [p.objective for p in plain.points]
     assert np.array_equal(w_fast, w_plain)
@@ -413,13 +491,13 @@ def test_one_block_after_a_backtrack_keeps_traces(kind, lam1, dense, monkeypatch
                         sbas=SBASParams(eta0=50.0), seed=2)
         with monkeypatch.context() as m:
             m.setattr(solvers_mod, "backtrack", recorded)
-            w_rule, rule = run(cfg)
+            w_rule, rule = run([cfg])[0]
         assert {False, True} <= set(shapes), loss
         shapes.clear()
         with monkeypatch.context() as m:
             m.setattr(solvers_mod, "backtrack",
                       lambda params, phi, dd, whole=False: backtrack(params, phi, dd))
-            w_two, two = run(cfg)
+            w_two, two = run([cfg])[0]
         assert [p.fevals for p in rule.points] == [p.fevals for p in two.points]
         assert [p.objective for p in rule.points] == [p.objective for p in two.points]
         assert np.array_equal(w_rule, w_two), loss
@@ -439,7 +517,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     monkeypatch.setattr(Dataset, "PLAN_BYTES", bound)
     with monkeypatch.context() as m:
         chunks = record_chunks(m)
-        w_stored, stored = run(cfg, test=test)
+        w_stored, stored = run([cfg], test=test)[0]
     assert chunks == [bound, bound, 2 * bound // 3] * 4
 
     def snap_slopes(spec_, snap, batch):
@@ -462,7 +540,7 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
         estimators_mod.SnapState(w.copy(), batch_grad(spec_, w), None, None)))
-    w_afresh, afresh = run(cfg, test=test)
+    w_afresh, afresh = run([cfg], test=test)[0]
     assert np.array_equal(w_stored, w_afresh)
     assert [(p.objective, p.grads_over_n, p.fevals, p.test_accuracy)
             for p in stored.points] == \
@@ -474,8 +552,8 @@ def run_bits(kind, data, b, lam1, fixed_eta, loss="logistic"):
     """A fresh spec's run of ``kind``: the spec, and the bytes of its final
     w and of every trace point's (objective, grads/n, fevals)."""
     spec = ObjectiveSpec(loss, data, lambda2=1e-3, lambda1=lam1)
-    w, trace = run(RunConfig(solver=kind, objective=spec, epochs=3, batch_size=b,
-                             seed=3, fixed_eta=fixed_eta))
+    w, trace = run([RunConfig(solver=kind, objective=spec, epochs=3, batch_size=b,
+                              seed=3, fixed_eta=fixed_eta)])[0]
     points = [(p.objective, p.grads_over_n, p.fevals) for p in trace.points]
     return spec, (w.tobytes(), np.array(points).tobytes())
 
@@ -518,7 +596,7 @@ def test_sgd_run_grows_no_module_state():
 
     spec = toy_spec(n=200, d=5)
     before = module_state()
-    _, trace = run(RunConfig(solver="sgd", objective=spec, epochs=1, batch_size=1))
+    _, trace = run([RunConfig(solver="sgd", objective=spec, epochs=1, batch_size=1)])[0]
     assert trace.points[-1].grads_over_n == 1.0     # 200 steps
     assert module_state() == before
     assert list(spec._scalars) == [1]
@@ -537,7 +615,7 @@ def test_finite_direction_whose_square_overflows_still_steps(kind, monkeypatch):
                     fixed_eta=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w, trace = run(cfg)
+        w, trace = run([cfg])[0]
     assert trace.failure is None
     assert len(trace.points) == 3
     assert np.array_equal(w, -4 * 1e-300 * huge)
@@ -562,7 +640,7 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
                                    np.array([0, 1, 2, 3]), cfg.sbas, fixed_eta)
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
         assert state.inner == 0
-        _, trace = run(cfg)
+        _, trace = run([cfg])[0]
         assert trace.failure == "svrg: non-finite direction at epoch 0, inner step 0"
 
 
@@ -812,8 +890,8 @@ def test_convergence_on_smooth_toy():
     spec = ObjectiveSpec("logistic", make_synthetic(200, 10, seed=0, margin=4.0), 1e-2)
     ref = reference_optimum(spec)
     init = objective_value(spec, np.zeros(10)) - ref.value
-    _, trace = run(RunConfig(solver="saag4", objective=spec, epochs=30,
-                             batch_size=8, seed=0))
+    _, trace = run([RunConfig(solver="saag4", objective=spec, epochs=30,
+                              batch_size=8, seed=0)])[0]
     best = min(p.objective for p in trace.points) - ref.value
     assert best <= 1e-3 * init
 
