@@ -8,7 +8,7 @@ to its estimator, bound to the table or snap state of an epoch. The l2
 contribution is always applied analytically at the point each term is
 evaluated at, never from stale storage. The scalar operands (k, n,
 lambda2) are the spec's 0-d ``scalars``; the caller passes ``z``, the
-batch's signed margins at w.
+batch's signed margins at w, or ``c``, their slopes ``slope_t(loss, z)``.
 """
 
 from dataclasses import dataclass
@@ -58,7 +58,7 @@ def make_table(spec):
     return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.d))
 
 
-def saag1_direction(table, spec, w, batch, z):
+def saag1_direction(table, spec, w, batch, z=None, c=None):
     """Incremental-table direction; refreshes the batch slots in place.
 
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
@@ -69,7 +69,7 @@ def saag1_direction(table, spec, w, batch, z):
     data = spec.data
     size = len(batch)
     k, n, lam2, _ = spec.scalars(size)
-    c = slope_t(spec.loss, z)
+    c = slope_t(spec.loss, z) if c is None else c
     # slots never refreshed hold slope 0, so the change is c - stored in every slot
     table.aggregate += scatter(data, c - table.slopes[batch], batch)
     table.slopes[batch] = c
@@ -80,7 +80,7 @@ def saag1_direction(table, spec, w, batch, z):
     return fresh / k + (table.aggregate - fresh) / n + lam2 * w
 
 
-def saag2_direction(spec, w, batch, snap, z):
+def saag2_direction(spec, w, batch, snap, z=None, c=None):
     """Biased snap-point direction:
     (1/|B|) sum_B grad f_i(w) - (1/n) sum_B grad f_i(w~) + mu~.
 
@@ -93,11 +93,11 @@ def saag2_direction(spec, w, batch, snap, z):
     read from the snapshot.
     """
     k, _, lam2, share = spec.scalars(len(batch))     # share = (k / n) * lam2
-    c = slope_t(spec.loss, z) / k - snap.scaled[batch]
+    c = (slope_t(spec.loss, z) if c is None else c) / k - snap.scaled[batch]
     return scatter(spec.data, c, batch) + lam2 * w - share * snap.point + snap.grad
 
 
-def svrg_direction(spec, w, batch, snap, z):
+def svrg_direction(spec, w, batch, snap, z=None, c=None):
     """Unbiased control-variate direction:
     (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~, one scatter of
     (c_i - c~_i)/|B| over B.
@@ -105,22 +105,22 @@ def svrg_direction(spec, w, batch, snap, z):
     At w = w~ the slopes cancel exactly and the direction equals mu~.
     """
     k, _, lam2, _ = spec.scalars(len(batch))
-    c = (slope_t(spec.loss, z) - snap.slopes[batch]) / k
+    c = ((slope_t(spec.loss, z) if c is None else c) - snap.slopes[batch]) / k
     return scatter(spec.data, c, batch) + lam2 * (w - snap.point) + snap.grad
 
 
 def bind(family, spec, table=None, snap=None):
-    """The estimator of ``family`` as a function of (w, batch, z): "table"
+    """The estimator of ``family`` as a function of (w, batch, c): "table"
     reads and refreshes ``table``, "biased" and "unbiased" read ``snap``,
-    and ``z`` is the batch's signed margins at w. A solver binds once per
-    epoch, so its steps pay no dispatch."""
+    and ``c`` is the batch's slopes at w (None: formed from w). A solver
+    binds once per epoch, so its steps pay no dispatch."""
     if family == "table":
-        return lambda w, batch, z: saag1_direction(table, spec, w, batch, z)
+        return lambda w, batch, c: saag1_direction(table, spec, w, batch, None, c)
     if family == "biased":
-        return lambda w, batch, z: saag2_direction(spec, w, batch, snap, z)
+        return lambda w, batch, c: saag2_direction(spec, w, batch, snap, None, c)
     if family == "unbiased":
-        return lambda w, batch, z: svrg_direction(spec, w, batch, snap, z)
+        return lambda w, batch, c: svrg_direction(spec, w, batch, snap, None, c)
     if family == "batch":
-        return lambda w, batch, z: batch_grad(spec, w, batch, z)
+        return lambda w, batch, c: batch_grad(spec, w, batch, None, c)
     raise ValueError(f"unknown estimator family {family!r}")
 

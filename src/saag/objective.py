@@ -101,19 +101,24 @@ def curvature_t(kind, t):
 
 
 def margins(data, w, rows=None):
-    """Signed margins t = -y X_B w of a batch's rows (every row when None).
+    """Signed margins t = -y X_B w of a batch's rows (every row when None),
+    of one point w, or of each row of a (k, d) stack w as a (k, b) array.
 
     On a dense block each margin is one dot product of its row, summed in
-    the same order in a full pass and in any batch, so a full pass
-    restricted to B is bit-equal to the batch's margins (X @ w under BLAS
-    is not).
+    the same order in a full pass, in any batch and in a stack, so a full
+    pass restricted to B is bit-equal to the batch's margins (X @ w under
+    BLAS is not). On CSR data a stack's rows are one ``bincount`` each: a
+    stacked one, with a bin range per row, is slower.
     """
     gathered = data.gather(rows)
     if isinstance(gathered, np.ndarray):
-        return np.vecdot(gathered, w)
+        return np.vecdot(gathered, w[..., None, :])
     local, cols, vals = gathered
-    return np.bincount(local, weights=vals * w[cols],
-                       minlength=data.n if rows is None else len(rows))
+    size = data.n if rows is None else len(rows)
+    if w.ndim == 1:
+        return np.bincount(local, weights=vals * w[cols], minlength=size)
+    return np.array([np.bincount(local, weights=vals * v[cols], minlength=size)
+                     for v in w])
 
 
 def scatter(data, c, rows=None):
@@ -138,18 +143,18 @@ def square_scatter(data):
     return lambda c: np.bincount(cols, weights=squares * c[local], minlength=data.d)
 
 
-def batch_grad(spec, w, rows=None, z=None):
+def batch_grad(spec, w, rows=None, z=None, c=None):
     """Mean gradient of the smooth part over a batch (every row when None):
     (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is the batch's
-    signed margins when the caller has them.
+    signed margins, or ``c`` their slopes, when the caller has them.
     """
     size = spec.data.n if rows is None else len(rows)
     if size == 0:
         raise ValueError("empty batch")
     k, _, lam2, _ = spec.scalars(size)
-    if z is None:
-        z = margins(spec.data, w, rows)
-    return scatter(spec.data, slope_t(spec.loss, z), rows) / k + lam2 * w
+    if c is None:
+        c = slope_t(spec.loss, margins(spec.data, w, rows) if z is None else z)
+    return scatter(spec.data, c, rows) / k + lam2 * w
 
 
 def batch_smooth_value(spec, w, rows=None, z=None):
@@ -168,21 +173,40 @@ def batch_smooth_value(spec, w, rows=None, z=None):
 def batch_ray(spec, w, rows, direction, z, dd):
     """phi(etas) iterates batch_smooth_value(spec, w - eta * direction, rows)
     over the steps of the 1-d array ``etas``, in O(b) per step, from the
-    signed margins z of w over ``rows`` (every row when None) and dd = d.d.
-    The margins u of d, w.w and w.d are formed once, so the steps of one
-    call are one (len(etas), b) block loss_t(z - eta u) summed along its
-    rows, four array calls for the logistic loss, and each value is the
-    float a step on its own gives."""
+    signed margins z of w over ``rows`` (every row when None) and
+    dd = d.d. ``w``, ``direction`` and ``z`` are one run's, or the rows of
+    a stack's (k, d), (k, d) and (k, b) arrays with ``dd`` a list of k
+    floats: phi(etas, among) then gives a list of such iterables, one per
+    row index of ``among`` (every row when None).
+
+    The margins u of d, w.w and w.d are formed once, stacked, so the steps
+    of one call are one (rows, len(etas), b) block loss_t(z - eta u) summed
+    along its last axis, four array calls for the logistic loss, and each
+    value is the float a step of one run on its own gives."""
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
+    one = w.ndim == 1
+    if one:
+        w, direction, z, dd = w[None], direction[None], z[None], [dd]
     u = margins(spec.data, direction, rows)
-    ww, wd = float(w.dot(w)), float(w.dot(direction))
-    half, b, kind = 0.5 * spec.lambda2, z.size, spec.loss
+    ww, wd = np.vecdot(w, w).tolist(), np.vecdot(w, direction).tolist()
+    half, b, kind = 0.5 * spec.lambda2, z.shape[1], spec.loss
 
-    def phi(etas):
-        sums = np.add.reduce(loss_t(kind, z - etas[:, None] * u), axis=1)
+    def ray(sums, etas, ww, wd, dd):
         return (s / b + half * (ww - 2.0 * eta * wd + eta * eta * dd)
-                for s, eta in zip(sums.tolist(), etas.tolist()))
+                for s, eta in zip(sums, etas))
+
+    def phi(etas, among=None):
+        if among is None or len(among) == len(z):
+            among, zs, us = range(len(z)), z, u
+        else:
+            zs, us = z[among], u[among]
+        sums = np.add.reduce(loss_t(kind, zs[:, None] - etas[:, None] * us[:, None]),
+                             axis=2)
+        steps = etas.tolist()
+        rays = [ray(row, steps, ww[i], wd[i], dd[i])
+                for i, row in zip(among, sums.tolist())]
+        return rays[0] if one else rays
 
     return phi
 
@@ -195,17 +219,23 @@ def objective_value(spec, w, z=None):
 
 def prox(z, eta, lambda1):
     """Proximal map of eta * lambda1 * ||.||_1: coordinatewise soft-threshold.
+    ``eta`` is a float, or a (k, 1) column of one step per row of a stack z.
 
     With lambda1 = 0 this returns z unchanged (the l2 term lives in the smooth
     part, not here).
     """
-    if eta <= 0.0:
+    if (np.asarray(eta) <= 0.0).any():
         raise ValueError(f"step size must be positive, got {eta}")
     z = np.asarray(z, dtype=np.float64)
     if lambda1 == 0.0:
         return z.copy()
-    t = eta * lambda1
-    return np.sign(z) * np.maximum(np.abs(z) - t, ZERO)
+    # max(|z| - eta lambda1, 0) sign(z), in place on one new array: a
+    # stack's rows stay in cache
+    out = np.abs(z)
+    out -= eta * lambda1
+    np.maximum(out, ZERO, out=out)
+    out *= np.sign(z)
+    return out
 
 
 def accuracy(w, test):

@@ -6,12 +6,15 @@ scheduled step), then apply the smooth update w <- w - eta*d when lambda1 = 0
 or the proximal update w <- prox(w - eta*d) otherwise. The solvers differ in
 their estimator and in the epoch-boundary rules for the snap point and the
 starting iterate: one ``KINDS`` row per solver. Runs that share their
-batches step through each epoch's schedule together (``run``).
+batches step through each epoch's schedule together (``run``), each batch
+in one stacked step of the runs that share their objective and line search
+(``stack_step``).
 """
 
 import math
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -20,7 +23,8 @@ from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (batch_grad, batch_ray, curvature_t, margins,
-                        objective_value, operand, prox, scatter, square_scatter)
+                        objective_value, operand, prox, scatter, slope_t,
+                        square_scatter)
 
 
 @dataclass(frozen=True)
@@ -88,11 +92,12 @@ class RunConfig:
 
 @dataclass(eq=False)
 class EpochState:
-    """Mutable state of one solver run: its config, the iterate, the previous
-    epoch's iterate average (zeros unless the kind uses it and has run an
-    epoch), the snap state or gradient table, the work counters, whether the
-    run's last search went past eta0, and the message of the non-finite
-    direction that stopped the run (None while it runs)."""
+    """Mutable state of one solver run: its config, the iterate (during an
+    epoch its ``Stack`` row holds it), the previous epoch's iterate average
+    (zeros unless the kind uses it and has run an epoch), the snap state or
+    gradient table, the work counters, whether the run's last search went
+    past eta0, and the message of the non-finite direction that stopped the
+    run (None while it runs)."""
 
     config: RunConfig
     w: np.ndarray
@@ -122,20 +127,14 @@ def batch_key(config):
     return id(config.objective.data), config.batch_size, config.seed, config.epochs
 
 
-def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
-    """One mini-batch step of solver ``kind``: the direction
-    ``direct(w, batch, z)`` (its estimator, bound by ``run_epoch``), step
-    size and update. ``fixed_eta`` is > 0, a float or, as ``run`` passes
-    it, an ``operand``.
-
-    A step size of 0 (the line-search sentinel) leaves w unchanged but still
-    advances the counters. After a search that went past eta0 the next one
-    asks ``phi`` for its whole trial ladder in one block, as the sentinel
-    streaks of svrg and vrsgd spend every trial (``backtrack``).
+def inner_step(kind, direct, state, w, batch, c):
+    """The direction d of run ``state`` of solver ``kind`` on ``batch``:
+    its estimator ``direct(w, batch, c)``, bound by ``run_epoch``, at the
+    run's iterate w and the batch's slopes c there. Counts the step and its
+    gradients and returns (d, d.d); ``stack_step`` picks the step size and
+    moves w.
     """
-    # the batch's signed margins serve both the direction and the search
-    z = margins(spec.data, state.w, batch)
-    d = direct(state.w, batch, z)
+    d = direct(w, batch, c)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     state.grads += len(batch) * (1 if state.snap is None else 2)
@@ -146,31 +145,147 @@ def inner_step(kind, direct, state, spec, batch, sbas_params, fixed_eta=None):
             f"{kind}: non-finite direction at epoch {state.epoch}, "
             f"inner step {state.inner}")
     state.inner += 1
-    if fixed_eta is not None:
-        eta = fixed_eta
-    else:
-        if KINDS[kind].decay:
-            eta = sbas_params.eta0 / math.sqrt(state.inner)
-        else:
-            phi = batch_ray(spec, state.w, batch, d, z, dd)
-            eta, evals = backtrack(sbas_params, phi, dd, state.backtracked)
+    return d, dd
+
+
+class Stack:
+    """The live runs of a lockstep group that share their objective and
+    line search, stepped as one (``stack_step``): per run (state, solver,
+    bound estimator, fixed step or None); their iterates as the rows of
+    ``w`` (copies of the runs' w by default), the sums of the epoch's
+    iterates as those of ``total`` when a kind reads the average, and each
+    run's share of the stacked work not yet on its clock."""
+
+    def __init__(self, spec, sbas, runs, w=None, total=None):
+        self.spec, self.sbas, self.runs, self.w, self.total = spec, sbas, runs, w, total
+        self.shared = 0.0
+        if w is None:
+            self.w = np.array([state.w for state, *_ in runs])
+            if any("average" in (KINDS[kind].snap, KINDS[kind].start)
+                   for _, kind, _, _ in runs):
+                self.total = np.zeros_like(self.w)
+        self.searched = [i for i, (_, kind, _, eta) in enumerate(runs)
+                         if eta is None and not KINDS[kind].decay]
+        self.decayed = [i for i, (_, kind, _, eta) in enumerate(runs)
+                        if eta is None and KINDS[kind].decay]
+        # the fixed steps, 0 for the others, and as a column when all are fixed
+        self.etas = [0.0 if eta is None else eta for *_, eta in runs]
+        self.step = (None if self.searched or self.decayed
+                     else np.array(self.etas)[:, None])
+
+    def settle(self, rows=()):
+        """Put ``shared`` on every run's clock, then take the runs of
+        ``rows`` out, each with its w."""
+        for state, *_ in self.runs:
+            state.work_seconds += self.shared
+        self.shared = 0.0
+        if rows:
+            keep = [i for i in range(len(self.runs)) if i not in rows]
+            for i in rows:
+                self.runs[i][0].w = self.w[i].copy()
+            self.__init__(self.spec, self.sbas, [self.runs[i] for i in keep],
+                          self.w[keep], None if self.total is None else self.total[keep])
+
+
+def stack_step(stack, batch):
+    """One step of every run of ``stack`` on ``batch``. Stacked: the signed
+    margins z of the rows and their slopes, then, once each run's
+    ``inner_step`` has built its direction d, the search's ray
+    (``batch_ray``) and trial block, and the update w - eta d with eta per
+    row, through ``prox`` when lambda1 > 0. Per run: ``inner_step``, the
+    step size (the fixed step, sgd's eta0 / sqrt(t) or ``backtrack`` on the
+    row's trial values) and the counters. The trial block is the whole
+    ladder when a searched row's last search went past eta0, else
+    (0, eta0). A step of 0 (the sentinel) leaves the row as it was, bit for
+    bit; a run whose direction is not finite keeps the message in
+    ``state.failure`` and leaves the stack.
+
+    A run's ``work_seconds`` grows by its ``inner_step`` and by a 1/k share
+    of the rest, so the k clocks add up to the step's time.
+    """
+    clock = time.perf_counter
+    start = clock()
+    spec, params, w = stack.spec, stack.sbas, stack.w
+    z = margins(spec.data, w, batch)
+    c = slope_t(spec.loss, z)
+    mark = clock()
+    shared = mark - start
+    directions, dds, failed = [], [], []
+    for (state, kind, direct, _), wi, ci in zip(stack.runs, w, c):
+        try:
+            d, dd = inner_step(kind, direct, state, wi, batch, ci)
+            directions.append(d)
+            dds.append(dd)
+        except NonFiniteDirection as err:
+            state.failure = str(err)
+            failed.append(len(directions) + len(failed))
+        now = clock()
+        state.work_seconds += now - mark
+        mark = now
+    if failed:
+        stack.settle(failed)
+        if not stack.runs:
+            return
+        w, z = stack.w, np.delete(z, failed, axis=0)
+    runs, still = stack.runs, []
+    d = np.array(directions)
+    step = stack.step       # every row's fixed step, if all are fixed
+    if step is None:
+        etas = stack.etas.copy()
+        for i in stack.decayed:
+            etas[i] = params.eta0 / math.sqrt(runs[i][0].inner)
+        rays = (_trial_values(params, batch_ray(spec, w, batch, d, z, dds), stack)
+                if stack.searched else [])
+        for i, values in zip(stack.searched, rays):
+            state = runs[i][0]
+            # the row's values in ladder order, whichever blocks it asks for
+            eta, evals = backtrack(params, lambda etas, v=iter(values): v,
+                                   dds[i], state.backtracked)
             state.fevals += evals
             state.backtracked = evals > 2
-        if not eta > 0.0:       # the sentinel: w stays
-            return state
-    v = state.w - eta * d
-    # prox's scalar work on eta is faster on a float
-    state.w = prox(v, float(eta), spec.lambda1) if spec.lambda1 > 0 else v
-    return state
+            etas[i] = eta
+            if not eta > 0.0:
+                still.append(i)
+        step = np.array(etas)[:, None]
+    new = w - step * d
+    if spec.lambda1 > 0.0:
+        moved = [i for i in range(len(runs)) if i not in still]
+        if still:
+            new[moved] = prox(new[moved], step[moved], spec.lambda1)
+        else:
+            new = prox(new, step, spec.lambda1)
+    for i in still:         # w - 0 d is not w at -0.0
+        new[i] = w[i]
+    stack.w = new
+    if stack.total is not None:
+        stack.total += new
+    stack.shared += (shared + clock() - mark) / len(runs)
+
+
+def _trial_values(params, phi, stack):
+    """The searched rows' trial values in ladder order (``stack_step``); the
+    rest of a row's ladder past (0, eta0) is formed when ``backtrack`` asks
+    for it."""
+    searched = stack.searched
+    if any(stack.runs[i][0].backtracked for i in searched):
+        return phi(params.steps, searched)
+
+    def rest(i):
+        yield from phi(params.steps[2:], [i])[0]
+
+    return [chain(values, rest(i))
+            for i, values in zip(searched, phi(params.steps[:2], searched))]
 
 
 def run_epoch(states, schedule):
     """One epoch of every run of ``states``, which share ``schedule``, in
     lockstep. Per run, the snap bookkeeping as its kind's ``KINDS`` row says,
-    and its estimator bound to the epoch's table or snap state once. Then
-    each chunk of the schedule's batches (``Dataset.plan``) is gathered once,
-    every run takes its inner steps on it, and it is dropped before the next
-    is gathered. Per run, the boundary rule last: a kind using
+    and its estimator bound to the epoch's table or snap state once; the
+    runs that share their objective and line search form a ``Stack``, whose
+    rows hold their iterates through the epoch. Then each chunk of the
+    schedule's batches (``Dataset.plan``) is gathered once, every stack
+    steps through it (``stack_step``), and it is dropped before the next is
+    gathered. Per run, the boundary rule last: a kind using
     ``state.average`` sets it to the mean of the epoch's m iterates.
 
     Overflow is not reported inside the snapshots and the steps: a logistic
@@ -179,66 +294,61 @@ def run_epoch(states, schedule):
     (``NonFiniteDirection``) keeps the message in ``state.failure`` and
     leaves the epoch, while the others go on.
 
-    A run's ``work_seconds`` grows by its own snapshot, steps and boundary,
-    and by the gather of each chunk it reads, timed once for the group: one
-    clock pair per run and chunk, never per step.
+    A run's ``work_seconds`` grows by its own snapshot, ``inner_step``s and
+    boundary, by the gather of each chunk it reads, timed once for the
+    group, and by a 1/k share of the rest of its k-run stack's steps: one
+    clock pair per run and chunk, and k + 3 clock reads per stack and batch.
     """
     clock = time.perf_counter
-    live = []
+    groups = {}
     with np.errstate(over="ignore"):
         for state in states:
             start = clock()
-            live.append((state, *_start_epoch(state)))
+            config = state.config
+            groups.setdefault((config.objective, config.sbas), []).append(
+                _start_epoch(state))
             state.work_seconds += clock() - start
+        stacks = [Stack(spec, sbas, runs) for (spec, sbas), runs in groups.items()]
         start = clock()
         for chunk in states[0].config.objective.data.plan(schedule):
             gathered = clock() - start
-            for state, steps, _ in live:
-                start = clock()
-                try:
-                    steps(chunk)
-                except NonFiniteDirection as err:
-                    state.failure = str(err)
-                state.work_seconds += gathered + clock() - start
-            live = [run for run in live if run[0].failure is None]
-            del chunk       # its rows are freed before the next gather
-            if not live:
+            for stack in stacks:
+                stack.shared += gathered
+            for batch in chunk:
+                for stack in stacks:
+                    if stack.runs:      # empty once all its runs failed
+                        stack_step(stack, batch)
+            stacks = [stack for stack in stacks if stack.runs]
+            del chunk, batch    # its rows are freed before the next gather
+            if not stacks:
                 break
             start = clock()
-    for state, _, total in live:
-        start = clock()
-        if total is not None:
-            state.average = total / schedule.m
-        if KINDS[state.config.solver].start == "average":
-            state.w = state.average
-        state.epoch += 1
-        state.work_seconds += clock() - start
+    for stack in stacks:
+        stack.settle()
+        for i, (state, kind, _, _) in enumerate(stack.runs):
+            start = clock()
+            row = KINDS[kind]
+            state.w = stack.w[i]
+            if "average" in (row.snap, row.start):
+                state.average = stack.total[i] / schedule.m
+            if row.start == "average":
+                state.w = state.average
+            state.epoch += 1
+            state.work_seconds += clock() - start
 
 
 def _start_epoch(state):
-    """The snap bookkeeping of ``state``'s epoch and its bound estimator.
-    Returns ``steps(chunk)``, which takes the run's inner steps on a chunk's
-    batches, and the array it sums the epoch's iterates into (None unless
-    the kind uses the average)."""
+    """The snap bookkeeping of ``state``'s epoch; returns the run's entry
+    of its ``Stack``."""
     config = state.config
-    kind, spec, sbas = config.solver, config.objective, config.sbas
-    row = KINDS[kind]
+    spec, row = config.objective, KINDS[config.solver]
     if row.snap is not None:
         anchor = state.average if row.snap == "average" else state.w
         state.snap = take_snapshot(spec, anchor)
         state.grads += spec.data.n
     direct = bind(row.family, spec, state.table, state.snap)
-    fixed_eta = None if config.fixed_eta is None else operand(config.fixed_eta)
-    total = np.zeros_like(state.w) if "average" in (row.snap, row.start) else None
-
-    def steps(chunk):
-        nonlocal total
-        for batch in chunk:
-            inner_step(kind, direct, state, spec, batch, sbas, fixed_eta)
-            if total is not None:
-                total += state.w
-
-    return steps, total
+    fixed = None if config.fixed_eta is None else operand(config.fixed_eta)
+    return state, config.solver, direct, fixed
 
 
 def run(configs, test=None):
@@ -276,7 +386,8 @@ def run(configs, test=None):
         live = [(state, trace) for state, trace in live if state.failure is None]
         if not live:
             break
-    return [(state.w, trace) for state, trace in runs]
+    # each w its own array, not a row of a stack's
+    return [(np.array(state.w), trace) for state, trace in runs]
 
 
 def _config_echo(config):

@@ -18,7 +18,8 @@ import numpy as np
 from .data import make_schedule
 from .estimators import bind, take_snapshot
 from .objective import (CURVATURE, LOSSES, ObjectiveSpec, batch_grad,
-                        batch_smooth_value, margins, objective_value, prox)
+                        batch_smooth_value, margins, objective_value, prox,
+                        slope_t)
 from .solvers import reference_optimum
 
 ENUMERATION_CAP = 64
@@ -84,7 +85,7 @@ def estimator_mean_bruteforce(family, spec, w, state, schedule):
     total = np.zeros(spec.data.d)
     for batch in chain.from_iterable(spec.data.plan(schedule)):
         direct = bind(family, spec, copy.deepcopy(table), snap)
-        total += direct(w, batch, margins(spec.data, w, batch))
+        total += direct(w, batch, slope_t(spec.loss, margins(spec.data, w, batch)))
     return total / schedule.m
 
 
@@ -114,7 +115,7 @@ def variance_bound_check(spec, w, snap, schedule, constants, reference):
     direct = bind("biased", spec, snap=snap)
     lhs = r_max = 0.0
     for batch in chain.from_iterable(spec.data.plan(schedule)):
-        diff = direct(w, batch, margins(spec.data, w, batch)) - g
+        diff = direct(w, batch, slope_t(spec.loss, margins(spec.data, w, batch))) - g
         lhs += float(diff @ diff)
         # as in run_epoch: at lambda2 = 0 the optimum's margins can pass
         # -709.78, where a logistic slope's exp(-t) overflows to the exact +0.0

@@ -10,7 +10,6 @@ import saag.estimators as estimators_mod
 import saag.objective as objective_mod
 import saag.solvers as solvers_mod
 from saag.data import Dataset, make_schedule, make_synthetic, split_train_test
-from saag.estimators import bind
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_smooth_value, margins, objective_value,
@@ -63,14 +62,14 @@ def test_degenerate_equivalence_at_full_batch(lam1):
 def test_epoch_boundary_equalities(monkeypatch):
     spec = toy_spec(n=20, d=4)
     collected = []
-    orig = solvers_mod.inner_step
+    orig = solvers_mod.stack_step
 
-    def spy(kind, direct, state, spec_, batch, sbas_params, fixed_eta=None):
-        out = orig(kind, direct, state, spec_, batch, sbas_params, fixed_eta)
-        collected.append(state.w.copy())
-        return out
+    def spy(stack, batch):
+        orig(stack, batch)
+        (w,) = stack.w
+        collected.append(w.copy())
 
-    monkeypatch.setattr(solvers_mod, "inner_step", spy)
+    monkeypatch.setattr(solvers_mod, "stack_step", spy)
     for kind in SOLVERS:
         collected.clear()
         cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=5, seed=1)
@@ -129,8 +128,7 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
     state.w = np.array([0.7, 0.3])  # w . x = 1 = y, so the residual is zero
-    solvers_mod.inner_step("gd", bind("batch", spec), state, spec, np.array([0]),
-                           cfg.sbas)
+    run_epoch([state], make_schedule(1, 1, 0))      # one step, on row 0
     # eta = eta0 = 1 on a zero direction; threshold = eta * lambda1 = 0.2
     assert np.allclose(state.w, [0.5, 0.1], atol=1e-15)
 
@@ -138,17 +136,17 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
 def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     # every accepted step must not increase the mini-batch smooth objective
     spec = toy_spec(n=20, d=4, loss="least_squares", lam2=1e-3)
-    orig = solvers_mod.inner_step
+    orig = solvers_mod.stack_step
     checks = []
 
-    def spy(kind, direct, state, spec_, batch, sbas_params, fixed_eta=None):
-        before = batch_smooth_value(spec_, state.w, batch)
-        out = orig(kind, direct, state, spec_, batch, sbas_params, fixed_eta)
-        after = batch_smooth_value(spec_, state.w, batch)
+    def spy(stack, batch):
+        before = batch_smooth_value(stack.spec, stack.w[0], batch)
+        orig(stack, batch)
+        (w,) = stack.w
+        after = batch_smooth_value(stack.spec, w, batch)
         checks.append(after <= before + 1e-12)
-        return out
 
-    monkeypatch.setattr(solvers_mod, "inner_step", spy)
+    monkeypatch.setattr(solvers_mod, "stack_step", spy)
     cfg = RunConfig(solver="saag3", objective=spec, epochs=3, batch_size=4, seed=2)
     state = init_state(cfg)
     for s in range(3):
@@ -274,11 +272,18 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
 
 
 # mixes shaped like the benchmark's workloads: (layout, kinds, b, seeds,
-# lambda1, fixed step)
+# lambda1, fixed step[, line-search parameters])
+LADDER = {"eta0": 50.0, "shrink": 0.3, "max_backtracks": 4}
 LOCKSTEP_MIXES = {
     "dense-sbas": (True, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 0.0, None),
     "csr-l1": (False, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 1e-3, None),
     "fixed-b1": (True, ("saag1", "saag2", "sgd"), 1, (0,), 0.0, 0.05),
+    # sentinel and whole-ladder rows beside rows that accept at eta0
+    "ladder": (True, ("saag2", "svrg", "saag1"), 7, (0, 1), 0.0, None, LADDER),
+    "ladder-csr": (False, ("saag2", "svrg", "saag1"), 7, (0, 1), 0.0, None, LADDER),
+    # sgd's decaying step beside searched rows, and a tail batch of 6
+    "all-kinds": (True, tuple(k for k in SOLVERS if k != "gd"), 7, (0,), 0.0, None),
+    "csr-l0": (False, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 0.0, None),
 }
 
 
@@ -295,7 +300,8 @@ def solo_bits(result):
 def test_lockstep_runs_equal_their_solo_runs(mix, chunked, monkeypatch):
     # runs stepped through each epoch together give each run's solo trace
     # and w, bit for bit, also with every epoch gathered in 3 or more chunks
-    dense, kinds, b, seeds, lam1, fixed_eta = LOCKSTEP_MIXES[mix]
+    dense, kinds, b, seeds, lam1, fixed_eta, *ladder = LOCKSTEP_MIXES[mix]
+    sbas = SBASParams(**ladder[0]) if ladder else SBASParams()
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     n, d, epochs = 48, 5, 3
     data = make_synthetic(n, d, seed=9, flip=0.1)
@@ -306,13 +312,16 @@ def test_lockstep_runs_equal_their_solo_runs(mix, chunked, monkeypatch):
     spec = ObjectiveSpec("logistic", data, lambda2=1e-3, lambda1=lam1)
     for seed in seeds:
         configs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=b,
-                             seed=seed, fixed_eta=fixed_eta) for kind in kinds]
+                             seed=seed, fixed_eta=fixed_eta, sbas=sbas) for kind in kinds]
         gathers.clear()
         grouped = run(configs)
         if chunked:
             assert len(gathers) >= 3 * epochs
         assert [solo_bits(r) for r in grouped] == \
             [solo_bits(run([config])[0]) for config in configs]
+        # each returned w is its own array, no row of a stack's
+        assert not any(np.shares_memory(a, b) for (a, _), (b, _)
+                       in itertools.combinations(grouped, 2))
 
 
 def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
@@ -336,6 +345,38 @@ def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
     assert trace.failure == "svrg: non-finite direction at epoch 1, inner step 6"
     assert [p.epoch for p in trace.points] == [0, 1]
     assert [solo_bits(r) for r in results[:2] + results[3:]] == solo[:2] + solo[3:]
+
+
+def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch):
+    # the run in row 0 fails in the middle of epoch 1, and the other rows
+    # keep their solo bits; then every run fails in one batch, and each
+    # trace stops there with its marker, raising nothing
+    spec = toy_spec(n=48, d=5, lam2=1e-3)
+    kinds = ("saag3", "saag4", "svrg", "vrsgd")
+    configs = [RunConfig(solver=kind, objective=spec, epochs=4, batch_size=8)
+               for kind in kinds]
+    solo = [solo_bits(run([config])[0]) for config in configs]
+    step = solvers_mod.inner_step
+
+    def failing(when):
+        def inner(kind, direct, state, *args):
+            if when(kind, state):
+                direct = lambda w, batch, z: np.full(w.size, math.nan)  # noqa: E731
+            return step(kind, direct, state, *args)
+        return inner
+
+    monkeypatch.setattr(solvers_mod, "inner_step",
+                        failing(lambda kind, state: kind == "saag3" and state.inner >= 9))
+    results = run(configs)
+    assert results[0][1].failure == "saag3: non-finite direction at epoch 1, inner step 9"
+    assert [p.epoch for p in results[0][1].points] == [0, 1]
+    assert [solo_bits(r) for r in results[1:]] == solo[1:]
+    monkeypatch.setattr(solvers_mod, "inner_step",
+                        failing(lambda kind, state: state.inner >= 14))
+    results = run(configs)
+    assert [trace.failure for _, trace in results] == \
+        [f"{kind}: non-finite direction at epoch 2, inner step 14" for kind in kinds]
+    assert all([p.epoch for p in trace.points] == [0, 1, 2] for _, trace in results)
 
 
 def test_runs_stepped_together_must_share_their_batches():
@@ -410,9 +451,9 @@ def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
     def counted_ray(*args):
         phi = ray(*args)
 
-        def counted(etas):
+        def counted(etas, *among):
             blocks.append(etas.size)
-            return phi(etas)
+            return phi(etas, *among)
 
         return counted
 
@@ -457,10 +498,18 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
     cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
                     sbas=SBASParams(eta0=50.0), seed=2)
     w_fast, fast = run([cfg])[0]
-    monkeypatch.setattr(
-        solvers_mod, "batch_ray",
-        lambda spec_, w, rows, d, z, dd:
-            lambda etas: (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas))
+
+    def plain_ray(spec_, w, rows, d, z, dd):
+        # the stack's rows, one ray each
+        def phi(etas, among=None):
+            return [plain(w[i], d[i], etas) for i in among or range(len(w))]
+
+        def plain(w, d, etas):
+            return (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas)
+
+        return phi
+
+    monkeypatch.setattr(solvers_mod, "batch_ray", plain_ray)
     w_plain, plain = run([cfg])[0]
     assert [p.fevals for p in fast.points] == [p.fevals for p in plain.points]
     assert [p.objective for p in fast.points] == [p.objective for p in plain.points]
@@ -523,14 +572,14 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     def snap_slopes(spec_, snap, batch):
         return slope_t(spec_.loss, margins(spec_.data, snap.point, batch))
 
-    def saag2_afresh(spec_, w, batch, snap, z=None):
+    def saag2_afresh(spec_, w, batch, snap, z=None, c=None):
         n, k, lam2 = spec_.data.n, len(batch), spec_.lambda2
         c = (slope_t(spec_.loss, margins(spec_.data, w, batch)) / k
              - snap_slopes(spec_, snap, batch) / n)
         return (scatter(spec_.data, c, batch)
                 + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
 
-    def svrg_afresh(spec_, w, batch, snap, z=None):
+    def svrg_afresh(spec_, w, batch, snap, z=None, c=None):
         c = ((slope_t(spec_.loss, margins(spec_.data, w, batch))
               - snap_slopes(spec_, snap, batch)) / len(batch))
         return (scatter(spec_.data, c, batch)
@@ -635,9 +684,10 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
         state = init_state(cfg)
         state.snap = estimators_mod.take_snapshot(spec, state.w)
         direct = solvers_mod.bind("unbiased", spec, None, state.snap)
+        batch = np.array([0, 1, 2, 3])
         with pytest.raises(NonFiniteDirection) as err:
-            solvers_mod.inner_step("svrg", direct, state, spec,
-                                   np.array([0, 1, 2, 3]), cfg.sbas, fixed_eta)
+            solvers_mod.inner_step("svrg", direct, state, state.w, batch,
+                                   margins(spec.data, state.w, batch))
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
         assert state.inner == 0
         _, trace = run([cfg])[0]
@@ -646,14 +696,14 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
 
 def test_inner_step_eta_zero_leaves_w_unchanged():
     spec = toy_spec(n=8, d=3)
-    cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=8, seed=0)
-    state = init_state(cfg)
-    w0 = state.w.copy()
     # alpha ~ 1 with a single backtrack forces the 0.0 sentinel on an
     # ascent-shaped direction; counters still advance
     params = SBASParams(alpha=0.999999, shrink=0.5, eta0=1e6, max_backtracks=1)
-    solvers_mod.inner_step("gd", bind("batch", spec), state, spec, np.arange(8),
-                           params)
+    cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=8, seed=0,
+                    sbas=params)
+    state = init_state(cfg)
+    w0 = state.w.copy()
+    run_epoch([state], make_schedule(8, 8, 0))      # one step, on every row
     assert np.array_equal(state.w, w0)
     assert state.inner == 1
 
