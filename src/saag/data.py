@@ -12,16 +12,6 @@ class ParseError(ValueError):
     """Malformed LibSVM text; the message carries the 1-based line number."""
 
 
-class Batch(np.ndarray):
-    """A batch of ``Dataset.plan``: a read-only view of its schedule's row
-    ids that carries its gathered signed rows in the slot ``signed``; a
-    slice, copy or ``np.array`` of it carries none (the slot is unset, so
-    read it with ``getattr(rows, "signed", None)``), and it is gathered
-    afresh."""
-
-    __slots__ = ("signed",)
-
-
 @dataclass(eq=False)
 class Dataset:
     """Sparse rows in CSR layout with +/-1 labels.
@@ -32,7 +22,8 @@ class Dataset:
     parent so shapes stay consistent. ``row_ids`` names the row of every
     stored value. The batch primitives read the rows signed by their
     labels, -y_i x_i (see ``block`` and ``signed``); ``values`` stay unsigned.
-    A ``Batch`` of ``plan`` carries its gathered rows; the dataset keeps none.
+    The gathered rows of a batch (``gather``, ``plan``) are operands that its
+    caller passes on; the dataset keeps none.
     """
 
     # largest n * d that ``dense`` will allocate
@@ -110,39 +101,33 @@ class Dataset:
 
     def gather(self, rows=None):
         """The signed rows ``rows`` (every row when None), in row order, in
-        the layout of the dataset: ``block[rows]`` on a dense block, else the
-        ``signed`` values as (position in ``rows`` of each value's row,
-        column, value). A ``Batch`` of ``plan`` returns the rows it carries;
-        every row returns the block or the stored arrays, uncopied.
+        the layout of the dataset, the operand x of the batch primitives:
+        ``block[rows]`` on a dense block, else the ``signed`` values as
+        (position in ``rows`` of each value's row, column, value, number of
+        rows). Every row gives the block or the stored arrays, uncopied.
         """
-        signed = getattr(rows, "signed", None)
-        if signed is not None:
-            return signed
-        if rows is not None:
-            return self._gather(np.asarray(rows, dtype=np.int64))
         block = self.block
-        return (self.row_ids, self.indices, self.signed) if block is None else block
-
-    def _gather(self, rows):
-        block = self.block
-        return self._csr_rows(rows, self.signed)[:3] if block is None else block[rows]
+        if rows is None:
+            return block if block is not None else (
+                self.row_ids, self.indices, self.signed, self.n)
+        rows = np.asarray(rows, dtype=np.int64)
+        return block[rows] if block is not None else (
+            *self._csr_rows(rows, self.signed)[:3], len(rows))
 
     def plan(self, schedule):
         """Yield the batches of ``schedule`` in order, a chunk at a time: each
-        chunk a list of ``Batch``es that carry their gathered signed rows,
-        equal to a fresh gather. A chunk is a run of full batches (rows of
-        ``schedule.head``), or the tail batch, whose gathered rows take at
-        most PLAN_BYTES (a batch past the bound on its own is a chunk of
-        one), gathered in one pass when it is asked for, so a batch's rows
-        are views of its chunk's; a caller that drops each chunk before it
-        asks for the next holds one chunk's rows at a time. The one batch of
-        every row is a chunk that carries the block or the stored arrays,
-        uncopied.
+        chunk a list of (rows, x) pairs, the batch's read-only row ids and
+        its signed rows, equal to ``gather(rows)``. A chunk is a run of full
+        batches (rows of ``schedule.head``), or the tail batch, whose
+        gathered rows take at most PLAN_BYTES (a batch past the bound on its
+        own is a chunk of one), gathered in one pass when it is asked for,
+        so a batch's x is a view of its chunk's; a caller that drops each
+        chunk before it asks for the next holds one chunk's rows at a time.
+        The one batch of every row is a chunk whose x is the block or the
+        stored arrays, uncopied.
         """
         if schedule.b == self.n:
-            (batch,) = schedule.head.view(Batch)
-            batch.signed = self.gather()
-            yield [batch]
+            yield [(schedule.head[0], self.gather())]
             return
         runs = [schedule.head]
         if len(schedule.batches) > len(schedule.head):
@@ -152,18 +137,10 @@ class Dataset:
             start = 0
             while start < len(rows):
                 stop = max(int(ends[start]), start + 1)
-                yield self._planned(rows[start:stop])
+                part = rows[start:stop]
+                # yielded, not bound: the generator keeps no reference to it
+                yield list(zip(part, self._gather_chunk(part)))
                 start = stop
-
-    def _planned(self, rows):
-        """The ``Batch``es of the (m, b) ``rows``, each carrying its rows of
-        one gather; a function of its own, so that the generator ``plan``
-        keeps no reference to a chunk it has yielded."""
-        # each row of the Batch view is a Batch, read-only as the schedule
-        batches = list(rows.view(Batch))
-        for batch, signed in zip(batches, self._gather_chunk(rows)):
-            batch.signed = signed
-        return batches
 
     def _chunk_ends(self, rows):
         """For each start k, the end of the longest chunk of the batches
@@ -185,7 +162,7 @@ class Dataset:
             return list(self.block[rows])
         slots, cols, vals, counts = self._csr_rows(rows, self.signed)
         offsets = np.cumsum(counts.reshape(rows.shape).sum(axis=1)).tolist()
-        return [(slots[i:j], cols[i:j], vals[i:j])
+        return [(slots[i:j], cols[i:j], vals[i:j], rows.shape[1])
                 for i, j in zip([0] + offsets[:-1], offsets)]
 
     def _csr_rows(self, rows, values):
@@ -312,8 +289,8 @@ def make_schedule(n, b, seed, epoch=0):
     Each epoch gets a fresh uniform shuffle, chunked into m = ceil(n/b)
     batches; all batches have size b except possibly the last. Indices within
     a batch are sorted (set semantics, deterministic summation order).
-    Batches are read-only: a ``Batch`` of ``Dataset.plan`` is a view of
-    them, and its rows must not drift from the signed rows it carries.
+    Batches are read-only: ``Dataset.plan`` pairs views of them with their
+    gathered signed rows, which they must not drift from.
     """
     if b < 1 or b > n:
         raise ValueError(f"batch size {b} out of range [1, {n}]")

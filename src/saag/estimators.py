@@ -7,15 +7,17 @@ plain mini-batch gradient of GD/SGD. ``bind`` maps a family of ``solvers.KINDS``
 to its estimator, bound to the table or snap state of an epoch. The l2
 contribution is always applied analytically at the point each term is
 evaluated at, never from stale storage. The scalar operands (k, n,
-lambda2) are the spec's 0-d ``scalars``; the caller passes ``z``, the
-batch's signed margins at w, or ``c``, their slopes ``slope_t(loss, z)``.
+lambda2) are the spec's 0-d ``scalars``. The caller passes the batch as
+its row ids and its signed rows x (``Dataset.gather``), and ``c``, the
+batch's slopes at w: ``slope_t`` of its signed margins.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .objective import batch_grad, margins, scatter, slope_t
+from .objective import margins, scatter, slope_t
 
 
 @dataclass(eq=False)
@@ -58,7 +60,7 @@ def make_table(spec):
     return GradTable(np.zeros(spec.data.n), np.zeros(spec.data.d))
 
 
-def saag1_direction(table, spec, w, batch, z=None, c=None):
+def saag1_direction(table, spec, w, rows, x, c):
     """Incremental-table direction; refreshes the batch slots in place.
 
     Fresh gradients for the batch enter at weight 1/|B|; out-of-batch stored
@@ -67,20 +69,19 @@ def saag1_direction(table, spec, w, batch, z=None, c=None):
     |B| = n. Work is O(|B| * nnz) per call.
     """
     data = spec.data
-    size = len(batch)
+    size = len(rows)
     k, n, lam2, _ = spec.scalars(size)
-    c = slope_t(spec.loss, z) if c is None else c
     # slots never refreshed hold slope 0, so the change is c - stored in every slot
-    table.aggregate += scatter(data, c - table.slopes[batch], batch)
-    table.slopes[batch] = c
-    fresh = scatter(data, c, batch)
+    table.aggregate += scatter(data, c - table.slopes[rows], x)
+    table.slopes[rows] = c
+    fresh = scatter(data, c, x)
     if size == data.n:
         # out-of-batch set is empty; the stale term is exactly zero
         return fresh / k + lam2 * w
     return fresh / k + (table.aggregate - fresh) / n + lam2 * w
 
 
-def saag2_direction(spec, w, batch, snap, z=None, c=None):
+def saag2_direction(snap, spec, w, rows, x, c):
     """Biased snap-point direction:
     (1/|B|) sum_B grad f_i(w) - (1/n) sum_B grad f_i(w~) + mu~.
 
@@ -92,35 +93,40 @@ def saag2_direction(spec, w, batch, snap, z=None, c=None):
     so the direction is one scatter of c_i/|B| - c~_i/n over B, with c~_B/n
     read from the snapshot.
     """
-    k, _, lam2, share = spec.scalars(len(batch))     # share = (k / n) * lam2
-    c = (slope_t(spec.loss, z) if c is None else c) / k - snap.scaled[batch]
-    return scatter(spec.data, c, batch) + lam2 * w - share * snap.point + snap.grad
+    k, _, lam2, share = spec.scalars(len(rows))     # share = (k / n) * lam2
+    c = c / k - snap.scaled[rows]
+    return scatter(spec.data, c, x) + lam2 * w - share * snap.point + snap.grad
 
 
-def svrg_direction(spec, w, batch, snap, z=None, c=None):
+def svrg_direction(snap, spec, w, rows, x, c):
     """Unbiased control-variate direction:
     (1/|B|) sum_B (grad f_i(w) - grad f_i(w~)) + mu~, one scatter of
     (c_i - c~_i)/|B| over B.
 
     At w = w~ the slopes cancel exactly and the direction equals mu~.
     """
-    k, _, lam2, _ = spec.scalars(len(batch))
-    c = ((slope_t(spec.loss, z) if c is None else c) - snap.slopes[batch]) / k
-    return scatter(spec.data, c, batch) + lam2 * (w - snap.point) + snap.grad
+    k, _, lam2, _ = spec.scalars(len(rows))
+    c = (c - snap.slopes[rows]) / k
+    return scatter(spec.data, c, x) + lam2 * (w - snap.point) + snap.grad
+
+
+def batch_direction(spec, w, rows, x, c):
+    """Plain mini-batch gradient of GD/SGD: one scatter of c_i/|B| over B
+    (``objective.batch_grad`` from the slopes)."""
+    k, _, lam2, _ = spec.scalars(len(rows))
+    return scatter(spec.data, c, x) / k + lam2 * w
 
 
 def bind(family, spec, table=None, snap=None):
-    """The estimator of ``family`` as a function of (w, batch, c): "table"
-    reads and refreshes ``table``, "biased" and "unbiased" read ``snap``,
-    and ``c`` is the batch's slopes at w (None: formed from w). A solver
-    binds once per epoch, so its steps pay no dispatch."""
+    """The estimator of ``family`` as a function of (w, rows, x, c): "table"
+    reads and refreshes ``table``, "biased" and "unbiased" read ``snap``.
+    A solver binds once per epoch, so its steps pay no dispatch."""
     if family == "table":
-        return lambda w, batch, c: saag1_direction(table, spec, w, batch, None, c)
+        return partial(saag1_direction, table, spec)
     if family == "biased":
-        return lambda w, batch, c: saag2_direction(spec, w, batch, snap, None, c)
+        return partial(saag2_direction, snap, spec)
     if family == "unbiased":
-        return lambda w, batch, c: svrg_direction(spec, w, batch, snap, None, c)
+        return partial(svrg_direction, snap, spec)
     if family == "batch":
-        return lambda w, batch, c: batch_grad(spec, w, batch, None, c)
+        return partial(batch_direction, spec)
     raise ValueError(f"unknown estimator family {family!r}")
-

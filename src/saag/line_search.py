@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
 
 import numpy as np
@@ -43,34 +43,26 @@ class SBASParams:
         steps.flags.writeable = False
         return steps
 
-    @cached_property
-    def blocks(self):
-        """The blocks ``backtrack`` hands ``phi``, by ``whole``: (0, eta0)
-        and then the rest, or every step in one."""
-        return (self.steps[:2], self.steps[2:]), (self.steps,)
 
-
-def backtrack(params, phi, dd, whole=False):
+def backtrack(params, values, dd):
     """Backtracking-Armijo search along a ray.
 
-    ``phi(etas)`` gives the objective at w - eta * d for each step of the
-    array ``etas``, in order, as an iterable, and ``dd`` is ||d||^2. Tries
-    eta = eta0 * shrink^j for j = 0..max_backtracks-1 and returns the first
+    ``values`` iterates the objective phi(eta) at w - eta * d for the steps
+    0 and then eta = eta0 * shrink^j for j = 0..max_backtracks-1
+    (``params.steps``), in order, and ``dd`` is ||d||^2. Returns the first
     (largest) step satisfying the Armijo condition
 
         phi(eta) <= phi(0) - alpha * eta * ||d||^2.
 
     If no trial satisfies it, the last tried step is returned anyway when it
     strictly reduced phi; otherwise 0.0 signals the caller to skip the
-    update. At most max_backtracks + 1 evaluations of phi are spent, each
-    counted: an accept at trial j counts j + 2. ``phi`` is asked for every
-    step in one call when ``whole`` is true, else for 0 and eta0 and, only
-    when eta0 fails, for the rest in a second call; no value past the last
-    one counted is read, so a lazy ``phi`` evaluates once per count.
+    update. At most max_backtracks + 1 values are read, each counted: an
+    accept at trial j counts j + 2. No value past the last one counted is
+    read, so a lazy ``values`` evaluates once per count.
 
     Returns (eta, n_evals).
     """
-    values = chain.from_iterable(map(phi, params.blocks[whole]))
+    values = iter(values)
     base = next(values)
     gain = params.alpha * dd
     for evals, eta, value in zip(count(2), params.ladder, values):

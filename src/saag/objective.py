@@ -22,8 +22,8 @@ CURVATURE = {"logistic": 0.25, "squared_hinge": 2.0, "least_squares": 1.0}
 def operand(x):
     """``x`` as a 0-d float64 array, the form of the inner step's scalar
     operands: on 5 entries a ufunc took ~0.83 us with one against ~1.2 us
-    with a Python float, to the same bits. Each is formed once per spec,
-    run or epoch, never per step."""
+    with a Python float, to the same bits. Each is formed at import or once
+    per spec, never per step."""
     return np.array(x, dtype=np.float64)
 
 
@@ -100,9 +100,10 @@ def curvature_t(kind, t):
     return np.ones_like(t)
 
 
-def margins(data, w, rows=None):
-    """Signed margins t = -y X_B w of a batch's rows (every row when None),
-    of one point w, or of each row of a (k, d) stack w as a (k, b) array.
+def margins(data, w, x=None):
+    """Signed margins t = -y X_B w of a batch's signed rows ``x``, what
+    ``data.gather`` gives for the batch (every row when None), of one point
+    w, or of each row of a (k, d) stack w as a (k, b) array.
 
     On a dense block each margin is one dot product of its row, summed in
     the same order in a full pass, in any batch and in a stack, so a full
@@ -110,23 +111,23 @@ def margins(data, w, rows=None):
     BLAS is not). On CSR data a stack's rows are one ``bincount`` each: a
     stacked one, with a bin range per row, is slower.
     """
-    gathered = data.gather(rows)
-    if isinstance(gathered, np.ndarray):
-        return np.vecdot(gathered, w[..., None, :])
-    local, cols, vals = gathered
-    size = data.n if rows is None else len(rows)
+    x = data.gather() if x is None else x
+    if isinstance(x, np.ndarray):
+        return np.vecdot(x, w[..., None, :])
+    local, cols, vals, size = x
     if w.ndim == 1:
         return np.bincount(local, weights=vals * w[cols], minlength=size)
     return np.array([np.bincount(local, weights=vals * v[cols], minlength=size)
                      for v in w])
 
 
-def scatter(data, c, rows=None):
-    """Dense sum of c_i (-y_i x_i): the batch's signed rows weighted by ``c``."""
-    gathered = data.gather(rows)
-    if isinstance(gathered, np.ndarray):
-        return c.dot(gathered)
-    local, cols, vals = gathered
+def scatter(data, c, x=None):
+    """Dense sum of c_i (-y_i x_i): the batch's signed rows ``x`` (every row
+    when None), as in ``margins``, weighted by ``c``."""
+    x = data.gather() if x is None else x
+    if isinstance(x, np.ndarray):
+        return c.dot(x)
+    local, cols, vals, _ = x
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 
@@ -138,23 +139,23 @@ def square_scatter(data):
     if isinstance(gathered, np.ndarray):
         squares = gathered * gathered
         return lambda c: c.dot(squares)
-    local, cols, vals = gathered
+    local, cols, vals, _ = gathered
     squares = vals * vals
     return lambda c: np.bincount(cols, weights=squares * c[local], minlength=data.d)
 
 
-def batch_grad(spec, w, rows=None, z=None, c=None):
+def batch_grad(spec, w, rows=None, z=None):
     """Mean gradient of the smooth part over a batch (every row when None):
     (1/|B|) sum_{i in B} grad loss_i(w) + lambda2 * w. ``z`` is the batch's
-    signed margins, or ``c`` their slopes, when the caller has them.
+    signed margins when the caller has them.
     """
     size = spec.data.n if rows is None else len(rows)
     if size == 0:
         raise ValueError("empty batch")
     k, _, lam2, _ = spec.scalars(size)
-    if c is None:
-        c = slope_t(spec.loss, margins(spec.data, w, rows) if z is None else z)
-    return scatter(spec.data, c, rows) / k + lam2 * w
+    x = spec.data.gather(rows)
+    c = slope_t(spec.loss, margins(spec.data, w, x) if z is None else z)
+    return scatter(spec.data, c, x) / k + lam2 * w
 
 
 def batch_smooth_value(spec, w, rows=None, z=None):
@@ -166,29 +167,26 @@ def batch_smooth_value(spec, w, rows=None, z=None):
     """
     if rows is not None and len(rows) == 0:
         raise ValueError("empty batch")
-    losses = loss_t(spec.loss, margins(spec.data, w, rows) if z is None else z)
+    z = margins(spec.data, w, spec.data.gather(rows)) if z is None else z
+    losses = loss_t(spec.loss, z)
     return float(losses.sum()) / losses.size + 0.5 * spec.lambda2 * float(w.dot(w))
 
 
-def batch_ray(spec, w, rows, direction, z, dd):
-    """phi(etas) iterates batch_smooth_value(spec, w - eta * direction, rows)
-    over the steps of the 1-d array ``etas``, in O(b) per step, from the
-    signed margins z of w over ``rows`` (every row when None) and
-    dd = d.d. ``w``, ``direction`` and ``z`` are one run's, or the rows of
-    a stack's (k, d), (k, d) and (k, b) arrays with ``dd`` a list of k
-    floats: phi(etas, among) then gives a list of such iterables, one per
-    row index of ``among`` (every row when None).
+def batch_ray(spec, w, rows, x, direction, z, dd):
+    """phi(etas, among) iterates, for each row index i of ``among``,
+    batch_smooth_value(spec, w[i] - eta * direction[i], rows) over the steps
+    of the 1-d array ``etas``, in O(b) per step, for a stack of k runs on
+    one batch: its row ids ``rows`` and signed rows ``x``, the (k, d)
+    iterates ``w`` and ``direction``, the (k, b) signed margins ``z`` of w
+    and the k floats ``dd`` = d.d. It gives a list of such iterables.
 
     The margins u of d, w.w and w.d are formed once, stacked, so the steps
-    of one call are one (rows, len(etas), b) block loss_t(z - eta u) summed
+    of one call are one (runs, len(etas), b) block loss_t(z - eta u) summed
     along its last axis, four array calls for the logistic loss, and each
     value is the float a step of one run on its own gives."""
-    if rows is not None and len(rows) == 0:
+    if len(rows) == 0:
         raise ValueError("empty batch")
-    one = w.ndim == 1
-    if one:
-        w, direction, z, dd = w[None], direction[None], z[None], [dd]
-    u = margins(spec.data, direction, rows)
+    u = margins(spec.data, direction, x)
     ww, wd = np.vecdot(w, w).tolist(), np.vecdot(w, direction).tolist()
     half, b, kind = 0.5 * spec.lambda2, z.shape[1], spec.loss
 
@@ -196,17 +194,13 @@ def batch_ray(spec, w, rows, direction, z, dd):
         return (s / b + half * (ww - 2.0 * eta * wd + eta * eta * dd)
                 for s, eta in zip(sums, etas))
 
-    def phi(etas, among=None):
-        if among is None or len(among) == len(z):
-            among, zs, us = range(len(z)), z, u
-        else:
-            zs, us = z[among], u[among]
+    def phi(etas, among):
+        zs, us = (z, u) if len(among) == len(z) else (z[among], u[among])
         sums = np.add.reduce(loss_t(kind, zs[:, None] - etas[:, None] * us[:, None]),
                              axis=2)
         steps = etas.tolist()
-        rays = [ray(row, steps, ww[i], wd[i], dd[i])
+        return [ray(row, steps, ww[i], wd[i], dd[i])
                 for i, row in zip(among, sums.tolist())]
-        return rays[0] if one else rays
 
     return phi
 

@@ -23,8 +23,7 @@ from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (batch_grad, batch_ray, curvature_t, margins,
-                        objective_value, operand, prox, scatter, slope_t,
-                        square_scatter)
+                        objective_value, prox, scatter, slope_t, square_scatter)
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,11 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in KINDS:
             raise ValueError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            setattr(self, name, int(value))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         n = self.objective.data.n
@@ -127,17 +131,17 @@ def batch_key(config):
     return id(config.objective.data), config.batch_size, config.seed, config.epochs
 
 
-def inner_step(kind, direct, state, w, batch, c):
-    """The direction d of run ``state`` of solver ``kind`` on ``batch``:
-    its estimator ``direct(w, batch, c)``, bound by ``run_epoch``, at the
-    run's iterate w and the batch's slopes c there. Counts the step and its
-    gradients and returns (d, d.d); ``stack_step`` picks the step size and
-    moves w.
+def inner_step(kind, direct, state, w, rows, x, c):
+    """The direction d of run ``state`` of solver ``kind`` on the batch of
+    row ids ``rows`` and signed rows ``x``: its estimator
+    ``direct(w, rows, x, c)``, bound by ``run_epoch``, at the run's iterate
+    w and the batch's slopes c there. Counts the step and its gradients and
+    returns (d, d.d); ``stack_step`` picks the step size and moves w.
     """
-    d = direct(w, batch, c)
+    d = direct(w, rows, x, c)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
-    state.grads += len(batch) * (1 if state.snap is None else 2)
+    state.grads += len(rows) * (1 if state.snap is None else 2)
     dd = float(d.dot(d))
     # a finite d whose d.d overflows (entries past ~1e154) still runs
     if not math.isfinite(dd) and not np.isfinite(d).all():
@@ -187,8 +191,9 @@ class Stack:
                           self.w[keep], None if self.total is None else self.total[keep])
 
 
-def stack_step(stack, batch):
-    """One step of every run of ``stack`` on ``batch``. Stacked: the signed
+def stack_step(stack, rows, x):
+    """One step of every run of ``stack`` on the batch of row ids ``rows``
+    and signed rows ``x`` (``Dataset.plan``). Stacked: the signed
     margins z of the rows and their slopes, then, once each run's
     ``inner_step`` has built its direction d, the search's ray
     (``batch_ray``) and trial block, and the update w - eta d with eta per
@@ -206,14 +211,14 @@ def stack_step(stack, batch):
     clock = time.perf_counter
     start = clock()
     spec, params, w = stack.spec, stack.sbas, stack.w
-    z = margins(spec.data, w, batch)
+    z = margins(spec.data, w, x)
     c = slope_t(spec.loss, z)
     mark = clock()
     shared = mark - start
     directions, dds, failed = [], [], []
     for (state, kind, direct, _), wi, ci in zip(stack.runs, w, c):
         try:
-            d, dd = inner_step(kind, direct, state, wi, batch, ci)
+            d, dd = inner_step(kind, direct, state, wi, rows, x, ci)
             directions.append(d)
             dds.append(dd)
         except NonFiniteDirection as err:
@@ -234,13 +239,11 @@ def stack_step(stack, batch):
         etas = stack.etas.copy()
         for i in stack.decayed:
             etas[i] = params.eta0 / math.sqrt(runs[i][0].inner)
-        rays = (_trial_values(params, batch_ray(spec, w, batch, d, z, dds), stack)
+        rays = (_trial_values(params, batch_ray(spec, w, rows, x, d, z, dds), stack)
                 if stack.searched else [])
         for i, values in zip(stack.searched, rays):
             state = runs[i][0]
-            # the row's values in ladder order, whichever blocks it asks for
-            eta, evals = backtrack(params, lambda etas, v=iter(values): v,
-                                   dds[i], state.backtracked)
+            eta, evals = backtrack(params, values, dds[i])
             state.fevals += evals
             state.backtracked = evals > 2
             etas[i] = eta
@@ -263,9 +266,11 @@ def stack_step(stack, batch):
 
 
 def _trial_values(params, phi, stack):
-    """The searched rows' trial values in ladder order (``stack_step``); the
-    rest of a row's ladder past (0, eta0) is formed when ``backtrack`` asks
-    for it."""
+    """The searched rows' trial values in ``params.steps`` order, one
+    iterable per row for ``backtrack`` (``stack_step``), and the blocks of
+    ``phi`` they come from: the whole ladder of every row in one block when
+    one of them went past eta0 in its last search, else (0, eta0) and, for
+    a row whose search reads past eta0, the rest of its ladder then."""
     searched = stack.searched
     if any(stack.runs[i][0].backtracked for i in searched):
         return phi(params.steps, searched)
@@ -314,12 +319,12 @@ def run_epoch(states, schedule):
             gathered = clock() - start
             for stack in stacks:
                 stack.shared += gathered
-            for batch in chunk:
+            for rows, x in chunk:
                 for stack in stacks:
                     if stack.runs:      # empty once all its runs failed
-                        stack_step(stack, batch)
+                        stack_step(stack, rows, x)
             stacks = [stack for stack in stacks if stack.runs]
-            del chunk, batch    # its rows are freed before the next gather
+            del chunk, x    # its rows are freed before the next gather
             if not stacks:
                 break
             start = clock()
@@ -347,8 +352,7 @@ def _start_epoch(state):
         state.snap = take_snapshot(spec, anchor)
         state.grads += spec.data.n
     direct = bind(row.family, spec, state.table, state.snap)
-    fixed = None if config.fixed_eta is None else operand(config.fixed_eta)
-    return state, config.solver, direct, fixed
+    return state, config.solver, direct, config.fixed_eta
 
 
 def run(configs, test=None):

@@ -83,9 +83,9 @@ def estimator_mean_bruteforce(family, spec, w, state, schedule):
     _enumerable(spec)
     table, snap = (state, None) if family == "table" else (None, state)
     total = np.zeros(spec.data.d)
-    for batch in chain.from_iterable(spec.data.plan(schedule)):
+    for rows, x in chain.from_iterable(spec.data.plan(schedule)):
         direct = bind(family, spec, copy.deepcopy(table), snap)
-        total += direct(w, batch, slope_t(spec.loss, margins(spec.data, w, batch)))
+        total += direct(w, rows, x, slope_t(spec.loss, margins(spec.data, w, x)))
     return total / schedule.m
 
 
@@ -114,13 +114,13 @@ def variance_bound_check(spec, w, snap, schedule, constants, reference):
     g = batch_grad(spec, w)
     direct = bind("biased", spec, snap=snap)
     lhs = r_max = 0.0
-    for batch in chain.from_iterable(spec.data.plan(schedule)):
-        diff = direct(w, batch, slope_t(spec.loss, margins(spec.data, w, batch))) - g
+    for rows, x in chain.from_iterable(spec.data.plan(schedule)):
+        diff = direct(w, rows, x, slope_t(spec.loss, margins(spec.data, w, x))) - g
         lhs += float(diff @ diff)
         # as in run_epoch: at lambda2 = 0 the optimum's margins can pass
         # -709.78, where a logistic slope's exp(-t) overflows to the exact +0.0
         with np.errstate(over="ignore"):
-            gb = batch_grad(spec, reference.w, batch)
+            gb = batch_grad(spec, reference.w, rows)
         r_max = max(r_max, float(gb @ gb))
     lhs /= schedule.m
     m = schedule.m

@@ -17,7 +17,7 @@ from saag.harness import finalize_suboptimality
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_ray, batch_smooth_value, margins,
-                            objective_value, prox)
+                            objective_value, prox, slope_t)
 from saag.solvers import (RunConfig, init_state, reference_optimum, run,
                           run_epoch)
 from saag.verify import RateParams, RegimeError, estimate_constants, theoretical_rate
@@ -33,11 +33,17 @@ def logistic_spec(n, d, lam2=1e-2, lam1=0.0, seed=0, margin=0.0, flip=0.0):
     return ObjectiveSpec("logistic", data, lambda2=lam2, lambda1=lam1)
 
 
+def operands(spec, w, batch):
+    """The batch's signed rows and its slopes at w, as an estimator reads them."""
+    x = spec.data.gather(batch)
+    return x, slope_t(spec.loss, margins(spec.data, w, x))
+
+
 def enumerate_mean(spec, w, snap, schedule):
     # independent of estimator_mean_bruteforce: plain loop and sum
     total = np.zeros(spec.data.d)
     for batch in schedule.batches:
-        total += saag2_direction(spec, w, batch, snap, margins(spec.data, w, batch))
+        total += saag2_direction(snap, spec, w, batch, *operands(spec, w, batch))
     return total / schedule.m
 
 
@@ -75,8 +81,8 @@ def test_criterion_2_unbiasedness():
                 snap = take_snapshot(spec, rng.standard_normal(3))
                 total = np.zeros(3)
                 for batch in schedule.batches:
-                    total += svrg_direction(spec, w, batch, snap,
-                                            margins(spec.data, w, batch))
+                    total += svrg_direction(snap, spec, w, batch,
+                                            *operands(spec, w, batch))
                 gap = np.linalg.norm(total / schedule.m - batch_grad(spec, w))
                 worst = max(worst, float(gap))
     report(2, worst <= 1e-10, f"unbiasedness: max gap {worst:.2e} (tol 1e-10)")
@@ -103,7 +109,7 @@ def test_criterion_3_variance_bounds():
             g = batch_grad(spec, w)
             lhs = np.mean([
                 float(np.linalg.norm(saag2_direction(
-                    spec, w, batch, snap, margins(spec.data, w, batch)) - g) ** 2)
+                    snap, spec, w, batch, *operands(spec, w, batch)) - g) ** 2)
                 for batch in schedule.batches])
             rhs = (8 * constants.L * a * (objective_value(spec, w) - ref.value)
                    + 8 * constants.L * (a * m ** 2 + (m - 1) ** 2) / m ** 2
@@ -255,15 +261,18 @@ def test_criterion_10_sbas_contract():
             else rng.standard_normal(5)
         trials = []
         dd = float(direction @ direction)
-        # the search runs over the batch's ray as the inner step forms it
-        ray = batch_ray(spec, w, batch, direction, margins(spec.data, w, batch), dd)
+        # the search runs over the batch's ray as the inner step forms it,
+        # on a stack of one run
+        x = spec.data.gather(batch)
+        ray = batch_ray(spec, w[None], batch, x, direction[None],
+                        margins(spec.data, w, x)[None], [dd])
 
-        def phi(etas, ray=ray, trials=trials):
-            for eta, value in zip(etas.tolist(), ray(etas)):
+        def values(etas, ray=ray, trials=trials):
+            for eta, value in zip(etas.tolist(), ray(etas, [0])[0]):
                 trials.append((eta, value))
                 yield value
 
-        eta, evals = backtrack(params, phi, dd)
+        eta, evals = backtrack(params, values(params.steps), dd)
         max_evals = max(max_evals, evals, len(trials))
         # each value compared is the batch objective at its trial step
         for step, value in trials:
@@ -278,7 +287,7 @@ def test_criterion_10_sbas_contract():
     # constructed ascent case: moving along -d climbs the parabola
     w, d = np.array([1.0]), np.array([-1.0])
     ascent = lambda etas: (0.5 * float((w - eta * d) @ (w - eta * d)) for eta in etas)
-    eta0, _ = backtrack(params, ascent, float(d @ d))
+    eta0, _ = backtrack(params, ascent(params.steps), float(d @ d))
     ok &= eta0 == 0.0 and max_evals <= 11 and worst_trial <= 1e-12
     report(10, ok, f"SBAS: trials are the batch objective (gap {worst_trial:.1e}), "
                    f"accepted steps satisfy Armijo/decrease, "

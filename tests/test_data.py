@@ -3,7 +3,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from saag.data import (Batch, Dataset, ParseError, make_schedule,
+from saag.data import (Dataset, ParseError, make_schedule,
                        make_synthetic, parse_libsvm, split_train_test)
 
 
@@ -224,8 +224,9 @@ def test_schedule_batches_are_the_sorted_chunks_of_the_shuffle():
 
 
 def _parts(gathered):
-    """The arrays of a gather: the rows of a dense block, or the CSR triple."""
-    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
+    """The arrays of a gather: the rows of a dense block, or the CSR triple
+    (the row count that follows it is no array)."""
+    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered[:3])
 
 
 def _chunk(view):
@@ -238,57 +239,51 @@ def _chunk(view):
     return roots
 
 
-def test_gather_serves_planned_views_of_read_only_batches_only(monkeypatch):
+def test_plan_pairs_read_only_row_ids_with_views_of_one_gather(monkeypatch):
     for fill in (0.0, 2.0):     # a dense block, then the CSR arrays
         monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", fill)
         ds = make_synthetic(6, 3, seed=0)
         assert (ds.block is None) == (fill > 1.0)
         schedule = make_schedule(6, 2, seed=0)
-        batches = list(chain.from_iterable(ds.plan(schedule)))
-        # the schedule's batches in order, as read-only row ids
-        assert len(batches) == schedule.m
-        for batch, rows in zip(batches, schedule.batches):
-            assert isinstance(batch, Batch) and batch.dtype == np.int64
-            assert np.array_equal(batch, rows)
-            assert not batch.flags.writeable
+        pairs = list(chain.from_iterable(ds.plan(schedule)))
+        # the schedule's batches in order, as plain read-only row ids, each
+        # with its signed rows, bit-equal to a fresh gather
+        assert len(pairs) == schedule.m
+        for (rows, x), want in zip(pairs, schedule.batches):
+            assert type(rows) is np.ndarray and rows.dtype == np.int64
+            assert np.array_equal(rows, want)
+            assert not rows.flags.writeable
             with pytest.raises(ValueError):
-                batch[0] = 0
-            assert len(batch) == len(rows) and list(batch) == list(rows)
-        batch = batches[0]
-        planned = ds.gather(batch)
-        assert planned is batch.signed
+                rows[0] = 0
+            fresh = ds.gather(rows)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                       for a, b in zip(_parts(x), _parts(fresh)))
+            if fill > 1.0:      # a CSR operand carries its row count
+                assert x[3] == fresh[3] == len(rows)
+        rows, x = pairs[0]
         # the whole schedule is one chunk: every batch is a view of one gather
-        gathered = _chunk(planned)
-        assert all(np.shares_memory(a, g) for a, g in zip(_parts(planned), gathered))
-        assert all(a is g for other in batches
-                   for a, g in zip(_chunk(other.signed), gathered))
+        gathered = _chunk(x)
+        assert all(np.shares_memory(a, g) for a, g in zip(_parts(x), gathered))
+        assert all(a is g for _, other in pairs
+                   for a, g in zip(_chunk(other), gathered))
         # the dataset keeps no per-batch state, only its stored layout
         layout = {"block"} | ({"signed"} if fill > 1.0 else set())
         assert set(vars(ds)) == {"indptr", "indices", "values", "labels", "d",
                                  "row_ids"} | layout
-        # a writable array may change between calls: it is gathered afresh
-        rows = np.array(batch)
-        assert rows.flags.writeable
-        rows[1] = 3 if batch[1] != 3 else 4
-        fresh = _parts(ds.gather(rows))
+        # a gather of the same rows is a fresh copy
+        assert not any(np.shares_memory(a, g)
+                       for a, g in zip(_parts(ds.gather(rows)), gathered))
+        # a row array that changed gathers its own rows
+        changed = np.array(rows)
+        changed[1] = 3 if rows[1] != 3 else 4
         assert all(np.array_equal(a, b) for a, b in
-                   zip(fresh, _parts(ds.subset(rows).gather())))
-        assert not any(np.shares_memory(a, g) for a, g in zip(fresh, gathered))
-        # a slice, copy or np.array of a batch carries no rows: it is
-        # gathered afresh, to bit-equal values
-        for plain in (batch[:], batch.copy(), np.array(batch)):
-            assert getattr(plain, "signed", None) is None
-            again = _parts(ds.gather(plain))
-            assert not any(np.shares_memory(a, g) for a, g in zip(again, gathered))
-            assert all(a.dtype == b.dtype and np.array_equal(a, b)
-                       for a, b in zip(again, _parts(planned)))
+                   zip(_parts(ds.gather(changed)), _parts(ds.subset(changed).gather())))
         # a schedule of one batch of every row carries the stored layout,
         # uncopied
         whole = make_schedule(6, 6, seed=0)
-        seen = list(chain.from_iterable(ds.plan(whole)))
-        assert len(seen) == 1 and np.array_equal(seen[0], whole.batches[0])
-        assert not seen[0].flags.writeable
-        every = _parts(ds.gather(seen[0]))
+        ((rows, x),) = chain.from_iterable(ds.plan(whole))
+        assert np.array_equal(rows, whole.batches[0]) and not rows.flags.writeable
+        every = _parts(x)
         assert all(a is b for a, b in zip(every, _parts(ds.gather())))
         assert every[0] is (ds.block if fill == 0.0 else ds.row_ids)
 

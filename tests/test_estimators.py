@@ -18,6 +18,13 @@ def spec_for(n, d, seed=0, lam2=1e-2, loss="logistic"):
     return ObjectiveSpec(loss, make_synthetic(n, d, seed=seed), lambda2=lam2)
 
 
+def operands(spec, w, rows=None):
+    """A batch's signed rows x and its slopes c at w (every row when None):
+    the operands an estimator reads besides the batch's row ids."""
+    x = spec.data.gather(rows)
+    return x, slope_t(spec.loss, margins(spec.data, w, x))
+
+
 def dense_component(spec, w, i):
     # logistic loss term i: gradient -y sigma(-y x.w) x
     assert spec.loss == "logistic"
@@ -31,7 +38,7 @@ def test_saag1_first_call_uses_only_the_batch():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(3)
     batch = np.array([1, 4])
-    d = saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
+    d = saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
     assert np.allclose(d, batch_grad(spec, w, batch), atol=1e-15)
     assert list(np.flatnonzero(table.slopes)) == [1, 4]
 
@@ -41,7 +48,7 @@ def test_saag1_full_batch_is_full_gradient():
     table = make_table(spec)
     rng = np.random.default_rng(1)
     w = rng.standard_normal(3)
-    d = saag1_direction(table, spec, w, np.arange(8), margins(spec.data, w))
+    d = saag1_direction(table, spec, w, np.arange(8), *operands(spec, w))
     assert np.array_equal(d, batch_grad(spec, w))
     assert np.all(table.slopes != 0.0)
 
@@ -56,12 +63,12 @@ def test_saag1_matches_direct_recomputation():
     sched = make_schedule(8, 2, seed=3)
     stored = {}
     for w, batch in zip(w_hist, sched.batches):
-        saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
+        saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
     w = rng.standard_normal(3)
     for batch in make_schedule(8, 2, seed=4).batches:
-        got = saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
+        got = saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
         fresh = sum(stored[i] for i in batch)
@@ -81,7 +88,7 @@ def test_table_aggregate_consistency():
         sched = make_schedule(12, 3, seed=9, epoch=epoch)
         for batch in sched.batches:
             w = rng.standard_normal(4)
-            saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
+            saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
     rebuilt = scatter(spec.data, table.slopes)
     rel = np.linalg.norm(table.aggregate - rebuilt) / max(np.linalg.norm(rebuilt), 1e-300)
     assert rel <= 1e-12
@@ -92,7 +99,7 @@ def test_saag2_full_batch_collapses():
     rng = np.random.default_rng(6)
     w = rng.standard_normal(3)
     snap = take_snapshot(spec, rng.standard_normal(3))
-    d = saag2_direction(spec, w, np.arange(6), snap, margins(spec.data, w))
+    d = saag2_direction(snap, spec, w, np.arange(6), *operands(spec, w))
     assert np.linalg.norm(d - batch_grad(spec, w)) <= 1e-14
 
 
@@ -105,7 +112,7 @@ def test_saag2_at_snap_point_closed_form():
     snap = take_snapshot(spec, wt)
     sched = make_schedule(6, 2, seed=0)
     for batch in sched.batches:
-        d = saag2_direction(spec, wt, batch, snap, margins(spec.data, wt, batch))
+        d = saag2_direction(snap, spec, wt, batch, *operands(spec, wt, batch))
         expect = (1 - 1 / sched.m) * batch_grad(spec, wt, batch) + snap.grad
         assert np.linalg.norm(d - expect) <= 1e-14
 
@@ -144,7 +151,7 @@ def test_svrg_at_snap_returns_snap_gradient_exactly():
     wt = rng.standard_normal(3)
     snap = take_snapshot(spec, wt)
     batch = np.array([0, 3])
-    d = svrg_direction(spec, wt, batch, snap, margins(spec.data, wt, batch))
+    d = svrg_direction(snap, spec, wt, batch, *operands(spec, wt, batch))
     assert np.array_equal(d, snap.grad)
 
 
@@ -153,8 +160,8 @@ def test_sgd_direction_cases():
     rng = np.random.default_rng(9)
     w = rng.standard_normal(3)
     sgd = bind("batch", spec)
-    assert np.array_equal(sgd(w, np.arange(6), None), batch_grad(spec, w))
-    single = sgd(w, np.array([4]), None)
+    assert np.array_equal(sgd(w, np.arange(6), *operands(spec, w)), batch_grad(spec, w))
+    single = sgd(w, np.array([4]), *operands(spec, w, [4]))
     assert np.allclose(single, dense_component(spec, w, 4) + spec.lambda2 * w,
                        atol=1e-15)
     sched = make_schedule(6, 2, seed=2)
@@ -170,11 +177,11 @@ def test_degenerate_equivalence_all_estimators():
     batch = np.arange(10)
     fg = batch_grad(spec, w)
     table = make_table(spec)
-    z = margins(spec.data, w, batch)
-    for d in (saag1_direction(table, spec, w, batch, z),
-              saag2_direction(spec, w, batch, snap, z),
-              svrg_direction(spec, w, batch, snap, z),
-              bind("batch", spec)(w, batch, None)):
+    x, c = operands(spec, w, batch)
+    for d in (saag1_direction(table, spec, w, batch, x, c),
+              saag2_direction(snap, spec, w, batch, x, c),
+              svrg_direction(snap, spec, w, batch, x, c),
+              bind("batch", spec)(w, batch, x, c)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
 
@@ -183,7 +190,7 @@ def test_bruteforce_mean_resets_table_state():
     table = make_table(spec)
     rng = np.random.default_rng(11)
     w, batch = rng.standard_normal(3), np.array([0, 1])
-    saag1_direction(table, spec, w, batch, margins(spec.data, w, batch))
+    saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
     before = copy.deepcopy(table)
     sched = make_schedule(8, 2, seed=5)
     m1 = estimator_mean_bruteforce("table", spec, rng.standard_normal(3), table, sched)
@@ -233,7 +240,7 @@ def test_snapshot_slopes_restricted_to_a_batch_are_the_batch_slopes(layout, monk
         for b in (1, 7, 32, n):
             for epoch in range(3):
                 for batch in make_schedule(n, b, seed=4, epoch=epoch).batches:
-                    fresh = slope_t(spec.loss, margins(spec.data, snap.point, batch))
+                    fresh = operands(spec, snap.point, batch)[1]
                     assert np.array_equal(snap.slopes[batch], fresh)
 
 
@@ -267,8 +274,9 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
             want = []
             for batch in schedule.batches:
                 k = len(batch)
-                c, old_c = slope_t(kind, margins(data, w, batch)), snap.slopes[batch]
-                cur, old = scatter(data, c, batch), scatter(data, old_c, batch)
+                xb, old_c = data.gather(batch), snap.slopes[batch]
+                c = slope_t(kind, margins(data, w, xb))
+                cur, old = scatter(data, c, xb), scatter(data, old_c, xb)
                 want.append((
                     cur / k - old / n + lam2 * w - (k / n) * lam2 * snap.point + snap.grad,
                     (cur - old) / k + lam2 * (w - snap.point) + snap.grad,
@@ -277,18 +285,18 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
                 with pytest.MonkeyPatch.context() as m:
                     m.setattr(Dataset, "PLAN_BYTES", bound)
                     planned = chain.from_iterable(data.plan(schedule))
-                    for batch, (saag2, svrg, size) in zip(planned, want, strict=True):
-                        z = margins(data, w, batch)
-                        assert np.all(np.abs(saag2_direction(spec, w, batch, snap, z) - saag2)
-                                      <= 1e-12 * size)
-                        assert np.all(np.abs(svrg_direction(spec, w, batch, snap, z) - svrg)
-                                      <= 1e-12 * size)
+                    for (batch, xb), (saag2, svrg, size) in zip(planned, want, strict=True):
+                        c = slope_t(kind, margins(data, w, xb))
+                        assert np.all(np.abs(saag2_direction(snap, spec, w, batch, xb, c)
+                                             - saag2) <= 1e-12 * size)
+                        assert np.all(np.abs(svrg_direction(snap, spec, w, batch, xb, c)
+                                             - svrg) <= 1e-12 * size)
 
 
 def test_direction_rejects_an_unknown_kind():
     spec = spec_for(6, 3)
     with pytest.raises(ValueError, match="unknown estimator family 'nope'"):
-        bind("nope", spec)(np.zeros(3), np.array([0, 1]), None)
+        bind("nope", spec)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -313,13 +321,12 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
     w = scale * rng.uniform(-1.0, 1.0, d)
     for b in (1, min(16, n), n - 1, n):
         schedule = make_schedule(n, b, seed)
-        for batch in chain.from_iterable(data.plan(schedule)):
+        for batch, x in chain.from_iterable(data.plan(schedule)):
             k = len(batch)
-            c = slope_t(kind, margins(data, w, batch)) / k - snap.slopes[batch] / n
-            want = (scatter(data, c, batch)
+            fresh = data.gather(batch)
+            c = slope_t(kind, margins(data, w, fresh))
+            want = (scatter(data, c / k - snap.slopes[batch] / n, fresh)
                     + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
-            z = margins(data, w, batch)
-            assert np.array_equal(saag2_direction(spec, w, batch, snap, z), want)
+            assert np.array_equal(saag2_direction(snap, spec, w, batch, x, c), want)
             # a bound estimator takes the batch's slopes
-            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, slope_t(kind, z)),
-                                  want)
+            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, x, c), want)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from saag.data import Batch, Dataset, make_schedule
+from saag.data import Dataset, make_schedule
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, accuracy,
                             batch_grad, batch_ray, batch_smooth_value, loss_t,
@@ -112,11 +112,11 @@ def test_csr_primitives_match_dense(problem):
         assert np.array_equal(data.subset(rows).dense(), xb)
     yb = y if rows is None else y[rows]
     # the primitives read the rows signed by their labels, -y_i x_i
-    t = margins(data, w, rows)
+    t = margins(data, w, data.gather(rows))
     assert t.shape == (xb.shape[0],)
     assert close(t, -yb * (xb @ w), np.abs(xb) @ np.abs(w) + 1.0)
     c = np.linspace(-2.0, 2.0, xb.shape[0])
-    assert close(scatter(data, c, rows), xb.T @ (-yb * c),
+    assert close(scatter(data, c, data.gather(rows)), xb.T @ (-yb * c),
                  np.abs(xb.T) @ np.abs(c) + 1.0)
     # the stored values stay unsigned, as dense() does above
     assert np.array_equal(data.values, x[np.nonzero(x)])
@@ -168,7 +168,7 @@ def test_batch_ray_matches_batch_value(problem, kind, eta, draw):
     d = scale * draw.draw(arrays(np.float64, data.d, elements=st.floats(-1.0, 1.0)))
     lam2 = 1e-2
     spec = ObjectiveSpec(kind, data, lambda2=lam2)
-    phi = batch_ray(spec, w, rows, d, margins(data, w, rows), float(d @ d))
+    phi = ray(spec, w, rows, d, margins(data, w, data.gather(rows)), float(d @ d))
     base, value = phi(np.array([0.0, eta]))
     # the search's reference value at eta = 0 is the same float
     assert base == batch_smooth_value(spec, w, rows)
@@ -213,6 +213,14 @@ def unsigned(data):
     return twin
 
 
+def ray(spec, w, rows, d, z, dd):
+    """The trial values of one run (rows None: every row): ``batch_ray`` on
+    a stack of one, as a function of the steps."""
+    rows = np.arange(spec.data.n) if rows is None else rows
+    phi = batch_ray(spec, w[None], rows, spec.data.gather(rows), d[None], z[None], [dd])
+    return lambda etas: phi(etas, [0])[0]
+
+
 @SETTINGS
 @given(problems(), st.sampled_from(LOSSES),
        st.sampled_from([0.0, 1.0, 0.5 ** 7, 0.5 ** 29, 3.0]), st.data())
@@ -226,17 +234,19 @@ def test_batch_ray_trials_are_the_margin_formula_bit_for_bit(problem, kind, eta,
     spec = ObjectiveSpec(kind, data, lambda2=lam2)
     yb = y if rows is None else y[rows]
     twin = unsigned(data)
-    z, u = margins(twin, w, rows), margins(twin, d, rows)
-    t = margins(data, w, rows)
+    signed, rows_of_twin = data.gather(rows), twin.gather(rows)
+    z, u = margins(twin, w, rows_of_twin), margins(twin, d, rows_of_twin)
+    t = margins(data, w, signed)
     assert np.array_equal(t, -yb * z)
     assert np.array_equal(loss_t(kind, t), margin_loss(kind, z, yb))
-    assert np.array_equal(scatter(data, slope_t(kind, t), rows),
-                          scatter(twin, margin_slope(kind, z, yb), rows))
+    with np.errstate(over="ignore"):    # the logistic slope's exp(-t) at t < -709.78
+        assert np.array_equal(scatter(data, slope_t(kind, t), signed),
+                              scatter(twin, margin_slope(kind, z, yb), rows_of_twin))
     l2 = 0.5 * lam2 * (float(w @ w) - 2.0 * eta * float(w @ d)
                        + eta * eta * float(d @ d))
     want = float(margin_loss(kind, z - eta * u, yb).sum()) / z.size + l2
     # the inner step hands over the signed margins and d.d it already formed
-    assert list(batch_ray(spec, w, rows, d, t, float(d @ d))(np.array([eta]))) == [want]
+    assert list(ray(spec, w, rows, d, t, float(d @ d))(np.array([eta]))) == [want]
 
 
 def sequential_backtrack(params, phi, dd):
@@ -270,7 +280,7 @@ def test_trial_ladder_is_the_sequential_search_bit_for_bit(
     w, v = scale * rng.uniform(-1.0, 1.0, d), rng.uniform(-3.0, 3.0, d)
     spec = ObjectiveSpec(kind, data, lambda2=1e-2)
     params = SBASParams(shrink=0.3, eta0=eta0, max_backtracks=tries)
-    z, u = margins(data, w, rows), margins(data, v, rows)
+    z, u = margins(data, w, data.gather(rows)), margins(data, v, data.gather(rows))
     ww, wv, vv = float(w @ w), float(w @ v), float(v @ v)
 
     def one(eta):
@@ -282,14 +292,14 @@ def test_trial_ladder_is_the_sequential_search_bit_for_bit(
     assert steps.size == tries + 1 and steps[0] == 0.0 and steps[1] == eta0
     for j in range(2, tries + 1):     # each trial is the one before times shrink
         assert steps[j] == steps[j - 1] * 0.3
-    phi = batch_ray(spec, w, rows, v, z, vv)
+    phi = ray(spec, w, rows, v, z, vv)
     want = [one(eta) for eta in steps.tolist()]
     assert list(phi(steps)) == want
     assert list(phi(steps[:2])) + list(phi(steps[2:])) == want
-    # the block shape asked of phi cannot change a search
+    # the blocks the values come from cannot change a search
     search = sequential_backtrack(params, one, vv)
-    for whole in (False, True):
-        assert backtrack(params, phi, vv, whole) == search
+    assert backtrack(params, phi(steps), vv) == search
+    assert backtrack(params, chain(phi(steps[:2]), phi(steps[2:])), vv) == search
 
 
 @SETTINGS
@@ -310,17 +320,17 @@ def test_empty_row_and_unused_column():
     w = np.array([1.0, 2.0, 5.0])
     # the signed margins -y X w of X w = (-3, 0, 6)
     assert np.array_equal(margins(data, w), [3.0, 0.0, -6.0])
-    assert np.array_equal(margins(data, w, [1]), [0.0])
-    assert np.array_equal(scatter(data, np.array([7.0]), [1]), np.zeros(3))
+    assert np.array_equal(margins(data, w, data.gather([1])), [0.0])
+    assert np.array_equal(scatter(data, np.array([7.0]), data.gather([1])), np.zeros(3))
     assert np.array_equal(scatter(data, np.array([1.0, 1.0, 1.0])), [-1.0, -1.0, 0.0])
     spec = ObjectiveSpec("logistic", data)
     # an empty row has margin 0: loss ln 2, gradient 0
     assert batch_smooth_value(spec, w, [1]) == np.log(2.0)
     assert np.array_equal(batch_grad(spec, w, [1]), np.zeros(3))
-    phi = batch_ray(spec, w, [1], np.ones(3), margins(data, w, [1]), 3.0)
+    phi = ray(spec, w, [1], np.ones(3), margins(data, w, data.gather([1])), 3.0)
     assert list(phi(np.array([0.5]))) == [np.log(2.0)]
     with pytest.raises(ValueError):
-        batch_ray(spec, w, [], np.ones(3), margins(data, w, []), 3.0)
+        ray(spec, w, [], np.ones(3), margins(data, w, data.gather([])), 3.0)
 
 
 def chunk_bytes(gathered):
@@ -330,7 +340,9 @@ def chunk_bytes(gathered):
 
 
 def parts(gathered):
-    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered)
+    """The arrays of a gather: the rows of a dense block, or the CSR triple
+    (the row count that follows it is no array)."""
+    return [gathered] if isinstance(gathered, np.ndarray) else list(gathered[:3])
 
 
 def chunk_of(view):
@@ -358,19 +370,17 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
     c, w = rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, d)
     for b in (1, min(16, n), n - 1, n):
         schedule = make_schedule(n, b, seed, epoch=1)
-        fresh = [data._gather(batch) for batch in schedule.batches]
-        terms = [scatter(data, c[batch], batch) for batch in schedule.batches]
+        fresh = [data.gather(batch) for batch in schedule.batches]
+        terms = [scatter(data, c[batch], got) for batch, got in zip(schedule.batches, fresh)]
         for bound in (Dataset.PLAN_BYTES, 3 * 24 * d * b + 7, 24 * d * b, 8 * d * b, 24, 0):
             seen, chunks = [], []
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(Dataset, "PLAN_BYTES", bound)
-                for batch in chain.from_iterable(data.plan(schedule)):
+                for batch, got in chain.from_iterable(data.plan(schedule)):
                     k = len(seen)
                     seen.append(batch)
-                    assert isinstance(batch, Batch) and not batch.flags.writeable
+                    assert type(batch) is np.ndarray and not batch.flags.writeable
                     assert np.array_equal(batch, schedule.batches[k])
-                    got = data.gather(batch)
-                    assert got is batch.signed
                     if b == n:
                         # every row: the stored layout, uncopied
                         assert all(a is r for a, r in zip(parts(got), parts(data.gather())))
@@ -384,9 +394,11 @@ def test_planned_chunks_are_fresh_gathers_bit_for_bit(dense, matrix, seed):
                                    for a, r in zip(parts(got), roots))
                     assert all(a.dtype == f.dtype and np.array_equal(a, f) for a, f in
                                zip(parts(got), parts(fresh[k])))
-                    assert np.array_equal(scatter(data, c[batch], batch), terms[k])
-                    assert np.array_equal(margins(data, w, batch),
-                                          margins(data, w, np.array(batch)))
+                    if not dense:   # and the same row count
+                        assert got[3] == fresh[k][3] == len(batch)
+                    assert np.array_equal(scatter(data, c[batch], got), terms[k])
+                    assert np.array_equal(margins(data, w, got),
+                                          margins(data, w, fresh[k]))
             assert len(seen) == schedule.m
             # the views of a chunk's batches are its one gather, within the
             # bound unless it is one batch past the bound on its own
@@ -418,9 +430,8 @@ def test_dense_scatter_is_the_matmul_bit_for_bit(b, d, seed, scale):
     c = rng.standard_normal(n) * rng.choice([1e-8, 1.0, 1e8], n)
     schedule = make_schedule(n, b, seed)
     assert b == 1 or len(schedule.batches[-1]) < b
-    for batch in chain.from_iterable(data.plan(schedule)):
-        assert np.array_equal(scatter(data, c[batch], batch),
-                              c[batch] @ data.block[batch])
+    for batch, x in chain.from_iterable(data.plan(schedule)):
+        assert np.array_equal(scatter(data, c[batch], x), c[batch] @ data.block[batch])
     assert np.array_equal(scatter(data, c), c @ data.block)
 
 
@@ -440,6 +451,6 @@ def test_batch_margins_are_the_full_pass_bit_for_bit(d, dense, seed, scale):
     full = margins(data, w)
     for b in (1, 2, 7, 16, 32):
         schedule = make_schedule(n, b, seed, epoch=1)
-        for batch in chain.from_iterable(data.plan(schedule)):
-            assert np.array_equal(margins(data, w, batch), full[batch])
-            assert np.array_equal(margins(data, w, np.array(batch)), full[batch])
+        for batch, x in chain.from_iterable(data.plan(schedule)):
+            assert np.array_equal(margins(data, w, x), full[batch])
+            assert np.array_equal(margins(data, w, data.gather(batch)), full[batch])

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,37 @@ def quad(scale=1.0):
     return lambda v: 0.5 * scale * float(v @ v)
 
 
-def ray(f, w, d):
-    """phi(etas) for backtrack: f at w - eta * d, once per trial taken."""
-    return lambda etas: (f(w - eta * d) for eta in etas)
+def ray(f, w, d, params=SBASParams()):
+    """The values backtrack reads: f at w - eta * d for each step of
+    ``params.steps``, formed when it is read."""
+    return (f(w - eta * d) for eta in params.steps.tolist())
+
+
+def one_shot(values):
+    """An iterator that reads ``values`` once, and the list of the values
+    read from it so far."""
+    read = []
+
+    def each():
+        for value in values:
+            read.append(value)
+            yield value
+
+    return each(), read
+
+
+def blocks(f, w, d, params, whole, formed):
+    """The values of ``ray`` from eager blocks of steps, the size of each
+    block put on ``formed`` when it is formed: every step in one block, or
+    (0, eta0) and then, once a value past eta0 is read, the rest."""
+    def block(etas):
+        formed.append(etas.size)
+        return [f(w - eta * d) for eta in etas.tolist()]
+
+    def rest():
+        yield from block(params.steps[2:])
+
+    return block(params.steps) if whole else chain(block(params.steps[:2]), rest())
 
 
 def test_accepts_unit_step_on_easy_quadratic():
@@ -23,7 +53,8 @@ def test_accepts_unit_step_on_easy_quadratic():
 
 def test_zero_direction_returns_eta0_with_equality():
     w, d = np.array([1.0]), np.array([0.0])
-    eta, _ = backtrack(SBASParams(eta0=0.7), ray(quad(), w, d), 0.0)
+    params = SBASParams(eta0=0.7)
+    eta, _ = backtrack(params, ray(quad(), w, d, params), 0.0)
     assert eta == 0.7
 
 
@@ -44,7 +75,7 @@ def test_backtracks_on_stiff_quadratic():
     params = SBASParams()
     w = np.array([1.0])
     d = np.array([100.0])  # gradient of 50*w^2 at w=1
-    eta, _ = backtrack(params, ray(quad(100.0), w, d), float(d @ d))
+    eta, _ = backtrack(params, ray(quad(100.0), w, d, params), float(d @ d))
     assert eta > 0.0
     assert quad(100.0)(w - eta * d) <= quad(100.0)(w) - params.alpha * eta * float(d @ d)
 
@@ -55,7 +86,7 @@ def test_fallback_returns_last_tried_step_on_strict_decrease():
     params = SBASParams(alpha=0.9999)
     w = np.array([1.0])
     d = np.array([1.0])
-    eta, evals = backtrack(params, ray(quad(), w, d), float(d @ d))
+    eta, evals = backtrack(params, ray(quad(), w, d, params), float(d @ d))
     assert eta == pytest.approx(0.5 ** 9)
     assert evals == 11
     assert quad()(w - eta * d) < quad()(w)
@@ -64,20 +95,16 @@ def test_fallback_returns_last_tried_step_on_strict_decrease():
 @pytest.mark.parametrize("whole", [False, True], ids=["two_blocks", "one_block"])
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["accept", "sentinel"])
 def test_single_trial_asks_for_no_empty_block(whole, sign):
-    # with max_backtracks = 1 the ladder is (0, eta0) in either shape: an
-    # accept or the sentinel after 2 evaluations, and no call for the rest
-    sizes = []
+    # with max_backtracks = 1 the ladder is (0, eta0) from either block
+    # shape: an accept or the sentinel after 2 values read, and no block
+    # formed for the rest
+    formed = []
     w, d = np.array([1.0]), np.array([sign])
-    steps = ray(quad(), w, d)
-
-    def phi(etas):
-        sizes.append(etas.size)
-        return steps(etas)
-
     params = SBASParams(max_backtracks=1)
-    eta, evals = backtrack(params, phi, 1.0, whole)
+    values, read = one_shot(blocks(quad(), w, d, params, whole, formed))
+    eta, evals = backtrack(params, values, 1.0)
     assert (eta, evals) == ((1.0, 2) if sign > 0 else (0.0, 2))
-    assert sizes == [2]
+    assert len(read) == evals and formed == [2]
 
 
 def test_contract_on_random_problems():
@@ -91,19 +118,28 @@ def test_contract_on_random_problems():
         f = lambda v: 0.5 * float(v @ h @ v) + float(c @ v)
         w = rng.standard_normal(dim)
         d = rng.standard_normal(dim)
-        # either block shape: a lazy phi is read once per counted evaluation
+        count = [0]
+
+        def counted(v, f=f, count=count):
+            count[0] += 1
+            return f(v)
+
+        # lazy values are formed once per counted evaluation
+        values, read = one_shot(ray(counted, w, d))
+        eta, evals = backtrack(params, values, float(d @ d))
+        assert evals == len(read) == count[0] <= params.max_backtracks + 1
+        if eta > 0.0:
+            armijo = f(w - eta * d) <= f(w) - params.alpha * eta * float(d @ d)
+            assert armijo or f(w - eta * d) < f(w)
+        # either block shape gives the same search, read to its count, and
+        # the rest of the ladder is formed only when eta0 fails
         for whole in (False, True):
-            count = [0]
-
-            def counted(v, f=f, count=count):
-                count[0] += 1
-                return f(v)
-
-            eta, evals = backtrack(params, ray(counted, w, d), float(d @ d), whole)
-            assert evals == count[0] <= params.max_backtracks + 1
-            if eta > 0.0:
-                armijo = f(w - eta * d) <= f(w) - params.alpha * eta * float(d @ d)
-                assert armijo or f(w - eta * d) < f(w)
+            formed = []
+            values, read = one_shot(blocks(f, w, d, params, whole, formed))
+            assert backtrack(params, values, float(d @ d)) == (eta, evals)
+            assert len(read) == evals
+            rest = [params.max_backtracks - 1] if evals > 2 else []
+            assert formed == ([params.max_backtracks + 1] if whole else [2] + rest)
 
 
 def test_param_validation():

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -64,8 +65,8 @@ def test_epoch_boundary_equalities(monkeypatch):
     collected = []
     orig = solvers_mod.stack_step
 
-    def spy(stack, batch):
-        orig(stack, batch)
+    def spy(stack, rows, x):
+        orig(stack, rows, x)
         (w,) = stack.w
         collected.append(w.copy())
 
@@ -139,11 +140,11 @@ def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     orig = solvers_mod.stack_step
     checks = []
 
-    def spy(stack, batch):
-        before = batch_smooth_value(stack.spec, stack.w[0], batch)
-        orig(stack, batch)
+    def spy(stack, rows, x):
+        before = batch_smooth_value(stack.spec, stack.w[0], rows)
+        orig(stack, rows, x)
         (w,) = stack.w
-        after = batch_smooth_value(stack.spec, w, batch)
+        after = batch_smooth_value(stack.spec, w, rows)
         checks.append(after <= before + 1e-12)
 
     monkeypatch.setattr(solvers_mod, "stack_step", spy)
@@ -180,10 +181,10 @@ def record_chunks(monkeypatch):
 
 def chunk_bytes(gathered):
     """Bytes of gathered signed rows: a dense block's rows, or the CSR
-    slots, columns and values."""
+    slots, columns and values (the row count after them is no array)."""
     if isinstance(gathered, np.ndarray):
         return gathered.nbytes
-    return sum(a.nbytes for a in gathered)
+    return sum(a.nbytes for a in gathered[:3])
 
 
 def _arrays(obj):
@@ -215,9 +216,10 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
                   if np.array_equal(a, s) and not np.shares_memory(a, s)]
         assert copies == []
         # the full batch's stored arrays give the same trace as a gathered copy
+        gather = Dataset.gather
         with monkeypatch.context() as m:
-            m.setattr(Dataset, "gather", lambda self, rows=None: self._gather(
-                np.arange(self.n) if rows is None else np.asarray(rows)))
+            m.setattr(Dataset, "gather", lambda self, rows=None: gather(
+                self, np.arange(self.n) if rows is None else rows))
             w_copy, trace_copy = run([cfg], test=test)[0]
         assert np.array_equal(w, w_copy)
         assert [(p.fevals, p.objective, p.test_accuracy) for p in trace.points] == \
@@ -226,7 +228,7 @@ def test_gd_run_keeps_no_copy_of_the_training_values(monkeypatch):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
 def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
-    # a planned batch carries its gathered rows: one epoch of any solver
+    # a planned batch comes with its gathered rows: one epoch of any solver
     # gathers each batch of its schedule once, in its chunk's one gather,
     # also a batch past the chunk bound on its own, and at b = n nothing
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
@@ -238,18 +240,19 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
     # share chunks, b = 16 and n - 1 batches are each past the bound
     monkeypatch.setattr(Dataset, "PLAN_BYTES", 24 * d * 3)
     chunked, fresh = [], []
-    gather_chunk, gather = Dataset._gather_chunk, Dataset._gather
+    gather_chunk, gather = Dataset._gather_chunk, Dataset.gather
 
     def counted_chunk(self, rows):
         chunked.extend(rows)
         return gather_chunk(self, rows)
 
-    def counted(self, rows):
-        fresh.append(rows)
+    def counted(self, rows=None):
+        if rows is not None:
+            fresh.append(rows)
         return gather(self, rows)
 
     monkeypatch.setattr(Dataset, "_gather_chunk", counted_chunk)
-    monkeypatch.setattr(Dataset, "_gather", counted)
+    monkeypatch.setattr(Dataset, "gather", counted)
     for b in (1, 16, n - 1, n):
         schedule = make_schedule(n, b, seed=3)
         for kind in SOLVERS:
@@ -261,14 +264,53 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
             assert fresh == []
             assert len(chunked) == (0 if b == n else schedule.m)
             assert all(np.array_equal(r, s) for r, s in zip(chunked, schedule.batches))
-    # the one batch of every row carries the stored layout itself
-    ((batch,),) = data.plan(make_schedule(n, n, seed=3))
+    # the one batch of every row comes with the stored layout itself
+    (((_, x),),) = data.plan(make_schedule(n, n, seed=3))
     assert chunked == [] and fresh == []
     if dense:
-        assert batch.signed is data.block
+        assert x is data.block
     else:
         assert all(a is s for a, s in
-                   zip(batch.signed, (data.row_ids, data.indices, data.signed)))
+                   zip(x, (data.row_ids, data.indices, data.signed, n)))
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+def test_kept_row_ids_keep_no_chunk_alive(dense, monkeypatch):
+    # a caller that keeps every batch's row ids through an epoch, as a
+    # tracer that meters them does, holds no gathered rows: each chunk's
+    # gather is freed once the epoch drops the chunk, before the next
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    n, d, b = 48, 5, 8
+    spec = ObjectiveSpec("logistic", make_synthetic(n, d, seed=2, flip=0.1), 1e-3)
+    assert (spec.data.block is not None) == dense
+    # two batches of b full rows to a chunk: 3 chunks
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", 2 * (8 if dense else 24) * b * d)
+    kept, refs, alive = [], [], []
+    gather_chunk, step = Dataset._gather_chunk, solvers_mod.stack_step
+
+    def recorded(self, rows):
+        alive.append(sum(ref() is not None for ref in refs))
+        views = gather_chunk(self, rows)
+        for view in views:
+            for a in [view] if isinstance(view, np.ndarray) else view[:3]:
+                while a.base is not None:
+                    a = a.base
+                refs.append(weakref.ref(a))
+        return views
+
+    def keeping(stack, rows, *rest):
+        kept.append(rows)
+        return step(stack, rows, *rest)
+
+    monkeypatch.setattr(Dataset, "_gather_chunk", recorded)
+    monkeypatch.setattr(solvers_mod, "stack_step", keeping)
+    state = init_state(RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=b))
+    schedule = make_schedule(n, b, seed=0)
+    run_epoch([state], schedule)
+    assert alive == [0, 0, 0] and refs
+    assert all(ref() is None for ref in refs)
+    assert len(kept) == schedule.m
+    assert all(np.array_equal(rows, batch) for rows, batch in zip(kept, schedule.batches))
 
 
 # mixes shaped like the benchmark's workloads: (layout, kinds, b, seeds,
@@ -336,7 +378,7 @@ def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
 
     def failing(kind, direct, state, *args):
         if kind == "svrg" and state.epoch >= 1:
-            direct = lambda w, batch, z: np.full(w.size, math.inf)  # noqa: E731
+            direct = lambda w, rows, x, c: np.full(w.size, math.inf)  # noqa: E731
         return step(kind, direct, state, *args)
 
     monkeypatch.setattr(solvers_mod, "inner_step", failing)
@@ -361,7 +403,7 @@ def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch
     def failing(when):
         def inner(kind, direct, state, *args):
             if when(kind, state):
-                direct = lambda w, batch, z: np.full(w.size, math.nan)  # noqa: E731
+                direct = lambda w, rows, x, c: np.full(w.size, math.nan)  # noqa: E731
             return step(kind, direct, state, *args)
         return inner
 
@@ -499,10 +541,10 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
                     sbas=SBASParams(eta0=50.0), seed=2)
     w_fast, fast = run([cfg])[0]
 
-    def plain_ray(spec_, w, rows, d, z, dd):
+    def plain_ray(spec_, w, rows, x, d, z, dd):
         # the stack's rows, one ray each
-        def phi(etas, among=None):
-            return [plain(w[i], d[i], etas) for i in among or range(len(w))]
+        def phi(etas, among):
+            return [plain(w[i], d[i], etas) for i in among]
 
         def plain(w, d, etas):
             return (batch_smooth_value(spec_, w - eta * d, rows) for eta in etas)
@@ -522,31 +564,65 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
 @pytest.mark.parametrize("lam1", [0.0, 1e-3])
 @pytest.mark.parametrize("kind", SBAS_SOLVERS)
 def test_one_block_after_a_backtrack_keeps_traces(kind, lam1, dense, monkeypatch):
-    # asking phi for the whole ladder after a search that went past eta0
-    # must give the counts and decisions of asking for (0, eta0) first
+    # the whole ladder in one block after a search that went past eta0 must
+    # give the counts and decisions of (0, eta0) first, with the rest of a
+    # row's ladder formed only when eta0 fails; either way each search reads
+    # its values once, exactly as many as it counts
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     data = make_synthetic(60, 8, seed=5, flip=0.1)
     assert (data.block is None) != dense
-    shapes = []
+    blocks, counts = [], []
+    ray = solvers_mod.batch_ray
 
-    def recorded(params, phi, dd, whole=False):
-        shapes.append(whole)
-        return backtrack(params, phi, dd, whole)
+    def counted_ray(*args):
+        phi = ray(*args)
 
+        def counted(etas, among):
+            blocks.append(etas.size)
+            return phi(etas, among)
+
+        return counted
+
+    def one_shot(params, values, dd):
+        read = []
+
+        def each():
+            for value in values:
+                read.append(value)
+                yield value
+
+        eta, evals = backtrack(params, each(), dd)
+        assert len(read) == evals
+        counts.append(evals)
+        return eta, evals
+
+    def two_blocks(params, phi, stack):
+        def rest(i):
+            yield from phi(params.steps[2:], [i])[0]
+
+        return [itertools.chain(values, rest(i)) for i, values in
+                zip(stack.searched, phi(params.steps[:2], stack.searched))]
+
+    monkeypatch.setattr(solvers_mod, "batch_ray", counted_ray)
+    monkeypatch.setattr(solvers_mod, "backtrack", one_shot)
+    params = SBASParams(eta0=50.0)
     for loss in LOSSES:
         spec = ObjectiveSpec(loss, data, 1e-4, lam1)
         # eta0 = 50 makes every solver backtrack, so both shapes are asked for
         cfg = RunConfig(solver=kind, objective=spec, epochs=4, batch_size=6,
-                        sbas=SBASParams(eta0=50.0), seed=2)
+                        sbas=params, seed=2)
+        w_rule, rule = run([cfg])[0]
+        assert {2, params.max_backtracks + 1} <= set(blocks), loss
+        blocks.clear()
+        counts.clear()
         with monkeypatch.context() as m:
-            m.setattr(solvers_mod, "backtrack", recorded)
-            w_rule, rule = run([cfg])[0]
-        assert {False, True} <= set(shapes), loss
-        shapes.clear()
-        with monkeypatch.context() as m:
-            m.setattr(solvers_mod, "backtrack",
-                      lambda params, phi, dd, whole=False: backtrack(params, phi, dd))
+            m.setattr(solvers_mod, "_trial_values", two_blocks)
             w_two, two = run([cfg])[0]
+        # one (0, eta0) block per search, and a rest block per failed eta0
+        rests = [params.max_backtracks - 1] * sum(evals > 2 for evals in counts)
+        assert sorted(blocks) == sorted([2] * len(counts) + rests), loss
+        blocks.clear()
+        counts.clear()
         assert [p.fevals for p in rule.points] == [p.fevals for p in two.points]
         assert [p.objective for p in rule.points] == [p.objective for p in two.points]
         assert np.array_equal(w_rule, w_two), loss
@@ -569,20 +645,20 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
         w_stored, stored = run([cfg], test=test)[0]
     assert chunks == [bound, bound, 2 * bound // 3] * 4
 
-    def snap_slopes(spec_, snap, batch):
-        return slope_t(spec_.loss, margins(spec_.data, snap.point, batch))
+    def slopes(spec_, w, x):
+        return slope_t(spec_.loss, margins(spec_.data, w, x))
 
-    def saag2_afresh(spec_, w, batch, snap, z=None, c=None):
-        n, k, lam2 = spec_.data.n, len(batch), spec_.lambda2
-        c = (slope_t(spec_.loss, margins(spec_.data, w, batch)) / k
-             - snap_slopes(spec_, snap, batch) / n)
-        return (scatter(spec_.data, c, batch)
+    def saag2_afresh(snap, spec_, w, rows, x, c):
+        n, k, lam2 = spec_.data.n, len(rows), spec_.lambda2
+        x = spec_.data.gather(rows)
+        c = slopes(spec_, w, x) / k - slopes(spec_, snap.point, x) / n
+        return (scatter(spec_.data, c, x)
                 + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
 
-    def svrg_afresh(spec_, w, batch, snap, z=None, c=None):
-        c = ((slope_t(spec_.loss, margins(spec_.data, w, batch))
-              - snap_slopes(spec_, snap, batch)) / len(batch))
-        return (scatter(spec_.data, c, batch)
+    def svrg_afresh(snap, spec_, w, rows, x, c):
+        x = spec_.data.gather(rows)
+        c = (slopes(spec_, w, x) - slopes(spec_, snap.point, x)) / len(rows)
+        return (scatter(spec_.data, c, x)
                 + spec_.lambda2 * (w - snap.point) + snap.grad)
 
     monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
@@ -627,7 +703,6 @@ def test_zero_d_operands_keep_traces(dense, lam1, fixed_eta, monkeypatch):
                                     ("TWO", 2.0)):
                     m.setattr(objective_mod, name, value)
                 m.setattr(objective_mod, "operand", float)
-                m.setattr(solvers_mod, "operand", float)
                 spec, floats = run_bits(kind, data, b, lam1, fixed_eta, loss)
                 assert all(type(x) is float for x in spec.scalars(b))
             assert shipped == floats, (kind, b, loss)
@@ -686,8 +761,9 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
         direct = solvers_mod.bind("unbiased", spec, None, state.snap)
         batch = np.array([0, 1, 2, 3])
         with pytest.raises(NonFiniteDirection) as err:
-            solvers_mod.inner_step("svrg", direct, state, state.w, batch,
-                                   margins(spec.data, state.w, batch))
+            x = spec.data.gather(batch)
+            solvers_mod.inner_step("svrg", direct, state, state.w, batch, x,
+                                   slope_t(spec.loss, margins(spec.data, state.w, x)))
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
         assert state.inner == 0
         _, trace = run([cfg])[0]
@@ -724,6 +800,24 @@ def test_invalid_configs_rejected():
         with pytest.raises(ValueError, match="fixed step"):
             RunConfig(solver="gd", objective=spec, epochs=1, batch_size=4,
                       fixed_eta=eta)
+
+
+def test_config_counts_must_be_integers():
+    # a fractional batch size, epoch count or seed would fail only deep in
+    # the run (a slice index, range, the seed of a generator); numpy
+    # integers are integers, kept as Python ints
+    spec = toy_spec(n=8, d=3)
+    base = dict(solver="svrg", objective=spec, epochs=2, batch_size=4, seed=1)
+    for name, bad in (("batch_size", 2.5), ("epochs", 1.5), ("seed", 0.5),
+                      ("batch_size", 4.0), ("epochs", True), ("seed", "1")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            RunConfig(**{**base, name: bad})
+    cfg = RunConfig(**{**base, "epochs": np.int64(2), "batch_size": np.int32(4),
+                       "seed": np.uint8(1)})
+    assert [(type(v), v) for v in (cfg.epochs, cfg.batch_size, cfg.seed)] == \
+        [(int, 2), (int, 4), (int, 1)]
+    (w, trace), (w_int, trace_int) = run([cfg])[0], run([RunConfig(**base)])[0]
+    assert np.array_equal(w, w_int) and trace.config == trace_int.config
 
 
 def test_reference_optimum_one_point_least_squares():
