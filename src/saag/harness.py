@@ -46,13 +46,14 @@ class Trace:
     extra: dict = field(default_factory=dict)
 
 
-def record_epoch(trace, state, spec, test=None):
-    """Append one trace point for the current state.
+def record_epoch(trace, state, test=None):
+    """Append one trace point for ``state``, on its config's objective.
 
     Computing the metrics pauses the (caller-maintained) work clock and adds
     nothing to the gradient counters; suboptimality stays unset until the
     best objective value is known.
     """
+    spec = state.config.objective
     obj = objective_value(spec, state.w)
     acc = accuracy(state.w, test) if test is not None else float("nan")
     trace.points.append(TracePoint(
@@ -97,9 +98,10 @@ def run_jobs(jobs, test, workers):
     once per (seed, objective). The jobs that share their batches (one
     ``solvers.batch_key``; the objectives of a lambda sweep share one data
     set) are a group that ``solvers.run`` steps through each epoch in
-    lockstep, serially or on a pool of ``workers`` processes that maps the
-    groups. With fewer groups than workers, the largest group is split in
-    two, round-robin, until every worker that has a job runs. Each reference
+    lockstep, serially or on a pool that maps the groups. With fewer groups
+    than workers, the largest group is split in two, round-robin, until
+    every worker that has a job runs; the pool has one process per part,
+    at most ``workers``, and a single part runs serially. Each reference
     stops once F* is certified to ``solvers.TRACE_ACCURACY`` of the smallest
     gap its objective's traces show, the lowest finite objective they reached
     (``best``). Returns one trace per job, in job order, each its own copy, and
@@ -116,6 +118,8 @@ def run_jobs(jobs, test, workers):
         largest = parts.pop()
         parts += [largest[::2], largest[1::2]]
     configs = [[unique[key] for key in part] for part in parts]
+    # a fork pool starts all its processes up front, however few the parts
+    workers = min(workers, len(parts))
     if workers > 1:
         # imported here, so a command without a pool skips multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -13,7 +13,7 @@ in one stacked step of the runs that share their objective and line search
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -131,12 +131,12 @@ def batch_key(config):
     return id(config.objective.data), config.batch_size, config.seed, config.epochs
 
 
-def inner_step(kind, direct, state, w, rows, x, c):
-    """The direction d of run ``state`` of solver ``kind`` on the batch of
-    row ids ``rows`` and signed rows ``x``: its estimator
-    ``direct(w, rows, x, c)``, bound by ``run_epoch``, at the run's iterate
-    w and the batch's slopes c there. Counts the step and its gradients and
-    returns (d, d.d); ``stack_step`` picks the step size and moves w.
+def inner_step(state, direct, w, rows, x, c):
+    """The direction d of run ``state`` on the batch of row ids ``rows`` and
+    signed rows ``x``: its estimator ``direct(w, rows, x, c)``, bound by
+    ``run_epoch``, at the run's iterate w and the batch's slopes c there.
+    Counts the step and its gradients and returns (d, d.d); ``stack_step``
+    picks the step size and moves w.
     """
     d = direct(w, rows, x, c)
     # a snap kind counts its snap term too: grads is the algorithm's logical
@@ -146,7 +146,7 @@ def inner_step(kind, direct, state, w, rows, x, c):
     # a finite d whose d.d overflows (entries past ~1e154) still runs
     if not math.isfinite(dd) and not np.isfinite(d).all():
         raise NonFiniteDirection(
-            f"{kind}: non-finite direction at epoch {state.epoch}, "
+            f"{state.config.solver}: non-finite direction at epoch {state.epoch}, "
             f"inner step {state.inner}")
     state.inner += 1
     return d, dd
@@ -154,41 +154,48 @@ def inner_step(kind, direct, state, w, rows, x, c):
 
 class Stack:
     """The live runs of a lockstep group that share their objective and
-    line search, stepped as one (``stack_step``): per run (state, solver,
-    bound estimator, fixed step or None); their iterates as the rows of
-    ``w`` (copies of the runs' w by default), the sums of the epoch's
-    iterates as those of ``total`` when a kind reads the average, and each
-    run's share of the stacked work not yet on its clock."""
+    line search, stepped as one (``stack_step``): per run (state, bound
+    estimator); their iterates as the rows of ``w``, the sums of the
+    epoch's iterates as those of ``total`` when a kind reads the average,
+    and each run's share of the stacked work not yet on its clock. Each
+    run's solver, fixed step, objective and line search are its config's."""
 
-    def __init__(self, spec, sbas, runs, w=None, total=None):
-        self.spec, self.sbas, self.runs, self.w, self.total = spec, sbas, runs, w, total
+    def __init__(self, runs):
+        config = runs[0][0].config
+        self.spec, self.sbas, self.runs = config.objective, config.sbas, runs
+        self.w = np.array([state.w for state, _ in runs])
+        kinds = [KINDS[state.config.solver] for state, _ in runs]
+        self.total = (np.zeros_like(self.w) if any(
+            "average" in (row.snap, row.start) for row in kinds) else None)
         self.shared = 0.0
-        if w is None:
-            self.w = np.array([state.w for state, *_ in runs])
-            if any("average" in (KINDS[kind].snap, KINDS[kind].start)
-                   for _, kind, _, _ in runs):
-                self.total = np.zeros_like(self.w)
-        self.searched = [i for i, (_, kind, _, eta) in enumerate(runs)
-                         if eta is None and not KINDS[kind].decay]
-        self.decayed = [i for i, (_, kind, _, eta) in enumerate(runs)
-                        if eta is None and KINDS[kind].decay]
-        # the fixed steps, 0 for the others, and as a column when all are fixed
-        self.etas = [0.0 if eta is None else eta for *_, eta in runs]
+        self._index()
+
+    def _index(self):
+        """The rows that search and those that decay, the fixed steps (0 for
+        the others), and them as a column when all are fixed."""
+        configs = [state.config for state, _ in self.runs]
+        self.searched = [i for i, config in enumerate(configs)
+                         if config.fixed_eta is None and not KINDS[config.solver].decay]
+        self.decayed = [i for i, config in enumerate(configs)
+                        if config.fixed_eta is None and KINDS[config.solver].decay]
+        self.etas = [config.fixed_eta or 0.0 for config in configs]
         self.step = (None if self.searched or self.decayed
                      else np.array(self.etas)[:, None])
 
     def settle(self, rows=()):
         """Put ``shared`` on every run's clock, then take the runs of
         ``rows`` out, each with its w."""
-        for state, *_ in self.runs:
+        for state, _ in self.runs:
             state.work_seconds += self.shared
         self.shared = 0.0
         if rows:
             keep = [i for i in range(len(self.runs)) if i not in rows]
             for i in rows:
                 self.runs[i][0].w = self.w[i].copy()
-            self.__init__(self.spec, self.sbas, [self.runs[i] for i in keep],
-                          self.w[keep], None if self.total is None else self.total[keep])
+            self.runs, self.w = [self.runs[i] for i in keep], self.w[keep]
+            if self.total is not None:
+                self.total = self.total[keep]
+            self._index()
 
 
 def stack_step(stack, rows, x):
@@ -201,9 +208,10 @@ def stack_step(stack, rows, x):
     step size (the fixed step, sgd's eta0 / sqrt(t) or ``backtrack`` on the
     row's trial values) and the counters. The trial block is the whole
     ladder when a searched row's last search went past eta0, else
-    (0, eta0). A step of 0 (the sentinel) leaves the row as it was, bit for
-    bit; a run whose direction is not finite keeps the message in
-    ``state.failure`` and leaves the stack.
+    (0, eta0). A row whose search returns 0 (the sentinel) steps with eta0
+    as a stand-in and is then put back to its old w, bit for bit; a run
+    whose direction is not finite keeps the message in ``state.failure``
+    and leaves the stack.
 
     A run's ``work_seconds`` grows by its ``inner_step`` and by a 1/k share
     of the rest, so the k clocks add up to the step's time.
@@ -216,9 +224,9 @@ def stack_step(stack, rows, x):
     mark = clock()
     shared = mark - start
     directions, dds, failed = [], [], []
-    for (state, kind, direct, _), wi, ci in zip(stack.runs, w, c):
+    for (state, direct), wi, ci in zip(stack.runs, w, c):
         try:
-            d, dd = inner_step(kind, direct, state, wi, rows, x, ci)
+            d, dd = inner_step(state, direct, wi, rows, x, ci)
             directions.append(d)
             dds.append(dd)
         except NonFiniteDirection as err:
@@ -246,18 +254,14 @@ def stack_step(stack, rows, x):
             eta, evals = backtrack(params, values, dds[i])
             state.fevals += evals
             state.backtracked = evals > 2
-            etas[i] = eta
-            if not eta > 0.0:
+            etas[i] = eta or params.eta0    # the sentinel's stand-in, put back below
+            if not eta:
                 still.append(i)
         step = np.array(etas)[:, None]
     new = w - step * d
     if spec.lambda1 > 0.0:
-        moved = [i for i in range(len(runs)) if i not in still]
-        if still:
-            new[moved] = prox(new[moved], step[moved], spec.lambda1)
-        else:
-            new = prox(new, step, spec.lambda1)
-    for i in still:         # w - 0 d is not w at -0.0
+        new = prox(new, step, spec.lambda1)
+    for i in still:
         new[i] = w[i]
     stack.w = new
     if stack.total is not None:
@@ -310,10 +314,15 @@ def run_epoch(states, schedule):
         for state in states:
             start = clock()
             config = state.config
-            groups.setdefault((config.objective, config.sbas), []).append(
-                _start_epoch(state))
+            spec, row = config.objective, KINDS[config.solver]
+            if row.snap is not None:
+                anchor = state.average if row.snap == "average" else state.w
+                state.snap = take_snapshot(spec, anchor)
+                state.grads += spec.data.n
+            direct = bind(row.family, spec, state.table, state.snap)
+            groups.setdefault((spec, config.sbas), []).append((state, direct))
             state.work_seconds += clock() - start
-        stacks = [Stack(spec, sbas, runs) for (spec, sbas), runs in groups.items()]
+        stacks = [Stack(runs) for runs in groups.values()]
         start = clock()
         for chunk in states[0].config.objective.data.plan(schedule):
             gathered = clock() - start
@@ -330,9 +339,9 @@ def run_epoch(states, schedule):
             start = clock()
     for stack in stacks:
         stack.settle()
-        for i, (state, kind, _, _) in enumerate(stack.runs):
+        for i, (state, _) in enumerate(stack.runs):
             start = clock()
-            row = KINDS[kind]
+            row = KINDS[state.config.solver]
             state.w = stack.w[i]
             if "average" in (row.snap, row.start):
                 state.average = stack.total[i] / schedule.m
@@ -340,19 +349,6 @@ def run_epoch(states, schedule):
                 state.w = state.average
             state.epoch += 1
             state.work_seconds += clock() - start
-
-
-def _start_epoch(state):
-    """The snap bookkeeping of ``state``'s epoch; returns the run's entry
-    of its ``Stack``."""
-    config = state.config
-    spec, row = config.objective, KINDS[config.solver]
-    if row.snap is not None:
-        anchor = state.average if row.snap == "average" else state.w
-        state.snap = take_snapshot(spec, anchor)
-        state.grads += spec.data.n
-    direct = bind(row.family, spec, state.table, state.snap)
-    return state, config.solver, direct, config.fixed_eta
 
 
 def run(configs, test=None):
@@ -376,7 +372,7 @@ def run(configs, test=None):
                                        points=[], config=_config_echo(config)))
             for config in configs]
     for state, trace in runs:
-        record_epoch(trace, state, state.config.objective, test)
+        record_epoch(trace, state, test)
     n = first.objective.data.n
     live = runs
     for s in range(first.epochs):
@@ -384,7 +380,7 @@ def run(configs, test=None):
                   make_schedule(n, first.batch_size, first.seed, epoch=s))
         for state, trace in live:
             if state.failure is None:
-                record_epoch(trace, state, state.config.objective, test)
+                record_epoch(trace, state, test)
             else:
                 trace.failure = state.failure
         live = [(state, trace) for state, trace in live if state.failure is None]
@@ -395,20 +391,11 @@ def run(configs, test=None):
 
 
 def _config_echo(config):
-    return {
-        "solver": config.solver,
-        "epochs": config.epochs,
-        "b": config.batch_size,
-        "seed": config.seed,
-        "loss": config.objective.loss,
-        "l2": config.objective.lambda2,
-        "l1": config.objective.lambda1,
-        "eta0": config.sbas.eta0,
-        "alpha": config.sbas.alpha,
-        "shrink": config.sbas.shrink,
-        "max_backtracks": config.sbas.max_backtracks,
-        "fixed_eta": config.fixed_eta,
-    }
+    spec = config.objective
+    return {"solver": config.solver, "epochs": config.epochs,
+            "b": config.batch_size, "seed": config.seed, "loss": spec.loss,
+            "l2": spec.lambda2, "l1": spec.lambda1, **asdict(config.sbas),
+            "fixed_eta": config.fixed_eta}
 
 
 @dataclass(eq=False)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import weakref
 
@@ -130,7 +131,8 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     monkeypatch.setattr(Dataset, "_gather_chunk",
                         advance(Dataset._gather_chunk, lambda *args: 2.0))
     monkeypatch.setattr(solvers, "inner_step",
-                        advance(solvers.inner_step, lambda kind, *args: step[kind]))
+                        advance(solvers.inner_step,
+                                lambda state, *args: step[state.config.solver]))
     monkeypatch.setattr(solvers, "take_snapshot",
                         advance(solvers.take_snapshot, lambda *args: 16.0))
     monkeypatch.setattr(solvers, "record_epoch",
@@ -255,6 +257,22 @@ def test_run_jobs_keys_runs_on_every_config_field():
     assert [t.config["eta0"] for t in traces] == [1.0, 1.0, 1.0, 1.0, 2.0]
 
 
+def test_trace_config_echoes_every_run_setting():
+    # bench/worker.py reads epochs, b, fixed_eta and max_backtracks from it
+    spec = ObjectiveSpec("squared_hinge", make_synthetic(20, 4, seed=1),
+                         lambda2=1e-3, lambda1=1e-4)
+    sbas = SBASParams(alpha=0.2, shrink=0.3, eta0=4.0, max_backtracks=5)
+    for fixed_eta in (None, 0.05):
+        config = RunConfig(solver="svrg", objective=spec, epochs=2, batch_size=4,
+                           sbas=sbas, seed=3, fixed_eta=fixed_eta)
+        _, trace = run([config])[0]
+        assert trace.config == {
+            "solver": "svrg", "epochs": 2, "b": 4, "seed": 3,
+            "loss": "squared_hinge", "l2": 1e-3, "l1": 1e-4, "eta0": 4.0,
+            "alpha": 0.2, "shrink": 0.3, "max_backtracks": 5,
+            "fixed_eta": fixed_eta}
+
+
 def test_run_jobs_finalizes_each_objective_against_its_reference():
     specs, jobs, test = lambda_grid_jobs()
     traces, optima = run_jobs(jobs, test, 1)
@@ -341,6 +359,45 @@ def test_run_jobs_on_two_workers_equals_serial():
     assert [scrub(t) for t in serial] == [scrub(t) for t in pooled]
     assert [f for _, f in serial_optima.values()] == \
         [f for _, f in pooled_optima.values()]
+
+
+def test_run_jobs_opens_one_process_per_part_at_most(monkeypatch):
+    # a fork pool starts all its processes up front: 64 workers on two
+    # groups open 2, and a single job opens none; the fake pool maps in
+    # this process, so no process starts
+    opened = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    spec = ObjectiveSpec("logistic", make_synthetic(30, 4, seed=2), lambda2=1e-3)
+    jobs = [RunConfig(solver="saag4", objective=spec, epochs=2, batch_size=5, seed=seed)
+            for seed in (0, 1)]
+
+    def scrub(traces):
+        return [(t.solver, t.seed, t.config, t.failure,
+                 [(p.epoch, p.grads_over_n, p.fevals, p.objective,
+                   p.suboptimality) for p in t.points]) for t in traces]
+
+    serial, _ = run_jobs(jobs, None, 1)
+    assert opened == []
+    pooled, _ = run_jobs(jobs, None, 64)
+    assert opened == [2]
+    assert scrub(pooled) == scrub(serial)
+    single, _ = run_jobs(jobs[:1], None, 64)
+    assert opened == [2]
+    assert scrub(single) == scrub(serial[:1])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

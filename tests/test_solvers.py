@@ -376,10 +376,10 @@ def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
     solo = [solo_bits(run([config])[0]) for config in configs]
     step = solvers_mod.inner_step
 
-    def failing(kind, direct, state, *args):
-        if kind == "svrg" and state.epoch >= 1:
+    def failing(state, direct, *args):
+        if state.config.solver == "svrg" and state.epoch >= 1:
             direct = lambda w, rows, x, c: np.full(w.size, math.inf)  # noqa: E731
-        return step(kind, direct, state, *args)
+        return step(state, direct, *args)
 
     monkeypatch.setattr(solvers_mod, "inner_step", failing)
     results = run(configs)
@@ -391,34 +391,37 @@ def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
 
 def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch):
     # the run in row 0 fails in the middle of epoch 1, and the other rows
-    # keep their solo bits; then every run fails in one batch, and each
-    # trace stops there with its marker, raising nothing
+    # keep their solo bits, sgd's decaying step too once its row moves up;
+    # then every run fails in one batch, and each trace stops there with
+    # its marker, raising nothing
     spec = toy_spec(n=48, d=5, lam2=1e-3)
-    kinds = ("saag3", "saag4", "svrg", "vrsgd")
-    configs = [RunConfig(solver=kind, objective=spec, epochs=4, batch_size=8)
-               for kind in kinds]
-    solo = [solo_bits(run([config])[0]) for config in configs]
     step = solvers_mod.inner_step
 
     def failing(when):
-        def inner(kind, direct, state, *args):
-            if when(kind, state):
+        def inner(state, direct, *args):
+            if when(state.config.solver, state):
                 direct = lambda w, rows, x, c: np.full(w.size, math.nan)  # noqa: E731
-            return step(kind, direct, state, *args)
+            return step(state, direct, *args)
         return inner
 
-    monkeypatch.setattr(solvers_mod, "inner_step",
-                        failing(lambda kind, state: kind == "saag3" and state.inner >= 9))
-    results = run(configs)
-    assert results[0][1].failure == "saag3: non-finite direction at epoch 1, inner step 9"
-    assert [p.epoch for p in results[0][1].points] == [0, 1]
-    assert [solo_bits(r) for r in results[1:]] == solo[1:]
-    monkeypatch.setattr(solvers_mod, "inner_step",
-                        failing(lambda kind, state: state.inner >= 14))
-    results = run(configs)
-    assert [trace.failure for _, trace in results] == \
-        [f"{kind}: non-finite direction at epoch 2, inner step 14" for kind in kinds]
-    assert all([p.epoch for p in trace.points] == [0, 1, 2] for _, trace in results)
+    for kinds in (("saag3", "saag4", "svrg", "vrsgd"), ("saag3", "sgd", "svrg", "vrsgd")):
+        configs = [RunConfig(solver=kind, objective=spec, epochs=4, batch_size=8)
+                   for kind in kinds]
+        monkeypatch.setattr(solvers_mod, "inner_step", step)
+        solo = [solo_bits(run([config])[0]) for config in configs]
+        monkeypatch.setattr(solvers_mod, "inner_step",
+                            failing(lambda kind, state: kind == "saag3" and state.inner >= 9))
+        results = run(configs)
+        assert results[0][1].failure == \
+            "saag3: non-finite direction at epoch 1, inner step 9"
+        assert [p.epoch for p in results[0][1].points] == [0, 1]
+        assert [solo_bits(r) for r in results[1:]] == solo[1:]
+        monkeypatch.setattr(solvers_mod, "inner_step",
+                            failing(lambda kind, state: state.inner >= 14))
+        results = run(configs)
+        assert [trace.failure for _, trace in results] == \
+            [f"{kind}: non-finite direction at epoch 2, inner step 14" for kind in kinds]
+        assert all([p.epoch for p in trace.points] == [0, 1, 2] for _, trace in results)
 
 
 def test_runs_stepped_together_must_share_their_batches():
@@ -762,7 +765,7 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
         batch = np.array([0, 1, 2, 3])
         with pytest.raises(NonFiniteDirection) as err:
             x = spec.data.gather(batch)
-            solvers_mod.inner_step("svrg", direct, state, state.w, batch, x,
+            solvers_mod.inner_step(state, direct, state.w, batch, x,
                                    slope_t(spec.loss, margins(spec.data, state.w, x)))
         assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
         assert state.inner == 0
