@@ -130,8 +130,8 @@ class Dataset:
             yield [(schedule.head[0], self.gather())]
             return
         runs = [schedule.head]
-        if len(schedule.batches) > len(schedule.head):
-            runs.append(schedule.batches[-1][None, :])
+        if schedule.tail is not None:
+            runs.append(schedule.tail[None, :])
         for rows in runs:
             ends = self._chunk_ends(rows)
             start = 0
@@ -273,13 +273,18 @@ def split_train_test(ds, train_fraction, seed):
 @dataclass(eq=False)
 class BatchSchedule:
     """A random partition of {0..n-1} into m = ceil(n/b) visit-ordered
-    batches: the n // b full batches, the rows of ``head``, then a shorter
-    tail when b does not divide n."""
+    batches: the n // b full batches, the rows of ``head``, then the
+    shorter ``tail`` when b does not divide n (else None)."""
 
-    batches: list
     b: int
     m: int
     head: np.ndarray
+    tail: np.ndarray | None
+
+    @property
+    def batches(self):
+        """Every batch in visit order, as a list of views."""
+        return list(self.head) + ([] if self.tail is None else [self.tail])
 
 
 def make_schedule(n, b, seed, epoch=0):
@@ -304,12 +309,11 @@ def make_schedule(n, b, seed, epoch=0):
     # read-only with it
     head = np.sort(perm[:full * b].reshape(full, b), axis=1)
     head.flags.writeable = False
-    batches = list(head)
+    tail = None
     if full < m:
         tail = np.sort(perm[full * b:])
         tail.flags.writeable = False
-        batches.append(tail)
-    return BatchSchedule(batches, b, m, head)
+    return BatchSchedule(b, m, head, tail)
 
 
 def make_synthetic(n, d, seed=0, flip=0.0, margin=0.0):

@@ -128,6 +128,8 @@ def scatter(data, c, x=None):
     if isinstance(x, np.ndarray):
         return c.dot(x)
     local, cols, vals, _ = x
+    if not cols.size:   # bincount gives integer zeros for no entries
+        return np.zeros(data.d)
     return np.bincount(cols, weights=vals * c[local], minlength=data.d)
 
 

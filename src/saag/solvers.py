@@ -19,7 +19,8 @@ from itertools import chain
 import numpy as np
 
 from .data import make_schedule
-from .estimators import GradTable, SnapState, bind, make_table, take_snapshot
+from .estimators import (FAMILIES, GradTable, SnapState, Terms, bind_term, make_table,
+                         take_snapshot)
 from .harness import Trace, record_epoch
 from .line_search import SBASParams, backtrack
 from .objective import (batch_grad, batch_ray, curvature_t, margins,
@@ -29,7 +30,7 @@ from .objective import (batch_grad, batch_ray, curvature_t, margins,
 @dataclass(frozen=True)
 class Kind:
     """One solver's rules; "last" and "average" are the previous epoch's."""
-    family: str                 # of estimators.bind
+    family: str                 # of estimators.bind_term
     snap: str | None = None     # each epoch's snap point: "last" or "average"
     start: str = "last"         # each epoch's start: "last" or "average"
     full_batch: bool = False    # gd: b = n
@@ -54,10 +55,6 @@ ROUNDING = 4 * 2.0 ** -52    # of F: 4 eps, a reference value's rounding, in its
 CG_STEPS = 25           # most conjugate-gradient steps per reference Newton step
 PRODUCTS = 10_000       # most gradient and Hessian-vector products per reference
 ARMIJO = 1e-4           # sufficient-decrease share of a reference Newton step
-
-
-class NonFiniteDirection(RuntimeError):
-    """A solver produced a non-finite direction; the run is aborted."""
 
 
 @dataclass(eq=False)
@@ -131,36 +128,35 @@ def batch_key(config):
     return id(config.objective.data), config.batch_size, config.seed, config.epochs
 
 
-def inner_step(state, direct, w, rows, x, c):
-    """The direction d of run ``state`` on the batch of row ids ``rows`` and
-    signed rows ``x``: its estimator ``direct(w, rows, x, c)``, bound by
-    ``run_epoch``, at the run's iterate w and the batch's slopes c there.
-    Counts the step and its gradients and returns (d, d.d); ``stack_step``
-    picks the step size and moves w.
+def _family(state):
+    return KINDS[state.config.solver].family
+
+
+def inner_step(state, direct, rows, x, c):
+    """The estimator's term of run ``state`` on the batch of row ids
+    ``rows`` and signed rows ``x``: ``direct(rows, x, c)``, bound by
+    ``run_epoch``, at the batch's slopes c at the run's iterate. Counts its
+    gradients; ``stack_step`` adds the d-vector terms, tests the direction,
+    counts the step, picks the step size and moves w.
     """
-    d = direct(w, rows, x, c)
     # a snap kind counts its snap term too: grads is the algorithm's logical
     # count, although the snap slopes are read from the snapshot's pass
     state.grads += len(rows) * (1 if state.snap is None else 2)
-    dd = float(d.dot(d))
-    # a finite d whose d.d overflows (entries past ~1e154) still runs
-    if not math.isfinite(dd) and not np.isfinite(d).all():
-        raise NonFiniteDirection(
-            f"{state.config.solver}: non-finite direction at epoch {state.epoch}, "
-            f"inner step {state.inner}")
-    state.inner += 1
-    return d, dd
+    return direct(rows, x, c)
 
 
 class Stack:
     """The live runs of a lockstep group that share their objective and
     line search, stepped as one (``stack_step``): per run (state, bound
-    estimator); their iterates as the rows of ``w``, the sums of the
-    epoch's iterates as those of ``total`` when a kind reads the average,
-    and each run's share of the stacked work not yet on its clock. Each
-    run's solver, fixed step, objective and line search are its config's."""
+    estimator term), in the estimator families' order (``FAMILIES``), so
+    each family's d-vector terms (``terms``) take one slice of rows; their
+    iterates as the rows of ``w``, the sums of the epoch's iterates as those
+    of ``total`` when a kind reads the average, and each run's share of the
+    stacked work not yet on its clock. Each run's solver, fixed step,
+    objective and line search are its config's."""
 
     def __init__(self, runs):
+        runs = sorted(runs, key=lambda run: FAMILIES.index(_family(run[0])))
         config = runs[0][0].config
         self.spec, self.sbas, self.runs = config.objective, config.sbas, runs
         self.w = np.array([state.w for state, _ in runs])
@@ -172,8 +168,12 @@ class Stack:
 
     def _index(self):
         """The rows that search and those that decay, the fixed steps (0 for
-        the others), and them as a column when all are fixed."""
-        configs = [state.config for state, _ in self.runs]
+        the others), them as a column when all are fixed, and the rows'
+        d-vector terms."""
+        states = [state for state, _ in self.runs]
+        self.terms = Terms([_family(state) for state in states],
+                           [state.snap for state in states])
+        configs = [state.config for state in states]
         self.searched = [i for i, config in enumerate(configs)
                          if config.fixed_eta is None and not KINDS[config.solver].decay]
         self.decayed = [i for i, config in enumerate(configs)
@@ -202,16 +202,20 @@ def stack_step(stack, rows, x):
     """One step of every run of ``stack`` on the batch of row ids ``rows``
     and signed rows ``x`` (``Dataset.plan``). Stacked: the signed
     margins z of the rows and their slopes, then, once each run's
-    ``inner_step`` has built its direction d, the search's ray
-    (``batch_ray``) and trial block, and the update w - eta d with eta per
-    row, through ``prox`` when lambda1 > 0. Per run: ``inner_step``, the
-    step size (the fixed step, sgd's eta0 / sqrt(t) or ``backtrack`` on the
-    row's trial values) and the counters. The trial block is the whole
-    ladder when a searched row's last search went past eta0, else
-    (0, eta0). A row whose search returns 0 (the sentinel) steps with eta0
-    as a stand-in and is then put back to its old w, bit for bit; a run
-    whose direction is not finite keeps the message in ``state.failure``
-    and leaves the stack.
+    ``inner_step`` has given its estimator's term, the d-vector terms of
+    the directions d (``Terms``) and d.d, the search's ray (``batch_ray``)
+    and trial block, and the update w - eta d with eta per row, through
+    ``prox`` when lambda1 > 0. Per run: ``inner_step``, the step size (the
+    fixed step, sgd's eta0 / sqrt(t) or ``backtrack`` on the row's trial
+    values) and the counters. The trial block is the whole ladder when a
+    searched row's last search went past eta0, else (0, eta0). A row whose
+    search returns 0 (the sentinel) steps with eta0 as a stand-in and is
+    then put back to its old w, bit for bit.
+
+    A direction is tested by its d.d, entrywise only when d.d is not
+    finite, so a finite d whose d.d overflows (entries past ~1e154) still
+    steps. A run whose direction is not finite keeps the message in
+    ``state.failure`` and leaves the stack, with its step uncounted.
 
     A run's ``work_seconds`` grows by its ``inner_step`` and by a 1/k share
     of the rest, so the k clocks add up to the step's time.
@@ -223,25 +227,30 @@ def stack_step(stack, rows, x):
     c = slope_t(spec.loss, z)
     mark = clock()
     shared = mark - start
-    directions, dds, failed = [], [], []
-    for (state, direct), wi, ci in zip(stack.runs, w, c):
-        try:
-            d, dd = inner_step(state, direct, wi, rows, x, ci)
-            directions.append(d)
-            dds.append(dd)
-        except NonFiniteDirection as err:
-            state.failure = str(err)
-            failed.append(len(directions) + len(failed))
+    terms = []
+    for (state, direct), ci in zip(stack.runs, c):
+        terms.append(inner_step(state, direct, rows, x, ci))
         now = clock()
         state.work_seconds += now - mark
         mark = now
-    if failed:
-        stack.settle(failed)
-        if not stack.runs:
-            return
-        w, z = stack.w, np.delete(z, failed, axis=0)
+    d = stack.terms.add(spec, len(rows), np.array(terms), w)
+    dds = np.vecdot(d, d).tolist()
+    if not math.isfinite(sum(dds)):
+        failed = [i for i, dd in enumerate(dds)
+                  if not math.isfinite(dd) and not np.isfinite(d[i]).all()]
+        if failed:
+            for i in failed:
+                state = stack.runs[i][0]
+                state.failure = (f"{state.config.solver}: non-finite direction at "
+                                 f"epoch {state.epoch}, inner step {state.inner}")
+            stack.settle(failed)
+            if not stack.runs:
+                return
+            w, z, d = stack.w, np.delete(z, failed, axis=0), np.delete(d, failed, axis=0)
+            dds = [dd for i, dd in enumerate(dds) if i not in failed]
     runs, still = stack.runs, []
-    d = np.array(directions)
+    for state, _ in runs:
+        state.inner += 1
     step = stack.step       # every row's fixed step, if all are fixed
     if step is None:
         etas = stack.etas.copy()
@@ -300,8 +309,8 @@ def run_epoch(states, schedule):
     Overflow is not reported inside the snapshots and the steps: a logistic
     slope whose exp(-t) overflows is the exact +0.0, a finite direction whose
     d.d overflows still steps, and a run whose direction is not finite
-    (``NonFiniteDirection``) keeps the message in ``state.failure`` and
-    leaves the epoch, while the others go on.
+    keeps the message in ``state.failure`` and leaves the epoch, while the
+    others go on.
 
     A run's ``work_seconds`` grows by its own snapshot, ``inner_step``s and
     boundary, by the gather of each chunk it reads, timed once for the
@@ -319,7 +328,7 @@ def run_epoch(states, schedule):
                 anchor = state.average if row.snap == "average" else state.w
                 state.snap = take_snapshot(spec, anchor)
                 state.grads += spec.data.n
-            direct = bind(row.family, spec, state.table, state.snap)
+            direct = bind_term(row.family, spec, state.table, state.snap)
             groups.setdefault((spec, config.sbas), []).append((state, direct))
             state.work_seconds += clock() - start
         stacks = [Stack(runs) for runs in groups.values()]

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saag.data import Dataset, make_schedule, make_synthetic
-from saag.estimators import (bind, make_table, saag1_direction,
-                             saag2_direction, svrg_direction, take_snapshot)
+from saag.estimators import (FAMILIES, Terms, bind, bind_term, make_table,
+                             saag1_direction, saag2_direction, svrg_direction,
+                             take_snapshot)
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             margins, scatter, slope_t)
 from saag.verify import estimator_mean_bruteforce
@@ -330,3 +331,89 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
             assert np.array_equal(saag2_direction(snap, spec, w, batch, x, c), want)
             # a bound estimator takes the batch's slopes
             assert np.array_equal(bind("biased", spec, None, snap)(w, batch, x, c), want)
+
+
+def written_out(family, spec, table, snap, w, rows, x, c):
+    """One run's direction as one expression per family, each term in the
+    order the stacked form adds it; refreshes ``table``."""
+    data, k, n, lam2 = spec.data, len(rows), spec.data.n, spec.lambda2
+    if family == "table":
+        table.aggregate += scatter(data, c - table.slopes[rows], x)
+        table.slopes[rows] = c
+        fresh = scatter(data, c, x)
+        if k == n:
+            return fresh / k + lam2 * w
+        return fresh / k + (table.aggregate - fresh) / n + lam2 * w
+    if family == "biased":
+        return (scatter(data, c / k - snap.scaled[rows], x) + lam2 * w
+                - (k / n) * lam2 * snap.point + snap.grad)
+    if family == "unbiased":
+        return (scatter(data, (c - snap.slopes[rows]) / k, x)
+                + lam2 * (w - snap.point) + snap.grad)
+    return scatter(data, c, x) / k + lam2 * w
+
+
+STACKS = {**{family: (family,) for family in FAMILIES}, "mixed": FAMILIES,
+          **{f"{family}-twice": (family, family) for family in FAMILIES}}
+
+
+@pytest.mark.parametrize("lam2", [0.0, 1e-3])
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_stacked_directions_are_the_single_run_directions(stack, dense, lam2,
+                                                          monkeypatch):
+    # a stack's rows, in family order, each its run's estimator term plus
+    # the family's terms added per slice (Terms), are bit for bit the
+    # directions of the runs on their own (bind) and the written-out
+    # formulas, with d.d stacked as np.vecdot; at full batches, the short
+    # tail and b = n, where the table's stale term is exactly zero
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    families = STACKS[stack]
+    spec = sparse_spec(23, 6, seed=len(families), fill=0.5)
+    spec = ObjectiveSpec("logistic", spec.data, lambda2=lam2)
+    data = spec.data
+    assert (data.block is not None) == dense
+    rng = np.random.default_rng(13)
+    ws = rng.uniform(-1.0, 1.0, (len(families), data.d))
+    snaps = [take_snapshot(spec, rng.uniform(-1.0, 1.0, data.d))
+             if family in ("biased", "unbiased") else None for family in families]
+    tables = [make_table(spec) if family == "table" else None for family in families]
+    for table in filter(None, tables):
+        # stored slopes from an earlier epoch at another point
+        v = rng.uniform(-1.0, 1.0, data.d)
+        for rows, x in chain.from_iterable(data.plan(make_schedule(23, 4, seed=1))):
+            bind_term("table", spec, table)(rows, x, slope_t(spec.loss, margins(data, v, x)))
+    singles, formulas = copy.deepcopy(tables), copy.deepcopy(tables)
+    terms = Terms(list(families), snaps)
+    for b in (5, 23):      # 4 batches of 5 and a tail of 3; one batch of every row
+        for rows, x in chain.from_iterable(data.plan(make_schedule(23, b, seed=2))):
+            c = slope_t(spec.loss, margins(data, ws, x))
+            d = terms.add(spec, len(rows), np.array([
+                bind_term(family, spec, table, snap)(rows, x, ci)
+                for family, table, snap, ci in zip(families, tables, snaps, c)]), ws)
+            assert np.vecdot(d, d).tolist() == [float(di.dot(di)) for di in d]
+            for i, family in enumerate(families):
+                ci = slope_t(spec.loss, margins(data, ws[i], x))
+                single = bind(family, spec, singles[i], snaps[i])(ws[i], rows, x, ci)
+                want = written_out(family, spec, formulas[i], snaps[i], ws[i], rows, x, ci)
+                assert d[i].tobytes() == single.tobytes() == want.tobytes(), (b, family)
+            ws = ws - 0.1 * d
+
+
+@pytest.mark.parametrize("b", [1, 7, 32, 128])
+@pytest.mark.parametrize("d", [1, 5, 50, 800, 2000])
+def test_bound_dense_scatter_and_stacked_squares_keep_the_bits(d, b):
+    # the estimators' scatter on a dense block, bound as np.ndarray.dot, is
+    # objective.scatter's call, and np.vecdot of a stack's rows is each
+    # row's d.dot(d)
+    data = make_synthetic(b + 3, d, seed=d)
+    assert data.block is not None
+    rng = np.random.default_rng(b)
+    rows = np.sort(rng.choice(b + 3, size=b, replace=False))
+    x, c = data.gather(rows), rng.standard_normal(b)
+    assert np.ndarray.dot(c, x).tobytes() == scatter(data, c, x).tobytes()
+    spec = ObjectiveSpec("logistic", data)
+    assert (bind_term("batch", spec)(rows, x, c).tobytes()
+            == (scatter(data, c, x) / spec.scalars(b)[0]).tobytes())
+    stack = rng.standard_normal((b, d)) * np.logspace(-3, 3, d)
+    assert np.vecdot(stack, stack).tolist() == [float(r.dot(r)) for r in stack]

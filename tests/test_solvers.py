@@ -15,8 +15,8 @@ from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             batch_smooth_value, margins, objective_value,
                             scatter, slope_t)
-from saag.solvers import (SOLVERS, NonFiniteDirection, RunConfig, init_state,
-                          reference_optimum, run, run_epoch)
+from saag.solvers import (SOLVERS, RunConfig, Stack, init_state, reference_optimum,
+                          run, run_epoch, stack_step)
 
 SBAS_SOLVERS = ("saag1", "saag2", "saag3", "saag4", "svrg", "vrsgd", "gd")
 
@@ -378,7 +378,7 @@ def test_a_failed_run_leaves_its_group_and_the_others_go_on(monkeypatch):
 
     def failing(state, direct, *args):
         if state.config.solver == "svrg" and state.epoch >= 1:
-            direct = lambda w, rows, x, c: np.full(w.size, math.inf)  # noqa: E731
+            direct = lambda rows, x, c: np.full(spec.data.d, math.inf)  # noqa: E731
         return step(state, direct, *args)
 
     monkeypatch.setattr(solvers_mod, "inner_step", failing)
@@ -400,7 +400,7 @@ def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch
     def failing(when):
         def inner(state, direct, *args):
             if when(state.config.solver, state):
-                direct = lambda w, rows, x, c: np.full(w.size, math.nan)  # noqa: E731
+                direct = lambda rows, x, c: np.full(spec.data.d, math.nan)  # noqa: E731
             return step(state, direct, *args)
         return inner
 
@@ -422,6 +422,35 @@ def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch
         assert [trace.failure for _, trace in results] == \
             [f"{kind}: non-finite direction at epoch 2, inner step 14" for kind in kinds]
         assert all([p.epoch for p in trace.points] == [0, 1, 2] for _, trace in results)
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
+@pytest.mark.parametrize("failing", [False, True], ids=["finite", "sgd-fails"])
+def test_row_order_does_not_change_a_run(dense, failing, monkeypatch):
+    # a stack sorts its rows by estimator family: configs given in reverse
+    # give each config the same w, objectives, fevals and failure, with
+    # searched, fixed and decaying rows, l1 and, when sgd fails mid-epoch,
+    # a row leaving the stack
+    monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
+    spec = ObjectiveSpec("logistic", make_synthetic(48, 5, seed=3, flip=0.1), 1e-3, 1e-3)
+    assert (spec.data.block is None) != dense
+    configs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=7, seed=2,
+                         fixed_eta=0.05 if kind in ("saag2", "vrsgd") else None)
+               for kind in SOLVERS if kind != "gd"]
+    if failing:
+        step = solvers_mod.inner_step
+
+        def inner(state, direct, *args):
+            if state.config.solver == "sgd" and state.inner >= 10:
+                direct = lambda rows, x, c: np.full(spec.data.d, math.nan)  # noqa: E731
+            return step(state, direct, *args)
+
+        monkeypatch.setattr(solvers_mod, "inner_step", inner)
+    given = [solo_bits(result) for result in run(configs)]
+    reversed_ = [solo_bits(result) for result in run(configs[::-1])][::-1]
+    assert given == reversed_
+    assert [failure for _, _, failure in given] == [None] * 6 + (
+        ["sgd: non-finite direction at epoch 1, inner step 10"] if failing else [None])
 
 
 def test_runs_stepped_together_must_share_their_batches():
@@ -651,21 +680,18 @@ def test_stored_snap_slopes_keep_traces(kind, lam1, monkeypatch):
     def slopes(spec_, w, x):
         return slope_t(spec_.loss, margins(spec_.data, w, x))
 
-    def saag2_afresh(snap, spec_, w, rows, x, c):
-        n, k, lam2 = spec_.data.n, len(rows), spec_.lambda2
+    # each term's slopes at w are the step's c; the snap point's are afresh
+    def saag2_afresh(snap, spec_, scatter_, rows, x, c):
+        n, k = spec_.data.n, len(rows)
         x = spec_.data.gather(rows)
-        c = slopes(spec_, w, x) / k - slopes(spec_, snap.point, x) / n
-        return (scatter(spec_.data, c, x)
-                + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
+        return scatter(spec_.data, c / k - slopes(spec_, snap.point, x) / n, x)
 
-    def svrg_afresh(snap, spec_, w, rows, x, c):
+    def svrg_afresh(snap, spec_, scatter_, rows, x, c):
         x = spec_.data.gather(rows)
-        c = (slopes(spec_, w, x) - slopes(spec_, snap.point, x)) / len(rows)
-        return (scatter(spec_.data, c, x)
-                + spec_.lambda2 * (w - snap.point) + snap.grad)
+        return scatter(spec_.data, (c - slopes(spec_, snap.point, x)) / len(rows), x)
 
-    monkeypatch.setattr(estimators_mod, "saag2_direction", saag2_afresh)
-    monkeypatch.setattr(estimators_mod, "svrg_direction", svrg_afresh)
+    monkeypatch.setattr(estimators_mod, "saag2_term", saag2_afresh)
+    monkeypatch.setattr(estimators_mod, "svrg_term", svrg_afresh)
     monkeypatch.setattr(solvers_mod, "take_snapshot", lambda spec_, w: (
         estimators_mod.SnapState(w.copy(), batch_grad(spec_, w), None, None)))
     w_afresh, afresh = run([cfg], test=test)[0]
@@ -737,7 +763,7 @@ def test_finite_direction_whose_square_overflows_still_steps(kind, monkeypatch):
     huge = np.array([1e200, -2e200, 3e199])
     with np.errstate(over="ignore"):
         assert float(huge.dot(huge)) == math.inf
-    monkeypatch.setattr(solvers_mod, "bind", lambda *args: lambda *step: huge)
+    monkeypatch.setattr(solvers_mod, "bind_term", lambda *args: lambda *step: huge)
     cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=4,
                     fixed_eta=1e-300)
     with warnings.catch_warnings():
@@ -756,18 +782,17 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
     # run's message, also beside entries whose square overflows
     spec = toy_spec(n=8, d=3)
     for d in (np.array([0.5, bad, -1.0]), np.array([1e200, 0.0, bad])):
-        monkeypatch.setattr(solvers_mod, "bind", lambda *args, d=d: lambda *step: d)
+        monkeypatch.setattr(solvers_mod, "bind_term", lambda *args, d=d: lambda *step: d)
         cfg = RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=4,
                         fixed_eta=fixed_eta)
         state = init_state(cfg)
         state.snap = estimators_mod.take_snapshot(spec, state.w)
-        direct = solvers_mod.bind("unbiased", spec, None, state.snap)
+        direct = solvers_mod.bind_term("unbiased", spec, None, state.snap)
         batch = np.array([0, 1, 2, 3])
-        with pytest.raises(NonFiniteDirection) as err:
-            x = spec.data.gather(batch)
-            solvers_mod.inner_step(state, direct, state.w, batch, x,
-                                   slope_t(spec.loss, margins(spec.data, state.w, x)))
-        assert str(err.value) == "svrg: non-finite direction at epoch 0, inner step 0"
+        stack = Stack([(state, direct)])
+        stack_step(stack, batch, spec.data.gather(batch))
+        assert state.failure == "svrg: non-finite direction at epoch 0, inner step 0"
+        assert not stack.runs
         assert state.inner == 0
         _, trace = run([cfg])[0]
         assert trace.failure == "svrg: non-finite direction at epoch 0, inner step 0"

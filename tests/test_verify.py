@@ -164,8 +164,8 @@ def test_oracles_read_the_batches_and_estimator_the_solvers_run(monkeypatch):
     lhs = variance_bound_check(spec, w, snap, sched, constants, reference).lhs
     estimator_mean_bruteforce("biased", spec, w, snap, sched)
     assert planned == [sched, sched]
-    saag2 = estimators.saag2_direction
-    monkeypatch.setattr(estimators, "saag2_direction",
+    saag2 = estimators.saag2_term
+    monkeypatch.setattr(estimators, "saag2_term",
                         lambda *args: 2.0 * saag2(*args))
     doubled = variance_bound_check(spec, w, snap, sched, constants, reference)
     assert doubled.lhs != lhs
