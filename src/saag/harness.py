@@ -51,7 +51,9 @@ def record_epoch(trace, state, test=None):
 
     Computing the metrics pauses the (caller-maintained) work clock and adds
     nothing to the gradient counters; suboptimality stays unset until the
-    best objective value is known.
+    best objective value is known. ``solvers.run`` calls it where the
+    overflow and invalid operations of a diverging iterate are not
+    reported: its objective reads inf or NaN.
     """
     spec = state.config.objective
     obj = objective_value(spec, state.w)
@@ -95,13 +97,14 @@ def run_jobs(jobs, test, workers):
     """Run a command's ``RunConfig`` jobs, then every objective's reference
     optimum. Each distinct job (equal in every field, the objective by
     identity) runs once; gd's batch is every row, so a batch sweep runs it
-    once per (seed, objective). The jobs that share their batches (one
-    ``solvers.batch_key``; the objectives of a lambda sweep share one data
-    set) are a group that ``solvers.run`` steps through each epoch in
-    lockstep, serially or on a pool that maps the groups. With fewer groups
-    than workers, the largest group is split in two, round-robin, until
-    every worker that has a job runs; the pool has one process per part,
-    at most ``workers``, and a single part runs serially. Each reference
+    once per (seed, objective). The jobs that share their data set, batch
+    size and epoch count (one ``solvers.batch_key``; the objectives of a
+    lambda sweep share one data set), of every seed, are a group that
+    ``solvers.run`` steps through each epoch in lockstep, serially or on a
+    pool that maps the groups. With fewer groups than workers, the groups
+    are split by seed, and then the largest part in two, round-robin, until
+    every worker that has a job runs; the pool has one process per part, at
+    most ``workers``, and a single part runs serially. Each reference
     stops once F* is certified to ``solvers.TRACE_ACCURACY`` of the smallest
     gap its objective's traces show, the lowest finite objective they reached
     (``best``). Returns one trace per job, in job order, each its own copy, and
@@ -109,10 +112,17 @@ def run_jobs(jobs, test, workers):
     from .solvers import batch_key, reference_optimum  # as in _run_group
     keys = [tuple(getattr(job, f.name) for f in fields(job)) for job in jobs]
     unique = dict(zip(keys, jobs))
-    groups = {}
-    for key, job in unique.items():
-        groups.setdefault(batch_key(job), []).append(key)
-    parts = list(groups.values())
+
+    def grouped(group_key):
+        groups = {}
+        for key, job in unique.items():
+            groups.setdefault(group_key(job), []).append(key)
+        return list(groups.values())
+
+    parts = grouped(batch_key)
+    if len(parts) < min(workers, len(unique)):
+        # a part gathers the batches of each of its seeds: split seeds first
+        parts = grouped(lambda job: (batch_key(job), job.seed))
     while len(parts) < min(workers, len(unique)):
         parts.sort(key=len)
         largest = parts.pop()

@@ -174,21 +174,22 @@ def batch_smooth_value(spec, w, rows=None, z=None):
     return float(losses.sum()) / losses.size + 0.5 * spec.lambda2 * float(w.dot(w))
 
 
-def batch_ray(spec, w, rows, x, direction, z, dd):
+def batch_ray(spec, w, rows, direction, z, u, dd):
     """phi(etas, among) iterates, for each row index i of ``among``,
-    batch_smooth_value(spec, w[i] - eta * direction[i], rows) over the steps
-    of the 1-d array ``etas``, in O(b) per step, for a stack of k runs on
-    one batch: its row ids ``rows`` and signed rows ``x``, the (k, d)
-    iterates ``w`` and ``direction``, the (k, b) signed margins ``z`` of w
-    and the k floats ``dd`` = d.d. It gives a list of such iterables.
+    batch_smooth_value(spec, w[i] - eta * direction[i], its batch) over the
+    steps of the 1-d array ``etas``, in O(b) per step, for a stack of k
+    runs on batches of one size, ``rows`` the row ids of one of them (read
+    for its size here, and as the call's rows by ``bench/tracer.py``): the
+    (k, d) iterates ``w`` and ``direction``, the (k, b) signed margins ``z``
+    of w and ``u`` of the direction on each run's batch, and the k floats
+    ``dd`` = d.d. It gives a list of such iterables.
 
-    The margins u of d, w.w and w.d are formed once, stacked, so the steps
-    of one call are one (runs, len(etas), b) block loss_t(z - eta u) summed
-    along its last axis, four array calls for the logistic loss, and each
-    value is the float a step of one run on its own gives."""
+    w.w and w.d are formed once, stacked, so the steps of one call are one
+    (runs, len(etas), b) block loss_t(z - eta u) summed along its last axis,
+    four array calls for the logistic loss, and each value is the float a
+    step of one run on its own gives."""
     if len(rows) == 0:
         raise ValueError("empty batch")
-    u = margins(spec.data, direction, x)
     ww, wd = np.vecdot(w, w).tolist(), np.vecdot(w, direction).tolist()
     half, b, kind = 0.5 * spec.lambda2, z.shape[1], spec.loss
 

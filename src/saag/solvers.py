@@ -6,8 +6,9 @@ scheduled step), then apply the smooth update w <- w - eta*d when lambda1 = 0
 or the proximal update w <- prox(w - eta*d) otherwise. The solvers differ in
 their estimator and in the epoch-boundary rules for the snap point and the
 starting iterate: one ``KINDS`` row per solver. Runs that share their
-batches step through each epoch's schedule together (``run``), each batch
-in one stacked step of the runs that share their objective and line search
+data set, batch size and epoch count step through each epoch together
+(``run``), each on its seed's schedule, and at each batch position in one
+stacked step of the runs that share their objective and line search
 (``stack_step``).
 """
 
@@ -122,10 +123,10 @@ def init_state(config):
 
 
 def batch_key(config):
-    """What fixes a run's batches: its data set (by identity), batch size,
-    seed and epoch count. Runs with one key share every epoch's schedule,
-    so ``run`` steps them through it together."""
-    return id(config.objective.data), config.batch_size, config.seed, config.epochs
+    """What a lockstep group shares: its data set (by identity), batch size
+    and epoch count. ``run`` steps the runs of one key through each epoch
+    together, each on the schedule of its seed."""
+    return id(config.objective.data), config.batch_size, config.epochs
 
 
 def _family(state):
@@ -152,13 +153,17 @@ class Stack:
     each family's d-vector terms (``terms``) take one slice of rows; their
     iterates as the rows of ``w``, the sums of the epoch's iterates as those
     of ``total`` when a kind reads the average, and each run's share of the
-    stacked work not yet on its clock. Each run's solver, fixed step,
-    objective and line search are its config's."""
+    stacked work not yet on its clock. The runs may differ in seed: each
+    row's seat is its seed's place in ``seeds``, the epoch's, ``groups``
+    holds (seat, row indices) per seed of the stack, and ``seat`` is the
+    rows' one seat when they have one (else None). Each run's solver,
+    fixed step, objective and line search are its config's."""
 
-    def __init__(self, runs):
+    def __init__(self, runs, seeds):
         runs = sorted(runs, key=lambda run: FAMILIES.index(_family(run[0])))
         config = runs[0][0].config
         self.spec, self.sbas, self.runs = config.objective, config.sbas, runs
+        self.seeds = seeds
         self.w = np.array([state.w for state, _ in runs])
         kinds = [KINDS[state.config.solver] for state, _ in runs]
         self.total = (np.zeros_like(self.w) if any(
@@ -167,10 +172,14 @@ class Stack:
         self._index()
 
     def _index(self):
-        """The rows that search and those that decay, the fixed steps (0 for
-        the others), them as a column when all are fixed, and the rows'
-        d-vector terms."""
+        """The rows' seats and seed groups, the rows that search and those
+        that decay, the fixed steps (0 for the others), them as a column
+        when all are fixed, and the rows' d-vector terms."""
         states = [state for state, _ in self.runs]
+        self.seats = [self.seeds.index(state.config.seed) for state in states]
+        self.groups = [(g, np.flatnonzero(np.equal(self.seats, g)))
+                       for g in dict.fromkeys(self.seats)]
+        self.seat = self.seats[0] if len(self.groups) == 1 else None
         self.terms = Terms([_family(state) for state in states],
                            [state.snap for state in states])
         configs = [state.config for state in states]
@@ -198,14 +207,34 @@ class Stack:
             self._index()
 
 
-def stack_step(stack, rows, x):
-    """One step of every run of ``stack`` on the batch of row ids ``rows``
-    and signed rows ``x`` (``Dataset.plan``). Stacked: the signed
-    margins z of the rows and their slopes, then, once each run's
+def _margins(data, v, batches, stack):
+    """The (k, b) signed margins of the rows of ``v``, one per row of
+    ``stack``, each on its seed's batch of ``batches``: one ``margins`` call
+    on the whole of v when the rows have one seat (``Stack.seat``); else on
+    a dense block one call per seed group (``Stack.groups``), and in CSR,
+    where a stack's margins are one bincount per row anyway, one call per
+    row, which copies no group's rows in or out."""
+    if stack.seat is not None:
+        return margins(data, v, batches[stack.seat][1])
+    if data.block is None:
+        return np.array([margins(data, row, batches[g][1])
+                         for row, g in zip(v, stack.seats)])
+    z = np.empty((len(v), len(batches[0][0])))
+    for g, at in stack.groups:
+        z[at] = margins(data, v[at], batches[g][1])
+    return z
+
+
+def stack_step(stack, batches):
+    """One step of every run of ``stack`` at one batch position of the
+    epoch: ``batches`` holds each seed's batch there, its row ids and signed
+    rows (``Dataset.plan``), and each row reads the one of its seat. Stacked:
+    the signed margins z of the rows and their slopes, then, once each run's
     ``inner_step`` has given its estimator's term, the d-vector terms of
     the directions d (``Terms``) and d.d, the search's ray (``batch_ray``)
     and trial block, and the update w - eta d with eta per row, through
-    ``prox`` when lambda1 > 0. Per run: ``inner_step``, the step size (the
+    ``prox`` when lambda1 > 0, with the margins of w and of d formed per
+    seed group (``_margins``). Per run: ``inner_step``, the step size (the
     fixed step, sgd's eta0 / sqrt(t) or ``backtrack`` on the row's trial
     values) and the counters. The trial block is the whole ladder when a
     searched row's last search went past eta0, else (0, eta0). A row whose
@@ -223,16 +252,18 @@ def stack_step(stack, rows, x):
     clock = time.perf_counter
     start = clock()
     spec, params, w = stack.spec, stack.sbas, stack.w
-    z = margins(spec.data, w, x)
+    z = _margins(spec.data, w, batches, stack)
     c = slope_t(spec.loss, z)
     mark = clock()
     shared = mark - start
     terms = []
-    for (state, direct), ci in zip(stack.runs, c):
+    for (state, direct), g, ci in zip(stack.runs, stack.seats, c):
+        rows, x = batches[g]
         terms.append(inner_step(state, direct, rows, x, ci))
         now = clock()
         state.work_seconds += now - mark
         mark = now
+    # every seed's batch at a position has the size of rows
     d = stack.terms.add(spec, len(rows), np.array(terms), w)
     dds = np.vecdot(d, d).tolist()
     if not math.isfinite(sum(dds)):
@@ -256,8 +287,11 @@ def stack_step(stack, rows, x):
         etas = stack.etas.copy()
         for i in stack.decayed:
             etas[i] = params.eta0 / math.sqrt(runs[i][0].inner)
-        rays = (_trial_values(params, batch_ray(spec, w, rows, x, d, z, dds), stack)
-                if stack.searched else [])
+        if stack.searched:
+            u = _margins(spec.data, d, batches, stack)
+            rays = _trial_values(params, batch_ray(spec, w, rows, d, z, u, dds), stack)
+        else:
+            rays = []
         for i, values in zip(stack.searched, rays):
             state = runs[i][0]
             eta, evals = backtrack(params, values, dds[i])
@@ -295,31 +329,37 @@ def _trial_values(params, phi, stack):
             for i, values in zip(searched, phi(params.steps[:2], searched))]
 
 
-def run_epoch(states, schedule):
-    """One epoch of every run of ``states``, which share ``schedule``, in
-    lockstep. Per run, the snap bookkeeping as its kind's ``KINDS`` row says,
+def run_epoch(states, schedules):
+    """One epoch of every run of ``states`` in lockstep, each on the
+    schedule of its seed in ``schedules`` ({seed: schedule}, of one batch
+    size). Per run, the snap bookkeeping as its kind's ``KINDS`` row says,
     and its estimator bound to the epoch's table or snap state once; the
-    runs that share their objective and line search form a ``Stack``, whose
-    rows hold their iterates through the epoch. Then each chunk of the
-    schedule's batches (``Dataset.plan``) is gathered once, every stack
-    steps through it (``stack_step``), and it is dropped before the next is
-    gathered. Per run, the boundary rule last: a kind using
-    ``state.average`` sets it to the mean of the epoch's m iterates.
+    runs that share their objective and line search form a ``Stack``, of
+    every seed, whose rows hold their iterates through the epoch. Each
+    seed's schedule is walked a chunk at a time (``Dataset.plan``): a chunk
+    is gathered once its seed's last one is used up and dropped, so at most
+    one chunk per seed is alive, and at each batch position every stack
+    steps on its seeds' batches there (``stack_step``). Per run, the
+    boundary rule last: a kind using ``state.average`` sets it to the mean
+    of the epoch's m iterates.
 
     Overflow is not reported inside the snapshots and the steps: a logistic
     slope whose exp(-t) overflows is the exact +0.0, a finite direction whose
     d.d overflows still steps, and a run whose direction is not finite
     keeps the message in ``state.failure`` and leaves the epoch, while the
-    others go on.
+    others go on; a diverging run's invalid operations are not reported
+    either, as the test of d.d reports the run.
 
     A run's ``work_seconds`` grows by its own snapshot, ``inner_step``s and
-    boundary, by the gather of each chunk it reads, timed once for the
-    group, and by a 1/k share of the rest of its k-run stack's steps: one
-    clock pair per run and chunk, and k + 3 clock reads per stack and batch.
+    boundary, by the gather of each chunk of its seed's schedule, timed once
+    for the seed, and by a 1/k share of the rest of its k-run stack's steps:
+    one clock pair per seed and chunk, and k + 3 clock reads per stack and
+    batch.
     """
     clock = time.perf_counter
     groups = {}
-    with np.errstate(over="ignore"):
+    seeds = tuple(schedules)
+    with np.errstate(over="ignore", invalid="ignore"):
         for state in states:
             start = clock()
             config = state.config
@@ -331,21 +371,30 @@ def run_epoch(states, schedule):
             direct = bind_term(row.family, spec, state.table, state.snap)
             groups.setdefault((spec, config.sbas), []).append((state, direct))
             state.work_seconds += clock() - start
-        stacks = [Stack(runs) for runs in groups.values()]
-        start = clock()
-        for chunk in states[0].config.objective.data.plan(schedule):
-            gathered = clock() - start
-            for stack in stacks:
-                stack.shared += gathered
-            for rows, x in chunk:
+        stacks = [Stack(runs, seeds) for runs in groups.values()]
+        data, m = states[0].config.objective.data, schedules[seeds[0]].m
+        plans = [data.plan(schedule) for schedule in schedules.values()]
+        charged = [[state for state in states if state.config.seed == seed]
+                   for seed in seeds]
+        left = [[] for _ in seeds]  # each seed's batches of its chunk not yet stepped
+        stepped = 0
+        while stepped < m and stacks:
+            for g, plan in enumerate(plans):
+                if not left[g]:
+                    start = clock()
+                    left[g] = next(plan)
+                    gathered = clock() - start
+                    for state in charged[g]:
+                        state.work_seconds += gathered
+            span = min(map(len, left))
+            for batches in zip(*[chunk[:span] for chunk in left]):
                 for stack in stacks:
                     if stack.runs:      # empty once all its runs failed
-                        stack_step(stack, rows, x)
+                        stack_step(stack, batches)
+            left = [chunk[span:] for chunk in left]
+            del batches     # a seed's rows are freed before its next gather
+            stepped += span
             stacks = [stack for stack in stacks if stack.runs]
-            del chunk, x    # its rows are freed before the next gather
-            if not stacks:
-                break
-            start = clock()
     for stack in stacks:
         stack.settle()
         for i, (state, _) in enumerate(stack.runs):
@@ -353,7 +402,7 @@ def run_epoch(states, schedule):
             row = KINDS[state.config.solver]
             state.w = stack.w[i]
             if "average" in (row.snap, row.start):
-                state.average = stack.total[i] / schedule.m
+                state.average = stack.total[i] / m
             if row.start == "average":
                 state.w = state.average
             state.epoch += 1
@@ -361,14 +410,15 @@ def run_epoch(states, schedule):
 
 
 def run(configs, test=None):
-    """Run ``configs``, runs that share their batches (one ``batch_key``),
-    for their S epochs in lockstep, and record a trace point per run and
-    epoch. Each epoch's schedule is drawn once for all of them, and
+    """Run ``configs``, a lockstep group (one ``batch_key``), for their S
+    epochs together, and record a trace point per run and epoch. Each
+    epoch's schedule is drawn once per seed of the live runs, and
     ``run_epoch`` gathers each of its chunks once; a group of one is a
     single run.
 
     Each trace gets an epoch-0 baseline before any work. Metric evaluation
-    is excluded from the recorded wall time and from the gradient counters.
+    is excluded from the recorded wall time and from the gradient counters,
+    and reports no overflow or invalid operation of a diverging iterate.
     A run whose direction is not finite stops there, its partial trace
     carries a failure marker, and the others go on. Returns a (final w,
     Trace) per config, in order.
@@ -376,25 +426,29 @@ def run(configs, test=None):
     first = configs[0]
     if any(batch_key(config) != batch_key(first) for config in configs):
         raise ValueError("runs stepped together must share their data set, "
-                         "batch size, seed and epochs")
+                         "batch size and epochs")
     runs = [(init_state(config), Trace(solver=config.solver, seed=config.seed,
                                        points=[], config=_config_echo(config)))
             for config in configs]
-    for state, trace in runs:
-        record_epoch(trace, state, test)
     n = first.objective.data.n
     live = runs
-    for s in range(first.epochs):
-        run_epoch([state for state, _ in live],
-                  make_schedule(n, first.batch_size, first.seed, epoch=s))
-        for state, trace in live:
-            if state.failure is None:
-                record_epoch(trace, state, test)
-            else:
-                trace.failure = state.failure
-        live = [(state, trace) for state, trace in live if state.failure is None]
-        if not live:
-            break
+    # as in run_epoch: the metrics of a diverging iterate read inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state, trace in runs:
+            record_epoch(trace, state, test)
+        for s in range(first.epochs):
+            seeds = dict.fromkeys(state.config.seed for state, _ in live)
+            run_epoch([state for state, _ in live],
+                      {seed: make_schedule(n, first.batch_size, seed, epoch=s)
+                       for seed in seeds})
+            for state, trace in live:
+                if state.failure is None:
+                    record_epoch(trace, state, test)
+                else:
+                    trace.failure = state.failure
+            live = [(state, trace) for state, trace in live if state.failure is None]
+            if not live:
+                break
     # each w its own array, not a row of a stack's
     return [(np.array(state.w), trace) for state, trace in runs]
 

@@ -180,7 +180,7 @@ def test_criterion_6_degenerate_equivalence():
         state = init_state(cfg)
         history = []
         for s in range(5):
-            run_epoch([state], make_schedule(n, n, 0, epoch=s))
+            run_epoch([state], {0: make_schedule(n, n, 0, epoch=s)})
             history.append(state.w.copy())
         iterates[kind] = history
     worst = 0.0
@@ -264,8 +264,9 @@ def test_criterion_10_sbas_contract():
         # the search runs over the batch's ray as the inner step forms it,
         # on a stack of one run
         x = spec.data.gather(batch)
-        ray = batch_ray(spec, w[None], batch, x, direction[None],
-                        margins(spec.data, w, x)[None], [dd])
+        ray = batch_ray(spec, w[None], batch, direction[None],
+                        margins(spec.data, w, x)[None],
+                        margins(spec.data, direction, x)[None], [dd])
 
         def values(etas, ray=ray, trials=trials):
             for eta, value in zip(etas.tolist(), ray(etas, [0])[0]):

@@ -141,7 +141,7 @@ def test_run_with_two_workers_writes_the_same_csv(tmp_path, monkeypatch):
             "--seeds", "0,1", "--b", "4", "--epochs", "2"]
     (serial, pooled), parts = serial_and_pooled(tmp_path, monkeypatch, argv)
     assert serial == pooled
-    # one group of runs that share their batches per seed
+    # one group of every seed's runs, split by seed between the workers
     assert parts == [2]
 
 
@@ -567,16 +567,28 @@ def test_verify_rejects_options_it_does_not_read(monkeypatch, capsys, flag, valu
     assert calls == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+DIVERGING = ["run", "--synthetic", "n=20,d=3", "--solvers", "sgd", "--loss", "least_squares",
+             "--l2", "0", "--b", "20", "--epochs", "300", "--fixed-eta", "1e8"]
+
+
 def test_run_flushes_partial_results_on_failure(tmp_path, capsys):
     out = tmp_path / "fail.csv"
-    code = main(["run", "--synthetic", "n=20,d=3", "--solvers", "sgd",
-                 "--loss", "least_squares", "--l2", "0", "--b", "20",
-                 "--epochs", "300", "--fixed-eta", "1e8", "--out", str(out)])
+    code = main(DIVERGING + ["--out", str(out)])
     assert code == 1
     assert out.exists()
     assert "FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_run_warns_nothing_and_reports_its_failure(tmp_path, capsys):
+    # with warnings as errors, a run whose iterate overflows still ends in
+    # its failure marker and exit 1: neither its steps nor the metrics of
+    # its diverging iterate report an overflow or an invalid operation
+    out = tmp_path / "fail.csv"
+    assert main(DIVERGING + ["--out", str(out)]) == 1
+    assert "FAILED: sgd: non-finite direction at epoch 38, inner step 38" in \
+        capsys.readouterr().out
+    assert out.exists()
 
 
 def test_run_equals_a_one_point_batch_sweep(tmp_path):

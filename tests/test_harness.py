@@ -113,6 +113,14 @@ def test_fevals_tracked_but_not_emitted(tmp_path):
     assert "fevals" not in (tmp_path / "f.csv").read_text()
 
 
+def ticking(now, fn, ticks):
+    """``fn``, first moving the fake clock ``now[0]`` by ``ticks(*args)``."""
+    def wrapped(*args, **kwargs):
+        now[0] += ticks(*args)
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     # a fake clock that only a chunk's gather (2 ticks), a step (1 tick for
     # saag3, 4 for svrg), a snapshot (16 ticks) and metric evaluation (1000
@@ -121,10 +129,7 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     now = [0.0]
 
     def advance(fn, ticks):
-        def wrapped(*args, **kwargs):
-            now[0] += ticks(*args)
-            return fn(*args, **kwargs)
-        return wrapped
+        return ticking(now, fn, ticks)
 
     step = {"saag3": 1.0, "svrg": 4.0}
     monkeypatch.setattr(solvers.time, "perf_counter", lambda: now[0])
@@ -148,6 +153,46 @@ def test_metric_evaluation_does_not_enter_wall_clock(monkeypatch):
     for (_, trace), epoch in zip(results, (3 * 2.0 + 8 * 1.0,
                                            3 * 2.0 + 8 * 4.0 + 16.0)):
         assert [p.wall_seconds for p in trace.points] == [epoch * e for e in range(8)]
+
+
+def test_a_run_is_charged_only_its_own_seeds_gathers(monkeypatch):
+    # runs of seeds 0 and 1 in one stack, on a fake clock that only a
+    # chunk's gather (2 ticks for seed 0's, 32 for seed 1's), a step (1 tick
+    # for saag3, 4 for svrg) and a snapshot (16 ticks) move: per epoch, each
+    # run's work clock rises by its own seed's gathers, steps and snapshot
+    now, drawn = [0.0], []
+    draw = solvers.make_schedule
+
+    def counted_draw(n, b, seed, **kwargs):
+        drawn.append((seed, draw(n, b, seed, **kwargs)))
+        return drawn[-1][1]
+
+    def gather_ticks(data, rows):
+        seed, = [s for s, schedule in drawn if np.shares_memory(rows, schedule.head)]
+        return (2.0, 32.0)[seed]
+
+    step = {"saag3": 1.0, "svrg": 4.0}
+    monkeypatch.setattr(solvers.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(solvers, "make_schedule", counted_draw)
+    monkeypatch.setattr(Dataset, "_gather_chunk",
+                        ticking(now, Dataset._gather_chunk, gather_ticks))
+    monkeypatch.setattr(solvers, "inner_step",
+                        ticking(now, solvers.inner_step,
+                                lambda state, *args: step[state.config.solver]))
+    monkeypatch.setattr(solvers, "take_snapshot",
+                        ticking(now, solvers.take_snapshot, lambda *args: 16.0))
+    spec = ObjectiveSpec("logistic", make_synthetic(16, 4, seed=1), lambda2=1e-3)
+    # 8 batches of 2 rows of the dense block, 3 to a chunk: 3 gathers an
+    # epoch per seed
+    monkeypatch.setattr(Dataset, "PLAN_BYTES", 3 * 8 * 2 * 4)
+    configs = [RunConfig(solver=kind, objective=spec, epochs=3, batch_size=2, seed=seed)
+               for seed in (0, 1) for kind in step]
+    results = run(configs)
+    assert spec.data.block is not None
+    for (_, trace), config in zip(results, configs):
+        epoch = (3 * (2.0, 32.0)[config.seed] + 8 * step[config.solver]
+                 + 16.0 * (config.solver == "svrg"))
+        assert [p.wall_seconds for p in trace.points] == [epoch * e for e in range(4)]
 
 
 def lambda_grid_jobs():
@@ -205,27 +250,31 @@ def gathered_roots(views):
 
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
 def test_run_jobs_draws_and_gathers_once_per_seed_and_epoch(dense, monkeypatch):
-    # 4 solvers x 3 seeds x 5 epochs: one schedule per (seed, epoch), not one
-    # per run, each of its chunks gathered once, and each chunk's rows freed
-    # before the next is gathered, so PLAN_BYTES bounds a whole group
+    # 4 solvers x 3 seeds x 5 epochs, one group: one schedule per (seed,
+    # epoch), not one per run, each of its chunks gathered once, and each
+    # chunk's rows freed before the next of its seed is gathered, so
+    # PLAN_BYTES bounds a whole group's rows of each seed
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     n, d, b = 48, 5, 8
     spec = ObjectiveSpec("logistic", make_synthetic(n, d, seed=2, flip=0.1), 1e-3)
     assert (spec.data.block is not None) == dense
-    # two batches of b full rows to a chunk: 3 chunks an epoch
+    # two batches of b full rows to a chunk: 3 chunks an epoch per seed
     monkeypatch.setattr(Dataset, "PLAN_BYTES", 2 * (8 if dense else 24) * b * d)
-    drawn, gathered, alive, refs = [], [], [], []
+    drawn, gathered, alive, chunks = [], [], [], []
     draw, gather_chunk = solvers.make_schedule, Dataset._gather_chunk
 
-    def counted_draw(*args, **kwargs):
-        drawn.append(draw(*args, **kwargs))
-        return drawn[-1]
+    def counted_draw(n, b, seed, **kwargs):
+        drawn.append((seed, draw(n, b, seed, **kwargs)))
+        return drawn[-1][1]
 
     def counted_gather(self, rows):
-        alive.append(sum(ref() is not None for ref in refs))
+        seed, = [s for s, schedule in drawn if np.shares_memory(rows, schedule.head)]
+        # the seeds of the chunks still alive: this seed's, and the others'
+        live = [s for s, refs in chunks if any(ref() is not None for ref in refs)]
+        alive.append((live.count(seed), len(live) - live.count(seed)))
         views = gather_chunk(self, rows)
-        refs[:] = map(weakref.ref, gathered_roots(views))
-        gathered.extend(rows)
+        chunks.append((seed, list(map(weakref.ref, gathered_roots(views)))))
+        gathered.extend((seed, batch) for batch in rows)
         return views
 
     monkeypatch.setattr(solvers, "make_schedule", counted_draw)
@@ -234,11 +283,15 @@ def test_run_jobs_draws_and_gathers_once_per_seed_and_epoch(dense, monkeypatch):
             for kind in ("saag3", "saag4", "svrg", "vrsgd") for seed in (0, 1, 2)]
     traces, _ = run_jobs(jobs, None, 1)
     assert all(len(t.points) == 6 for t in traces)
-    assert len(drawn) == 15
-    assert len(alive) == 15 * 3 and alive == [0] * len(alive)
+    assert [seed for seed, _ in drawn] == [0, 1, 2] * 5
+    # the seeds' chunks end together: each seed's is gathered after the last
+    assert alive == [(0, 0), (0, 1), (0, 2)] * 15
     assert len(gathered) == 15 * 6
-    assert all(np.array_equal(rows, batch) for rows, batch in
-               zip(gathered, [batch for s in drawn for batch in s.batches]))
+    for seed in (0, 1, 2):
+        assert all(np.array_equal(rows, batch) for rows, batch in
+                   zip([rows for s, rows in gathered if s == seed],
+                       [batch for s, schedule in drawn if s == seed
+                        for batch in schedule.batches]))
 
 
 def test_run_jobs_keys_runs_on_every_config_field():
@@ -398,6 +451,40 @@ def test_run_jobs_opens_one_process_per_part_at_most(monkeypatch):
     single, _ = run_jobs(jobs[:1], None, 64)
     assert opened == [2]
     assert scrub(single) == scrub(serial[:1])
+
+
+def test_a_pool_splits_a_group_by_seed_first(monkeypatch):
+    # 4 solvers x 3 seeds are one group; on 3 workers each part is one
+    # seed's 4 runs, so no part gathers another seed's batches, and on 6
+    # each seed's part is halved
+    mapped = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts, *iterables):
+            parts = list(parts)
+            mapped.append([[(job.solver, job.seed) for job in part] for part in parts])
+            return map(fn, parts, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    spec = ObjectiveSpec("logistic", make_synthetic(30, 4, seed=2), lambda2=1e-3)
+    kinds = ("saag3", "saag4", "svrg", "vrsgd")
+    jobs = [RunConfig(solver=kind, objective=spec, epochs=1, batch_size=5, seed=seed)
+            for kind in kinds for seed in (0, 1, 2)]
+    run_jobs(jobs, None, 3)
+    assert mapped[-1] == [[(kind, seed) for kind in kinds] for seed in (0, 1, 2)]
+    run_jobs(jobs, None, 6)
+    assert sorted(mapped[-1]) == sorted(
+        [(kind, seed) for kind in kinds[half::2]]
+        for seed in (0, 1, 2) for half in (0, 1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -217,7 +217,9 @@ def ray(spec, w, rows, d, z, dd):
     """The trial values of one run (rows None: every row): ``batch_ray`` on
     a stack of one, as a function of the steps."""
     rows = np.arange(spec.data.n) if rows is None else rows
-    phi = batch_ray(spec, w[None], rows, spec.data.gather(rows), d[None], z[None], [dd])
+    x = spec.data.gather(rows)
+    phi = batch_ray(spec, w[None], rows, d[None], z[None], margins(spec.data, d, x)[None],
+                    [dd])
     return lambda etas: phi(etas, [0])[0]
 
 

@@ -50,8 +50,7 @@ def test_degenerate_equivalence_at_full_batch(lam1):
         state = init_state(cfg)
         history = []
         for s in range(5):
-            sched = make_schedule(n, n, 0, epoch=s)
-            run_epoch([state], sched)
+            run_epoch([state], {0: make_schedule(n, n, 0, epoch=s)})
             history.append(state.w.copy())
         iterates[kind] = history
     ref = iterates["gd"]
@@ -65,8 +64,8 @@ def test_epoch_boundary_equalities(monkeypatch):
     collected = []
     orig = solvers_mod.stack_step
 
-    def spy(stack, rows, x):
-        orig(stack, rows, x)
+    def spy(stack, batches):
+        orig(stack, batches)
         (w,) = stack.w
         collected.append(w.copy())
 
@@ -77,7 +76,7 @@ def test_epoch_boundary_equalities(monkeypatch):
         state = init_state(cfg)
         before = state.average
         sched = make_schedule(20, cfg.batch_size, 1, epoch=0)
-        run_epoch([state], sched)
+        run_epoch([state], {1: sched})
         total = np.zeros(4)
         for w in collected:
             total += w
@@ -104,18 +103,18 @@ def test_snap_anchor_rules():
                          ("gd", None), ("sgd", None)):
         cfg = RunConfig(solver=kind, objective=spec, epochs=2, batch_size=5, seed=4)
         state = init_state(cfg)
-        run_epoch([state], make_schedule(20, 5, 4, epoch=0))
+        run_epoch([state], {4: make_schedule(20, 5, 4, epoch=0)})
         if anchor is None:
             # no snap point, in either epoch
             assert state.snap is None, kind
-            run_epoch([state], make_schedule(20, 5, 4, epoch=1))
+            run_epoch([state], {4: make_schedule(20, 5, 4, epoch=1)})
             assert state.snap is None, kind
             continue
         # first epoch anchors at the initial point for every snap solver
         assert np.array_equal(state.snap.point, np.zeros(4)), kind
         start = state.w.copy()
         avg = state.average.copy()
-        run_epoch([state], make_schedule(20, 5, 4, epoch=1))
+        run_epoch([state], {4: make_schedule(20, 5, 4, epoch=1)})
         expected = start if anchor == "start" else avg
         assert np.array_equal(state.snap.point, expected), kind
 
@@ -129,7 +128,7 @@ def test_proximal_step_applies_soft_threshold_when_direction_is_zero():
     cfg = RunConfig(solver="gd", objective=spec, epochs=1, batch_size=1)
     state = init_state(cfg)
     state.w = np.array([0.7, 0.3])  # w . x = 1 = y, so the residual is zero
-    run_epoch([state], make_schedule(1, 1, 0))      # one step, on row 0
+    run_epoch([state], {0: make_schedule(1, 1, 0)})      # one step, on row 0
     # eta = eta0 = 1 on a zero direction; threshold = eta * lambda1 = 0.2
     assert np.allclose(state.w, [0.5, 0.1], atol=1e-15)
 
@@ -140,9 +139,10 @@ def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     orig = solvers_mod.stack_step
     checks = []
 
-    def spy(stack, rows, x):
+    def spy(stack, batches):
+        (rows, _), = batches
         before = batch_smooth_value(stack.spec, stack.w[0], rows)
-        orig(stack, rows, x)
+        orig(stack, batches)
         (w,) = stack.w
         after = batch_smooth_value(stack.spec, w, rows)
         checks.append(after <= before + 1e-12)
@@ -151,7 +151,7 @@ def test_batch_objective_never_increases_on_accepted_steps(monkeypatch):
     cfg = RunConfig(solver="saag3", objective=spec, epochs=3, batch_size=4, seed=2)
     state = init_state(cfg)
     for s in range(3):
-        run_epoch([state], make_schedule(20, 4, 2, epoch=s))
+        run_epoch([state], {2: make_schedule(20, 4, 2, epoch=s)})
     assert checks and all(checks)
 
 
@@ -254,16 +254,22 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
     monkeypatch.setattr(Dataset, "_gather_chunk", counted_chunk)
     monkeypatch.setattr(Dataset, "gather", counted)
     for b in (1, 16, n - 1, n):
-        schedule = make_schedule(n, b, seed=3)
+        # two runs, each on the schedule of its seed
+        schedules = {0: make_schedule(n, b, seed=3), 1: make_schedule(n, b, seed=4)}
         for kind in SOLVERS:
-            state = init_state(RunConfig(solver=kind, objective=spec, epochs=1,
-                                         batch_size=b, sbas=SBASParams(eta0=50.0)))
+            states = [init_state(RunConfig(solver=kind, objective=spec, epochs=1,
+                                           batch_size=b, seed=seed,
+                                           sbas=SBASParams(eta0=50.0)))
+                      for seed in schedules]
             chunked.clear()
             fresh.clear()
-            run_epoch([state], schedule)
+            run_epoch(states, schedules)
             assert fresh == []
-            assert len(chunked) == (0 if b == n else schedule.m)
-            assert all(np.array_equal(r, s) for r, s in zip(chunked, schedule.batches))
+            assert len(chunked) == (0 if b == n else 2 * schedules[0].m)
+            for seed, schedule in schedules.items():
+                own = [rows for rows in chunked if owner(schedules, rows) == seed]
+                assert len(own) == (0 if b == n else schedule.m)
+                assert all(np.array_equal(r, s) for r, s in zip(own, schedule.batches))
     # the one batch of every row comes with the stored layout itself
     (((_, x),),) = data.plan(make_schedule(n, n, seed=3))
     assert chunked == [] and fresh == []
@@ -274,43 +280,61 @@ def test_an_epoch_gathers_each_planned_batch_once(dense, monkeypatch):
                    zip(x, (data.row_ids, data.indices, data.signed, n)))
 
 
+def owner(schedules, rows):
+    """The seed of the schedule in ``schedules`` whose batches ``rows``
+    (planned row ids: views of its head or tail) are part of."""
+    return next(seed for seed, schedule in schedules.items()
+                if any(np.shares_memory(rows, a)
+                       for a in (schedule.head, schedule.tail) if a is not None))
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
 def test_kept_row_ids_keep_no_chunk_alive(dense, monkeypatch):
     # a caller that keeps every batch's row ids through an epoch, as a
     # tracer that meters them does, holds no gathered rows: each chunk's
-    # gather is freed once the epoch drops the chunk, before the next
+    # gather is freed once the epoch drops the chunk, before the next of its
+    # seed, so at most one chunk per seed is alive
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     n, d, b = 48, 5, 8
     spec = ObjectiveSpec("logistic", make_synthetic(n, d, seed=2, flip=0.1), 1e-3)
     assert (spec.data.block is not None) == dense
-    # two batches of b full rows to a chunk: 3 chunks
+    # two batches of b full rows to a chunk: 3 chunks per seed
     monkeypatch.setattr(Dataset, "PLAN_BYTES", 2 * (8 if dense else 24) * b * d)
-    kept, refs, alive = [], [], []
+    schedules = {0: make_schedule(n, b, seed=0), 1: make_schedule(n, b, seed=1)}
+    kept, chunks, alive = [], [], []
     gather_chunk, step = Dataset._gather_chunk, solvers_mod.stack_step
 
     def recorded(self, rows):
-        alive.append(sum(ref() is not None for ref in refs))
+        seed = owner(schedules, rows)
+        # the seeds of the chunks still alive: this seed's, and the other's
+        live = [s for s, refs in chunks if any(ref() is not None for ref in refs)]
+        alive.append((live.count(seed), len(live) - live.count(seed)))
         views = gather_chunk(self, rows)
+        refs = []
         for view in views:
             for a in [view] if isinstance(view, np.ndarray) else view[:3]:
                 while a.base is not None:
                     a = a.base
                 refs.append(weakref.ref(a))
+        chunks.append((seed, refs))
         return views
 
-    def keeping(stack, rows, *rest):
-        kept.append(rows)
-        return step(stack, rows, *rest)
+    def keeping(stack, batches):
+        kept.append([rows for rows, _ in batches])
+        return step(stack, batches)
 
     monkeypatch.setattr(Dataset, "_gather_chunk", recorded)
     monkeypatch.setattr(solvers_mod, "stack_step", keeping)
-    state = init_state(RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=b))
-    schedule = make_schedule(n, b, seed=0)
-    run_epoch([state], schedule)
-    assert alive == [0, 0, 0] and refs
-    assert all(ref() is None for ref in refs)
-    assert len(kept) == schedule.m
-    assert all(np.array_equal(rows, batch) for rows, batch in zip(kept, schedule.batches))
+    states = [init_state(RunConfig(solver="svrg", objective=spec, epochs=1, batch_size=b,
+                                   seed=seed)) for seed in schedules]
+    run_epoch(states, schedules)
+    # the seeds' chunks end together: each pair is gathered after the last
+    assert alive == [(0, 0), (0, 1)] * 3
+    assert all(ref() is None for _, refs in chunks for ref in refs)
+    assert len(kept) == 6
+    for g, schedule in enumerate(schedules.values()):
+        assert all(np.array_equal(rows[g], batch)
+                   for rows, batch in zip(kept, schedule.batches))
 
 
 # mixes shaped like the benchmark's workloads: (layout, kinds, b, seeds,
@@ -318,7 +342,7 @@ def test_kept_row_ids_keep_no_chunk_alive(dense, monkeypatch):
 LADDER = {"eta0": 50.0, "shrink": 0.3, "max_backtracks": 4}
 LOCKSTEP_MIXES = {
     "dense-sbas": (True, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 0.0, None),
-    "csr-l1": (False, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1), 1e-3, None),
+    "csr-l1": (False, ("saag3", "saag4", "svrg", "vrsgd"), 8, (0, 1, 2), 1e-3, None),
     "fixed-b1": (True, ("saag1", "saag2", "sgd"), 1, (0,), 0.0, 0.05),
     # sentinel and whole-ladder rows beside rows that accept at eta0
     "ladder": (True, ("saag2", "svrg", "saag1"), 7, (0, 1), 0.0, None, LADDER),
@@ -337,30 +361,49 @@ def solo_bits(result):
     return w.tobytes(), np.array(points).tobytes(), trace.failure
 
 
+def ragged_set(n, d, seed):
+    """n x d Gaussian rows, each at its own uniform fill, labelled by a
+    random hyperplane: in CSR its rows hold 0 to d entries, so its batches'
+    chunk ends differ per schedule."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * (rng.random((n, d)) < rng.random((n, 1)))
+    y = np.where(x @ rng.standard_normal(d) >= 0.0, 1.0, -1.0)
+    rows, cols = np.nonzero(x)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(x, axis=1))))
+    return Dataset(indptr, cols, x[rows, cols], y, d)
+
+
 @pytest.mark.parametrize("chunked", [False, True], ids=["bound", "low-bound"])
 @pytest.mark.parametrize("mix", sorted(LOCKSTEP_MIXES))
 def test_lockstep_runs_equal_their_solo_runs(mix, chunked, monkeypatch):
-    # runs stepped through each epoch together give each run's solo trace
-    # and w, bit for bit, also with every epoch gathered in 3 or more chunks
+    # runs stepped through each epoch together, those of one seed or of all
+    # seeds, give each run's solo trace and w, bit for bit, also with every
+    # epoch gathered in 3 or more chunks per seed; on CSR rows of 0 to d
+    # entries the seeds' chunks end at different batches
     dense, kinds, b, seeds, lam1, fixed_eta, *ladder = LOCKSTEP_MIXES[mix]
     sbas = SBASParams(**ladder[0]) if ladder else SBASParams()
     monkeypatch.setattr(Dataset, "DENSE_PASS_FILL", 0.0 if dense else 2.0)
     n, d, epochs = 48, 5, 3
-    data = make_synthetic(n, d, seed=9, flip=0.1)
+    data = make_synthetic(n, d, seed=9, flip=0.1) if dense else ragged_set(n, d, 9)
     assert (data.block is not None) == dense
     if chunked:     # a chunk of one batch of b full rows
         monkeypatch.setattr(Dataset, "PLAN_BYTES", (8 if dense else 24) * b * d)
+    if chunked and not dense and len(seeds) > 1:
+        assert len({tuple(map(len, data.plan(make_schedule(n, b, seed))))
+                    for seed in seeds}) > 1
     gathers = record_chunks(monkeypatch)
     spec = ObjectiveSpec("logistic", data, lambda2=1e-3, lambda1=lam1)
-    for seed in seeds:
-        configs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=b,
-                             seed=seed, fixed_eta=fixed_eta, sbas=sbas) for kind in kinds]
+    configs = [RunConfig(solver=kind, objective=spec, epochs=epochs, batch_size=b,
+                         seed=seed, fixed_eta=fixed_eta, sbas=sbas)
+               for seed in seeds for kind in kinds]
+    solo = {config: solo_bits(run([config])[0]) for config in configs}
+    groups = [[config for config in configs if config.seed == seed] for seed in seeds]
+    for group in groups + ([configs] if len(seeds) > 1 else []):
         gathers.clear()
-        grouped = run(configs)
+        grouped = run(group)
         if chunked:
-            assert len(gathers) >= 3 * epochs
-        assert [solo_bits(r) for r in grouped] == \
-            [solo_bits(run([config])[0]) for config in configs]
+            assert len(gathers) >= 3 * epochs * len(group) // len(kinds)
+        assert [solo_bits(r) for r in grouped] == [solo[config] for config in group]
         # each returned w is its own array, no row of a stack's
         assert not any(np.shares_memory(a, b) for (a, _), (b, _)
                        in itertools.combinations(grouped, 2))
@@ -424,6 +467,43 @@ def test_failures_leave_the_stack_and_the_other_rows_keep_their_bits(monkeypatch
         assert all([p.epoch for p in trace.points] == [0, 1, 2] for _, trace in results)
 
 
+def test_a_failure_in_a_two_seed_stack_leaves_the_other_rows_their_bits(monkeypatch):
+    # in one stack of the runs of seeds 0 and 1, with l1 and sgd's decaying
+    # step, seed 1's svrg fails in the middle of epoch 1, then every run of
+    # seed 0 in epoch 2, which leaves a stack of one seed: every other row
+    # keeps its solo bits, and a failed run's points are its solo run's
+    spec = toy_spec(n=48, d=5, lam2=1e-3, lam1=1e-3)
+    kinds = ("saag3", "saag4", "svrg", "vrsgd", "sgd")
+    configs = [RunConfig(solver=kind, objective=spec, epochs=4, batch_size=8, seed=seed)
+               for seed in (0, 1) for kind in kinds]
+    solo = [run([config])[0] for config in configs]
+    step = solvers_mod.inner_step
+
+    def failing(state, direct, *args):
+        seed, kind = state.config.seed, state.config.solver
+        if seed == 1 and kind == "svrg" and state.inner >= 9 or seed == 0 and state.inner >= 14:
+            direct = lambda rows, x, c: np.full(spec.data.d, math.nan)  # noqa: E731
+        return step(state, direct, *args)
+
+    monkeypatch.setattr(solvers_mod, "inner_step", failing)
+    results = run(configs)
+    failed = {i: f"{kind}: non-finite direction at epoch 2, inner step 14"
+              for i, kind in enumerate(kinds)}
+    failed[7] = "svrg: non-finite direction at epoch 1, inner step 9"
+    assert [trace.failure for _, trace in results] == [failed.get(i) for i in range(10)]
+    for i, ((_, trace), mine) in enumerate(zip(results, solo)):
+        if i in failed:
+            points = solo_bits((mine[0], copy_points(mine[1], len(trace.points))))[1]
+            assert solo_bits(results[i])[1] == points
+        else:
+            assert solo_bits(results[i]) == solo_bits(mine)
+
+
+def copy_points(trace, k):
+    """A copy of ``trace`` with its first ``k`` points."""
+    return type(trace)(trace.solver, trace.seed, trace.points[:k])
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["block", "csr"])
 @pytest.mark.parametrize("failing", [False, True], ids=["finite", "sgd-fails"])
 def test_row_order_does_not_change_a_run(dense, failing, monkeypatch):
@@ -457,13 +537,13 @@ def test_runs_stepped_together_must_share_their_batches():
     spec = toy_spec(n=24, d=4)
     other = toy_spec(n=24, d=4)     # equal rows, another data set object
     base = dict(solver="saag4", objective=spec, epochs=2, batch_size=6, seed=0)
-    for change in ({"seed": 1}, {"batch_size": 4}, {"epochs": 3},
-                   {"objective": other}):
+    for change in ({"batch_size": 4}, {"epochs": 3}, {"objective": other}):
         with pytest.raises(ValueError, match="must share their data set"):
             run([RunConfig(**base), RunConfig(**dict(base, **change))])
-    # another objective on the same data set shares the batches
+    # another seed, or another objective on the same data set, steps together
     lam = ObjectiveSpec("logistic", spec.data, lambda2=1e-4)
-    assert len(run([RunConfig(**base), RunConfig(**dict(base, objective=lam))])) == 2
+    for change in ({"seed": 1}, {"objective": lam}):
+        assert len(run([RunConfig(**base), RunConfig(**dict(base, **change))])) == 2
 
 
 def test_run_is_deterministic():
@@ -540,7 +620,7 @@ def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
     state = init_state(cfg)
     state.w = w0.copy()
     schedule = make_schedule(16, cfg.batch_size, 0)
-    run_epoch([state], schedule)
+    run_epoch([state], {0: schedule})
     assert np.array_equal(state.w, w0)
     if kind in ("saag3", "saag4", "vrsgd"):     # the readers of the average
         # a 0.0 step still counts in the average
@@ -573,7 +653,7 @@ def test_margin_space_search_keeps_traces(kind, loss, lam1, monkeypatch):
                     sbas=SBASParams(eta0=50.0), seed=2)
     w_fast, fast = run([cfg])[0]
 
-    def plain_ray(spec_, w, rows, x, d, z, dd):
+    def plain_ray(spec_, w, rows, d, z, u, dd):
         # the stack's rows, one ray each
         def phi(etas, among):
             return [plain(w[i], d[i], etas) for i in among]
@@ -789,8 +869,8 @@ def test_non_finite_direction_entry_raises(bad, fixed_eta, monkeypatch):
         state.snap = estimators_mod.take_snapshot(spec, state.w)
         direct = solvers_mod.bind_term("unbiased", spec, None, state.snap)
         batch = np.array([0, 1, 2, 3])
-        stack = Stack([(state, direct)])
-        stack_step(stack, batch, spec.data.gather(batch))
+        stack = Stack([(state, direct)], (0,))
+        stack_step(stack, ((batch, spec.data.gather(batch)),))
         assert state.failure == "svrg: non-finite direction at epoch 0, inner step 0"
         assert not stack.runs
         assert state.inner == 0
@@ -807,7 +887,7 @@ def test_inner_step_eta_zero_leaves_w_unchanged():
                     sbas=params)
     state = init_state(cfg)
     w0 = state.w.copy()
-    run_epoch([state], make_schedule(8, 8, 0))      # one step, on every row
+    run_epoch([state], {0: make_schedule(8, 8, 0)})      # one step, on every row
     assert np.array_equal(state.w, w0)
     assert state.inner == 1
 
