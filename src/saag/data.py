@@ -147,10 +147,8 @@ class Dataset:
         rows[k:] whose gathered rows take at most PLAN_BYTES."""
         if self.block is not None:
             cost = np.full(len(rows), 8 * rows[0].size * self.d)
-        elif 24 * self.indices.size <= self.PLAN_BYTES:
-            # three 8-byte arrays per stored value: all of them fit
-            return np.full(len(rows), len(rows))
         else:
+            # three 8-byte arrays per stored value
             cost = 24 * np.diff(self.indptr)[rows].sum(axis=1)
         cum = np.concatenate(([0], np.cumsum(cost)))
         return np.searchsorted(cum, cum + self.PLAN_BYTES, side="right") - 1

@@ -193,17 +193,3 @@ def bind(family, spec, table=None, snap=None):
     return lambda w, rows, x, c: terms.add(spec, len(rows), term(rows, x, c)[None],
                                            w[None])[0]
 
-
-def saag1_direction(table, spec, w, rows, x, c):
-    """One SAAG-I/III direction (``saag1_term``), through ``bind``."""
-    return bind("table", spec, table)(w, rows, x, c)
-
-
-def saag2_direction(snap, spec, w, rows, x, c):
-    """One SAAG-II/IV direction (``saag2_term``), through ``bind``."""
-    return bind("biased", spec, snap=snap)(w, rows, x, c)
-
-
-def svrg_direction(snap, spec, w, rows, x, c):
-    """One SVRG/VR-SGD direction (``svrg_term``), through ``bind``."""
-    return bind("unbiased", spec, snap=snap)(w, rows, x, c)

@@ -19,9 +19,6 @@ SUBOPT_FLOOR = 1e-16
 CSV_FIELDS = ("solver", "seed", "epoch", "wall_seconds", "grads_over_n",
               "objective", "suboptimality", "test_accuracy")
 
-_REAL_FIELDS = ("wall_seconds", "grads_over_n", "objective", "suboptimality",
-                "test_accuracy")
-
 
 @dataclass
 class TracePoint:
@@ -67,7 +64,6 @@ def record_epoch(trace, state, test=None):
         suboptimality=float("nan"),
         test_accuracy=acc,
     ))
-    return trace
 
 
 def finalize_suboptimality(traces, reference_value=None):
@@ -190,6 +186,6 @@ def read_csv(path):
     rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
     for row in rows:
         row["seed"], row["epoch"] = int(row["seed"]), int(row["epoch"])
-        for name in _REAL_FIELDS:
+        for name in CSV_FIELDS[3:]:
             row[name] = float(row[name])
     return rows, metadata

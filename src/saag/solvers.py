@@ -129,10 +129,6 @@ def batch_key(config):
     return id(config.objective.data), config.batch_size, config.epochs
 
 
-def _family(state):
-    return KINDS[state.config.solver].family
-
-
 def inner_step(state, direct, rows, x, c):
     """The estimator's term of run ``state`` on the batch of row ids
     ``rows`` and signed rows ``x``: ``direct(rows, x, c)``, bound by
@@ -154,16 +150,15 @@ class Stack:
     iterates as the rows of ``w``, the sums of the epoch's iterates as those
     of ``total`` when a kind reads the average, and each run's share of the
     stacked work not yet on its clock. The runs may differ in seed: each
-    row's seat is its seed's place in ``seeds``, the epoch's, ``groups``
-    holds (seat, row indices) per seed of the stack, and ``seat`` is the
-    rows' one seat when they have one (else None). Each run's solver,
-    fixed step, objective and line search are its config's."""
+    row's seat is its seed's place in ``seeds``, the epoch's, and
+    ``groups`` holds (seat, row indices) per seed of the stack. Each run's
+    solver, fixed step, objective and line search are its config's."""
 
     def __init__(self, runs, seeds):
-        runs = sorted(runs, key=lambda run: FAMILIES.index(_family(run[0])))
+        self.runs = runs = sorted(runs, key=lambda run: FAMILIES.index(
+            KINDS[run[0].config.solver].family))
         config = runs[0][0].config
-        self.spec, self.sbas, self.runs = config.objective, config.sbas, runs
-        self.seeds = seeds
+        self.spec, self.sbas, self.seeds = config.objective, config.sbas, seeds
         self.w = np.array([state.w for state, _ in runs])
         kinds = [KINDS[state.config.solver] for state, _ in runs]
         self.total = (np.zeros_like(self.w) if any(
@@ -179,8 +174,7 @@ class Stack:
         self.seats = [self.seeds.index(state.config.seed) for state in states]
         self.groups = [(g, np.flatnonzero(np.equal(self.seats, g)))
                        for g in dict.fromkeys(self.seats)]
-        self.seat = self.seats[0] if len(self.groups) == 1 else None
-        self.terms = Terms([_family(state) for state in states],
+        self.terms = Terms([KINDS[state.config.solver].family for state in states],
                            [state.snap for state in states])
         configs = [state.config for state in states]
         self.searched = [i for i, config in enumerate(configs)
@@ -210,12 +204,12 @@ class Stack:
 def _margins(data, v, batches, stack):
     """The (k, b) signed margins of the rows of ``v``, one per row of
     ``stack``, each on its seed's batch of ``batches``: one ``margins`` call
-    on the whole of v when the rows have one seat (``Stack.seat``); else on
-    a dense block one call per seed group (``Stack.groups``), and in CSR,
+    on the whole of v when the rows have one seat (``Stack.groups`` holds
+    one group); else on a dense block one call per seed group, and in CSR,
     where a stack's margins are one bincount per row anyway, one call per
     row, which copies no group's rows in or out."""
-    if stack.seat is not None:
-        return margins(data, v, batches[stack.seat][1])
+    if len(stack.groups) == 1:
+        return margins(data, v, batches[stack.groups[0][0]][1])
     if data.block is None:
         return np.array([margins(data, row, batches[g][1])
                          for row, g in zip(v, stack.seats)])
@@ -258,12 +252,11 @@ def stack_step(stack, batches):
     shared = mark - start
     terms = []
     for (state, direct), g, ci in zip(stack.runs, stack.seats, c):
-        rows, x = batches[g]
-        terms.append(inner_step(state, direct, rows, x, ci))
+        terms.append(inner_step(state, direct, *batches[g], ci))
         now = clock()
         state.work_seconds += now - mark
         mark = now
-    # every seed's batch at a position has the size of rows
+    rows = batches[0][0]    # every seed's batch at a position has its size
     d = stack.terms.add(spec, len(rows), np.array(terms), w)
     dds = np.vecdot(d, d).tolist()
     if not math.isfinite(sum(dds)):

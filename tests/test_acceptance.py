@@ -12,7 +12,7 @@ import numpy as np
 
 from saag.cli import ExperimentConfig, echo_config
 from saag.data import make_schedule, make_synthetic
-from saag.estimators import saag2_direction, take_snapshot
+from saag.estimators import bind, take_snapshot
 from saag.harness import finalize_suboptimality
 from saag.line_search import SBASParams, backtrack
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
@@ -43,7 +43,7 @@ def enumerate_mean(spec, w, snap, schedule):
     # independent of estimator_mean_bruteforce: plain loop and sum
     total = np.zeros(spec.data.d)
     for batch in schedule.batches:
-        total += saag2_direction(snap, spec, w, batch, *operands(spec, w, batch))
+        total += bind("biased", spec, snap=snap)(w, batch, *operands(spec, w, batch))
     return total / schedule.m
 
 
@@ -69,7 +69,6 @@ def test_criterion_1_bias_identity():
 
 
 def test_criterion_2_unbiasedness():
-    from saag.estimators import svrg_direction
     rng = np.random.default_rng(102)
     worst = 0.0
     for n in (4, 6, 8):
@@ -81,8 +80,8 @@ def test_criterion_2_unbiasedness():
                 snap = take_snapshot(spec, rng.standard_normal(3))
                 total = np.zeros(3)
                 for batch in schedule.batches:
-                    total += svrg_direction(snap, spec, w, batch,
-                                            *operands(spec, w, batch))
+                    total += bind("unbiased", spec, snap=snap)(
+                        w, batch, *operands(spec, w, batch))
                 gap = np.linalg.norm(total / schedule.m - batch_grad(spec, w))
                 worst = max(worst, float(gap))
     report(2, worst <= 1e-10, f"unbiasedness: max gap {worst:.2e} (tol 1e-10)")
@@ -108,8 +107,8 @@ def test_criterion_3_variance_bounds():
             snap = take_snapshot(spec, rng.standard_normal(4))
             g = batch_grad(spec, w)
             lhs = np.mean([
-                float(np.linalg.norm(saag2_direction(
-                    snap, spec, w, batch, *operands(spec, w, batch)) - g) ** 2)
+                float(np.linalg.norm(bind("biased", spec, snap=snap)(
+                    w, batch, *operands(spec, w, batch)) - g) ** 2)
                 for batch in schedule.batches])
             rhs = (8 * constants.L * a * (objective_value(spec, w) - ref.value)
                    + 8 * constants.L * (a * m ** 2 + (m - 1) ** 2) / m ** 2

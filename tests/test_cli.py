@@ -15,6 +15,8 @@ def test_synthetic_spec_parsing():
     kw = parse_synthetic_spec("n=200,d=10")
     assert kw == {"n": 200, "d": 10, "flip": 0.0, "margin": 0.0, "seed": 0}
     assert canonical_synthetic("n=200,d=10") == "n=200,d=10,flip=0.0,margin=0.0,seed=0"
+    # an empty component is skipped
+    assert parse_synthetic_spec("n=200,,d=10") == kw
     with pytest.raises(UsageError):
         parse_synthetic_spec("n=200")
     with pytest.raises(UsageError):

@@ -308,6 +308,9 @@ def test_schedule_errors():
         make_schedule(5, 0, seed=0)
     with pytest.raises(ValueError):
         make_schedule(5, 6, seed=0)
+    for seed, epoch in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_schedule(5, 2, seed=seed, epoch=epoch)
 
 
 def test_synthetic_generator():
@@ -325,3 +328,9 @@ def test_synthetic_generator():
     u /= np.linalg.norm(u)
     margins = wide.labels * (dense @ u)
     assert np.all(margins >= 2.0 - 1e-9)
+    for n, d, knobs, message in ((0, 4, {}, "positive"), (50, 0, {}, "positive"),
+                                 (50, 4, {"flip": -0.1}, "flip"),
+                                 (50, 4, {"flip": 1.5}, "flip"),
+                                 (50, 4, {"margin": -1.0}, "margin")):
+        with pytest.raises(ValueError, match=message):
+            make_synthetic(n, d, **knobs)

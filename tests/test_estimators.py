@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from saag.data import Dataset, make_schedule, make_synthetic
 from saag.estimators import (FAMILIES, Terms, bind, bind_term, make_table,
-                             saag1_direction, saag2_direction, svrg_direction,
                              take_snapshot)
 from saag.objective import (LOSSES, ObjectiveSpec, batch_grad,
                             margins, scatter, slope_t)
@@ -39,7 +38,7 @@ def test_saag1_first_call_uses_only_the_batch():
     rng = np.random.default_rng(0)
     w = rng.standard_normal(3)
     batch = np.array([1, 4])
-    d = saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
+    d = bind("table", spec, table)(w, batch, *operands(spec, w, batch))
     assert np.allclose(d, batch_grad(spec, w, batch), atol=1e-15)
     assert list(np.flatnonzero(table.slopes)) == [1, 4]
 
@@ -49,7 +48,7 @@ def test_saag1_full_batch_is_full_gradient():
     table = make_table(spec)
     rng = np.random.default_rng(1)
     w = rng.standard_normal(3)
-    d = saag1_direction(table, spec, w, np.arange(8), *operands(spec, w))
+    d = bind("table", spec, table)(w, np.arange(8), *operands(spec, w))
     assert np.array_equal(d, batch_grad(spec, w))
     assert np.all(table.slopes != 0.0)
 
@@ -64,12 +63,12 @@ def test_saag1_matches_direct_recomputation():
     sched = make_schedule(8, 2, seed=3)
     stored = {}
     for w, batch in zip(w_hist, sched.batches):
-        saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
+        bind("table", spec, table)(w, batch, *operands(spec, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
     w = rng.standard_normal(3)
     for batch in make_schedule(8, 2, seed=4).batches:
-        got = saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
+        got = bind("table", spec, table)(w, batch, *operands(spec, w, batch))
         for i in batch:
             stored[i] = dense_component(spec, w, i)
         fresh = sum(stored[i] for i in batch)
@@ -89,7 +88,7 @@ def test_table_aggregate_consistency():
         sched = make_schedule(12, 3, seed=9, epoch=epoch)
         for batch in sched.batches:
             w = rng.standard_normal(4)
-            saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
+            bind("table", spec, table)(w, batch, *operands(spec, w, batch))
     rebuilt = scatter(spec.data, table.slopes)
     rel = np.linalg.norm(table.aggregate - rebuilt) / max(np.linalg.norm(rebuilt), 1e-300)
     assert rel <= 1e-12
@@ -100,7 +99,7 @@ def test_saag2_full_batch_collapses():
     rng = np.random.default_rng(6)
     w = rng.standard_normal(3)
     snap = take_snapshot(spec, rng.standard_normal(3))
-    d = saag2_direction(snap, spec, w, np.arange(6), *operands(spec, w))
+    d = bind("biased", spec, snap=snap)(w, np.arange(6), *operands(spec, w))
     assert np.linalg.norm(d - batch_grad(spec, w)) <= 1e-14
 
 
@@ -113,7 +112,7 @@ def test_saag2_at_snap_point_closed_form():
     snap = take_snapshot(spec, wt)
     sched = make_schedule(6, 2, seed=0)
     for batch in sched.batches:
-        d = saag2_direction(snap, spec, wt, batch, *operands(spec, wt, batch))
+        d = bind("biased", spec, snap=snap)(wt, batch, *operands(spec, wt, batch))
         expect = (1 - 1 / sched.m) * batch_grad(spec, wt, batch) + snap.grad
         assert np.linalg.norm(d - expect) <= 1e-14
 
@@ -152,7 +151,7 @@ def test_svrg_at_snap_returns_snap_gradient_exactly():
     wt = rng.standard_normal(3)
     snap = take_snapshot(spec, wt)
     batch = np.array([0, 3])
-    d = svrg_direction(snap, spec, wt, batch, *operands(spec, wt, batch))
+    d = bind("unbiased", spec, snap=snap)(wt, batch, *operands(spec, wt, batch))
     assert np.array_equal(d, snap.grad)
 
 
@@ -179,9 +178,9 @@ def test_degenerate_equivalence_all_estimators():
     fg = batch_grad(spec, w)
     table = make_table(spec)
     x, c = operands(spec, w, batch)
-    for d in (saag1_direction(table, spec, w, batch, x, c),
-              saag2_direction(snap, spec, w, batch, x, c),
-              svrg_direction(snap, spec, w, batch, x, c),
+    for d in (bind("table", spec, table)(w, batch, x, c),
+              bind("biased", spec, snap=snap)(w, batch, x, c),
+              bind("unbiased", spec, snap=snap)(w, batch, x, c),
               bind("batch", spec)(w, batch, x, c)):
         assert np.linalg.norm(d - fg) <= 1e-12
 
@@ -191,7 +190,7 @@ def test_bruteforce_mean_resets_table_state():
     table = make_table(spec)
     rng = np.random.default_rng(11)
     w, batch = rng.standard_normal(3), np.array([0, 1])
-    saag1_direction(table, spec, w, batch, *operands(spec, w, batch))
+    bind("table", spec, table)(w, batch, *operands(spec, w, batch))
     before = copy.deepcopy(table)
     sched = make_schedule(8, 2, seed=5)
     m1 = estimator_mean_bruteforce("table", spec, rng.standard_normal(3), table, sched)
@@ -288,10 +287,10 @@ def test_folded_snap_directions_are_the_two_scatter_formula(dense, n, d, fill, s
                     planned = chain.from_iterable(data.plan(schedule))
                     for (batch, xb), (saag2, svrg, size) in zip(planned, want, strict=True):
                         c = slope_t(kind, margins(data, w, xb))
-                        assert np.all(np.abs(saag2_direction(snap, spec, w, batch, xb, c)
-                                             - saag2) <= 1e-12 * size)
-                        assert np.all(np.abs(svrg_direction(snap, spec, w, batch, xb, c)
-                                             - svrg) <= 1e-12 * size)
+                        got = bind("biased", spec, snap=snap)(w, batch, xb, c)
+                        assert np.all(np.abs(got - saag2) <= 1e-12 * size)
+                        got = bind("unbiased", spec, snap=snap)(w, batch, xb, c)
+                        assert np.all(np.abs(got - svrg) <= 1e-12 * size)
 
 
 def test_direction_rejects_an_unknown_kind():
@@ -328,9 +327,7 @@ def test_snap_directions_read_the_scaled_slopes_bit_for_bit(dense, n, d, fill, s
             c = slope_t(kind, margins(data, w, fresh))
             want = (scatter(data, c / k - snap.slopes[batch] / n, fresh)
                     + lam2 * w - (k / n) * lam2 * snap.point + snap.grad)
-            assert np.array_equal(saag2_direction(snap, spec, w, batch, x, c), want)
-            # a bound estimator takes the batch's slopes
-            assert np.array_equal(bind("biased", spec, None, snap)(w, batch, x, c), want)
+            assert np.array_equal(bind("biased", spec, snap=snap)(w, batch, x, c), want)
 
 
 def written_out(family, spec, table, snap, w, rows, x, c):

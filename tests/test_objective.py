@@ -58,6 +58,8 @@ def test_batch_grad_cases():
     assert np.allclose(g1, comp + 0.05 * w, atol=1e-15)
     with pytest.raises(ValueError):
         batch_grad(spec, w, np.array([], dtype=int))
+    with pytest.raises(ValueError, match="empty batch"):
+        batch_smooth_value(spec, w, np.array([], dtype=int))
 
 
 def _fd_gradient(spec, w, batch, h=1e-6):

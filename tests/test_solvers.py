@@ -613,7 +613,9 @@ def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
 
     monkeypatch.setattr(solvers_mod, "batch_ray", counted_ray)
     spec = toy_spec(n=16, d=5, lam2=1e-2)
-    w0 = np.array([0.5, -0.25, 1.0, 0.125, -2.0])   # dyadic: sums stay exact
+    # dyadic, so sums stay exact, and -0.0, whose sign bit w - 0 d would lose
+    # wherever d is negative
+    w0 = np.array([-0.0, -0.25, 1.0, 0.125, -2.0])
     params = SBASParams(eta0=1e6, max_backtracks=3)
     cfg = RunConfig(solver=kind, objective=spec, epochs=1, batch_size=4,
                     sbas=params, seed=0)
@@ -622,6 +624,8 @@ def test_sentinel_streak_leaves_w_unchanged(kind, monkeypatch):
     schedule = make_schedule(16, cfg.batch_size, 0)
     run_epoch([state], {0: schedule})
     assert np.array_equal(state.w, w0)
+    if kind != "saag3":     # its w is the average, a sum from +0.0
+        assert state.w.tobytes() == w0.tobytes()
     if kind in ("saag3", "saag4", "vrsgd"):     # the readers of the average
         # a 0.0 step still counts in the average
         assert np.array_equal(state.average, w0)

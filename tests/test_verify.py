@@ -117,6 +117,10 @@ def test_variance_bound_at_optimum_and_full_batch():
     rep = variance_bound_check(spec, reference.w, snap, full, constants,
                                reference)
     assert rep.lhs <= 1e-20 and rep.r_const == 0.0
+    # b = 4 does not divide n = 6: the report says so
+    rep = variance_bound_check(spec, reference.w, snap, make_schedule(6, 4, seed=2),
+                               constants, reference)
+    assert rep.ragged and "ragged last batch" in rep.note
 
 
 def test_variance_bound_rejects_large_n():
@@ -188,6 +192,9 @@ def test_theorem_regime_errors():
     with pytest.raises(RegimeError, match="strong convexity"):
         theoretical_rate(2, RateParams(beta=5.0, c=1.0, m=10, b=10, n=100),
                          ProblemConstants(L=1.0, mu=0.0))
+    with pytest.raises(RegimeError, match="beta > 1$"):
+        theoretical_rate(2, RateParams(beta=1.0, c=1.0, m=10, b=10, n=100),
+                         ProblemConstants(L=1.0, mu=0.5))
     with pytest.raises(ValueError, match="constants"):
         theoretical_rate(4, RateParams(beta=5.0, c=1.0, m=10, b=10, n=100))
     with pytest.raises(ValueError):
@@ -262,6 +269,8 @@ def test_rate_params_validation():
         RateParams(beta=2.0, c=11.0, m=10, b=2, n=20)
     with pytest.raises(ValueError):
         RateParams(beta=2.0, c=1.0, m=0, b=2, n=20)
+    with pytest.raises(ValueError, match="b out of range"):
+        RateParams(beta=2.0, c=1.0, m=10, b=21, n=20)
     with pytest.raises(ValueError):
         ProblemConstants(L=0.5, mu=1.0)
 
